@@ -623,8 +623,12 @@ _VERIFIERS = {
 
 
 def cmd_verify(args):
-    with open(args.envelope, "r", encoding="utf-8") as fh:
-        env = json.load(fh)
+    try:
+        with open(args.envelope, "r", encoding="utf-8") as fh:
+            env = json.load(fh)
+    except OSError as e:
+        note(f"error: cannot read envelope {args.envelope}: {e.strerror or e}")
+        return EXIT_USAGE
     command = env.get("command")
     checker = _VERIFIERS.get(command)
     if checker is None:

@@ -380,6 +380,11 @@ def goldbach_decompose(Q: MultiPoly, relaxed_var=None, budget=100_000) -> Goldba
                 "the relaxed per-variable degree clause is a finite-field accommodation")
         if relaxed_var not in Q.vars:
             raise ValueError(f"unknown variable {relaxed_var!r}")
+        if len(Q.vars) < 2:
+            # the relaxed search grows the degree in the other variables;
+            # with none it would only try binomials, which proves nothing
+            raise ValueError("the relaxed degree clause needs a second variable "
+                             "besides the designated one")
         return _goldbach_finite_field(Q, relaxed_var, budget)
 
     if len(Q.vars) == 1 and Q.total_degree() == 1:

@@ -11,12 +11,15 @@ never -1, so sentinel arithmetic cannot slip through silently.
 
 from __future__ import annotations
 
+import heapq
+from operator import mul
+
 from .errors import (
     RingMismatchError,
     VariableMismatchError,
     ZeroInputError,
 )
-from .rings import Ring, RingElement
+from .rings import PrimeField, Ring, RingElement, u_add, u_mul, u_trim
 
 NEG_INF = float("-inf")
 
@@ -130,9 +133,9 @@ class MultiPoly:
     # -- structure -----------------------------------------------------------
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(f"polynomials over {self.ring} and {other.ring} do not mix")
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise VariableMismatchError(f"variable sets {self.vars} and {other.vars} differ")
 
     def is_zero(self):
@@ -283,15 +286,6 @@ class MultiPoly:
             out[tuple(ee)] = v
         return MultiPoly(self.ring, new_vars, out)
 
-    def drop_var(self, name):
-        """Remove a variable the polynomial does not actually use."""
-        i = self.vars.index(name)
-        if self.terms and any(e[i] for e in self.terms):
-            raise VariableMismatchError(f"polynomial still involves {name}")
-        new_vars = self.vars.without(name)
-        return MultiPoly(self.ring, new_vars,
-                         {e[:i] + e[i + 1:]: v for e, v in self.terms.items()})
-
     def coeffs_in(self, name):
         """Dense coefficient list w.r.t. one variable (entries share self.vars)."""
         i = self.vars.index(name)
@@ -324,6 +318,8 @@ class MultiPoly:
         if value_poly.ring != self.ring:
             raise RingMismatchError("substitution value lives in a different ring")
         g = value_poly if value_poly.vars == new_vars else value_poly.embed(new_vars)
+        if len(new_vars) == 1 and isinstance(self.ring, PrimeField):
+            return self._substitute_dense(i, g)
         coeffs = []
         for c in self.coeffs_in(name):
             coeffs.append(MultiPoly(self.ring, new_vars,
@@ -332,6 +328,26 @@ class MultiPoly:
         for c in reversed(coeffs):
             acc = acc * g + c
         return acc
+
+    def _substitute_dense(self, i, g):
+        """substitute() for a bivariate self over GF(p): dense Horner in the
+        one remaining variable, on the packed GF(p) kernels."""
+        K = self.ring
+        j = 1 - i  # index of the remaining variable
+        m = [K.zero] * (g.degree_vector()[0] + 1)
+        for (e,), v in g.terms.items():
+            m[e] = v
+        m = u_trim(m, K)
+        rows = [{} for _ in range(self.degree_vector()[i] + 1)]
+        for e, v in self.terms.items():
+            rows[e[i]][e[j]] = v
+        acc = []
+        for row in reversed(rows):
+            c = [K.zero] * (max(row, default=-1) + 1)
+            for e, v in row.items():
+                c[e] = v
+            acc = u_add(u_mul(acc, m, K), c, K)
+        return MultiPoly(K, g.vars, {(e,): v for e, v in enumerate(acc) if v})
 
     def partial_eval(self, assignment):
         """Evaluate some variables at ring values; returns a poly in the rest."""
@@ -356,11 +372,6 @@ class MultiPoly:
             elif not ring.is_zero(val):
                 out[ee] = val
         return MultiPoly(ring, new_vars, out)
-
-    def evaluate(self, assignment):
-        """Full evaluation at ring values; returns a raw ring value."""
-        res = self.partial_eval({n: assignment[n] for n in self.vars.names})
-        return res.constant_value()
 
     def derivative(self, name):
         i = self.vars.index(name)
@@ -474,26 +485,78 @@ class MultiPoly:
         return (MultiPoly(ring, self.vars, q), MultiPoly(ring, self.vars, r))
 
     def try_divexact(self, g):
-        """self / g when g divides exactly in R[vars], else None."""
+        """self / g when g divides exactly in R[vars], else None.
+
+        The remainder lives in one dict updated in place, keyed by packed
+        exponents: an exponent vector e becomes the integer
+        sum(e)*B^n + sum(e_i * B^(n-1-i)), whose order is graded lex while
+        every e_i < B, and which adds up when monomials multiply.  A heap
+        of these keys yields the leading term of the remainder (Monagan and
+        Pearce 2007); entries whose term has cancelled are skipped on pop.
+        """
         self._check(g)
         if g.is_zero():
             return None
         if self.is_zero():
             return self
         ring = self.ring
+        n = len(self.vars)
         g_exps, g_lc = g.leading_term()
-        rem = self
+        if len(g.terms) == 1:
+            # a monomial divides term by term (most divisors the Kronecker
+            # route and the gcd contents pass in)
+            q = {}
+            for e, v in self.terms.items():
+                diff = tuple(a - b for a, b in zip(e, g_exps))
+                c = None if any(d < 0 for d in diff) else ring.try_divexact(v, g_lc)
+                if c is None:
+                    return None
+                q[diff] = c
+            return MultiPoly(ring, self.vars, q)
+        # every remainder term has total degree <= that of self, so B bounds
+        # each of its exponents
+        B = self.total_degree() + 1
+        if sum(g_exps) >= B:
+            return None
+        weights = [B ** (n - 1 - k) for k in range(n)]
+        top = B ** n
+        # pack(e) = sum(e)*top + sum(e_i*weights_i), one product per exponent
+        coef = [top + w for w in weights]
+        rem = {sum(map(mul, e, coef)): v for e, v in self.terms.items()}
+        heap = [-k for k in rem]
+        heapq.heapify(heap)
+        g_key = sum(map(mul, g_exps, coef))
+        g_rest = [(sum(map(mul, e, coef)) - g_key, v)
+                  for e, v in g.terms.items() if e != g_exps]
         q = {}
-        while not rem.is_zero():
-            exps, v = rem.leading_term()
-            diff = tuple(a - b for a, b in zip(exps, g_exps))
-            if any(d < 0 for d in diff):
-                return None
+        while heap:
+            k = -heapq.heappop(heap)
+            v = rem.pop(k, None)
+            if v is None:
+                continue
+            low = k % top
+            diff = []
+            for w, ge in zip(weights, g_exps):
+                x, low = divmod(low, w)
+                if x < ge:
+                    return None
+                diff.append(x - ge)
             c = ring.try_divexact(v, g_lc)
             if c is None:
                 return None
-            q[diff] = c
-            rem = rem - g.mul_monomial(diff, c)
+            q[tuple(diff)] = c
+            for dk, v2 in g_rest:
+                t = k + dk
+                old = rem.get(t)
+                if old is None:
+                    rem[t] = ring.neg(ring.mul(c, v2))
+                    heapq.heappush(heap, -t)
+                else:
+                    s = ring.sub(old, ring.mul(c, v2))
+                    if ring.is_zero(s):
+                        del rem[t]
+                    else:
+                        rem[t] = s
         return MultiPoly(ring, self.vars, q)
 
     def divides(self, other):
@@ -503,18 +566,6 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 # Spec-level operation names.
 # ---------------------------------------------------------------------------
-
-def poly_add(f, g):
-    return f + g
-
-
-def poly_mul(f, g):
-    return f * g
-
-
-def poly_neg(f):
-    return -f
-
 
 def substitute_y(P, M, yname="y"):
     """P(x, M(x)): substitute M for the designated y variable of P."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,9 +35,74 @@ from .errors import ParseError, RingMismatchError, ZeroInputError
 # zeros ([] is the zero polynomial).  These kernels serve double duty: they
 # implement GF(p^k) and k[u] element arithmetic here, and the factor module
 # builds its finite-field factorization on top of them.
+#
+# Over a PrimeField the values are plain ints in [0, p), and every kernel
+# takes an integer path with inline `% p` instead of one ring method call
+# per coefficient; products go through one big-int multiply of Kronecker-
+# packed operands (Harvey 2009).  Everything built on the kernels (gcd,
+# powmod, irreducibility, GF(p^k) and GF(p)[u] element arithmetic) picks
+# the integer path up unchanged.
 # ---------------------------------------------------------------------------
 
+# struct code of an unsigned little-endian slot, by slot width in bytes
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# below this many coefficient products the plain double loop beats packing
+_PACK_MIN_WORK = 24
+
+
+def _fp_trim(c):
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _fp_mul(a, b, p):
+    """Product in GF(p)[x] of two nonzero dense int lists."""
+    la, lb = len(a), len(b)
+    # every coefficient of the integer product is at most min(la, lb)*(p-1)^2
+    nbytes = ((min(la, lb) * (p - 1) ** 2).bit_length() + 7) >> 3
+    width = 1
+    while width < nbytes:
+        width <<= 1
+    code = _SLOT_CODES.get(width)
+    if code is None or la * lb <= _PACK_MIN_WORK:
+        out = [0] * (la + lb - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _fp_trim([v % p for v in out])
+    # pack each operand into one int, `width` bytes per coefficient; the
+    # slots of the product cannot carry into each other
+    n = la + lb - 1
+    prod = (int.from_bytes(struct.pack(f"<{la}{code}", *a), "little")
+            * int.from_bytes(struct.pack(f"<{lb}{code}", *b), "little"))
+    slots = struct.unpack(f"<{n}{code}", prod.to_bytes(n * width, "little"))
+    return _fp_trim([v % p for v in slots])
+
+
+def _fp_divmod(a, b, p):
+    """Euclidean division in GF(p)[x] on dense int lists; b nonzero."""
+    db = len(b) - 1
+    r = list(a)
+    if len(r) <= db:
+        return [], r
+    inv_lc = pow(b[-1], -1, p)
+    q = [0] * (len(r) - db)
+    # r stays unreduced below its current top; each top is reduced as it is read
+    for d in range(len(q) - 1, -1, -1):
+        c = r[d + db] * inv_lc % p
+        if c:
+            q[d] = c
+            for i in range(db):
+                r[d + i] -= c * b[i]
+    del r[db:]
+    return _fp_trim(q), _fp_trim([v % p for v in r])
+
+
 def u_trim(c, K):
+    if isinstance(K, PrimeField):
+        return _fp_trim(c)
     while c and K.is_zero(c[-1]):
         c.pop()
     return c
@@ -47,6 +113,11 @@ def u_deg(c):
 
 
 def u_add(a, b, K):
+    if isinstance(K, PrimeField):
+        if len(a) < len(b):
+            a, b = b, a
+        p = K.p
+        return _fp_trim([(x + y) % p for x, y in zip(a, b)] + a[len(b):])
     n = max(len(a), len(b))
     out = []
     for i in range(n):
@@ -57,6 +128,14 @@ def u_add(a, b, K):
 
 
 def u_sub(a, b, K):
+    if isinstance(K, PrimeField):
+        p = K.p
+        out = [(x - y) % p for x, y in zip(a, b)]
+        if len(a) > len(b):
+            out += a[len(b):]
+        else:
+            out += [-y % p for y in b[len(a):]]
+        return _fp_trim(out)
     n = max(len(a), len(b))
     out = []
     for i in range(n):
@@ -67,18 +146,26 @@ def u_sub(a, b, K):
 
 
 def u_neg(a, K):
+    if isinstance(K, PrimeField):
+        p = K.p
+        return [-x % p for x in a]
     return [K.neg(x) for x in a]
 
 
 def u_scale(a, s, K):
     if K.is_zero(s):
         return []
+    if isinstance(K, PrimeField):
+        p = K.p
+        return _fp_trim([x * s % p for x in a])
     return u_trim([K.mul(x, s) for x in a], K)
 
 
 def u_mul(a, b, K):
     if not a or not b:
         return []
+    if isinstance(K, PrimeField):
+        return _fp_mul(a, b, K.p)
     out = [K.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if K.is_zero(x):
@@ -92,6 +179,8 @@ def u_divmod(a, b, K):
     """Euclidean division in K[x], K a field.  Returns (q, r)."""
     if not b:
         raise ZeroDivisionError("univariate division by zero polynomial")
+    if isinstance(K, PrimeField):
+        return _fp_divmod(a, b, K.p)
     r = list(a)
     q = [K.zero] * max(len(a) - len(b) + 1, 0)
     inv_lc = K.inv(b[-1])
@@ -160,17 +249,13 @@ def u_powmod(a, e, m, K):
 
 
 def u_deriv(a, K):
+    if isinstance(K, PrimeField):
+        p = K.p
+        return _fp_trim([a[i] * i % p for i in range(1, len(a))])
     out = []
     for i in range(1, len(a)):
         out.append(K.mul(a[i], K.from_int(i)))
     return u_trim(out, K)
-
-
-def u_eval(a, x, K):
-    acc = K.zero
-    for c in reversed(a):
-        acc = K.add(K.mul(acc, x), c)
-    return acc
 
 
 def u_is_irreducible(f, K):
@@ -335,6 +420,8 @@ class Ring:
         return self.spec_string()
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Ring) and self.spec_string() == other.spec_string()
 
     def __hash__(self):
@@ -408,10 +495,6 @@ class Ring:
         """Deterministic enumeration of ring elements (finite rings: the box)."""
         for v in self.element_box(coeff_bound=coeff_bound, deg_bound=None):
             yield v
-
-    def random_element(self, rng, coeff_bound=None, deg_bound=None):
-        box = self.element_box(coeff_bound=coeff_bound, deg_bound=deg_bound)
-        return box[rng.randrange(len(box))]
 
 
 class IntegerRing(Ring):

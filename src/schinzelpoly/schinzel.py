@@ -56,6 +56,8 @@ class SearchConstraints:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         if self.support is not None:
             object.__setattr__(self, "support",
                                tuple(tuple(e) for e in self.support))

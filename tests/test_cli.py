@@ -231,6 +231,38 @@ def test_verify_rejects_tampered_envelope(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_verify_missing_envelope_file(capsys, tmp_path):
+    missing = tmp_path / "absent.json"
+    assert main(["verify", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot read envelope {missing}: " in err
+    assert "Traceback" not in err
+
+
+def test_verify_truncated_envelope(capsys, tmp_path):
+    out = tmp_path / "good.json"
+    assert main(["factor", "x^2 - 1", "--ring", "Z", "--out", str(out)]) == 0
+    cut = tmp_path / "cut.json"
+    cut.write_text(out.read_text()[:40])
+    capsys.readouterr()
+    assert main(["verify", str(cut)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_goldbach_relaxed_needs_second_variable(capsys):
+    assert main(["goldbach", "--Q", "x^3+x+1", "--ring", "GF(2)", "--relaxed-degx"]) == 1
+    captured = capsys.readouterr()
+    assert "needs a second variable" in captured.err
+    assert captured.out == ""          # no envelope, in particular no exhausted-none
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(capsys, threads):
+    assert main(["schinzel", "--ring", "Z", "--P", "y", "--deg", "1",
+                 "--coeff-bound", "2", "--threads", threads]) == 1
+    assert "threads must be >= 1" in capsys.readouterr().err
+
+
 def test_envelope_timing_null_by_default(capsys, tmp_path):
     rc, env = run_cli(["irred", "x^2+1", "--ring", "Z"], capsys, tmp_path)
     assert env["timing_ms"] is None

@@ -242,6 +242,12 @@ def test_support_must_contain_constant():
         problem(ZZ, Vx, Vy, ["y"], (2,), coeff_bound=2, support=((1,), (2,)))
 
 
+def test_threads_must_be_positive():
+    for threads in (0, -3):
+        with pytest.raises(ValueError):
+            SearchConstraints(threads=threads)
+
+
 def test_fixed_divisor_f2():
     P = [parse_poly(t, F2, Vxy, aliases={"y": "y1"}) for t in ("y", "y+1")]
     rep = check_fixed_divisor(F2, Vx, Vy, P, (2,))
