@@ -648,13 +648,25 @@ def cmd_verify(args):
 # Argument parsing.
 # ---------------------------------------------------------------------------
 
+def _threads(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError("threads must be >= 1")
+    return n
+
+
 def _add_common(sp, ring=True):
     if ring:
         sp.add_argument("--ring", default=os.environ.get(_RING_ENV, "Z"),
                         help="coefficient ring: Z, Q, GF(p), GF(p^k), GF(p)[u], Q[u]")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--budget", type=int, default=100_000)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=_threads, default=1,
+                    help="worker threads; only schinzel runs a worker pool, "
+                         "the other commands accept the flag and run on one")
     sp.add_argument("--out", default=None, help="write the JSON envelope to this path")
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock timing in the envelope "

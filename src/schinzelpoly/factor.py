@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, UnsupportedRingError, ZeroInputError
-from .multipoly import MultiPoly, VarSet, poly_gcd
+from .multipoly import MultiPoly, VarSet, dense_in_var, poly_from_dense, poly_gcd
 from .rings import (
     ExtField,
     IntegerRing,
@@ -45,10 +45,16 @@ from .rings import (
     u_sub,
     u_trim,
     u_xgcd,
+    zx_deriv,
+    zx_gcd,
+    zx_primitive,
+    zx_try_div,
 )
 
 RECOMBINATION_SUBSET_CAP = 1 << 20
 ZX_SUBSET_SIZE_CAP = 6
+# good primes whose reduction is tested for irreducibility before Hensel lifting
+ZX_SCREEN_PRIMES = 6
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +354,6 @@ def _zx_trim(c):
     return c
 
 
-def _zx_deg(c):
-    return len(c) - 1
-
-
 def _zx_add(a, b):
     n = max(len(a), len(b))
     return _zx_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
@@ -400,44 +402,6 @@ def _zx_divmod_monic(a, b):
             r[k + i] -= c * b[i]
         _zx_trim(r)
     return _zx_trim(q), r
-
-
-def _zx_try_div(a, b):
-    """Exact division over Z, or None when b does not divide a."""
-    if not b:
-        return None
-    if not a:
-        return []
-    if len(b) > len(a):
-        return None
-    r = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    while r and len(r) >= len(b):
-        if r[-1] % b[-1]:
-            return None
-        c = r[-1] // b[-1]
-        k = len(r) - len(b)
-        q[k] = c
-        for i in range(len(b)):
-            r[k + i] -= c * b[i]
-        _zx_trim(r)
-    return q if not r else None
-
-
-def _zx_content(a):
-    g = 0
-    for c in a:
-        g = math.gcd(g, abs(c))
-        if g == 1:
-            break
-    return g
-
-
-def _zx_primitive(a):
-    g = _zx_content(a)
-    if g == 0:
-        return 0, []
-    return g, [c // g for c in a]
 
 
 def _odd_primes():
@@ -516,21 +480,32 @@ def _hensel_lift(p, f, f_list, l):
 
 
 def _zx_factor_squarefree(f):
-    """Irreducible factors of a primitive squarefree f with lc > 0, deg >= 1."""
-    n = _zx_deg(f)
+    """Irreducible factors of a primitive squarefree f with lc > 0, deg >= 1.
+
+    The first ZX_SCREEN_PRIMES good primes (not dividing lc, so the degree
+    is kept) screen f: an irreducible reduction proves f irreducible.  The
+    Hensel prime is the first good prime modulo which f stays squarefree.
+    """
+    n = u_deg(f)
     if n == 1:
         return [list(f)]
     lc = f[-1]
+    hensel = None
+    screened = 0
     for p in _odd_primes():
         if lc % p == 0:
             continue
         K = PrimeField(p)
         fbar = u_trim([c % p for c in f], K)
-        if u_deg(fbar) != n:
-            continue
-        if u_deg(u_gcd(fbar, u_deriv(fbar, K), K)) != 0:
-            continue
-        break
+        if screened < ZX_SCREEN_PRIMES:
+            screened += 1
+            if u_is_irreducible(fbar, K):
+                return [list(f)]
+        if hensel is None and u_deg(u_gcd(fbar, u_deriv(fbar, K), K)) == 0:
+            hensel = p, K, fbar
+        if hensel is not None and screened == ZX_SCREEN_PRIMES:
+            break
+    p, K, fbar = hensel
     _, fmonic = u_monic(fbar, K)
     rng = random.Random(0)
     modular = sorted(_ff_factor_monic_squarefree(fmonic, K, rng))
@@ -557,12 +532,12 @@ def _zx_factor_squarefree(f):
             prod = [g[-1] % P]
             for i in combo:
                 prod = _zx_trunc(_zx_mul(prod, items[i]), P)
-            cand = _zx_primitive(prod)[1]
+            cand = zx_primitive(prod)[1]
             if cand and cand[-1] < 0:
                 cand = [-c for c in cand]
-            if not cand or _zx_deg(cand) < 1:
+            if not cand or u_deg(cand) < 1:
                 continue
-            q = _zx_try_div(g, cand)
+            q = zx_try_div(g, cand)
             if q is not None:
                 result.append(cand)
                 g = q
@@ -572,36 +547,9 @@ def _zx_factor_squarefree(f):
                 break
         if not found:
             s += 1
-    if _zx_deg(g) >= 1:
+    if u_deg(g) >= 1:
         result.append(g)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Conversions between MultiPoly and dense lists in one variable.
-# ---------------------------------------------------------------------------
-
-def _dense_in_var(f: MultiPoly, var):
-    i = f.vars.index(var)
-    d = f.degree_in(var)
-    d = 0 if d == float("-inf") else int(d)
-    out = [f.ring.zero] * (d + 1)
-    for e, v in f.terms.items():
-        out[e[i]] = v
-    return u_trim(out, f.ring)
-
-
-def _poly_from_dense(ring, vars: VarSet, var, dense):
-    i = vars.index(var)
-    zero = (0,) * len(vars)
-    terms = {}
-    for power, v in enumerate(dense):
-        if ring.is_zero(v):
-            continue
-        e = list(zero)
-        e[i] = power
-        terms[tuple(e)] = v
-    return MultiPoly(ring, vars, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -651,63 +599,55 @@ def _factor_primitive(pp: MultiPoly, seed):
 
 def _factor_univariate_ff(pp, var, seed):
     K = pp.ring
-    dense = _dense_in_var(pp, var)
+    dense = dense_in_var(pp, var)
     _, facs = _ff_factor_dense(dense, K, seed=seed)
-    return [(_poly_from_dense(K, pp.vars, var, fac), m) for fac, m in facs]
+    return [(poly_from_dense(K, pp.vars, var, fac), m) for fac, m in facs]
 
 
-def _yun_squarefree(f: MultiPoly, var):
-    """Yun decomposition over a characteristic-0 ring: [(primitive part, mult)]."""
-    d1 = f.derivative(var)
-    g = poly_gcd(f, d1)
-    if g.is_constant():
+def _yun_squarefree(f):
+    """Yun decomposition of a primitive dense f over Z with lc > 0:
+    [(primitive part with lc > 0, mult)]."""
+    d1 = zx_deriv(f)
+    g = zx_gcd(f, d1)
+    if len(g) == 1:
         return [(f, 1)]
     out = []
-    b = f.try_divexact(g)
-    c = d1.try_divexact(g)
-    d = c - b.derivative(var)
+    b = zx_try_div(f, g)
+    c = zx_try_div(d1, g)
+    d = _zx_sub(c, zx_deriv(b))
     i = 1
-    while True:
-        if b.is_constant():
-            break
-        a = poly_gcd(b, d)
-        if not a.is_constant():
+    while len(b) > 1:
+        a = zx_gcd(b, d)
+        if len(a) > 1:
             out.append((a, i))
-        b = b.try_divexact(a)
-        c = d.try_divexact(a)
-        d = c - b.derivative(var)
+        b = zx_try_div(b, a)
+        c = zx_try_div(d, a)
+        d = _zx_sub(c, zx_deriv(b))
         i += 1
     return out
 
 
+def _zx_factor(f):
+    """[(irreducible factor, mult)] of a primitive dense f over Z with lc > 0."""
+    return [(fac, mult) for part, mult in _yun_squarefree(f)
+            for fac in _zx_factor_squarefree(part)]
+
+
 def _factor_univariate_int(pp, var):
-    out = []
-    for part, mult in _yun_squarefree(pp, var):
-        dense = [int(v) for v in _dense_in_var(part, var)]
-        for fac in _zx_factor_squarefree(dense):
-            out.append((_poly_from_dense(pp.ring, pp.vars, var, fac), mult))
-    return out
+    return [(poly_from_dense(pp.ring, pp.vars, var, fac), mult)
+            for fac, mult in _zx_factor(dense_in_var(pp, var))]
 
 
 def _factor_univariate_q(pp, var):
     from fractions import Fraction
 
-    ring = pp.ring
-    dense = _dense_in_var(pp, var)
+    dense = dense_in_var(pp, var)
     lcm = 1
     for v in dense:
         lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in dense]
-    _, prim = _zx_primitive(ints)
-    zz = IntegerRing()
-    zpoly = _poly_from_dense(zz, pp.vars, var, prim)
-    out = []
-    for zfac, mult in _factor_univariate_int(zpoly, var):
-        qdense = [Fraction(int(c)) for c in _dense_in_var(zfac, var)]
-        lc = qdense[-1]
-        qdense = [c / lc for c in qdense]
-        out.append((_poly_from_dense(ring, pp.vars, var, qdense), mult))
-    return out
+    _, prim = zx_primitive([int(v * lcm) for v in dense])
+    return [(poly_from_dense(pp.ring, pp.vars, var, [Fraction(c, fac[-1]) for c in fac]), mult)
+            for fac, mult in _zx_factor(prim)]
 
 
 def _normalize_candidate(cand: MultiPoly):
@@ -935,9 +875,9 @@ def is_irreducible(f: MultiPoly, method: str = "auto", seed: int = 0,
         var = effective[0]
         if isinstance(ring, (PrimeField, ExtField)):
             if isinstance(ring, PrimeField) and ring.p == 2:
-                ok = gf2_is_irreducible(_gf2_from_dense([int(v) for v in _dense_in_var(f, var)]))
+                ok = gf2_is_irreducible(_gf2_from_dense([int(v) for v in dense_in_var(f, var)]))
             else:
-                ok = u_is_irreducible(_dense_in_var(f, var), ring)
+                ok = u_is_irreducible(dense_in_var(f, var), ring)
             if ok:
                 return IrreducibilityCertificate(True, "irreducible", None, "univariate-ff")
             witness = _first_witness(f, seed) if need_witness else None

@@ -19,7 +19,17 @@ from .errors import (
     VariableMismatchError,
     ZeroInputError,
 )
-from .rings import PrimeField, Ring, RingElement, u_add, u_mul, u_trim
+from .rings import (
+    IntegerRing,
+    PrimeField,
+    Ring,
+    RingElement,
+    u_add,
+    u_gcd,
+    u_mul,
+    u_trim,
+    zx_gcd,
+)
 
 NEG_INF = float("-inf")
 
@@ -593,6 +603,34 @@ def degree_vector(f):
 
 
 # ---------------------------------------------------------------------------
+# Conversions between MultiPoly and dense lists in one variable.
+# ---------------------------------------------------------------------------
+
+def dense_in_var(f: MultiPoly, var):
+    """Coefficients of f in var, low to high; f may involve no other variable."""
+    i = f.vars.index(var)
+    d = f.degree_in(var)
+    d = 0 if d == NEG_INF else int(d)
+    out = [f.ring.zero] * (d + 1)
+    for e, v in f.terms.items():
+        out[e[i]] = v
+    return u_trim(out, f.ring)
+
+
+def poly_from_dense(ring, vars: VarSet, var, dense):
+    i = vars.index(var)
+    zero = (0,) * len(vars)
+    terms = {}
+    for power, v in enumerate(dense):
+        if ring.is_zero(v):
+            continue
+        e = list(zero)
+        e[i] = power
+        terms[tuple(e)] = v
+    return MultiPoly(ring, vars, terms)
+
+
+# ---------------------------------------------------------------------------
 # Multivariate gcd: primitive PRS in a main variable, recursing on the
 # coefficients, with the ring gcd at the bottom.
 # ---------------------------------------------------------------------------
@@ -628,6 +666,30 @@ def _prem(F, G):
     return R
 
 
+def _sole_variable(f):
+    """Name of the one variable a nonconstant f involves, or None."""
+    if len(f.vars) == 1:
+        return f.vars.names[0]
+    found = None
+    for e in f.terms:
+        for i, x in enumerate(e):
+            if x and i != found:
+                if found is not None:
+                    return None
+                found = i
+    return f.vars.names[found]
+
+
+def _dense_gcd(f, g, var):
+    """poly_gcd of f, g over Z or GF(p) that both involve only var, on the
+    dense univariate kernels.  zx_gcd (positive leading coefficient) and
+    u_gcd (monic) return the associate the PRS below normalizes to."""
+    ring = f.ring
+    a, b = dense_in_var(f, var), dense_in_var(g, var)
+    d = u_gcd(a, b, ring) if isinstance(ring, PrimeField) else zx_gcd(a, b)
+    return poly_from_dense(ring, f.vars, var, d)
+
+
 def poly_gcd(f, g):
     """A gcd in R[vars], canonical-unit-normalized (errors when both zero)."""
     f._check(g)
@@ -646,6 +708,10 @@ def poly_gcd(f, g):
         c, h = (f, g) if f.is_constant() else (g, f)
         value = ring.gcd(c.constant_value(), h.content_value())
         return MultiPoly.constant(ring, f.vars, ring.canonical_split(value)[1])
+    if isinstance(ring, (IntegerRing, PrimeField)):
+        var = _sole_variable(f)
+        if var is not None and var == _sole_variable(g):
+            return _dense_gcd(f, g, var)
     main = next(n for n in f.vars.names
                 if f.degree_in(n) > 0 or g.degree_in(n) > 0)
     F = f.coeffs_in(main)

@@ -19,6 +19,7 @@ returned canonically normalized, so factorization outputs compare exactly.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 import struct
@@ -48,6 +49,8 @@ from .errors import ParseError, RingMismatchError, ZeroInputError
 _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # below this many coefficient products the plain double loop beats packing
 _PACK_MIN_WORK = 24
+# up to this exponent u_powmod reduces x^e by one division, not by squaring
+_X_POW_DIRECT = 64
 
 
 def _fp_trim(c):
@@ -238,6 +241,9 @@ def u_xgcd(a, b, K):
 
 def u_powmod(a, e, m, K):
     """a^e mod m by square and multiply."""
+    if 0 < e <= _X_POW_DIRECT and len(a) == 2 and a[0] == K.zero and a[1] == K.one:
+        # x^e for a small e (x^q of a Frobenius step): one division
+        return u_rem([K.zero] * e + [K.one], m, K)
     result = [K.one]
     base = u_rem(a, m, K)
     while e > 0:
@@ -282,6 +288,142 @@ def u_is_irreducible(f, K):
         if u_deg(u_gcd(u_sub(h, x, K), f, K)) > 0:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Dense univariate arithmetic over Z: int lists, index = degree, no
+# trailing zeros.  The gcd is the heuristic GCDHEU (Char, Geddes and
+# Gonnet 1989): evaluate at a large integer, take the integer gcd and read
+# the polynomial gcd back off its balanced base-xi digits.  A candidate is
+# only returned after it divides both inputs exactly, which makes it the
+# gcd whenever xi >= 2*min(norms) + 2; otherwise a primitive PRS decides.
+# ---------------------------------------------------------------------------
+
+GCDHEU_TRIES = 6
+
+
+def zx_content(a):
+    """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
+    g = 0
+    for c in a:
+        g = math.gcd(g, c)
+        if g == 1:
+            break
+    return g
+
+
+def zx_primitive(a):
+    """(content, primitive part); the sign of the leading term is kept."""
+    g = zx_content(a)
+    if g == 0:
+        return 0, []
+    if g == 1:
+        return 1, list(a)
+    return g, [c // g for c in a]
+
+
+def zx_try_div(a, b):
+    """a / b when b divides a exactly in Z[x], else None."""
+    if not b:
+        return None
+    if not a:
+        return []
+    db = len(b) - 1
+    if len(a) <= db:
+        return None
+    lc = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for d in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[d + db], lc)
+        if rest:
+            return None
+        if c:
+            q[d] = c
+            for i in range(db):
+                r[d + i] -= c * b[i]
+    if any(r[:db]):
+        return None
+    return q
+
+
+def zx_deriv(a):
+    return _fp_trim([a[i] * i for i in range(1, len(a))])
+
+
+def _zx_eval(a, x):
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _zx_digits(h, xi):
+    """The polynomial whose balanced base-xi digits make up the integer h."""
+    half = xi // 2
+    out = []
+    while h:
+        d = h % xi
+        if d > half:
+            d -= xi
+        out.append(d)
+        h = (h - d) // xi
+    return out
+
+
+def _zx_heu_gcd(a, b):
+    """GCDHEU on primitive a, b of degree >= 1: the gcd, or None."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(GCDHEU_TRIES):
+        # a and b cannot both vanish at xi, which exceeds 1 + min(norms)
+        h = math.gcd(_zx_eval(a, xi), _zx_eval(b, xi))
+        g = zx_primitive(_zx_digits(h, xi))[1]
+        if g[-1] < 0:
+            g = [-c for c in g]
+        if zx_try_div(a, g) is not None and zx_try_div(b, g) is not None:
+            return g
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _zx_prs_gcd(a, b):
+    """Primitive PRS gcd of primitive a, b of degree >= 1; lc > 0."""
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        # pseudo-remainder of a by b, made primitive
+        lc = b[-1]
+        db = len(b) - 1
+        r = list(a)
+        while len(r) > db:
+            c = r[-1]
+            k = len(r) - 1 - db
+            r = [lc * v for v in r]
+            for i in range(db + 1):
+                r[k + i] -= c * b[i]
+            _fp_trim(r)
+        if not r:
+            break
+        if len(r) == 1:
+            return [1]
+        a, b = b, zx_primitive(r)[1]
+    return b if b[-1] > 0 else [-c for c in b]
+
+
+def zx_gcd(a, b):
+    """gcd in Z[x] with a positive leading coefficient (zero for gcd(0, 0))."""
+    if not a or not b:
+        c = a or b
+        return c if not c or c[-1] > 0 else [-v for v in c]
+    ca, pa = zx_primitive(a)
+    cb, pb = zx_primitive(b)
+    cont = math.gcd(ca, cb)
+    if len(pa) == 1 or len(pb) == 1:
+        return [cont]
+    g = _zx_heu_gcd(pa, pb)
+    if g is None:
+        g = _zx_prs_gcd(pa, pb)
+    return g if cont == 1 else [cont * c for c in g]
 
 
 # ---------------------------------------------------------------------------

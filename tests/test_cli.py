@@ -263,6 +263,29 @@ def test_threads_below_one_rejected(capsys, threads):
     assert "threads must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["factor", "x^2+1", "--ring", "Z"],
+    ["swan-scan", "--P", "y^2+x", "--max-deg", "2", "--ring", "GF(2)"],
+], ids=["factor", "swan-scan"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected_on_every_subcommand(capsys, args, threads):
+    assert main(args + ["--threads", threads]) == 1
+    captured = capsys.readouterr()
+    assert "threads must be >= 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["factor", "x^2+1", "--ring", "Z"],
+    ["swan-scan", "--P", "y^2+x", "--max-deg", "2", "--ring", "GF(2)"],
+], ids=["factor", "swan-scan"])
+def test_threads_accepted_without_changing_the_result(capsys, args):
+    assert main(args) == 0
+    one = capsys.readouterr().out
+    assert main(args + ["--threads", "3"]) == 0
+    assert capsys.readouterr().out == one
+
+
 def test_envelope_timing_null_by_default(capsys, tmp_path):
     rc, env = run_cli(["irred", "x^2+1", "--ring", "Z"], capsys, tmp_path)
     assert env["timing_ms"] is None

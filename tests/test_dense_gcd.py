@@ -1,0 +1,310 @@
+"""Dense univariate gcd and Yun over Z and GF(p), the GCDHEU fallback, and
+the multi-prime irreducibility screen in front of Hensel lifting.
+
+The differential tests compare against sympy, which is a test-only
+dependency; they are skipped when it is not installed.
+"""
+
+import math
+import random
+
+import pytest
+
+from schinzelpoly import factor as factor_mod
+from schinzelpoly import rings
+from schinzelpoly.errors import BudgetExceededError
+from schinzelpoly.factor import factor_multivariate
+from schinzelpoly.multipoly import MultiPoly, VarSet, poly_gcd
+from schinzelpoly.rings import GF, ZZ, PrimeField, u_is_irreducible, zx_gcd
+
+V1 = VarSet(("x",))
+V2 = VarSet(("x1", "x"))  # the polynomials below involve only x, the second
+
+
+def zx_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly(ring, vars, dense):
+    i = vars.index("x")
+    zero = [0] * len(vars)
+    terms = {}
+    for k, c in enumerate(dense):
+        e = list(zero)
+        e[i] = k
+        terms[tuple(e)] = c
+    return MultiPoly.from_terms(ring, vars, terms)
+
+
+def dense_of(f):
+    i = f.vars.index("x")
+    out = [0] * (max((e[i] for e in f.terms), default=-1) + 1)
+    for e, v in f.terms.items():
+        assert all(x == 0 for j, x in enumerate(e) if j != i)
+        out[e[i]] = v
+    return out
+
+
+def rand_zx(rng, deg, bound=9):
+    """A random dense Z[x] polynomial of exactly this degree."""
+    c = [rng.randint(-bound, bound) for _ in range(deg)]
+    return c + [rng.choice([v for v in range(-bound, bound + 1) if v])]
+
+
+def rand_fp(rng, p, deg):
+    return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+
+def positive(c):
+    return c if not c or c[-1] > 0 else [-v for v in c]
+
+
+def zx_cases(seed, count):
+    """(f, g) over Z: optional planted common factor, non-unit contents and
+    negative leading coefficients."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = rand_zx(rng, rng.randint(0, 5))
+        b = rand_zx(rng, rng.randint(0, 5))
+        if rng.random() < 0.7:
+            common = rand_zx(rng, rng.randint(1, 3))
+            a, b = zx_mul(a, common), zx_mul(b, common)
+        ka = rng.choice([1, -1, 2, -6, 12])
+        kb = rng.choice([1, -1, 3, -4, 18])
+        yield [ka * v for v in a], [kb * v for v in b]
+
+
+def sympy_dense(p_sym, modulus=None):
+    coeffs = [int(c) for c in reversed(p_sym.all_coeffs())]
+    if modulus is not None:
+        coeffs = [c % modulus for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+@pytest.mark.parametrize("vars", [V1, V2], ids=["x", "x1,x"])
+def test_poly_gcd_over_z_matches_sympy(vars):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for f, g in zx_cases(seed=11, count=150):
+        want = sympy.Poly(list(reversed(f)), x, domain="ZZ").gcd(
+            sympy.Poly(list(reversed(g)), x, domain="ZZ"))
+        got = poly_gcd(poly(ZZ, vars, f), poly(ZZ, vars, g))
+        assert dense_of(got) == positive(sympy_dense(want)), (f, g)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 10007])
+def test_poly_gcd_over_gfp_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    K = GF(p)
+    rng = random.Random(p)
+    for _ in range(80):
+        a, b = rand_fp(rng, p, rng.randint(0, 6)), rand_fp(rng, p, rng.randint(0, 6))
+        if rng.random() < 0.7:
+            common = rand_fp(rng, p, rng.randint(1, 3))
+            a = rings.u_mul(a, common, K)
+            b = rings.u_mul(b, common, K)
+        want = sympy.Poly(list(reversed(a)), x, modulus=p).gcd(
+            sympy.Poly(list(reversed(b)), x, modulus=p))
+        for vars in (V1, V2):
+            got = poly_gcd(poly(K, vars, a), poly(K, vars, b))
+            assert dense_of(got) == sympy_dense(want, modulus=p), (p, a, b)
+
+
+def test_poly_gcd_dense_path_agrees_with_prs_when_variables_differ():
+    # f involves only x, g involves x1 and x: the multivariate PRS decides
+    f = poly(ZZ, V2, [-2, 0, 2])                       # 2*(x - 1)*(x + 1)
+    x1 = MultiPoly.variable(ZZ, V2, "x1")
+    g = poly(ZZ, V2, [-4, 4]) * (x1 + MultiPoly.one(ZZ, V2))
+    assert dense_of(poly_gcd(f, g)) == [-2, 2]
+
+
+def sqf_groups(pairs):
+    """{multiplicity: dense product of the parts} for dense (part, mult) pairs."""
+    out = {}
+    for part, m in pairs:
+        out[m] = zx_mul(out.get(m, [1]), part)
+    return out
+
+
+def test_dense_yun_over_z_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(5)
+    for _ in range(120):
+        f = [1]
+        for m in (1, 2, 3):
+            if rng.random() < 0.7:
+                part = rand_zx(rng, rng.randint(1, 2), bound=4)
+                for _ in range(m):
+                    f = zx_mul(f, part)
+        if len(f) < 2:
+            continue
+        f = positive(rings.zx_primitive(f)[1])
+        got = sqf_groups(factor_mod._yun_squarefree(f))
+        _, want_pairs = sympy.Poly(list(reversed(f)), x, domain="ZZ").sqf_list()
+        want = sqf_groups((positive(sympy_dense(q)), m) for q, m in want_pairs)
+        assert got == want, f
+
+
+def test_factor_content_and_sign_match_sympy_sqf_list():
+    # negative lc and non-unit content go around Yun: unit and constant factors
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(8)
+    for _ in range(60):
+        base = rand_zx(rng, rng.randint(1, 2), bound=4)
+        rep = rand_zx(rng, rng.randint(1, 2), bound=4)
+        k = rng.choice([-12, -2, -1, 3, 10])
+        f = [k * v for v in zx_mul(base, zx_mul(rep, rep))]
+        fac = factor_multivariate(poly(ZZ, V1, f))
+        const = fac.unit.value
+        groups = {}
+        for g, m in fac.factors:
+            if g.is_constant():
+                const *= g.constant_value() ** m
+            else:
+                groups[m] = zx_mul(groups.get(m, [1]), dense_of(g))
+        coeff, want_pairs = sympy.Poly(list(reversed(f)), x, domain="ZZ").sqf_list()
+        want = sqf_groups((sympy_dense(q), m) for q, m in want_pairs)
+        # sympy may put the sign on a factor instead of the coefficient
+        sign = 1
+        for m, part in want.items():
+            if part[-1] < 0:
+                want[m] = [-v for v in part]
+                sign *= (-1) ** m
+        assert const == int(coeff) * sign, f
+        assert groups == want, f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_dense_yun_over_gfp_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    K = GF(p)
+    rng = random.Random(100 + p)
+    for _ in range(60):
+        f = [1]
+        for m in (1, 2, 3, p, p + 1):
+            if rng.random() < 0.6:
+                part = rand_fp(rng, p, rng.randint(1, 2))
+                for _ in range(m):
+                    f = rings.u_mul(f, part, K)
+        f = rings.u_monic(f, K)[1]
+        if len(f) < 2:
+            continue
+        got = {}
+        for part, m in factor_mod._ff_sff(f, K):
+            got[m] = rings.u_mul(got.get(m, [1]), part, K)
+        _, want_pairs = sympy.Poly(list(reversed(f)), x, modulus=p).sqf_list()
+        want = {}
+        for q, m in want_pairs:
+            want[m] = rings.u_mul(want.get(m, [1]), sympy_dense(q, modulus=p), K)
+        want = {m: rings.u_monic(v, K)[1] for m, v in want.items()}
+        assert got == want, (p, f)
+
+
+def test_gcdheu_fallback_gives_the_same_gcd(monkeypatch):
+    cases = list(zx_cases(seed=23, count=200))
+    expected = [zx_gcd(f, g) for f, g in cases]
+    calls = []
+    prs = rings._zx_prs_gcd
+    monkeypatch.setattr(rings, "GCDHEU_TRIES", 0)
+    monkeypatch.setattr(rings, "_zx_prs_gcd", lambda a, b: calls.append(1) or prs(a, b))
+    assert [zx_gcd(f, g) for f, g in cases] == expected
+    assert calls  # the PRS really decided
+
+
+def test_zx_gcd_edges():
+    assert zx_gcd([], []) == []
+    assert zx_gcd([], [2, -4]) == [-2, 4]
+    assert zx_gcd([6, 0, -6], []) == [-6, 0, 6]
+    assert zx_gcd([4], [6, 2]) == [2]
+    assert zx_gcd([-2, 0, 2], [2, -2]) == [-2, 2]
+    assert zx_gcd([1, 1], [1, 2]) == [1]
+
+
+# ---------------------------------------------------------------------------
+# The irreducibility screen.
+# ---------------------------------------------------------------------------
+
+def swinnerton_dyer(primes):
+    """Dense coefficients of prod (x +- sqrt(p1) +- ... +- sqrt(pk)): each
+    step writes f(x + sqrt p) = E(x) + sqrt(p) O(x) and sets f = E^2 - p O^2."""
+    f = [0, 1]
+    for p in primes:
+        even, odd = [0] * len(f), [0] * len(f)
+        for k, c in enumerate(f):
+            for j in range(k + 1):
+                term = c * math.comb(k, j) * p ** (j // 2)
+                (odd if j % 2 else even)[k - j] += term
+        sq_odd = zx_mul(odd, odd)
+        f = [e - p * (sq_odd[i] if i < len(sq_odd) else 0)
+             for i, e in enumerate(zx_mul(even, even))]
+        while f and f[-1] == 0:
+            f.pop()
+    return f
+
+
+SCREEN_BEATERS = {
+    "x^4+1": [1, 0, 0, 0, 1],
+    "x^4-10x^2+1": [1, 0, -10, 0, 1],
+    "swinnerton-dyer-16": swinnerton_dyer([2, 3, 5, 7]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_BEATERS))
+def test_screen_cannot_decide_and_hensel_still_factors_exactly(name):
+    f = SCREEN_BEATERS[name]
+    # reducible modulo every screened prime, so the screen proves nothing
+    primes = [p for p in (3, 5, 7, 11, 13, 17) if f[-1] % p]
+    assert not any(u_is_irreducible([c % p for c in f], PrimeField(p)) for p in primes)
+    assert factor_mod._zx_factor_squarefree(f) == [f]
+    other = [-3, 1]                                  # x - 3
+    fac = factor_multivariate(poly(ZZ, V1, zx_mul(f, zx_mul(other, other))))
+    assert [(dense_of(g), m) for g, m in fac.factors] == [(other, 2), (f, 1)]
+    assert fac.unit.value == 1
+
+
+def test_swinnerton_dyer_32_still_hits_the_subset_cap():
+    f = swinnerton_dyer([2, 3, 5, 7, 11])
+    assert len(f) == 33
+    with pytest.raises(BudgetExceededError,
+                       match="integer recombination needs subsets larger than 6"):
+        factor_multivariate(poly(ZZ, V1, f))
+
+
+def test_screen_decides_quadratic_whose_first_good_prime_splits(monkeypatch):
+    f = [-7, 0, 1]  # x^2 - 7 = (x - 1)(x + 1) mod 3, irreducible mod 5
+    assert not u_is_irreducible([c % 3 for c in f], PrimeField(3))
+
+    def no_lift(*args):
+        raise AssertionError("the screen should have decided")
+
+    monkeypatch.setattr(factor_mod, "_hensel_lift", no_lift)
+    monkeypatch.setattr(factor_mod, "_ff_factor_monic_squarefree", no_lift)
+    assert factor_mod._zx_factor_squarefree(f) == [f]
+
+
+def test_hensel_prime_stays_the_first_good_prime(monkeypatch):
+    f = zx_mul([-7, 0, 1], [1, 0, 1])  # squarefree mod 3, which divides no lc
+    seen = []
+    lift = factor_mod._hensel_lift
+    monkeypatch.setattr(factor_mod, "_hensel_lift",
+                        lambda p, *rest: seen.append(p) or lift(p, *rest))
+    assert sorted(factor_mod._zx_factor_squarefree(f)) == [[-7, 0, 1], [1, 0, 1]]
+    assert set(seen) == {3}
+
+
+def test_primes_dividing_the_leading_coefficient_do_not_screen():
+    # (3x + 1)(x + 1) is x + 1 mod 3, irreducible there only because the degree fell
+    f = zx_mul([1, 3], [1, 1])
+    assert sorted(factor_mod._zx_factor_squarefree(f)) == [[1, 1], [1, 3]]
