@@ -3,11 +3,13 @@
 Univariate over GF(q): squarefree decomposition (with p-th-root descent),
 distinct-degree, then seeded equal-degree splitting.  Univariate over Z/Q:
 Yun squarefree decomposition, factorization mod a good prime, quadratic
-Hensel lifting to a Landau-Mignotte-style bound, naive subset
-recombination (subset size capped at 6, reported when exceeded).
-Multivariate: Kronecker substitution x_i -> x^(D^(i-1)) with
-D = 1 + max partial degree, univariate factorization of the image, and
-subset recombination of unfolded factors (2^20 subsets cap, reported).
+Hensel lifting to a Landau-Mignotte-style bound, and subset recombination
+with trailing-coefficient pruning.  Multivariate: Kronecker substitution
+x_i -> x^(D^(i-1)) with D = 1 + max partial degree, univariate
+factorization of the image, and subset recombination of unfolded factors,
+pruned by the base-D digits of their leading and trailing exponents.  Both
+recombinations count every subset they enumerate against one cap
+(RECOMBINATION_SUBSET_CAP), reported when exceeded.
 
 k[u] coefficients are handled by folding u in as one more variable over
 the base field; content over k[u] is split off first, so no u-only factor
@@ -52,7 +54,6 @@ from .rings import (
 )
 
 RECOMBINATION_SUBSET_CAP = 1 << 20
-ZX_SUBSET_SIZE_CAP = 6
 # good primes whose reduction is tested for irreducibility before Hensel lifting
 ZX_SCREEN_PRIMES = 6
 
@@ -479,6 +480,36 @@ def _hensel_lift(p, f, f_list, l):
     return _hensel_lift(p, g, f_list[:k], l) + _hensel_lift(p, h, f_list[k:], l)
 
 
+def _subsets(n, size):
+    """Index subsets of range(n) of one size, in lexicographic order.
+
+    At size n/2 only those holding index 0 are listed: each other one is
+    the complement of one listed, and a subset is a true factor exactly
+    when its complement is, so the first hit is the same.
+    """
+    if 2 * size == n:
+        return ((0,) + rest for rest in itertools.combinations(range(1, n), size - 1))
+    return itertools.combinations(range(n), size)
+
+
+def _count_subset(explored, what):
+    if explored > RECOMBINATION_SUBSET_CAP:
+        raise BudgetExceededError(
+            f"{what} recombination exceeded {RECOMBINATION_SUBSET_CAP} subsets",
+            tested=explored)
+
+
+def _digits_fit(part, whole, D):
+    """Whether part and whole - part add in base D without a carry, that is,
+    no base-D digit of part exceeds the matching digit of whole."""
+    while part:
+        if part % D > whole % D:
+            return False
+        part //= D
+        whole //= D
+    return True
+
+
 def _zx_factor_squarefree(f):
     """Irreducible factors of a primitive squarefree f with lc > 0, deg >= 1.
 
@@ -522,13 +553,25 @@ def _zx_factor_squarefree(f):
     result = []
     g = list(f)
     items = [_zx_trunc(list(it), P) for it in lifted]
+    explored = 0
     s = 1
     while items and 2 * s <= len(items):
-        if s > ZX_SUBSET_SIZE_CAP:
-            raise BudgetExceededError(
-                f"integer recombination needs subsets larger than {ZX_SUBSET_SIZE_CAP}")
+        # When a subset's candidate is a factor h of g, lc(g) * prod(items)
+        # mod P was exactly lc(g)/lc(h) * h, so its constant term is nonzero
+        # and divides lc(g) * g(0) whenever g(0) != 0.
+        lc_g0 = g[-1] * g[0]
         found = False
-        for combo in itertools.combinations(range(len(items)), s):
+        for combo in _subsets(len(items), s):
+            explored += 1
+            _count_subset(explored, "integer")
+            if lc_g0:
+                c0 = g[-1]
+                for i in combo:
+                    c0 = c0 * items[i][0] % P
+                if c0 > P // 2:
+                    c0 -= P
+                if c0 == 0 or lc_g0 % c0:
+                    continue
             prod = [g[-1] % P]
             for i in combo:
                 prod = _zx_trunc(_zx_mul(prod, items[i]), P)
@@ -671,15 +714,21 @@ def _factor_kronecker(pp: MultiPoly, effective, seed):
     items.sort(key=_factor_sort_key)
 
     # A proper factor of pp folds to a sub-multiset of at most half the
-    # items, so searching sizes up to len//2 is complete.
+    # items, so searching sizes up to len//2 is complete.  The fold is
+    # injective on pp's degree box, so the base-D digits of a true factor's
+    # degree and lowest exponent are its lex-leading and lex-trailing
+    # monomials; those of its cofactor add to pp's without a carry.
+    highs = [it.total_degree() for it in items]
+    lows = [min(e[0] for e in it.terms) for it in items]
+    high, low = sum(highs), sum(lows)
     explored = 0
     for size in range(1, len(items) // 2 + 1):
-        for combo in itertools.combinations(range(len(items)), size):
+        for combo in _subsets(len(items), size):
             explored += 1
-            if explored > RECOMBINATION_SUBSET_CAP:
-                raise BudgetExceededError(
-                    f"Kronecker recombination exceeded {RECOMBINATION_SUBSET_CAP} subsets",
-                    tested=explored)
+            _count_subset(explored, "Kronecker")
+            if not (_digits_fit(sum(highs[i] for i in combo), high, D)
+                    and _digits_fit(sum(lows[i] for i in combo), low, D)):
+                continue
             prod = items[combo[0]]
             for i in combo[1:]:
                 prod = prod * items[i]

@@ -274,12 +274,45 @@ def test_screen_cannot_decide_and_hensel_still_factors_exactly(name):
     assert fac.unit.value == 1
 
 
-def test_swinnerton_dyer_32_still_hits_the_subset_cap():
+def test_swinnerton_dyer_32_is_certified_irreducible():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
     f = swinnerton_dyer([2, 3, 5, 7, 11])
     assert len(f) == 33
-    with pytest.raises(BudgetExceededError,
-                       match="integer recombination needs subsets larger than 6"):
-        factor_multivariate(poly(ZZ, V1, f))
+    fac = factor_multivariate(poly(ZZ, V1, f))
+    assert [(dense_of(g), m) for g, m in fac.factors] == [(f, 1)]
+    assert fac.unit.value == 1
+    coeff, want = sympy.factor_list(sympy.Poly(list(reversed(f)), x))
+    assert coeff == 1 and [(sympy_dense(q), m) for q, m in want] == [(f, 1)]
+
+
+def recombination_subsets(r):
+    """Subsets a recombination enumerates for an irreducible input with r
+    items: sizes 1..r/2, and at size r/2 only those holding item 0."""
+    return sum(math.comb(r - 1, s - 1) if 2 * s == r else math.comb(r, s)
+               for s in range(1, r // 2 + 1))
+
+
+@pytest.mark.parametrize("primes", [[2, 3, 5, 7], [2, 3, 5, 7, 11]], ids=["sd16", "sd32"])
+def test_swinnerton_dyer_counts_every_subset_against_the_cap(monkeypatch, primes):
+    f = swinnerton_dyer(primes)
+    modular = []
+    split = factor_mod._ff_factor_monic_squarefree
+    monkeypatch.setattr(factor_mod, "_ff_factor_monic_squarefree",
+                        lambda *args: modular.append(split(*args)) or modular[-1])
+    assert factor_mod._zx_factor_squarefree(f) == [f]
+    # factors of degree <= 2 modulo every prime, and nearly every subset is
+    # pruned: pruned subsets count too, so one below the count refuses
+    assert len(modular) == 1 and all(len(it) <= 3 for it in modular[0])
+    total = recombination_subsets(len(modular[0]))
+    if len(primes) == 5:
+        assert total == 2 ** 15 - 1       # 16 quadratics: sizes 1..7, half of C(16, 8)
+    monkeypatch.setattr(factor_mod, "RECOMBINATION_SUBSET_CAP", total)
+    assert factor_mod._zx_factor_squarefree(f) == [f]
+    monkeypatch.setattr(factor_mod, "RECOMBINATION_SUBSET_CAP", total - 1)
+    with pytest.raises(BudgetExceededError, match="integer recombination exceeded") as hit:
+        factor_mod._zx_factor_squarefree(f)
+    assert hit.value.tested == total
 
 
 def test_screen_decides_quadratic_whose_first_good_prime_splits(monkeypatch):

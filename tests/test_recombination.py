@@ -1,0 +1,258 @@
+"""Subset recombination: the trailing-coefficient test of the integer
+(Zassenhaus) loop, the leading/trailing-exponent digit test of the
+Kronecker loop, and the one subset-count cap both loops share.
+
+A pruning test may only skip subsets that cannot be factors, so the
+factorizations are checked against sympy `factor_list` over Z (a test-only
+dependency, skipped when it is not installed), and over GF(2) and GF(3),
+where sympy has no multivariate factoring, against the same recombination
+with the digit test switched off and against brute-force irreducibility.
+"""
+
+import itertools
+import math
+import random
+from collections import Counter
+
+import pytest
+
+from schinzelpoly import factor as factor_mod
+from schinzelpoly import format_poly
+from schinzelpoly.cli import EXIT_BUDGET, main
+from schinzelpoly.errors import BudgetExceededError
+from schinzelpoly.factor import brute_force_irreducible, factor_multivariate, kronecker_fold
+from schinzelpoly.multipoly import MultiPoly, VarSet
+from schinzelpoly.rings import GF, ZZ
+from schinzelpoly.textform import parse_poly
+from test_dense_gcd import recombination_subsets, swinnerton_dyer
+
+V1 = VarSet(("x",))
+V2 = VarSet(("x1", "x2"))
+V3 = VarSet(("x1", "x2", "x3"))
+
+# irreducible over GF(2) with no constant term: its lex-trailing monomial
+# x1*x2 folds to x^4 (D = 3), so the trailing digits prune the subsets that
+# hold exactly two of its four factors x; its fold splits into 12 factors
+GF2_TRIVARIATE = ("x1^2*x2^2*x3^2 + x1^2*x2^2*x3 + x1^2*x2*x3^2 + x1*x2^2*x3^2"
+                  " + x1^2*x2*x3 + x1*x2*x3^2 + x1^2*x3 + x1*x2*x3 + x1*x2 + x1*x3"
+                  " + x2*x3 + x3")
+
+
+def random_part(rng, ring, vars, degs, coeffs):
+    """A random nonconstant polynomial with a constant term: monomial
+    factors enter only through random_products."""
+    while True:
+        terms = {e: rng.choice(coeffs)
+                 for e in itertools.product(*[range(d + 1) for d in degs])
+                 if rng.random() < 0.6}
+        terms[(0,) * len(vars)] = rng.choice(coeffs)
+        f = MultiPoly.from_terms(ring, vars, terms)
+        if not f.is_constant():
+            return f
+
+
+def product(parts):
+    acc = parts[0]
+    for p in parts[1:]:
+        acc = acc * p
+    return acc
+
+
+def random_products(rng, ring, vars, count, max_deg, coeffs):
+    """Products of 2-3 random parts, some repeated and some times a monomial."""
+    for _ in range(count):
+        parts = []
+        for _ in range(rng.randint(2, 3)):
+            degs = [rng.randint(0, max_deg) for _ in vars.names]
+            degs[rng.randrange(len(degs))] = max_deg
+            parts.append(random_part(rng, ring, vars, degs, coeffs))
+        if rng.random() < 0.3:
+            parts.append(parts[0])
+        if rng.random() < 0.3:
+            names = rng.sample(vars.names, rng.randint(1, len(vars.names)))
+            parts.append(product([MultiPoly.variable(ring, vars, n) for n in names]))
+        yield product(parts)
+
+
+def nonconstant_factors(fac):
+    return [(g, m) for g, m in fac.factors if not g.is_constant()]
+
+
+# ---------------------------------------------------------------------------
+# Over Z: differential against sympy.
+# ---------------------------------------------------------------------------
+
+def sympy_factors(sympy, f):
+    """Nonconstant irreducible factors of f by sympy, as {canonical terms: mult}."""
+    gens = sympy.symbols(f.vars.names)
+    expr = sum(c * math.prod(g ** k for g, k in zip(gens, e)) for e, c in f.terms.items())
+    _, pairs = sympy.factor_list(expr, *gens)
+    return Counter({canonical(sympy, q, gens): m for q, m in pairs
+                    if sympy.Poly(q, *gens).total_degree() > 0})
+
+
+def canonical(sympy, q, gens):
+    p = sympy.Poly(q, *gens)
+    if p.LC() < 0:
+        p = -p
+    return tuple(sorted((e, int(c)) for e, c in p.terms()))
+
+
+def our_factors(sympy, f):
+    fac = factor_multivariate(f)
+    assert fac.recompose_over(f.vars) == f
+    gens = sympy.symbols(f.vars.names)
+    out = Counter()
+    for g, m in nonconstant_factors(fac):
+        expr = sum(c * math.prod(s ** k for s, k in zip(gens, e)) for e, c in g.terms.items())
+        out[canonical(sympy, expr, gens)] += m
+    return out
+
+
+def zx(coeffs):
+    return MultiPoly.from_terms(ZZ, V1, {(i,): c for i, c in enumerate(coeffs) if c})
+
+
+def test_univariate_non_monic_products_match_sympy():
+    # non-monic factors need lc(g) in the trailing-coefficient test; x * ...
+    # has g(0) == 0, where the test is skipped until x is split off
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    for _ in range(60):
+        parts = []
+        for _ in range(rng.randint(2, 4)):
+            deg = rng.randint(1, 4)
+            parts.append([rng.randint(-7, 7) for _ in range(deg)]
+                         + [rng.choice([2, 3, -2, 5, 6, 1])])
+        if rng.random() < 0.3:
+            parts.append([0, 1])
+        if rng.random() < 0.2:
+            parts.append(parts[0])
+        f = product([zx(p) for p in parts])
+        assert our_factors(sympy, f) == sympy_factors(sympy, f), f
+
+
+@pytest.mark.parametrize("coeffs", [
+    [[1, 0, -2], [3, 1], [-5, 0, 1]],            # 2x^2 - 1 splits mod many primes
+    [[5, 0, 0, 3], [-7, 0, 2], [1, 0, 0, 0, 6]],
+    [[1, 0], [3, 0, 2], [-1, 0, 0, 4]],          # x * ..., g(0) == 0 at first
+], ids=["quadratics", "sparse", "with-x"])
+def test_non_monic_factors_survive_the_trailing_test(coeffs):
+    sympy = pytest.importorskip("sympy")
+    f = product([zx(list(reversed(c))) for c in coeffs])
+    got = our_factors(sympy, f)
+    assert got == sympy_factors(sympy, f)
+    assert sum(got.values()) == len(coeffs)
+
+
+@pytest.mark.parametrize("vars", [V2, V3], ids=["bivariate", "trivariate"])
+def test_multivariate_z_products_match_sympy(vars):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(len(vars))
+    max_deg = 2 if len(vars) == 2 else 1
+    for f in random_products(rng, ZZ, vars, 25, max_deg, [1, -1, 2, -3, 5]):
+        assert our_factors(sympy, f) == sympy_factors(sympy, f), f
+
+
+def test_monomial_times_factor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    g = parse_poly("2*x1^2*x2 + 3*x2^2 - x1 + 7", ZZ, V2)
+    for text in ("x1*x2", "x1^2*x2", "x2^3"):
+        f = parse_poly(text, ZZ, V2) * g * g
+        assert our_factors(sympy, f) == sympy_factors(sympy, f), text
+
+
+# ---------------------------------------------------------------------------
+# Over GF(2) and GF(3): pruned equals unpruned, and every factor irreducible.
+# ---------------------------------------------------------------------------
+
+def small_box(g, q, limit=1 << 12):
+    return q ** math.prod(d + 1 for d in g.degree_vector()) <= limit
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("vars", [V2, V3], ids=["bivariate", "trivariate"])
+def test_finite_field_products_equal_unpruned_recombination(monkeypatch, p, vars):
+    K = GF(p)
+    rng = random.Random(10 * p + len(vars))
+    max_deg = 2 if len(vars) == 2 else 1
+    cases = list(random_products(rng, K, vars, 20, max_deg, list(range(1, p))))
+    pruned = [factor_multivariate(f) for f in cases]
+    checked = 0
+    for f, fac in zip(cases, pruned):
+        assert fac.recompose_over(vars) == f
+        for g, _ in nonconstant_factors(fac):
+            if small_box(g, p):
+                assert brute_force_irreducible(g), (f, g)
+                checked += 1
+    assert checked >= 20
+    monkeypatch.setattr(factor_mod, "_digits_fit", lambda part, whole, D: True)
+    assert [factor_multivariate(f) for f in cases] == pruned
+
+
+def lex_key(e):
+    return tuple(reversed(e))  # the fold puts the last variable in the top digit
+
+
+def digits(n, D, k):
+    return [n // D ** i % D for i in range(k)]
+
+
+@pytest.mark.parametrize("text", [
+    GF2_TRIVARIATE,
+    "x1^2*x2^2*x3^2 + x1^2*x2*x3^2 + x1^2*x2^2 + x1^2*x2*x3 + x1*x2*x3^2"
+    " + x2^2*x3^2 + x2*x3^2 + x1*x3 + x2^2 + x2*x3 + x3^2",
+])
+def test_kronecker_unfolds_only_subsets_whose_digits_fit(monkeypatch, text):
+    # irreducible, so every subset is tried; each one unfolded must have the
+    # base-D digits of its degree and of its lowest exponent within those of
+    # the input's lex-leading and lex-trailing monomials, in every digit
+    f = parse_poly(text, GF(2), V3)
+    D = 1 + max(f.degree_vector())
+    high = kronecker_fold(MultiPoly.monomial(f.ring, V3, max(f.terms, key=lex_key)), D)
+    low = kronecker_fold(MultiPoly.monomial(f.ring, V3, min(f.terms, key=lex_key)), D)
+    high, low = digits(high.total_degree(), D, 3), digits(low.total_degree(), D, 3)
+    seen = []
+    unfold = factor_mod.kronecker_unfold
+    monkeypatch.setattr(factor_mod, "kronecker_unfold",
+                        lambda g, *rest: seen.append(g) or unfold(g, *rest))
+    assert factor_multivariate(f).is_single_irreducible()
+    assert seen
+    for g in seen:
+        e = sorted(g.terms)
+        assert all(a <= b for a, b in zip(digits(e[-1][0], D, 3), high)), g
+        assert all(a <= b for a, b in zip(digits(e[0][0], D, 3), low)), g
+    folded = factor_multivariate(kronecker_fold(f, D))
+    total = recombination_subsets(sum(m for _, m in folded.factors))
+    assert len(seen) < total
+
+
+# ---------------------------------------------------------------------------
+# One cap: every enumerated subset counts, pruned or not.
+# ---------------------------------------------------------------------------
+
+def test_kronecker_counts_every_subset_against_the_cap(monkeypatch):
+    f = parse_poly(GF2_TRIVARIATE, GF(2), V3)
+    D = 1 + max(f.degree_vector())
+    items = sum(m for _, m in factor_multivariate(kronecker_fold(f, D)).factors)
+    total = recombination_subsets(items)
+    assert (items, total) == (12, 2047)
+    monkeypatch.setattr(factor_mod, "RECOMBINATION_SUBSET_CAP", total)
+    assert factor_multivariate(f).is_single_irreducible()
+    monkeypatch.setattr(factor_mod, "RECOMBINATION_SUBSET_CAP", total - 1)
+    with pytest.raises(BudgetExceededError, match="Kronecker recombination exceeded") as hit:
+        factor_multivariate(f)
+    assert hit.value.tested == total
+
+
+@pytest.mark.parametrize("f", [
+    zx(swinnerton_dyer([2, 3, 5, 7])),
+    parse_poly(GF2_TRIVARIATE, GF(2), V3),
+], ids=["integer", "kronecker"])
+def test_cap_hit_is_reported_with_exit_3(monkeypatch, capsys, f):
+    monkeypatch.setattr(factor_mod, "RECOMBINATION_SUBSET_CAP", 5)
+    with pytest.raises(BudgetExceededError) as hit:
+        factor_multivariate(f)
+    assert hit.value.tested == 6
+    assert main(["factor", format_poly(f), "--ring", str(f.ring)]) == EXIT_BUDGET
+    assert "recombination exceeded 5 subsets" in capsys.readouterr().err
