@@ -7,13 +7,22 @@ Hensel lifting to a Landau-Mignotte-style bound, and subset recombination
 with trailing-coefficient pruning.  Multivariate: Kronecker substitution
 x_i -> x^(D^(i-1)) with D = 1 + max partial degree, univariate
 factorization of the image, and subset recombination of unfolded factors,
-pruned by the base-D digits of their leading and trailing exponents.  Both
-recombinations count every subset they enumerate against one cap
+pruned by the base-D digits of their leading and trailing exponents;
+monomial content x_i^k is split off before the fold.  Both recombinations
+count every subset they enumerate against one cap
 (RECOMBINATION_SUBSET_CAP), reported when exceeded.
+
+is_irreducible(method="auto") tries sound shortcuts before factoring: the
+degree-1-in-a-variable rule; then, for a bivariate input that no variable
+divides, the Newton-polygon certificate (an integrally indecomposable
+polygon proves irreducibility; Gao 2001, Gao-Lauder 2001); then univariate
+tests and specialization.  method="kronecker" skips them all and stays an
+independent oracle.
 
 k[u] coefficients are handled by folding u in as one more variable over
 the base field; content over k[u] is split off first, so no u-only factor
-can survive into the recombination.
+can survive into the recombination.  Irreducibility over k[u] with unit
+content is decided on the same lifted form, so every shortcut applies.
 """
 
 from __future__ import annotations
@@ -703,6 +712,17 @@ def _normalize_candidate(cand: MultiPoly):
 def _factor_kronecker(pp: MultiPoly, effective, seed):
     """Fold to one variable, factor, and recombine subsets of unfolded factors."""
     ring, vars = pp.ring, pp.vars
+    # Monomial content x_i^k is split off first: folded, it would add k
+    # copies of x to the image and so to every subset enumeration.
+    lows = [min(e[i] for e in pp.terms) for i in range(len(vars))]
+    if any(lows):
+        out = [(MultiPoly.variable(ring, vars, name), k)
+               for name, k in zip(vars.names, lows) if k]
+        rest = MultiPoly(ring, vars, {tuple(a - b for a, b in zip(e, lows)): v
+                                      for e, v in pp.terms.items()})
+        if not rest.is_constant():
+            out.extend(_factor_primitive(rest, seed))
+        return out
     sub_vars = VarSet(tuple(effective))
     collapsed = pp.embed(vars) if vars.names == sub_vars.names else _restrict(pp, sub_vars)
     D = 1 + max(collapsed.degree_in(v) for v in sub_vars.names)
@@ -890,7 +910,9 @@ def is_irreducible(f: MultiPoly, method: str = "auto", seed: int = 0,
 
     method="kronecker" forces the fold-factor-recombine route for
     multivariate inputs (used by the oracle-equivalence sweeps);
-    method="auto" adds sound shortcuts in front of it.
+    method="auto" adds sound shortcuts in front of it.  Over k[u], once the
+    content is a unit, "auto" decides the lifted form in k[vars, u] (the
+    same ring), and a witness comes back in k[u][vars].
     """
     if f.is_zero():
         raise ZeroInputError("irreducibility of the zero polynomial is undefined")
@@ -907,7 +929,18 @@ def is_irreducible(f: MultiPoly, method: str = "auto", seed: int = 0,
         return _is_irreducible_via_factor(f, seed)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
+    if isinstance(ring, PolyRing):
+        cert = _is_irreducible_auto(_lift_u(f), seed, need_witness)
+        if cert.witness is not None:
+            cert.witness = _unlift_u(cert.witness, ring, f.vars).monic_normalize()[1]
+        return cert
+    return _is_irreducible_auto(f, seed, need_witness)
 
+
+def _is_irreducible_auto(f, seed, need_witness):
+    """The shortcut routes, then factoring, for a nonconstant f over Z, Q or
+    GF(q) whose content is a unit."""
+    ring = f.ring
     effective = [n for n in f.vars.names if f.degree_in(n) > 0]
 
     # Degree-1-in-a-variable rule: exact, both directions.
@@ -919,6 +952,9 @@ def is_irreducible(f: MultiPoly, method: str = "auto", seed: int = 0,
                 return IrreducibilityCertificate(True, "irreducible", None, "linear-variable")
             return IrreducibilityCertificate(False, "reducible",
                                              g if need_witness else None, "linear-variable")
+
+    if len(effective) == 2 and _newton_indecomposable(f, effective):
+        return IrreducibilityCertificate(True, "irreducible", None, "newton-polytope")
 
     if len(effective) == 1:
         var = effective[0]
@@ -934,10 +970,9 @@ def is_irreducible(f: MultiPoly, method: str = "auto", seed: int = 0,
         if isinstance(ring, (IntegerRing, RationalField)):
             return _is_irreducible_via_factor(f, seed)
 
-    if isinstance(ring, (IntegerRing, RationalField, PrimeField, ExtField)):
-        cert = _try_specialization_certificate(f, effective, seed)
-        if cert is not None:
-            return cert
+    cert = _try_specialization_certificate(f, effective, seed)
+    if cert is not None:
+        return cert
     return _is_irreducible_via_factor(f, seed)
 
 
@@ -948,6 +983,69 @@ def _is_irreducible_via_factor(f, seed):
         return IrreducibilityCertificate(True, "irreducible", None, "kronecker")
     witness = nontrivial[0][0] if nontrivial else None
     return IrreducibilityCertificate(False, "reducible", witness, "kronecker")
+
+
+def _convex_hull(points):
+    """Vertices of the convex hull of distinct lattice points, counterclockwise
+    from the lexicographically smallest, collinear points dropped."""
+    pts = sorted(points)
+    if len(pts) <= 2:
+        return pts
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
+                    break
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    lower, upper = half(pts), half(reversed(pts))
+    return lower[:-1] + upper[:-1]
+
+
+def _newton_indecomposable(f, effective):
+    """Sound one-sided test: whether the Newton polygon of a bivariate f that
+    no variable divides is integrally indecomposable, which proves f
+    irreducible (Gao 2001, Ostrowski: Newt(gh) = Newt(g) + Newt(h), and a
+    nonconstant factor of f is no monomial, so its polygon is no point).
+
+    The hull's edges, in cyclic order, are n_i * v_i with v_i primitive.
+    The polygon decomposes exactly when some 0 <= m_i <= n_i, neither all 0
+    nor all n_i, give sum m_i * v_i = 0 (Gao-Lauder 2001).  With m, n - m
+    is such a choice too, so m_1 < n_1 loses none; and the partial sums of
+    either walk a summand's vertices, so they stay in the bounding box of
+    the polygon shifted by its first vertex.
+    """
+    i, j = (f.vars.index(v) for v in effective)
+    points = {(e[i], e[j]) for e in f.terms}
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    if min(xs) or min(ys):
+        return False
+    hull = _convex_hull(points)
+    x0, y0 = hull[0]
+    xlo, xhi, ylo, yhi = -x0, max(xs) - x0, -y0, max(ys) - y0
+    reached = set()  # partial sums of the choices with some m_i > 0 so far
+    for k, (a, b) in enumerate(zip(hull, hull[1:] + hull[:1])):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        n = math.gcd(dx, dy)
+        dx, dy = dx // n, dy // n
+        top = n - 1 if k == 0 else n
+        grown = set(reached)
+        for x, y in reached | {(0, 0)}:
+            for m in range(1, top + 1):
+                px, py = x + m * dx, y + m * dy
+                if not (xlo <= px <= xhi and ylo <= py <= yhi):
+                    break
+                grown.add((px, py))
+        # a zero sum already reached stays one with every later m_i = 0
+        if (0, 0) in grown:
+            return False
+        reached = grown
+    return True
 
 
 def _try_specialization_certificate(f, effective, seed):

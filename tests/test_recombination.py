@@ -190,6 +190,21 @@ def test_finite_field_products_equal_unpruned_recombination(monkeypatch, p, vars
     assert [factor_multivariate(f) for f in cases] == pruned
 
 
+def test_monomial_content_is_split_off_before_the_fold():
+    # content x2^4 would fold to x^28 next to (x+2)^6 and two more factors,
+    # 36 image factors and over 2^20 subsets; the cofactor's image has 3
+    K = GF(3)
+    f = parse_poly("2*x1^4*x2^5 + 2*x1^4*x2^4 + 2*x1^3*x2^5 + 2*x1^2*x2^6 + 2*x1^2*x2^5"
+                   " + 2*x1*x2^5 + 2*x2^6 + x2^4", K, V2)
+    fac = factor_multivariate(f)
+    assert fac.recompose_over(V2) == f
+    factors = nonconstant_factors(fac)
+    assert (MultiPoly.variable(K, V2, "x2"), 4) in factors
+    assert len(factors) == 3
+    for g, _ in factors:
+        assert brute_force_irreducible(g), g
+
+
 def lex_key(e):
     return tuple(reversed(e))  # the fold puts the last variable in the top digit
 
