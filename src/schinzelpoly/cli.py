@@ -629,12 +629,23 @@ def cmd_verify(args):
     except OSError as e:
         note(f"error: cannot read envelope {args.envelope}: {e.strerror or e}")
         return EXIT_USAGE
+    except ValueError as e:
+        note(f"error: envelope {args.envelope} is not JSON: {e}")
+        return EXIT_USAGE
+    if not isinstance(env, dict):
+        note(f"error: malformed envelope {args.envelope}: not a JSON object")
+        return EXIT_USAGE
     command = env.get("command")
-    checker = _VERIFIERS.get(command)
+    checker = _VERIFIERS.get(command) if isinstance(command, str) else None
     if checker is None:
         note(f"verify: no checker for command {command!r}")
         return EXIT_USAGE
-    ok, detail = checker(env)
+    try:
+        ok, detail = checker(env)
+    except (KeyError, IndexError, TypeError, AttributeError) as e:
+        # a missing field, or a field of the wrong shape
+        note(f"error: malformed envelope {args.envelope}: {type(e).__name__}: {e}")
+        return EXIT_USAGE
     out = make_envelope("verify", None,
                         {"envelope": os.path.basename(args.envelope),
                          "verified_command": command},

@@ -6,10 +6,14 @@ Yun squarefree decomposition, factorization mod a good prime, quadratic
 Hensel lifting to a Landau-Mignotte-style bound, and subset recombination
 with trailing-coefficient pruning.  Multivariate: Kronecker substitution
 x_i -> x^(D^(i-1)) with D = 1 + max partial degree, univariate
-factorization of the image, and subset recombination of unfolded factors,
-pruned by the base-D digits of their leading and trailing exponents;
-monomial content x_i^k is split off before the fold.  Both recombinations
-count every subset they enumerate against one cap
+factorization of the image, and recombination of sub-multisets of its
+factors (equal factors enumerated once per count) on dense coefficient
+lists, with shared prefix products.  A sub-multiset is pruned by the
+base-D digits of its leading and trailing exponents, then accepted exactly
+when the unfolds of its product G and of the cofactor F/G have partial
+degrees adding up to the input's; the multivariate division runs once per
+factor found.  Monomial content x_i^k is split off before the fold.  Both
+recombinations count every subset they enumerate against one cap
 (RECOMBINATION_SUBSET_CAP), reported when exceeded.
 
 is_irreducible(method="auto") tries sound shortcuts before factoring: the
@@ -30,7 +34,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import BudgetExceededError, UnsupportedRingError, ZeroInputError
 from .multipoly import MultiPoly, VarSet, dense_in_var, poly_from_dense, poly_gcd
@@ -501,6 +507,33 @@ def _subsets(n, size):
     return itertools.combinations(range(n), size)
 
 
+def _multisubsets(counts, size):
+    """Sub-multisets of one size drawn from counts[t] copies of each type t,
+    as nondecreasing tuples of types in lexicographic order, each once.
+
+    With every count 1 these are the subsets of _subsets, in its order and
+    with its rule at half size: only those holding type 0 are listed.
+    """
+    if all(m == 1 for m in counts):
+        yield from _subsets(len(counts), size)
+        return
+    half = 2 * size == sum(counts)
+    room = list(itertools.accumulate(reversed(counts)))[::-1]  # copies from type t on
+
+    def extend(start, left, stop):
+        if not left:
+            yield ()
+            return
+        for t in range(start, stop):
+            if room[t] < left:
+                return
+            for j in range(min(counts[t], left), 0, -1):
+                for rest in extend(t + 1, left - j, len(counts)):
+                    yield (t,) * j + rest
+
+    yield from extend(0, size, 1 if half else len(counts))
+
+
 def _count_subset(explored, what):
     if explored > RECOMBINATION_SUBSET_CAP:
         raise BudgetExceededError(
@@ -691,15 +724,8 @@ def _factor_univariate_int(pp, var):
 
 
 def _factor_univariate_q(pp, var):
-    from fractions import Fraction
-
-    dense = dense_in_var(pp, var)
-    lcm = 1
-    for v in dense:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    _, prim = zx_primitive([int(v * lcm) for v in dense])
     return [(poly_from_dense(pp.ring, pp.vars, var, [Fraction(c, fac[-1]) for c in fac]), mult)
-            for fac, mult in _zx_factor(prim)]
+            for fac, mult in _zx_factor(_dense_image(pp, var))]
 
 
 def _normalize_candidate(cand: MultiPoly):
@@ -710,7 +736,8 @@ def _normalize_candidate(cand: MultiPoly):
 
 
 def _factor_kronecker(pp: MultiPoly, effective, seed):
-    """Fold to one variable, factor, and recombine subsets of unfolded factors."""
+    """Fold to one variable, factor, and recombine sub-multisets of the
+    image's factors on their dense coefficient lists."""
     ring, vars = pp.ring, pp.vars
     # Monomial content x_i^k is split off first: folded, it would add k
     # copies of x to the image and so to every subset enumeration.
@@ -726,52 +753,138 @@ def _factor_kronecker(pp: MultiPoly, effective, seed):
     sub_vars = VarSet(tuple(effective))
     collapsed = pp.embed(vars) if vars.names == sub_vars.names else _restrict(pp, sub_vars)
     D = 1 + max(collapsed.degree_in(v) for v in sub_vars.names)
-    folded = kronecker_fold(collapsed, D, target=sub_vars.names[0])
-    uni_pairs = _factor_primitive(_normalize_candidate(folded), seed)
-    items = []
-    for fac, mult in uni_pairs:
-        items.extend([fac] * mult)
-    items.sort(key=_factor_sort_key)
+    folded = _normalize_candidate(kronecker_fold(collapsed, D, target=sub_vars.names[0]))
+    types = sorted(_factor_primitive(folded, seed), key=lambda fm: _factor_sort_key(fm[0]))
+    var = sub_vars.names[0]
+    if ring.is_finite:
+        def mul(a, b):
+            return u_mul(a, b, ring)
+
+        def div(a, b):
+            return u_divmod(a, b, ring)[0]
+    else:
+        mul, div = _zx_mul, zx_try_div
+    polys = [_dense_image(f, var) for f, _ in types]
+    counts = [m for _, m in types]
+    whole = _dense_image(folded, var)
+    target = list(collapsed.degree_vector())
+    # digits[i][E]: the exponent of the i-th variable in the unfold of x^E
+    digits = [[E // D ** i % D for E in range(len(whole))] for i in range(len(sub_vars))]
 
     # A proper factor of pp folds to a sub-multiset of at most half the
-    # items, so searching sizes up to len//2 is complete.  The fold is
-    # injective on pp's degree box, so the base-D digits of a true factor's
-    # degree and lowest exponent are its lex-leading and lex-trailing
-    # monomials; those of its cofactor add to pp's without a carry.
-    highs = [it.total_degree() for it in items]
-    lows = [min(e[0] for e in it.terms) for it in items]
-    high, low = sum(highs), sum(lows)
+    # items, so searching sizes up to half is complete, and the first
+    # factor found is irreducible.  The fold is injective on pp's degree
+    # box, so the base-D digits of a true factor's degree and lowest
+    # exponent are its lex-leading and lex-trailing monomials; those of
+    # its cofactor add to pp's without a carry.  A subset passing that
+    # test is then decided exactly by _kronecker_split.
+    highs = [len(c) - 1 for c in polys]
+    lows = [next(E for E, v in enumerate(c) if v) for c in polys]
+    out = []
     explored = 0
-    for size in range(1, len(items) // 2 + 1):
-        for combo in _subsets(len(items), size):
+    size = 1
+    last, prefix = (), []  # the last product's subset and its prefix products
+    while 2 * size <= sum(counts):
+        high = sum(h * m for h, m in zip(highs, counts))
+        low = sum(w * m for w, m in zip(lows, counts))
+        for combo in _multisubsets(counts, size):
             explored += 1
             _count_subset(explored, "Kronecker")
             if not (_digits_fit(sum(highs[i] for i in combo), high, D)
                     and _digits_fit(sum(lows[i] for i in combo), low, D)):
                 continue
-            prod = items[combo[0]]
-            for i in combo[1:]:
-                prod = prod * items[i]
-            cand = _normalize_candidate(kronecker_unfold(prod, D, len(sub_vars), sub_vars))
-            if cand.is_constant():
-                continue
-            quotient = collapsed.try_divexact(cand)
-            if quotient is None:
-                continue
-            mult = 1
-            while True:
-                nxt = quotient.try_divexact(cand)
-                if nxt is None:
-                    break
-                quotient = nxt
-                mult += 1
-            out = [(_expand(cand, vars), mult)]
-            if not quotient.is_constant():
-                rest = _normalize_candidate(quotient)
-                out.extend(_factor_primitive(_expand(rest, vars), seed))
-            return out
-    # No proper subset divides: pp is irreducible.
-    return [(pp, 1)]
+            # subsets come in lexicographic order: reuse the shared prefix
+            shared = 0
+            while shared < len(last) and shared < size and last[shared] == combo[shared]:
+                shared += 1
+            del prefix[shared:]
+            for i in combo[shared:]:
+                prefix.append(mul(prefix[-1], polys[i]) if prefix else polys[i])
+            last = combo
+            cofactor = _kronecker_split(prefix[-1], whole, target, digits, div)
+            if cofactor is not None:
+                break
+        else:
+            size += 1
+            continue
+        # A factor c = unfold(G).  c^m lies in the box when m times its
+        # partial degrees stay within pp's, and then it is the unfold of
+        # G^m: so the same test on G^m gives the multiplicity.
+        prod, mult = prefix[-1], 1
+        used = Counter(combo)
+        degs = _unfolded_degrees(prod, digits)
+        while (all(counts[i] >= (mult + 1) * k for i, k in used.items())
+               and all((mult + 1) * d <= t for d, t in zip(degs, target))):
+            power = mul(prod, prefix[-1])
+            rest = _kronecker_split(power, whole, target, digits, div)
+            if rest is None:
+                break
+            prod, cofactor, mult = power, rest, mult + 1
+        cand = _normalize_candidate(_unfold_dense(prefix[-1], ring, sub_vars, digits))
+        quotient = collapsed.try_divexact(cand ** mult)
+        if quotient is None:
+            raise ArithmeticError("Kronecker degree test accepted a non-factor")
+        out.append((_expand(cand, vars), mult))
+        for i, k in used.items():
+            counts[i] -= mult * k
+        left = [i for i, m in enumerate(counts) if m]
+        polys, counts, highs, lows = ([xs[i] for i in left] for xs in (polys, counts, highs, lows))
+        collapsed, whole = quotient, cofactor
+        target = list(collapsed.degree_vector())
+        last, prefix = (), []
+    if not out:
+        # No proper subset divides: pp is irreducible.
+        return [(pp, 1)]
+    if not collapsed.is_constant():
+        out.append((_expand(_normalize_candidate(collapsed), vars), 1))
+    return out
+
+
+def _dense_image(f: MultiPoly, var):
+    """Dense coefficients of f in var, its only variable; over Q scaled by
+    a positive rational to a primitive integer list."""
+    c = dense_in_var(f, var)
+    if isinstance(f.ring, RationalField):
+        lcm = 1
+        for v in c:
+            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+        c = zx_primitive([int(v * lcm) for v in c])[1]
+    return c
+
+
+def _unfolded_degrees(c, digits):
+    """Partial degrees of the unfold of the dense image c."""
+    support = [E for E, v in enumerate(c) if v]
+    return [max(map(dig.__getitem__, support)) for dig in digits]
+
+
+def _kronecker_split(prod, whole, target, digits, div):
+    """The cofactor whole / prod of a product of image factors when the
+    unfolds of both have partial degrees that add up to target, else None.
+
+    The fold is a ring homomorphism, injective on the box of partial
+    degrees < D.  If the degrees add up, the product of the two unfolds
+    lies in that box and folds to whole, so it is the unfolded input and
+    the unfold of prod divides it.  Conversely a true factor and its
+    cofactor lie in the box and fold to prod and whole / prod up to units.
+    So this test holds exactly when the unfolded prod divides.
+    """
+    degs = _unfolded_degrees(prod, digits)
+    if any(d > t for d, t in zip(degs, target)):
+        return None
+    cofactor = div(whole, prod)
+    if cofactor is None:
+        raise ArithmeticError("a product of image factors does not divide the image")
+    if all(a + b == t for a, b, t in zip(degs, _unfolded_degrees(cofactor, digits), target)):
+        return cofactor
+    return None
+
+
+def _unfold_dense(c, ring, vars: VarSet, digits):
+    if isinstance(ring, RationalField):
+        c = [Fraction(v) for v in c]
+    return MultiPoly(ring, vars, {tuple(dig[E] for dig in digits): v
+                                  for E, v in enumerate(c) if v})
 
 
 def _restrict(f: MultiPoly, sub_vars: VarSet):

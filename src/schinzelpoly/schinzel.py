@@ -574,6 +574,8 @@ class DensityReport:
 
 def density_probe(problem: SchinzelProblem, samples: int) -> DensityReport:
     """Witness fraction of random samples with a Wilson 95% interval."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     cons = problem.constraints
     probe_cons = SearchConstraints(
         strategy="random", seed=cons.seed, budget=samples,

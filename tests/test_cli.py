@@ -190,26 +190,29 @@ def test_envelope_poly_roundtrip(capsys, tmp_path):
     assert format_poly(f) == env["inputs"]["poly"]
 
 
+# one emitted envelope of every command kind that verify checks
+VERIFY_CASES = [
+    ["factor", "x^8 + x^3", "--ring", "GF(2)"],
+    ["factor", "(u+1)*x1^2 + u", "--ring", "GF(2)[u]"],
+    ["irred", "x^2 + x + 1", "--ring", "GF(2)"],
+    ["irred", "2*x + 4", "--ring", "Z"],
+    ["goldbach", "--ring", "Z", "--Q", "3*x + 5"],
+    ["goldbach", "--ring", "GF(2)", "--Q", "x^2+x"],
+    ["goldbach", "--ring", "GF(2)", "--Q", "x1^2+x1", "--vars", "2",
+     "--relaxed-degx"],
+    ["schinzel", "--ring", "Z", "--P", "y", "--P", "y+2", "--deg", "2",
+     "--coeff-bound", "3"],
+    ["schinzel", "--ring", "GF(2)", "--P", "y^8 + x1^3", "--deg", "4"],
+    ["swan-scan", "--ring", "GF(2)", "--P", "y^8 + x^3", "--max-deg", "5"],
+    ["spectrum", "--field", "Q", "--S", "0,1", "--a0", "2", "--V", "1",
+     "--w", "x1", "--w", "x1+1", "--deg", "4,4"],
+    ["density", "--ring", "Z", "--P", "y", "--deg", "1",
+     "--coeff-bound", "3", "--samples", "100"],
+]
+
+
 def test_verify_accepts_every_emitted_envelope(capsys, tmp_path):
-    cases = [
-        ["factor", "x^8 + x^3", "--ring", "GF(2)"],
-        ["factor", "(u+1)*x1^2 + u", "--ring", "GF(2)[u]"],
-        ["irred", "x^2 + x + 1", "--ring", "GF(2)"],
-        ["irred", "2*x + 4", "--ring", "Z"],
-        ["goldbach", "--ring", "Z", "--Q", "3*x + 5"],
-        ["goldbach", "--ring", "GF(2)", "--Q", "x^2+x"],
-        ["goldbach", "--ring", "GF(2)", "--Q", "x1^2+x1", "--vars", "2",
-         "--relaxed-degx"],
-        ["schinzel", "--ring", "Z", "--P", "y", "--P", "y+2", "--deg", "2",
-         "--coeff-bound", "3"],
-        ["schinzel", "--ring", "GF(2)", "--P", "y^8 + x1^3", "--deg", "4"],
-        ["swan-scan", "--ring", "GF(2)", "--P", "y^8 + x^3", "--max-deg", "5"],
-        ["spectrum", "--field", "Q", "--S", "0,1", "--a0", "2", "--V", "1",
-         "--w", "x1", "--w", "x1+1", "--deg", "4,4"],
-        ["density", "--ring", "Z", "--P", "y", "--deg", "1",
-         "--coeff-bound", "3", "--samples", "100"],
-    ]
-    for i, args in enumerate(cases):
+    for i, args in enumerate(VERIFY_CASES):
         out = tmp_path / f"case{i}.json"
         rc = main(args + ["--out", str(out)])
         assert rc in (0, 2, 3), (args, rc)
@@ -247,6 +250,78 @@ def test_verify_truncated_envelope(capsys, tmp_path):
     capsys.readouterr()
     assert main(["verify", str(cut)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def emitted_envelope(tmp_path, args):
+    out = tmp_path / "good.json"
+    assert main(args + ["--out", str(out)]) in (0, 2, 3), args
+    return out.read_text()
+
+
+@pytest.mark.parametrize("args", VERIFY_CASES, ids=lambda a: "-".join(a[:2]))
+def test_verify_reports_truncated_envelope_of_every_kind(capsys, tmp_path, args):
+    text = emitted_envelope(tmp_path, args)
+    cut = tmp_path / "cut.json"
+    cut.write_text(text[:len(text) // 2])
+    capsys.readouterr()
+    assert main(["verify", str(cut)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: envelope {cut} is not JSON: " in err
+    assert "Traceback" not in err
+
+
+def _drop(key):
+    def tamper(env):
+        del env[key]
+    return tamper
+
+
+def _replace(key, value):
+    def tamper(env):
+        env[key] = value
+    return tamper
+
+
+def _drop_first_input(env):
+    del env["inputs"][next(iter(env["inputs"]))]
+
+
+@pytest.mark.parametrize("tamper", [_drop("ring"), _drop("inputs"), _replace("result", []),
+                                    _replace("inputs", "x"), _drop_first_input],
+                         ids=["no-ring", "no-inputs", "result-list", "inputs-string",
+                              "input-missing"])
+@pytest.mark.parametrize("args", VERIFY_CASES, ids=lambda a: "-".join(a[:2]))
+def test_verify_reports_tampered_envelope_of_every_kind(capsys, tmp_path, args, tamper):
+    env = json.loads(emitted_envelope(tmp_path, args))
+    tamper(env)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(env))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: malformed envelope {bad}: " in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", ['{"command": "factor"}', '{"command": "schinzel", "ring": "Z"}',
+                                  "[1]", '"x"', "null", '{"command": ["factor"]}'])
+def test_verify_reports_malformed_envelope(capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["verify", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: malformed envelope {bad}: " in err or "verify: no checker" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_density_names_the_samples_flag(capsys, samples):
+    assert main(["density", "--ring", "Z", "--P", "y", "--deg", "1",
+                 "--coeff-bound", "3", "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert "error: samples must be >= 1" in captured.err
+    assert "budget" not in captured.err
+    assert captured.out == ""
 
 
 def test_goldbach_relaxed_needs_second_variable(capsys):

@@ -1,13 +1,20 @@
-"""The GF(p) integer kernels, dense substitution and heap-ordered exact
-division, each checked against a plain reference written here."""
+"""The GF(p) integer kernels, dense substitution, heap-ordered exact
+division, GF(p^k) table arithmetic and dense Kronecker recombination, each
+checked against a plain reference or an independent oracle."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from schinzelpoly.multipoly import MultiPoly, VarSet, grlex_key
-from schinzelpoly.rings import GF, QQ, ZZ, PolyRing, u_add, u_deriv, u_divmod, u_mul, u_sub
+from schinzelpoly import rings
+from schinzelpoly.factor import brute_force_factor, brute_force_irreducible, factor_multivariate
+from schinzelpoly.multipoly import MultiPoly, VarSet, format_poly, grlex_key
+from schinzelpoly.rings import (GF, QQ, ZZ, ExtField, PolyRing, u_add, u_deriv, u_divmod,
+                                u_mul, u_sub)
+from schinzelpoly.textform import parse_poly
 
 PRIMES = [2, 3, 5, 10007]
 
@@ -209,3 +216,160 @@ def test_try_divexact_edges():
     assert g.try_divexact(zero) is None
     assert MultiPoly.one(K, vars).try_divexact(g) is None             # degree too high
     assert g.try_divexact(MultiPoly.constant(K, vars, 2)) == g.scale(2)
+
+
+# ---------------------------------------------------------------------------
+# GF(p^k): table lookups against the polynomial path.
+# ---------------------------------------------------------------------------
+
+def polynomial_field(monkeypatch, p, k):
+    """The same field without tables: every operation reduces by the modulus."""
+    with monkeypatch.context() as m:
+        m.setattr(rings, "EXT_TABLE_LIMIT", 0)
+        F = ExtField(p, k)
+    assert F._log is None
+    return F
+
+
+def same_arithmetic(T, P, pairs):
+    for a, b in pairs:
+        assert T.add(a, b) == P.add(a, b), (a, b)
+        assert T.sub(a, b) == P.sub(a, b), (a, b)
+        assert T.mul(a, b) == P.mul(a, b), (a, b)
+        assert T.try_divexact(a, b) == P.try_divexact(a, b), (a, b)
+    for a in {a for a, _ in pairs}:
+        assert T.neg(a) == P.neg(a)
+        if a:
+            assert T.inv(a) == P.inv(a)
+        for e in (0, 1, 2, 3, T.p, T.order - 2, T.order - 1, T.order, 5 * T.order + 3):
+            assert T.pow(a, e) == P.pow(a, e), (a, e)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_table_arithmetic_matches_polynomial_path_on_every_pair(monkeypatch, p, k):
+    T, P = ExtField(p, k), polynomial_field(monkeypatch, p, k)
+    assert T._log is not None and T.modulus == P.modulus
+    elements = T.element_box()
+    same_arithmetic(T, P, list(itertools.product(elements, elements)))
+
+
+def test_table_arithmetic_above_the_limit_on_sampled_pairs(monkeypatch):
+    p, k = 3, 6
+    assert p ** k > rings.EXT_TABLE_LIMIT
+    assert ExtField(p, k)._log is None
+    monkeypatch.setattr(rings, "EXT_TABLE_LIMIT", p ** k)
+    T = ExtField(p, k)
+    assert T._log is not None
+    P = polynomial_field(monkeypatch, p, k)
+    rng = random.Random(36)
+    elements = P.element_box()
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(400)]
+    same_arithmetic(T, P, pairs + [((), ()), ((1,), ()), ((), (0, 1))])
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_element_box_order_and_format_unchanged(monkeypatch, p, k):
+    T, P = ExtField(p, k), polynomial_field(monkeypatch, p, k)
+    # index order: element i has the base-p digits of i as its coefficients
+    expected = []
+    for i in range(p ** k):
+        digits = [i // p ** j % p for j in range(k)]
+        while digits and not digits[-1]:
+            digits.pop()
+        expected.append(tuple(digits))
+    assert T.element_box() == P.element_box() == expected
+    assert [T.format(a) for a in expected] == [P.format(a) for a in expected]
+    if (p, k) == (2, 2):
+        assert [T.format(a) for a in expected] == ["0", "1", "t", "t + 1"]
+
+
+# ---------------------------------------------------------------------------
+# Dense Kronecker recombination against the generated parts and oracles.
+# ---------------------------------------------------------------------------
+
+V2 = VarSet(("x1", "x2"))
+
+
+def random_irreducible(rng, K, vars, max_deg):
+    """A normalized irreducible with a constant term, by brute force."""
+    while True:
+        degs = [rng.randint(0, max_deg) for _ in vars.names]
+        terms = {e: rng.randrange(1, K.p) for e in itertools.product(*[range(d + 1) for d in degs])
+                 if rng.random() < 0.6}
+        terms[(0,) * len(vars)] = rng.randrange(1, K.p)
+        g = MultiPoly.from_terms(K, vars, terms)
+        if not g.is_constant() and brute_force_irreducible(g):
+            return g.monic_normalize()[1]
+
+
+def factor_counts(fac):
+    return Counter({format_poly(g): m for g, m in fac.factors if not g.is_constant()})
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_dense_recombination_matches_parts_and_brute_force(p):
+    K = GF(p)
+    rng = random.Random(61 + p)
+    brute = 0
+    for _ in range(16):
+        max_deg = rng.choice([1, 2])
+        parts = [random_irreducible(rng, K, V2, max_deg) for _ in range(rng.randint(2, 3))]
+        if rng.random() < 0.4:
+            parts.append(parts[0])
+        f = parts[0]
+        for g in parts[1:]:
+            f = f * g
+        fac = factor_multivariate(f)
+        assert fac.recompose_over(V2) == f
+        assert factor_counts(fac) == Counter(format_poly(g) for g in parts)
+        if p ** ((f.degree_in("x1") + 1) * (f.degree_in("x2") + 1)) <= 20000:
+            assert fac == brute_force_factor(f)
+            brute += 1
+    assert brute >= 4
+
+
+def test_dense_recombination_matches_sympy_over_z():
+    sympy = pytest.importorskip("sympy")
+    from test_recombination import our_factors, sympy_factors
+
+    rng = random.Random(5)
+    for vars in (V2, VarSet(("x1", "x2", "x3"))):
+        for _ in range(8):
+            parts = []
+            for _ in range(rng.randint(2, 3)):
+                terms = {e: rng.choice([-2, -1, 1, 2, 3])
+                         for e in itertools.product(range(2), repeat=len(vars)) if rng.random() < 0.5}
+                terms[(0,) * len(vars)] = rng.choice([-3, 1, 2])
+                parts.append(MultiPoly.from_terms(ZZ, vars, terms))
+            if rng.random() < 0.4:
+                parts.append(parts[-1])
+            f = parts[0]
+            for g in parts[1:]:
+                f = f * g
+            if f.is_constant():
+                continue
+            assert our_factors(sympy, f) == sympy_factors(sympy, f)
+
+
+def test_division_runs_once_per_factor_found(monkeypatch):
+    # the fixed GF(2) (3,3) x (3,3) product of the benchmark: about 2.3k
+    # subsets pass the digit test, and each used to cost a division
+    K = GF(2)
+    a = parse_poly("x1^3*x2^3 + x1^2*x2^3 + x1^3*x2 + x1^2*x2^2 + x1*x2^3 + x1^2*x2"
+                   " + x2^3 + x1*x2 + x2 + 1", K, V2)
+    b = parse_poly("x1^3*x2^2 + x1*x2^3 + x1^3 + x1^2 + x1*x2 + x1 + x2 + 1", K, V2)
+    calls = []
+    divide = MultiPoly.try_divexact
+    monkeypatch.setattr(MultiPoly, "try_divexact",
+                        lambda self, other: calls.append(other) or divide(self, other))
+    fac = factor_multivariate(a * b)
+    assert factor_counts(fac) == Counter({format_poly(a): 1, format_poly(b): 1})
+    assert 1 <= len(calls) <= len(fac.factors)
+
+
+def test_a_degree_test_disagreeing_with_division_raises(monkeypatch):
+    K = GF(2)
+    f = parse_poly("x1*x2 + x1 + x2 + 1", K, V2)
+    monkeypatch.setattr(MultiPoly, "try_divexact", lambda self, other: None)
+    with pytest.raises(ArithmeticError, match="degree test accepted a non-factor"):
+        factor_multivariate(f)

@@ -12,6 +12,7 @@ with the digit test switched off and against brute-force irreducibility.
 import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -24,7 +25,7 @@ from schinzelpoly.factor import brute_force_irreducible, factor_multivariate, kr
 from schinzelpoly.multipoly import MultiPoly, VarSet
 from schinzelpoly.rings import GF, ZZ
 from schinzelpoly.textform import parse_poly
-from test_dense_gcd import recombination_subsets, swinnerton_dyer
+from test_dense_gcd import swinnerton_dyer
 
 V1 = VarSet(("x",))
 V2 = VarSet(("x1", "x2"))
@@ -205,6 +206,23 @@ def test_monomial_content_is_split_off_before_the_fold():
         assert brute_force_irreducible(g), g
 
 
+def test_repeated_image_factors_are_enumerated_once_per_multiset():
+    # the image (D = 16) has 51 factors, 7 of them distinct: 2^51 subsets
+    # when equal factors were told apart, at most 774,592 sub-multisets now
+    K = GF(3)
+    a = parse_poly("x1^2 + x2 + 1", K, V2)
+    b = parse_poly("x1 + x2^2 + 1", K, V2)
+    f = a ** 6 * b ** 3
+    image = factor_multivariate(kronecker_fold(f, 16)).factors
+    assert (sum(m for _, m in image), len(image)) == (51, 7)
+    start = time.perf_counter()
+    fac = factor_multivariate(f)
+    assert time.perf_counter() - start < 1.0
+    assert Counter({format_poly(g): m for g, m in fac.factors}) == Counter(
+        {format_poly(a): 6, format_poly(b): 3})
+    assert fac.recompose_over(V2) == f
+
+
 def lex_key(e):
     return tuple(reversed(e))  # the fold puts the last variable in the top digit
 
@@ -227,31 +245,66 @@ def test_kronecker_unfolds_only_subsets_whose_digits_fit(monkeypatch, text):
     high = kronecker_fold(MultiPoly.monomial(f.ring, V3, max(f.terms, key=lex_key)), D)
     low = kronecker_fold(MultiPoly.monomial(f.ring, V3, min(f.terms, key=lex_key)), D)
     high, low = digits(high.total_degree(), D, 3), digits(low.total_degree(), D, 3)
+    # the hook is the per-subset step that reads the partial degrees of the
+    # unfolded dense product, the first step after the digit test
     seen = []
-    unfold = factor_mod.kronecker_unfold
-    monkeypatch.setattr(factor_mod, "kronecker_unfold",
-                        lambda g, *rest: seen.append(g) or unfold(g, *rest))
+    split = factor_mod._kronecker_split
+    monkeypatch.setattr(factor_mod, "_kronecker_split",
+                        lambda prod, *rest: seen.append(prod) or split(prod, *rest))
     assert factor_multivariate(f).is_single_irreducible()
     assert seen
     for g in seen:
-        e = sorted(g.terms)
-        assert all(a <= b for a, b in zip(digits(e[-1][0], D, 3), high)), g
-        assert all(a <= b for a, b in zip(digits(e[0][0], D, 3), low)), g
+        e = [E for E, v in enumerate(g) if v]
+        assert all(a <= b for a, b in zip(digits(e[-1], D, 3), high)), g
+        assert all(a <= b for a, b in zip(digits(e[0], D, 3), low)), g
     folded = factor_multivariate(kronecker_fold(f, D))
-    total = recombination_subsets(sum(m for _, m in folded.factors))
-    assert len(seen) < total
+    assert len(seen) < multiset_subsets([m for _, m in folded.factors])
 
 
 # ---------------------------------------------------------------------------
 # One cap: every enumerated subset counts, pruned or not.
 # ---------------------------------------------------------------------------
 
+def multiset_subsets(counts):
+    """Sub-multisets the Kronecker loop enumerates for an irreducible input
+    whose image has counts[t] copies of factor t: sizes 1..r/2, each
+    multiset once, and at size r/2 only those holding factor 0."""
+    def by_size(cs):
+        # coefficients of prod (1 + z + ... + z^m)
+        out = [1]
+        for m in cs:
+            out = [sum(out[s - j] for j in range(m + 1) if 0 <= s - j < len(out))
+                   for s in range(len(out) + m)]
+        return out
+    r = sum(counts)
+    every, without = by_size(counts), by_size(counts[1:])
+    return sum(every[s] - (without[s] if s < len(without) else 0) if 2 * s == r else every[s]
+               for s in range(1, r // 2 + 1))
+
+
+@pytest.mark.parametrize("counts", [[1, 1, 1, 1], [3], [2, 1], [1, 2, 2], [4, 6, 1, 1], [2, 3, 1, 2]])
+def test_multisubsets_list_each_sub_multiset_once_in_order(counts):
+    # reference: the combinations of the expanded item list, equal ones
+    # dropped, which keeps itertools' lexicographic order
+    items = [t for t, m in enumerate(counts) for _ in range(m)]
+    r = len(items)
+    for size in range(1, r // 2 + 1):
+        want = list(dict.fromkeys(itertools.combinations(items, size)))
+        if 2 * size == r:
+            want = [c for c in want if c[0] == 0]
+        assert list(factor_mod._multisubsets(counts, size)) == want
+    assert sum(len(list(factor_mod._multisubsets(counts, s)))
+               for s in range(1, r // 2 + 1)) == multiset_subsets(counts)
+
+
 def test_kronecker_counts_every_subset_against_the_cap(monkeypatch):
+    # the image is x^4 * (x + 1)^6 times two distinct factors: 12 items,
+    # and 2047 subsets when equal items were told apart
     f = parse_poly(GF2_TRIVARIATE, GF(2), V3)
     D = 1 + max(f.degree_vector())
-    items = sum(m for _, m in factor_multivariate(kronecker_fold(f, D)).factors)
-    total = recombination_subsets(items)
-    assert (items, total) == (12, 2047)
+    counts = [m for _, m in factor_multivariate(kronecker_fold(f, D)).factors]
+    total = multiset_subsets(counts)
+    assert (counts, total) == ([4, 6, 1, 1], 75)
     monkeypatch.setattr(factor_mod, "RECOMBINATION_SUBSET_CAP", total)
     assert factor_multivariate(f).is_single_irreducible()
     monkeypatch.setattr(factor_mod, "RECOMBINATION_SUBSET_CAP", total - 1)
