@@ -33,6 +33,7 @@ from .schinzel import (
     SchinzelProblem,
     SearchConstraints,
     density_probe,
+    iter_candidates,
     schinzel_search,
     schinzel_search_multi,
 )
@@ -176,6 +177,22 @@ def cmd_irred(args):
 # schinzel / density
 # ---------------------------------------------------------------------------
 
+# (command-line dest and envelope input key, SearchConstraints field) of
+# every constraint an envelope records; verify rebuilds the constraints
+# from the same list
+_CONSTRAINT_INPUTS = (
+    ("strategy", "strategy"),
+    ("coeff_bound", "coeff_bound"),
+    ("deg_u", "deg_u_bound"),
+    ("deg_u_target", "deg_u_target"),
+    ("exact_degrees", "exact_degrees"),
+    ("paper_mode", "paper_mode"),
+    ("max_witnesses", "max_witnesses"),
+    ("budget", "budget"),
+    ("seed", "seed"),
+)
+
+
 def _build_problem(args):
     ring = parse_ring(args.ring)
     d = tuple(int(t) for t in args.deg.split(","))
@@ -192,18 +209,9 @@ def _build_problem(args):
     vars = VarSet(xnames + ynames)
     aliases = _aliases(vars)
     P = [parse_poly(t, ring, vars, aliases=aliases) for t in args.P]
-    cons = SearchConstraints(
-        strategy=args.strategy,
-        seed=args.seed,
-        budget=args.budget,
-        coeff_bound=args.coeff_bound,
-        deg_u_bound=args.deg_u,
-        exact_degrees=args.exact_degrees,
-        deg_u_target=args.deg_u_target,
-        paper_mode=args.paper_mode,
-        max_witnesses=args.max_witnesses,
-        threads=args.threads,
-    )
+    # density has no --max-witnesses
+    cons = SearchConstraints(**{field: getattr(args, key, None)
+                                for key, field in _CONSTRAINT_INPUTS})
     problem = SchinzelProblem(ring, VarSet(xnames), VarSet(ynames), P, d, cons)
     return ring, problem
 
@@ -250,21 +258,15 @@ def cmd_schinzel(args):
 
 
 def _schinzel_inputs(args, problem):
-    return {
+    inputs = {
         "P": [format_poly(P) for P in problem.P],
         "deg": list(problem.d),
         "xvars": list(problem.xvars.names),
         "yvars": list(problem.yvars.names),
-        "strategy": problem.constraints.strategy,
-        "coeff_bound": problem.constraints.coeff_bound,
-        "deg_u": problem.constraints.deg_u_bound,
-        "deg_u_target": problem.constraints.deg_u_target,
-        "exact_degrees": problem.constraints.exact_degrees,
-        "paper_mode": problem.constraints.paper_mode,
-        "max_witnesses": problem.constraints.max_witnesses,
-        "budget": problem.constraints.budget,
-        "seed": problem.constraints.seed,
     }
+    for key, field in _CONSTRAINT_INPUTS:
+        inputs[key] = getattr(problem.constraints, field)
+    return inputs
 
 
 def cmd_density(args):
@@ -406,17 +408,12 @@ def swan_scan(P: MultiPoly, xname: str, yname: str, max_deg: int,
     total = q ** (max_deg + 1)
     if total > enumeration_cap:
         raise BudgetExceededError(f"enumeration of {total} candidates is too large")
-    import itertools as _it
-
-    xvars = VarSet((xname,))
-    box = ring.element_box()
+    support = [(i,) for i in range(max_deg + 1)]
     irreducible = 0
     witnesses = []
     count = 0
-    for coeffs in _it.product(box, repeat=max_deg + 1):
+    for M, _ in iter_candidates(ring, VarSet((xname,)), support, SearchConstraints()):
         count += 1
-        terms = {(i,): c for i, c in enumerate(coeffs) if not ring.is_zero(c)}
-        M = MultiPoly(ring, xvars, terms)
         F = P.substitute(yname, M)
         if not F.is_zero() and is_irreducible(F):
             irreducible += 1
@@ -594,12 +591,7 @@ def _verify_density(env):
     ring = parse_ring(env["ring"])
     vars = VarSet(tuple(ins["xvars"]) + tuple(ins["yvars"]))
     P = [parse_poly(t, ring, vars) for t in ins["P"]]
-    cons = SearchConstraints(strategy="random", seed=ins["seed"],
-                             budget=max(1, ins["budget"]),
-                             coeff_bound=ins["coeff_bound"],
-                             deg_u_bound=ins["deg_u"],
-                             exact_degrees=ins["exact_degrees"],
-                             paper_mode=ins["paper_mode"])
+    cons = SearchConstraints(**{field: ins[key] for key, field in _CONSTRAINT_INPUTS})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         problem = SchinzelProblem(ring, VarSet(tuple(ins["xvars"])),
@@ -676,8 +668,7 @@ def _add_common(sp, ring=True):
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--budget", type=int, default=100_000)
     sp.add_argument("--threads", type=_threads, default=1,
-                    help="worker threads; only schinzel runs a worker pool, "
-                         "the other commands accept the flag and run on one")
+                    help="accepted for compatibility; every command runs on one thread")
     sp.add_argument("--out", default=None, help="write the JSON envelope to this path")
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock timing in the envelope "
@@ -731,7 +722,6 @@ def build_parser():
     sp.add_argument("--deg-u-target", type=int, default=None)
     sp.add_argument("--exact-degrees", action="store_true")
     sp.add_argument("--paper-mode", action="store_true")
-    sp.add_argument("--max-witnesses", type=int, default=None)
     sp.add_argument("--strategy", default="random", choices=("random",))
     _add_common(sp)
     sp.set_defaults(func=cmd_density)

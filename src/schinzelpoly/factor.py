@@ -47,8 +47,10 @@ from .rings import (
     PrimeField,
     RationalField,
     RingElement,
+    dense_trim,
     factor_int,
     is_perfect_power,
+    is_prime,
     u_add,
     u_deg,
     u_deriv,
@@ -364,20 +366,14 @@ def _ff_factor_dense(f, K, seed=0):
 # Dense integer polynomial helpers (index = degree).
 # ---------------------------------------------------------------------------
 
-def _zx_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _zx_add(a, b):
     n = max(len(a), len(b))
-    return _zx_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+    return dense_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
 
 
 def _zx_sub(a, b):
     n = max(len(a), len(b))
-    return _zx_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
+    return dense_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
 
 
 def _zx_mul(a, b):
@@ -389,7 +385,7 @@ def _zx_mul(a, b):
             continue
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return _zx_trim(out)
+    return dense_trim(out)
 
 
 def _zx_trunc(a, M):
@@ -401,7 +397,7 @@ def _zx_trunc(a, M):
         if c > half:
             c -= M
         out.append(c)
-    return _zx_trim(out)
+    return dense_trim(out)
 
 
 def _zx_divmod_monic(a, b):
@@ -416,27 +412,16 @@ def _zx_divmod_monic(a, b):
         q[k] = c
         for i in range(len(b)):
             r[k + i] -= c * b[i]
-        _zx_trim(r)
-    return _zx_trim(q), r
+        dense_trim(r)
+    return dense_trim(q), r
 
 
 def _odd_primes():
     n = 3
     while True:
-        if _is_small_prime(n):
+        if is_prime(n):
             yield n
         n += 2
-
-
-def _is_small_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -160,9 +160,6 @@ class MultiPoly:
     def coefficient(self, exps) -> RingElement:
         return RingElement(self.ring, self.terms.get(tuple(exps), self.ring.zero))
 
-    def num_terms(self):
-        return len(self.terms)
-
     def sorted_terms(self):
         """Terms in graded-lex descending order."""
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
@@ -382,22 +379,6 @@ class MultiPoly:
             elif not ring.is_zero(val):
                 out[ee] = val
         return MultiPoly(ring, new_vars, out)
-
-    def derivative(self, name):
-        i = self.vars.index(name)
-        ring = self.ring
-        out = {}
-        for e, v in self.terms.items():
-            if e[i] == 0:
-                continue
-            c = ring.mul(v, ring.from_int(e[i]))
-            if ring.is_zero(c):
-                continue
-            ee = e[:i] + (e[i] - 1,) + e[i + 1:]
-            out[ee] = ring.add(out[ee], c) if ee in out else c
-            if ring.is_zero(out[ee]):
-                del out[ee]
-        return MultiPoly(ring, self.vars, out)
 
     # -- content / normalization ---------------------------------------------------
 

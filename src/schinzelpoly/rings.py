@@ -53,7 +53,7 @@ _PACK_MIN_WORK = 24
 _X_POW_DIRECT = 64
 
 
-def _fp_trim(c):
+def dense_trim(c):
     while c and not c[-1]:
         c.pop()
     return c
@@ -74,14 +74,14 @@ def _fp_mul(a, b, p):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return _fp_trim([v % p for v in out])
+        return dense_trim([v % p for v in out])
     # pack each operand into one int, `width` bytes per coefficient; the
     # slots of the product cannot carry into each other
     n = la + lb - 1
     prod = (int.from_bytes(struct.pack(f"<{la}{code}", *a), "little")
             * int.from_bytes(struct.pack(f"<{lb}{code}", *b), "little"))
     slots = struct.unpack(f"<{n}{code}", prod.to_bytes(n * width, "little"))
-    return _fp_trim([v % p for v in slots])
+    return dense_trim([v % p for v in slots])
 
 
 def _fp_divmod(a, b, p):
@@ -100,12 +100,12 @@ def _fp_divmod(a, b, p):
             for i in range(db):
                 r[d + i] -= c * b[i]
     del r[db:]
-    return _fp_trim(q), _fp_trim([v % p for v in r])
+    return dense_trim(q), dense_trim([v % p for v in r])
 
 
 def u_trim(c, K):
     if isinstance(K, PrimeField):
-        return _fp_trim(c)
+        return dense_trim(c)
     while c and K.is_zero(c[-1]):
         c.pop()
     return c
@@ -120,7 +120,7 @@ def u_add(a, b, K):
         if len(a) < len(b):
             a, b = b, a
         p = K.p
-        return _fp_trim([(x + y) % p for x, y in zip(a, b)] + a[len(b):])
+        return dense_trim([(x + y) % p for x, y in zip(a, b)] + a[len(b):])
     n = max(len(a), len(b))
     out = []
     for i in range(n):
@@ -138,7 +138,7 @@ def u_sub(a, b, K):
             out += a[len(b):]
         else:
             out += [-y % p for y in b[len(a):]]
-        return _fp_trim(out)
+        return dense_trim(out)
     n = max(len(a), len(b))
     out = []
     for i in range(n):
@@ -160,7 +160,7 @@ def u_scale(a, s, K):
         return []
     if isinstance(K, PrimeField):
         p = K.p
-        return _fp_trim([x * s % p for x in a])
+        return dense_trim([x * s % p for x in a])
     return u_trim([K.mul(x, s) for x in a], K)
 
 
@@ -257,7 +257,7 @@ def u_powmod(a, e, m, K):
 def u_deriv(a, K):
     if isinstance(K, PrimeField):
         p = K.p
-        return _fp_trim([a[i] * i % p for i in range(1, len(a))])
+        return dense_trim([a[i] * i % p for i in range(1, len(a))])
     out = []
     for i in range(1, len(a)):
         out.append(K.mul(a[i], K.from_int(i)))
@@ -348,7 +348,7 @@ def zx_try_div(a, b):
 
 
 def zx_deriv(a):
-    return _fp_trim([a[i] * i for i in range(1, len(a))])
+    return dense_trim([a[i] * i for i in range(1, len(a))])
 
 
 def _zx_eval(a, x):
@@ -401,7 +401,7 @@ def _zx_prs_gcd(a, b):
             r = [lc * v for v in r]
             for i in range(db + 1):
                 r[k + i] -= c * b[i]
-            _fp_trim(r)
+            dense_trim(r)
         if not r:
             break
         if len(r) == 1:
@@ -590,12 +590,6 @@ class Ring:
     def try_divexact(self, a, b):
         """a/b if b divides a exactly, else None."""
         raise NotImplementedError
-
-    def divexact(self, a, b):
-        q = self.try_divexact(a, b)
-        if q is None:
-            raise ArithmeticError(f"{self.format(b)} does not divide {self.format(a)} in {self}")
-        return q
 
     def divides(self, a, b):
         """True iff a divides b."""

@@ -1,11 +1,14 @@
 """Witness search: polynomials M making every P_i(x, M(x)) irreducible.
 
 A SchinzelProblem fixes the coefficient ring, the x variables, one or more
-y variables, the polynomials P_i and a degree box for M.  The search
-enumerates (or samples) candidates M from the box, verifies irreducibility
-of every P_i(x, M), and reports witnesses together with an exact
-accounting of rejections.  Exhaustive runs over finite boxes are complete:
-an empty witness list is a proof of non-existence inside the box.
+y variables, the polynomials P_i and a degree box for M.  One candidate
+loop serves the single-y search, the multi-y search and the density probe:
+it specializes y_1, ..., y_m in turn with candidates enumerated (or
+sampled) from the box, checks that every intermediate polynomial keeps the
+standing hypotheses, verifies irreducibility of every P_i at the last y,
+and keeps an exact accounting of rejections.  Exhaustive runs over finite
+boxes are complete: an empty witness list is a proof of non-existence
+inside the box.
 
 Enumeration order over Z boxes follows a balanced spiral per coefficient
 (0, 1, -1, 2, -2, ...) graded by max-norm, so small witnesses surface
@@ -18,15 +21,12 @@ import itertools
 import math
 import random
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import UnsupportedRingError, ZeroInputError
 from .factor import is_irreducible
 from .multipoly import MultiPoly, VarSet, poly_gcd
 from .rings import IntegerRing, PolyRing, RationalField, Ring
-
-_BATCH = 64
 
 
 # ---------------------------------------------------------------------------
@@ -49,15 +49,12 @@ class SearchConstraints:
     support: tuple | None = None          # restrict M to these monomials
                                           # (exponent tuples; must contain 1)
     max_witnesses: int | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.strategy not in ("exhaustive", "random"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.support is not None:
             object.__setattr__(self, "support",
                                tuple(tuple(e) for e in self.support))
@@ -256,14 +253,19 @@ def _check_side_constraints(problem, M, tup):
     return None
 
 
-def verify_candidate(problem: SchinzelProblem, M: MultiPoly, tup=()):
-    """Return (is_witness, reason, certificates)."""
+def verify_candidate(problem: SchinzelProblem, M: MultiPoly, tup=(), polys=None,
+                     yname=None):
+    """Return (is_witness, reason, certificates) for substituting M for
+    yname (default: the first y variable) in polys (default: the P_i)."""
     side = _check_side_constraints(problem, M, tup)
     if side is not None:
         return False, side, []
-    yname = problem.yvars.names[0]
+    if polys is None:
+        polys = problem.P
+    if yname is None:
+        yname = problem.yvars.names[0]
     certs = []
-    for P in problem.P:
+    for P in polys:
         Fi = P.substitute(yname, M)
         if Fi.is_zero():
             return False, REASON_CONSTANT, []
@@ -314,11 +316,16 @@ class SearchReport:
 
 def _reverify(problem, witnesses):
     """Certificates are re-checked at report time, never trusted."""
+    ynames = problem.yvars.names
     for w in witnesses:
-        ok, reason, certs = verify_candidate(problem, w.M,
-                                             _tuple_of(problem, w.M))
+        Ms = w.M if isinstance(w.M, tuple) else (w.M,)
+        polys = problem.P
+        for yname, M in zip(ynames, Ms[:-1]):
+            polys = [P.substitute(yname, M) for P in polys]
+        ok, reason, certs = verify_candidate(problem, Ms[-1], _tuple_of(problem, Ms[-1]),
+                                             polys, ynames[-1])
         if not ok:
-            raise RuntimeError(f"stale witness {w.M}: {reason}")
+            raise RuntimeError(f"stale witness {[str(M) for M in Ms]}: {reason}")
         w.certificates = certs
 
 
@@ -327,75 +334,74 @@ def _tuple_of(problem, M):
 
 
 # ---------------------------------------------------------------------------
-# The searches.
+# The search loop.
 # ---------------------------------------------------------------------------
 
-def _batched(iterable, size):
-    batch = []
-    for item in iterable:
-        batch.append(item)
-        if len(batch) == size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+REASON_INTERMEDIATE_DEGREE = "intermediate_y_degree_zero"
+REASON_INTERMEDIATE_REDUCIBLE = "intermediate_reducible"
 
 
-def schinzel_search(problem: SchinzelProblem) -> SearchReport:
-    """Single-y witness search over the problem's box."""
-    if len(problem.yvars) != 1:
-        raise ValueError("schinzel_search handles one y variable; "
-                         "use schinzel_search_multi for more")
-    cons = problem.constraints
+def _intermediate_reason(polys, rest):
+    """Why polys, with the y variables rest still free, break the standing
+    hypotheses (positive y-degree, irreducible), or None."""
+    for Fi in polys:
+        ydeg = max(Fi.degree_in(y) for y in rest)
+        if not (isinstance(ydeg, int) and ydeg >= 1):
+            return REASON_INTERMEDIATE_DEGREE
+        if not is_irreducible(Fi):
+            return REASON_INTERMEDIATE_REDUCIBLE
+    return None
+
+
+def _search(problem, cons, keep=True):
+    """Specialize y_1, ..., y_m in turn with candidates from the box.
+
+    The budget counts candidates at every depth.  A candidate rejected at
+    depth j stands for the per_level^(m-j) tuples below it.  The report
+    is complete when the search is exhaustive and no candidate of the box
+    was left untested.  Returns (number of witnesses found, report); the
+    report lists the witnesses only when keep is true, so that a density
+    probe over many samples does not hold every hit in memory.
+    """
+    ynames = problem.yvars.names
+    m = len(ynames)
     support = problem.support
-    candidates = iter_candidates(problem.ring, problem.xvars, support, cons)
-    total = box_size(problem.ring, support, cons) if cons.strategy == "exhaustive" else None
-
+    per_level = box_size(problem.ring, support, cons) if cons.strategy == "exhaustive" else None
     witnesses = []
     rejected = {}
-    tested = 0
-    exhausted = True
-    budget_left = cons.budget
+    tested = found = 0
+    stopped = False
 
-    executor = ThreadPoolExecutor(max_workers=cons.threads) if cons.threads > 1 else None
-    try:
-        for batch in _batched(candidates, _BATCH):
-            if budget_left <= 0:
-                exhausted = False
-                break
-            if len(batch) > budget_left:
-                batch = batch[:budget_left]
-                exhausted = False
-            if executor is None:
-                results = [verify_candidate(problem, M, tup) for M, tup in batch]
-            else:
-                results = list(executor.map(
-                    lambda mt: verify_candidate(problem, mt[0], mt[1]), batch))
-            stop = False
-            for (M, tup), (ok, reason, certs) in zip(batch, results):
-                tested += 1
-                budget_left -= 1
+    def walk(polys, chosen, depth):
+        nonlocal tested, found, stopped
+        yname = ynames[depth - 1]
+        weight = per_level ** (m - depth) if per_level is not None else 1
+        for M, tup in iter_candidates(problem.ring, problem.xvars, support, cons):
+            # stopping here leaves this candidate untested
+            if (stopped or tested >= cons.budget
+                    or (cons.max_witnesses and found >= cons.max_witnesses)):
+                stopped = True
+                return
+            tested += 1
+            if depth == m:
+                ok, reason, certs = verify_candidate(problem, M, tup, polys, yname)
                 if ok:
-                    witnesses.append(Witness(M, certs))
-                    if cons.max_witnesses and len(witnesses) >= cons.max_witnesses:
-                        stop = True
-                        break
-                else:
-                    rejected[reason] = rejected.get(reason, 0) + 1
-            if stop:
-                exhausted = tested == total
-                break
-        else:
-            pass
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+                    found += 1
+                    if keep:
+                        witnesses.append(Witness(chosen + (M,) if m > 1 else M, certs))
+                    continue
+            else:
+                reason = _check_side_constraints(problem, M, tup)
+                if reason is None:
+                    nxt = [P.substitute(yname, M) for P in polys]
+                    reason = _intermediate_reason(nxt, ynames[depth:])
+                    if reason is None:
+                        walk(nxt, chosen + (M,), depth + 1)
+                        continue
+            rejected[reason] = rejected.get(reason, 0) + weight
 
-    if cons.strategy == "random":
-        exhausted = False
-    complete = exhausted and cons.strategy == "exhaustive"
-    _reverify(problem, witnesses)
-    return SearchReport(
+    walk(problem.P, (), 1)
+    return found, SearchReport(
         witnesses=witnesses,
         tested=tested,
         rejected=dict(sorted(rejected.items())),
@@ -403,14 +409,18 @@ def schinzel_search(problem: SchinzelProblem) -> SearchReport:
         budget_consumed=tested,
         seed=cons.seed,
         strategy=cons.strategy,
-        complete=complete,
-        box_size=total,
+        complete=cons.strategy == "exhaustive" and not stopped,
+        box_size=per_level ** m if per_level is not None else None,
         degree_bound_warning=problem.degree_bound_warning,
     )
 
 
-REASON_INTERMEDIATE_DEGREE = "intermediate_y_degree_zero"
-REASON_INTERMEDIATE_REDUCIBLE = "intermediate_reducible"
+def schinzel_search(problem: SchinzelProblem) -> SearchReport:
+    """Single-y witness search over the problem's box."""
+    if len(problem.yvars) != 1:
+        raise ValueError("schinzel_search handles one y variable; "
+                         "use schinzel_search_multi for more")
+    return schinzel_search_multi(problem)
 
 
 def schinzel_search_multi(problem: SchinzelProblem) -> SearchReport:
@@ -419,98 +429,12 @@ def schinzel_search_multi(problem: SchinzelProblem) -> SearchReport:
     Each y_j is replaced in turn by a candidate from the box; intermediate
     polynomials must keep positive degree in the remaining y variables and
     stay irreducible (the standing hypotheses), otherwise the whole
-    subtree is rejected and accounted for.
+    subtree is rejected and accounted for.  A witness is one M for a
+    single y and the tuple (M_1, ..., M_m) otherwise.
     """
-    cons = problem.constraints
-    ynames = problem.yvars.names
-    m = len(ynames)
-    if m == 1:
-        return schinzel_search(problem)
-    support = problem.support
-    per_level = box_size(problem.ring, support, cons) if cons.strategy == "exhaustive" else None
-    total = per_level ** m if per_level is not None else None
-
-    witnesses = []
-    rejected = {}
-    state = {"tested": 0, "stop": False}
-    budget = cons.budget
-
-    def reject(reason, depth):
-        weight = per_level ** (m - depth) if per_level is not None else 1
-        rejected[reason] = rejected.get(reason, 0) + weight
-
-    def rec(polys, chosen, depth):
-        for M, tup in iter_candidates(problem.ring, problem.xvars, support, cons):
-            if state["stop"]:
-                return
-            if state["tested"] >= budget:
-                state["stop"] = True
-                return
-            state["tested"] += 1
-            side = _check_side_constraints(problem, M, tup)
-            if side is not None:
-                reject(side, depth)
-                continue
-            yname = ynames[depth - 1]
-            nxt = [P.substitute(yname, M) for P in polys]
-            if depth == m:
-                bad = None
-                for Fi in nxt:
-                    if Fi.is_zero():
-                        bad = REASON_CONSTANT
-                        break
-                    cert = is_irreducible(Fi)
-                    if not cert:
-                        bad = _reason_of(cert)
-                        break
-                if bad is None:
-                    witnesses.append(tuple(chosen + [M]))
-                    if cons.max_witnesses and len(witnesses) >= cons.max_witnesses:
-                        state["stop"] = True
-                        return
-                else:
-                    reject(bad, depth)
-                continue
-            rest = ynames[depth:]
-            ok = True
-            for Fi in nxt:
-                ydeg = max((Fi.degree_in(y) for y in rest), default=0)
-                if not (isinstance(ydeg, int) and ydeg >= 1):
-                    reject(REASON_INTERMEDIATE_DEGREE, depth)
-                    ok = False
-                    break
-                cert = is_irreducible(Fi)
-                if not cert:
-                    reject(REASON_INTERMEDIATE_REDUCIBLE, depth)
-                    ok = False
-                    break
-            if ok:
-                rec(nxt, chosen + [M], depth + 1)
-
-    rec(list(problem.P), [], 1)
-    complete = (cons.strategy == "exhaustive" and not state["stop"])
-
-    # Soundness: re-verify every reported tuple from scratch.
-    for tup in witnesses:
-        final = problem.P
-        for yname, M in zip(ynames, tup):
-            final = [P.substitute(yname, M) for P in final]
-        for Fi in final:
-            if Fi.is_zero() or not is_irreducible(Fi):
-                raise RuntimeError(f"stale multi-witness {[str(M) for M in tup]}")
-
-    return SearchReport(
-        witnesses=[Witness(tup, []) for tup in witnesses],
-        tested=state["tested"],
-        rejected=dict(sorted(rejected.items())),
-        budget=cons.budget,
-        budget_consumed=state["tested"],
-        seed=cons.seed,
-        strategy=cons.strategy,
-        complete=complete,
-        box_size=total,
-        degree_bound_warning=problem.degree_bound_warning,
-    )
+    _, report = _search(problem, problem.constraints)
+    _reverify(problem, report.witnesses)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -577,17 +501,8 @@ def density_probe(problem: SchinzelProblem, samples: int) -> DensityReport:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     cons = problem.constraints
-    probe_cons = SearchConstraints(
-        strategy="random", seed=cons.seed, budget=samples,
-        coeff_bound=cons.coeff_bound, deg_u_bound=cons.deg_u_bound,
-        exact_degrees=cons.exact_degrees, deg_u_target=cons.deg_u_target,
-        paper_mode=cons.paper_mode, threads=cons.threads)
-    hits = 0
-    for M, tup in iter_candidates(problem.ring, problem.xvars,
-                                  problem.support, probe_cons):
-        ok, _, _ = verify_candidate(problem, M, tup)
-        if ok:
-            hits += 1
+    probe = replace(cons, strategy="random", budget=samples, max_witnesses=None)
+    hits, _ = _search(problem, probe, keep=False)
     p = hits / samples
     z2 = _Z95 * _Z95
     denom = 1 + z2 / samples

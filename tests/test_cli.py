@@ -203,11 +203,16 @@ VERIFY_CASES = [
     ["schinzel", "--ring", "Z", "--P", "y", "--P", "y+2", "--deg", "2",
      "--coeff-bound", "3"],
     ["schinzel", "--ring", "GF(2)", "--P", "y^8 + x1^3", "--deg", "4"],
+    ["schinzel", "--ring", "GF(2)", "--P", "y1*y2 + x1", "--deg", "1"],
     ["swan-scan", "--ring", "GF(2)", "--P", "y^8 + x^3", "--max-deg", "5"],
     ["spectrum", "--field", "Q", "--S", "0,1", "--a0", "2", "--V", "1",
      "--w", "x1", "--w", "x1+1", "--deg", "4,4"],
     ["density", "--ring", "Z", "--P", "y", "--deg", "1",
      "--coeff-bound", "3", "--samples", "100"],
+    # every constraint the envelope records goes back into the re-run probe;
+    # leading with --deg-u gives this case its own test id next to the Z one
+    ["density", "--deg-u", "2", "--deg-u-target", "0", "--ring", "GF(2)[u]",
+     "--P", "y", "--P", "y+x1", "--deg", "2", "--samples", "200", "--seed", "5"],
 ]
 
 
@@ -322,6 +327,15 @@ def test_density_names_the_samples_flag(capsys, samples):
     assert "error: samples must be >= 1" in captured.err
     assert "budget" not in captured.err
     assert captured.out == ""
+
+
+def test_density_has_no_max_witnesses_flag(capsys, tmp_path):
+    args = ["density", "--ring", "Z", "--P", "y", "--deg", "1",
+            "--coeff-bound", "3", "--samples", "10"]
+    assert main(args + ["--max-witnesses", "2"]) == 1
+    assert "--max-witnesses" in capsys.readouterr().err
+    rc, env = run_cli(args, capsys, tmp_path)
+    assert rc == 0 and env["inputs"]["max_witnesses"] is None
 
 
 def test_goldbach_relaxed_needs_second_variable(capsys):

@@ -1,10 +1,13 @@
 """Witness search: examples, completeness accounting, determinism."""
 
 import json
+import pathlib
 import warnings
 
 import pytest
 
+import schinzelpoly.schinzel as schinzel_mod
+from schinzelpoly.cli import main
 from schinzelpoly.factor import brute_force_irreducible, factor_univariate_integers, is_irreducible
 from schinzelpoly.multipoly import MultiPoly, VarSet
 from schinzelpoly.rings import GF, ZZ, PolyRing
@@ -105,13 +108,6 @@ def test_determinism_same_seed():
     assert report_dump(r1) == report_dump(r2)
 
 
-def test_determinism_any_thread_count():
-    base = dict(coeff_bound=3, budget=2000)
-    r1 = schinzel_search(problem(ZZ, Vx, Vy, ["y", "y+2"], (2,), threads=1, **base))
-    r4 = schinzel_search(problem(ZZ, Vx, Vy, ["y", "y+2"], (2,), threads=4, **base))
-    assert report_dump(r1) == report_dump(r4)
-
-
 def test_budget_exhaustion_flagged():
     prob = problem(ZZ, Vx, Vy, ["y^2 + x1"], (2,), coeff_bound=5, budget=7,
                    max_witnesses=10**9)
@@ -174,6 +170,50 @@ def test_multi_over_f3_sum():
     M1, M2 = rep.witnesses[0].M
     s = M1 + M2
     assert is_irreducible(s)
+
+
+def test_multi_two_y_gf2_box_accounting():
+    # 16 tuples: 4 first-level candidates fail the standing hypotheses and
+    # stand for 4 tuples each, 12 tuples reach the last y
+    prob = problem(F2, Vx, VarSet(("y1", "y2")), ["y1*y2 + x1"], (1,))
+    rep = schinzel_search_multi(prob)
+    assert rep.box_size == 16
+    assert rep.tested == 12 and rep.complete
+    assert [[str(M) for M in w.M] for w in rep.witnesses] == [
+        ["1", "0"], ["1", "1"], ["x1 + 1", "0"], ["x1 + 1", "x1 + 1"]]
+    assert rep.rejected == {"intermediate_reducible": 4, "intermediate_y_degree_zero": 4,
+                            "reducible_over_K": 1, "unit_or_constant": 3}
+    assert len(rep.witnesses) + sum(rep.rejected.values()) == rep.box_size
+
+
+@pytest.mark.parametrize("max_witnesses, tested, complete", [(4, 12, True), (3, 9, False)])
+def test_multi_complete_when_max_witnesses_hits_last_candidate(max_witnesses, tested,
+                                                                complete):
+    # the fourth witness is the last candidate of the box: nothing is left
+    # untested, so the search is complete, as a single-y search would be
+    prob = problem(F2, Vx, VarSet(("y1", "y2")), ["y1*y2 + x1"], (1,),
+                   max_witnesses=max_witnesses)
+    rep = schinzel_search_multi(prob)
+    assert len(rep.witnesses) == max_witnesses
+    assert (rep.tested, rep.complete) == (tested, complete)
+
+
+def test_verify_candidate_once_per_candidate_and_witness(monkeypatch, capsys):
+    # the twin golden tests 8 candidates and re-verifies its 5 witnesses
+    case = json.loads((pathlib.Path(__file__).parent / "golden"
+                       / "schinzel_twin_small.json").read_text())
+    calls = []
+    original = schinzel_mod.verify_candidate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(schinzel_mod, "verify_candidate", counted)
+    assert main(case["args"]) == case["exit_code"]
+    env = json.loads(capsys.readouterr().out)
+    assert env["result"]["tested"] == 8 and len(env["result"]["witnesses"]) == 5
+    assert len(calls) == 13
 
 
 def test_multi_agrees_with_single_on_m1():
@@ -242,12 +282,6 @@ def test_support_must_contain_constant():
         problem(ZZ, Vx, Vy, ["y"], (2,), coeff_bound=2, support=((1,), (2,)))
 
 
-def test_threads_must_be_positive():
-    for threads in (0, -3):
-        with pytest.raises(ValueError):
-            SearchConstraints(threads=threads)
-
-
 def test_fixed_divisor_f2():
     P = [parse_poly(t, F2, Vxy, aliases={"y": "y1"}) for t in ("y", "y+1")]
     rep = check_fixed_divisor(F2, Vx, Vy, P, (2,))
@@ -285,6 +319,15 @@ def test_density_swan_is_zero():
                    budget=200)
     rep = density_probe(prob, 200)
     assert rep.fraction == 0.0
+
+
+def test_density_counts_the_random_search_witnesses():
+    # the probe walks the same loop as a random search with budget = samples
+    kw = dict(strategy="random", seed=9, coeff_bound=5, budget=300)
+    rep = schinzel_search(problem(ZZ, Vx, Vy, ["y", "y+2"], (2,), **kw))
+    dens = density_probe(problem(ZZ, Vx, Vy, ["y", "y+2"], (2,), max_witnesses=3, **kw), 300)
+    assert dens.samples == rep.tested == 300
+    assert dens.witnesses == len(rep.witnesses) > 3
 
 
 def test_density_twin_positive():
