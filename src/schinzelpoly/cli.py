@@ -450,13 +450,23 @@ def _verify_factor(env):
     vars = VarSet(tuple(env["inputs"]["vars"]))
     f = parse_poly(env["inputs"]["poly"], ring, vars)
     unit = parse_poly(env["result"]["unit"], ring, vars)
-    acc = unit
+    # Divide the factors out of the input instead of multiplying them up,
+    # so that the work stays bounded by the input, whatever the multiplicity.
+    if f.is_zero():
+        return False, "the input is zero"
+    rest = f
     for item in env["result"]["factors"]:
         g = parse_poly(item["poly"], ring, vars)
+        if (item["multiplicity"] < 1 or g.is_zero()
+                or (g.is_constant() and ring.is_unit(g.constant_value()))):
+            return False, f"factor {item['poly']} is zero, a unit or not raised to a power >= 1"
         if not g.is_constant() and not is_irreducible(g):
             return False, f"factor {item['poly']} is not irreducible"
-        acc = acc * (g ** item["multiplicity"])
-    if acc != f:
+        for _ in range(item["multiplicity"]):
+            rest = rest.try_divexact(g)
+            if rest is None:
+                return False, "recomposition does not match the input"
+    if rest != unit:
         return False, "recomposition does not match the input"
     return True, "ok"
 

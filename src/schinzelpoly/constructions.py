@@ -185,7 +185,7 @@ def _goldbach_linear_table(Q: MultiPoly):
     return F, G, case
 
 
-def _infinite_element_stream(ring, coeff_bound=None, deg_bound=None):
+def _infinite_element_stream(ring):
     if isinstance(ring, PolyRing) and not ring.base.is_finite:
         # interleave degree and coefficient growth for Q[u]
         def gen():
@@ -195,7 +195,7 @@ def _infinite_element_stream(ring, coeff_bound=None, deg_bound=None):
                     yield v
                 b += 1
         return gen()
-    return ring.element_stream(coeff_bound=coeff_bound)
+    return ring.element_stream()
 
 
 def _pairs_by_shell(stream_factory):
@@ -292,11 +292,10 @@ def _goldbach_finite_field(Q: MultiPoly, relaxed_var, budget):
             return None
         return G
 
-    if relaxed_var is None:
-        monomials = sorted(
-            (e for e in itertools.product(*[range(deg + 1)] * len(vars))
-             if 1 <= sum(e) <= deg))
-        # Binomial pass first: matches the shape the corollary promises.
+    def binomial_pass(monomials, method):
+        """The first binomial F = a + b*x^e, e in monomials order, with F
+        and Q - F irreducible, or None."""
+        nonlocal tested
         for e in monomials:
             for b in nonzero:
                 for a in nonzero:
@@ -307,8 +306,18 @@ def _goldbach_finite_field(Q: MultiPoly, relaxed_var, budget):
                                              {(0,) * len(vars): a, e: b})
                     G = try_F(F)
                     if G is not None:
-                        return GoldbachDecomposition(Q, F, G, "exhaustive-search",
-                                                     True, None, tested, e)
+                        return GoldbachDecomposition(Q, F, G, method,
+                                                     True, relaxed_var, tested, e)
+        return None
+
+    if relaxed_var is None:
+        monomials = sorted(
+            (e for e in itertools.product(*[range(deg + 1)] * len(vars))
+             if 1 <= sum(e) <= deg))
+        # Binomial pass first: matches the shape the corollary promises.
+        found = binomial_pass(monomials, "exhaustive-search")
+        if found is not None:
+            return found
         # Full exhaustive pass: decides existence.
         count = len(box) ** len(monomials)
         if count > budget:
@@ -350,18 +359,9 @@ def _goldbach_finite_field(Q: MultiPoly, relaxed_var, budget):
             e for e in itertools.product(*[range(b + 1) for b in bounds])
             if sum(e) >= 1 and (other_bound == 0 or max(e[j] for j in range(len(vars)) if j != vi) == other_bound
                                 or sum(e) == 0))
-        for e in monomials:
-            for b in nonzero:
-                for a in nonzero:
-                    if tested >= budget:
-                        raise BudgetExceededError("Goldbach budget exhausted", tested=tested)
-                    tested += 1
-                    F = MultiPoly.from_terms(ring, vars,
-                                             {(0,) * len(vars): a, e: b})
-                    G = try_F(F)
-                    if G is not None:
-                        return GoldbachDecomposition(Q, F, G, "relaxed-search",
-                                                     True, relaxed_var, tested, e)
+        found = binomial_pass(monomials, "relaxed-search")
+        if found is not None:
+            return found
 
 
 def goldbach_decompose(Q: MultiPoly, relaxed_var=None, budget=100_000) -> GoldbachDecomposition:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, UnsupportedRingError, ZeroInputError
-from .multipoly import MultiPoly, VarSet, dense_in_var, poly_from_dense, poly_gcd
+from .multipoly import MultiPoly, VarSet, dense_in_var, list_content, poly_from_dense, poly_gcd
 from .rings import (
     ExtField,
     IntegerRing,
@@ -47,11 +47,11 @@ from .rings import (
     PrimeField,
     RationalField,
     RingElement,
-    dense_trim,
     factor_int,
     is_perfect_power,
     is_prime,
     u_add,
+    u_ddf,
     u_deg,
     u_deriv,
     u_divmod,
@@ -64,9 +64,15 @@ from .rings import (
     u_sub,
     u_trim,
     u_xgcd,
+    zm_add,
+    zm_divmod,
+    zm_mul,
+    zm_sub,
     zx_deriv,
     zx_gcd,
+    zx_mul,
     zx_primitive,
+    zx_sub,
     zx_try_div,
 )
 
@@ -108,15 +114,6 @@ class Factorization:
         items = sorted(merged.values(), key=lambda fm: _factor_sort_key(fm[0]))
         return cls(RingElement(ring, unit_value), list(items))
 
-    def recompose(self) -> MultiPoly:
-        acc = None
-        for f, m in self.factors:
-            p = f ** m
-            acc = p if acc is None else acc * p
-        if acc is None:
-            raise ValueError("no factors; use recompose_over with an explicit variable set")
-        return acc.scale(self.unit.value)
-
     def recompose_over(self, vars: VarSet) -> MultiPoly:
         ring = self.unit.ring
         acc = MultiPoly.constant(ring, vars, self.unit.value)
@@ -126,9 +123,6 @@ class Factorization:
 
     def is_single_irreducible(self):
         return len(self.factors) == 1 and self.factors[0][1] == 1
-
-    def nonconstant_factors(self):
-        return [(f, m) for f, m in self.factors if not f.is_constant()]
 
 
 # ---------------------------------------------------------------------------
@@ -280,40 +274,8 @@ def _ff_sff(f, K):
     return out
 
 
-def _ff_ddf(f, K):
-    """Distinct-degree split of a monic squarefree polynomial: [(product, d)]."""
-    q = K.order
-    res = []
-    x = [K.zero, K.one]
-    h = list(x)
-    d = 0
-    while u_deg(f) > 0:
-        d += 1
-        if 2 * d > u_deg(f):
-            res.append((f, u_deg(f)))
-            return res
-        h = u_powmod(h, q, f, K)
-        g = u_gcd(u_sub(h, x, K), f, K)
-        if u_deg(g) > 0:
-            res.append((g, d))
-            f = u_divmod(f, g, K)[0]
-            h = u_rem(h, f, K)
-    return res
-
-
 def _ff_random_poly(deg, K, rng):
-    if isinstance(K, PrimeField):
-        coeffs = [rng.randrange(K.p) for _ in range(deg)]
-    else:
-        coeffs = []
-        for _ in range(deg):
-            idx = rng.randrange(K.order)
-            digits = []
-            while idx:
-                digits.append(idx % K.p)
-                idx //= K.p
-            coeffs.append(tuple(u_trim(digits, K.base)))
-    return u_trim(coeffs, K)
+    return u_trim([K.from_index(rng.randrange(K.order)) for _ in range(deg)], K)
 
 
 def _ff_edf(g, d, K, rng):
@@ -344,7 +306,7 @@ def _ff_edf(g, d, K, rng):
 
 def _ff_factor_monic_squarefree(f, K, rng):
     out = []
-    for prod, d in _ff_ddf(f, K):
+    for prod, d in u_ddf(f, K):
         out.extend(_ff_edf(prod, d, K, rng))
     return out
 
@@ -363,58 +325,8 @@ def _ff_factor_dense(f, K, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Dense integer polynomial helpers (index = degree).
+# Hensel lifting (quadratic, recursive halves) and Zassenhaus recombination.
 # ---------------------------------------------------------------------------
-
-def _zx_add(a, b):
-    n = max(len(a), len(b))
-    return dense_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _zx_sub(a, b):
-    n = max(len(a), len(b))
-    return dense_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _zx_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return dense_trim(out)
-
-
-def _zx_trunc(a, M):
-    """Coefficients reduced into the symmetric range (-M/2, M/2]."""
-    half = M // 2
-    out = []
-    for c in a:
-        c %= M
-        if c > half:
-            c -= M
-        out.append(c)
-    return dense_trim(out)
-
-
-def _zx_divmod_monic(a, b):
-    """Division by a monic divisor over Z."""
-    if not b or b[-1] != 1:
-        raise ValueError("divisor must be monic")
-    r = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while r and len(r) >= len(b):
-        c = r[-1]
-        k = len(r) - len(b)
-        q[k] = c
-        for i in range(len(b)):
-            r[k + i] -= c * b[i]
-        dense_trim(r)
-    return dense_trim(q), r
-
 
 def _odd_primes():
     n = 3
@@ -424,44 +336,36 @@ def _odd_primes():
         n += 2
 
 
-# ---------------------------------------------------------------------------
-# Hensel lifting (quadratic, recursive halves) and Zassenhaus recombination.
-# ---------------------------------------------------------------------------
-
 def _hensel_step(m, f, g, h, s, t):
-    """Lift f = g*h (mod m), s*g + t*h = 1 (mod m) to the same mod m^2."""
+    """Lift f = g*h (mod m), s*g + t*h = 1 (mod m) with h monic to the same
+    mod M = m^2, on coefficients in [0, M) (von zur Gathen & Gerhard,
+    Modern Computer Algebra, Alg. 15.10)."""
     M = m * m
-    e = _zx_trunc(_zx_sub(f, _zx_mul(g, h)), M)
-    q, r = _zx_divmod_monic(_zx_mul(s, e), h)
-    q, r = _zx_trunc(q, M), _zx_trunc(r, M)
-    u = _zx_add(_zx_mul(t, e), _zx_mul(q, g))
-    G = _zx_trunc(_zx_add(g, u), M)
-    H = _zx_trunc(_zx_add(h, r), M)
-    u = _zx_add(_zx_mul(s, G), _zx_mul(t, H))
-    b = _zx_trunc(_zx_sub(u, [1]), M)
-    c, d = _zx_divmod_monic(_zx_mul(s, b), H)
-    c, d = _zx_trunc(c, M), _zx_trunc(d, M)
-    u = _zx_add(_zx_mul(t, b), _zx_mul(c, G))
-    S = _zx_trunc(_zx_sub(s, d), M)
-    T = _zx_trunc(_zx_sub(t, u), M)
+    e = zm_sub([c % M for c in f], zm_mul(g, h, M), M)
+    q, r = zm_divmod(zm_mul(s, e, M), h, M)
+    G = zm_add(g, zm_add(zm_mul(t, e, M), zm_mul(q, g, M), M), M)
+    H = zm_add(h, r, M)
+    b = zm_sub(zm_add(zm_mul(s, G, M), zm_mul(t, H, M), M), [1], M)
+    c, d = zm_divmod(zm_mul(s, b, M), H, M)
+    S = zm_sub(s, d, M)
+    T = zm_sub(t, zm_add(zm_mul(t, b, M), zm_mul(c, G, M), M), M)
     return G, H, S, T
 
 
 def _hensel_lift(p, f, f_list, l):
-    """Lift monic factors of f/lc mod p to monic factors mod p^l.
+    """Lift monic factors of f/lc mod p to monic factors mod p^l, with
+    coefficients in [0, p^l).
 
     Postcondition: f = lc(f) * prod(result) (mod p^l).
     """
     r = len(f_list)
-    lc = f[-1]
     if r == 1:
-        inv = pow(lc, -1, p ** l)
-        return [_zx_trunc([c * inv for c in f], p ** l)]
-    m = p
+        P = p ** l
+        inv = pow(f[-1], -1, P)
+        return [[c * inv % P for c in f]]
     k = r // 2
-    d = math.ceil(math.log2(l)) if l > 1 else 0
     K = PrimeField(p)
-    g = [lc % p]
+    g = [f[-1] % p]
     for fi in f_list[:k]:
         g = u_mul(g, fi, K)
     h = list(f_list[k])
@@ -470,11 +374,8 @@ def _hensel_lift(p, f, f_list, l):
     gg, s, t = u_xgcd(g, h, K)
     if u_deg(gg) != 0:
         raise ArithmeticError("Hensel start: halves are not coprime mod p")
-    g = _zx_trunc(list(g), p)
-    h = _zx_trunc(list(h), p)
-    s = _zx_trunc(list(s), p)
-    t = _zx_trunc(list(t), p)
-    for _ in range(d):
+    m = p
+    for _ in range(math.ceil(math.log2(l)) if l > 1 else 0):
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
         m = m * m
     return _hensel_lift(p, g, f_list[:k], l) + _hensel_lift(p, h, f_list[k:], l)
@@ -574,12 +475,11 @@ def _zx_factor_squarefree(f):
     l = 1
     while p ** l <= 2 * B:
         l += 1
-    lifted = _hensel_lift(p, list(f), modular, l)
+    items = _hensel_lift(p, list(f), modular, l)
     P = p ** l
 
     result = []
     g = list(f)
-    items = [_zx_trunc(list(it), P) for it in lifted]
     explored = 0
     s = 1
     while items and 2 * s <= len(items):
@@ -601,8 +501,9 @@ def _zx_factor_squarefree(f):
                     continue
             prod = [g[-1] % P]
             for i in combo:
-                prod = _zx_trunc(_zx_mul(prod, items[i]), P)
-            cand = zx_primitive(prod)[1]
+                prod = zm_mul(prod, items[i], P)
+            # the candidate is the symmetric lift of the product
+            cand = zx_primitive([c - P if c > P // 2 else c for c in prod])[1]
             if cand and cand[-1] < 0:
                 cand = [-c for c in cand]
             if not cand or u_deg(cand) < 1:
@@ -684,7 +585,7 @@ def _yun_squarefree(f):
     out = []
     b = zx_try_div(f, g)
     c = zx_try_div(d1, g)
-    d = _zx_sub(c, zx_deriv(b))
+    d = zx_sub(c, zx_deriv(b))
     i = 1
     while len(b) > 1:
         a = zx_gcd(b, d)
@@ -692,7 +593,7 @@ def _yun_squarefree(f):
             out.append((a, i))
         b = zx_try_div(b, a)
         c = zx_try_div(d, a)
-        d = _zx_sub(c, zx_deriv(b))
+        d = zx_sub(c, zx_deriv(b))
         i += 1
     return out
 
@@ -748,7 +649,7 @@ def _factor_kronecker(pp: MultiPoly, effective, seed):
         def div(a, b):
             return u_divmod(a, b, ring)[0]
     else:
-        mul, div = _zx_mul, zx_try_div
+        mul, div = zx_mul, zx_try_div
     polys = [_dense_image(f, var) for f, _ in types]
     counts = [m for _, m in types]
     whole = _dense_image(folded, var)
@@ -949,14 +850,7 @@ def factor_poly_ring_value(ring: PolyRing, a, seed=0):
         raise ZeroInputError("cannot factor 0")
     fac = factor_multivariate(f, seed=seed)
     unit = (fac.unit.value,)
-    out = []
-    for g, m in fac.factors:
-        d = int(g.degree_in("u"))
-        coeffs = [base.zero] * (d + 1)
-        for e, v in g.terms.items():
-            coeffs[e[0]] = v
-        out.append((tuple(coeffs), m))
-    return unit, out
+    return unit, [(tuple(dense_in_var(g, "u")), m) for g, m in fac.factors]
 
 
 # ---------------------------------------------------------------------------
@@ -1156,14 +1050,7 @@ def _try_specialization_certificate(f, effective, seed):
     others = [v for v in effective if v != main]
     if not others:
         return None
-    coeffs = f.coeffs_in(main)
-    acc = None
-    for c in coeffs:
-        if c.is_zero():
-            continue
-        acc = c if acc is None else poly_gcd(acc, c)
-        if acc.is_constant() and ring.is_unit(acc.constant_value()):
-            break
+    acc = list_content(f.coeffs_in(main))
     if not (acc.is_constant() and ring.is_unit(acc.constant_value())):
         return None
     if ring.is_finite:
@@ -1296,8 +1183,6 @@ def _fraction_field_profile(a: MultiPoly, b: MultiPoly, seed):
 def _constant_is_power(num, den, ring, ell):
     """Is num/den an ell-th power in the fraction field of the constants?"""
     if isinstance(ring, IntegerRing) or isinstance(ring, RationalField):
-        from fractions import Fraction
-
         x = Fraction(num) / Fraction(den)
         if x == 0:
             return False

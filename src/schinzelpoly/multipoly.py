@@ -74,11 +74,6 @@ class VarSet:
         return VarSet(tuple(n for n in self.names if n != name))
 
 
-def xvars(n):
-    """The conventional variable set x1..xn."""
-    return VarSet(tuple(f"x{i}" for i in range(1, n + 1)))
-
-
 def grlex_key(exps):
     return (sum(exps), exps)
 
@@ -156,9 +151,6 @@ class MultiPoly:
 
     def constant_value(self):
         return self.terms.get((0,) * len(self.vars), self.ring.zero)
-
-    def coefficient(self, exps) -> RingElement:
-        return RingElement(self.ring, self.terms.get(tuple(exps), self.ring.zero))
 
     def sorted_terms(self):
         """Terms in graded-lex descending order."""
@@ -550,9 +542,6 @@ class MultiPoly:
                         rem[t] = s
         return MultiPoly(ring, self.vars, q)
 
-    def divides(self, other):
-        return other.try_divexact(self) is not None
-
 
 # ---------------------------------------------------------------------------
 # Spec-level operation names.
@@ -616,7 +605,8 @@ def poly_from_dense(ring, vars: VarSet, var, dense):
 # coefficients, with the ring gcd at the bottom.
 # ---------------------------------------------------------------------------
 
-def _list_content(polys):
+def list_content(polys):
+    """A gcd of the nonzero polynomials in a list (None when there are none)."""
     acc = None
     for c in polys:
         if c.is_zero():
@@ -697,8 +687,8 @@ def poly_gcd(f, g):
                 if f.degree_in(n) > 0 or g.degree_in(n) > 0)
     F = f.coeffs_in(main)
     G = g.coeffs_in(main)
-    cont_f = _list_content(F)
-    cont_g = _list_content(G)
+    cont_f = list_content(F)
+    cont_g = list_content(G)
     cont = poly_gcd(cont_f, cont_g)
     Fp = [c.try_divexact(cont_f) for c in F]
     Gp = [c.try_divexact(cont_g) for c in G]
@@ -712,13 +702,13 @@ def poly_gcd(f, g):
         if len(R) == 1:
             h = None  # coprime up to content
             break
-        rc = _list_content(R)
+        rc = list_content(R)
         R = [c.try_divexact(rc) for c in R]
         Fp, Gp = Gp, R
     if h is None:
         result = cont
     else:
-        hc = _list_content(h)
+        hc = list_content(h)
         h = [c.try_divexact(hc) for c in h]
         result = cont * MultiPoly.from_coeffs_in(main, h)
     return result.monic_normalize()[1]

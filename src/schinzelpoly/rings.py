@@ -30,19 +30,19 @@ from .errors import ParseError, RingMismatchError, ZeroInputError
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate arithmetic over a field ring.
+# Dense univariate arithmetic: coefficient lists, index = degree, no
+# trailing zeros ([] is the zero polynomial).
 #
-# Polynomials are lists of raw field values, index = degree, no trailing
-# zeros ([] is the zero polynomial).  These kernels serve double duty: they
-# implement GF(p^k) and k[u] element arithmetic here, and the factor module
-# builds its finite-field factorization on top of them.
+# zm_* work in (Z/mZ)[x] for any int modulus m, on coefficients in [0, m),
+# with inline `% m`; a product whose coefficients fit in 8 bytes is one
+# big-int multiply of Kronecker-packed operands (Harvey 2009).  They serve
+# GF(p) (m = p) and Hensel lifting over Z (m = p^(2^i)).
 #
-# Over a PrimeField the values are plain ints in [0, p), and every kernel
-# takes an integer path with inline `% p` instead of one ring method call
-# per coefficient; products go through one big-int multiply of Kronecker-
-# packed operands (Harvey 2009).  Everything built on the kernels (gcd,
-# powmod, irreducibility, GF(p^k) and GF(p)[u] element arithmetic) picks
-# the integer path up unchanged.
+# u_* work in K[x] for a field ring K: zm_* with m = p over a PrimeField,
+# one ring method call per coefficient otherwise.  They implement GF(p^k)
+# and k[u] element arithmetic here and carry the finite-field factorizer;
+# u_ddf is its one distinct-degree loop, which u_is_irreducible also runs.
+# zx_* below work in Z[x].
 # ---------------------------------------------------------------------------
 
 # struct code of an unsigned little-endian slot, by slot width in bytes
@@ -59,11 +59,30 @@ def dense_trim(c):
     return c
 
 
-def _fp_mul(a, b, p):
-    """Product in GF(p)[x] of two nonzero dense int lists."""
+def zm_add(a, b, m):
+    """Sum in (Z/mZ)[x]."""
+    if len(a) < len(b):
+        a, b = b, a
+    return dense_trim([(x + y) % m for x, y in zip(a, b)] + a[len(b):])
+
+
+def zm_sub(a, b, m):
+    """Difference in (Z/mZ)[x]."""
+    out = [(x - y) % m for x, y in zip(a, b)]
+    if len(a) > len(b):
+        out += a[len(b):]
+    else:
+        out += [-y % m for y in b[len(a):]]
+    return dense_trim(out)
+
+
+def zm_mul(a, b, m):
+    """Product in (Z/mZ)[x]."""
+    if not a or not b:
+        return []
     la, lb = len(a), len(b)
-    # every coefficient of the integer product is at most min(la, lb)*(p-1)^2
-    nbytes = ((min(la, lb) * (p - 1) ** 2).bit_length() + 7) >> 3
+    # every coefficient of the integer product is at most min(la, lb)*(m-1)^2
+    nbytes = ((min(la, lb) * (m - 1) ** 2).bit_length() + 7) >> 3
     width = 1
     while width < nbytes:
         width <<= 1
@@ -74,33 +93,34 @@ def _fp_mul(a, b, p):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return dense_trim([v % p for v in out])
+        return dense_trim([v % m for v in out])
     # pack each operand into one int, `width` bytes per coefficient; the
     # slots of the product cannot carry into each other
     n = la + lb - 1
     prod = (int.from_bytes(struct.pack(f"<{la}{code}", *a), "little")
             * int.from_bytes(struct.pack(f"<{lb}{code}", *b), "little"))
     slots = struct.unpack(f"<{n}{code}", prod.to_bytes(n * width, "little"))
-    return dense_trim([v % p for v in slots])
+    return dense_trim([v % m for v in slots])
 
 
-def _fp_divmod(a, b, p):
-    """Euclidean division in GF(p)[x] on dense int lists; b nonzero."""
+def zm_divmod(a, b, m):
+    """Euclidean division in (Z/mZ)[x]: (q, r) with a = q*b + r and
+    deg r < deg b.  b is nonzero with a leading coefficient invertible mod m."""
     db = len(b) - 1
     r = list(a)
     if len(r) <= db:
         return [], r
-    inv_lc = pow(b[-1], -1, p)
+    inv_lc = pow(b[-1], -1, m)
     q = [0] * (len(r) - db)
     # r stays unreduced below its current top; each top is reduced as it is read
     for d in range(len(q) - 1, -1, -1):
-        c = r[d + db] * inv_lc % p
+        c = r[d + db] * inv_lc % m
         if c:
             q[d] = c
             for i in range(db):
                 r[d + i] -= c * b[i]
     del r[db:]
-    return dense_trim(q), dense_trim([v % p for v in r])
+    return dense_trim(q), dense_trim([v % m for v in r])
 
 
 def u_trim(c, K):
@@ -117,10 +137,7 @@ def u_deg(c):
 
 def u_add(a, b, K):
     if isinstance(K, PrimeField):
-        if len(a) < len(b):
-            a, b = b, a
-        p = K.p
-        return dense_trim([(x + y) % p for x, y in zip(a, b)] + a[len(b):])
+        return zm_add(a, b, K.p)
     n = max(len(a), len(b))
     out = []
     for i in range(n):
@@ -132,13 +149,7 @@ def u_add(a, b, K):
 
 def u_sub(a, b, K):
     if isinstance(K, PrimeField):
-        p = K.p
-        out = [(x - y) % p for x, y in zip(a, b)]
-        if len(a) > len(b):
-            out += a[len(b):]
-        else:
-            out += [-y % p for y in b[len(a):]]
-        return dense_trim(out)
+        return zm_sub(a, b, K.p)
     n = max(len(a), len(b))
     out = []
     for i in range(n):
@@ -165,10 +176,10 @@ def u_scale(a, s, K):
 
 
 def u_mul(a, b, K):
+    if isinstance(K, PrimeField):
+        return zm_mul(a, b, K.p)
     if not a or not b:
         return []
-    if isinstance(K, PrimeField):
-        return _fp_mul(a, b, K.p)
     out = [K.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if K.is_zero(x):
@@ -183,7 +194,7 @@ def u_divmod(a, b, K):
     if not b:
         raise ZeroDivisionError("univariate division by zero polynomial")
     if isinstance(K, PrimeField):
-        return _fp_divmod(a, b, K.p)
+        return zm_divmod(a, b, K.p)
     r = list(a)
     q = [K.zero] * max(len(a) - len(b) + 1, 0)
     inv_lc = K.inv(b[-1])
@@ -264,30 +275,44 @@ def u_deriv(a, K):
     return u_trim(out, K)
 
 
-def u_is_irreducible(f, K):
-    """Irreducibility test in GF(q)[x] via x^(q^d) fixed-point gcds.
+def u_ddf(f, K):
+    """Distinct-degree split of a squarefree f of degree >= 1 in GF(q)[x].
 
-    Early exit on the first small-degree factor found, which makes
-    reducible inputs cheap.
+    Yields (g, d) by increasing d, with g the product of the irreducible
+    factors of f of degree d, monic when f is (von zur Gathen & Gerhard,
+    Modern Computer Algebra, Alg. 14.3).  Lazy: h = x^(q^d) mod f costs one
+    powmod per step, and a caller that stops early runs no more steps.
     """
-    n = u_deg(f)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
     q = K.order
-    fp = u_deriv(f, K)
-    if not fp:
-        return False  # p-th power
-    if u_deg(u_gcd(f, fp, K)) > 0:
-        return False
     x = [K.zero, K.one]
-    h = list(x)
-    for _ in range(n // 2):
+    h = x
+    d = 0
+    n = u_deg(f)
+    while n > 0:
+        d += 1
+        if 2 * d > n:
+            yield f, n
+            return
         h = u_powmod(h, q, f, K)
-        if u_deg(u_gcd(u_sub(h, x, K), f, K)) > 0:
-            return False
-    return True
+        g = u_gcd(u_sub(h, x, K), f, K)
+        if u_deg(g) > 0:
+            yield g, d
+            f = u_divmod(f, g, K)[0]
+            n = u_deg(f)
+            h = u_rem(h, f, K)
+
+
+def u_is_irreducible(f, K):
+    """Irreducibility in GF(q)[x]: f is squarefree and the first part of
+    its distinct-degree split has the degree of f, so the test stops at the
+    first factor of lower degree, which makes reducible inputs cheap."""
+    n = u_deg(f)
+    if n <= 1:
+        return n == 1
+    fp = u_deriv(f, K)
+    if not fp or u_deg(u_gcd(f, fp, K)) > 0:
+        return False  # a p-th power, or not squarefree
+    return next(u_ddf(f, K))[1] == n
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +370,23 @@ def zx_try_div(a, b):
     if any(r[:db]):
         return None
     return q
+
+
+def zx_mul(a, b):
+    """Schoolbook product in Z[x]."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return dense_trim(out)
+
+
+def zx_sub(a, b):
+    n = max(len(a), len(b))
+    return dense_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
 
 
 def zx_deriv(a):
@@ -591,10 +633,6 @@ class Ring:
         """a/b if b divides a exactly, else None."""
         raise NotImplementedError
 
-    def divides(self, a, b):
-        """True iff a divides b."""
-        return self.try_divexact(b, a) is not None
-
     def canonical_split(self, a):
         """Return (unit, c) with a = unit * c and c the canonical associate."""
         raise NotImplementedError
@@ -626,11 +664,6 @@ class Ring:
     def element_box(self, coeff_bound=None, deg_bound=None):
         """Finite, deterministically ordered list of candidate values."""
         raise NotImplementedError
-
-    def element_stream(self, coeff_bound=None):
-        """Deterministic enumeration of ring elements (finite rings: the box)."""
-        for v in self.element_box(coeff_bound=coeff_bound, deg_bound=None):
-            yield v
 
 
 class IntegerRing(Ring):
@@ -832,8 +865,9 @@ class PrimeField(Ring):
     def element_box(self, coeff_bound=None, deg_bound=None):
         return list(range(self.p))
 
-    def all_elements(self):
-        return list(range(self.p))
+    def from_index(self, i):
+        """The i-th element of element_box."""
+        return i
 
 
 # Fields of at most this order do their arithmetic by table lookup.  On a
@@ -1063,18 +1097,15 @@ class ExtField(Ring):
         return a, []
 
     def element_box(self, coeff_bound=None, deg_bound=None):
-        out = []
-        for i in range(self.order):
-            digits = []
-            m = i
-            while m:
-                digits.append(m % self.p)
-                m //= self.p
-            out.append(tuple(u_trim(digits, self.base)))
-        return out
+        return [self.from_index(i) for i in range(self.order)]
 
-    def all_elements(self):
-        return self.element_box()
+    def from_index(self, i):
+        """The i-th element of element_box: the base-p digits of i."""
+        digits = []
+        while i:
+            digits.append(i % self.p)
+            i //= self.p
+        return tuple(digits)
 
 
 class PolyRing(Ring):

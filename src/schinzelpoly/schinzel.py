@@ -356,51 +356,82 @@ def _intermediate_reason(polys, rest):
 def _search(problem, cons, keep=True):
     """Specialize y_1, ..., y_m in turn with candidates from the box.
 
-    The budget counts candidates at every depth.  A candidate rejected at
-    depth j stands for the per_level^(m-j) tuples below it.  The report
-    is complete when the search is exhaustive and no candidate of the box
-    was left untested.  Returns (number of witnesses found, report); the
-    report lists the witnesses only when keep is true, so that a density
-    probe over many samples does not hold every hit in memory.
+    Exhaustive: the budget counts candidates at every depth, and a
+    candidate rejected at depth j stands for the per_level^(m-j) tuples
+    below it.  The report is complete when no candidate of the box was
+    left untested.  Random: each budget unit draws one whole tuple
+    (M_1, ..., M_m) from one seeded stream, whether or not it survives
+    depth 1, and counts as one test.  Returns (number of witnesses found,
+    report); the report lists the witnesses only when keep is true, so
+    that a density probe over many samples does not hold every hit in
+    memory.
     """
     ynames = problem.yvars.names
     m = len(ynames)
     support = problem.support
-    per_level = box_size(problem.ring, support, cons) if cons.strategy == "exhaustive" else None
+    exhaustive = cons.strategy == "exhaustive"
+    per_level = box_size(problem.ring, support, cons) if exhaustive else None
     witnesses = []
     rejected = {}
     tested = found = 0
     stopped = False
 
-    def walk(polys, chosen, depth):
-        nonlocal tested, found, stopped
+    def check(polys, depth, M, tup):
+        """M for y_depth: (reason, _) when rejected, else (None, the
+        certificates at depth m or the polynomials for the next depth)."""
         yname = ynames[depth - 1]
-        weight = per_level ** (m - depth) if per_level is not None else 1
+        if depth == m:
+            ok, reason, certs = verify_candidate(problem, M, tup, polys, yname)
+            return (None if ok else reason), certs
+        reason = _check_side_constraints(problem, M, tup)
+        if reason is None:
+            polys = [P.substitute(yname, M) for P in polys]
+            reason = _intermediate_reason(polys, ynames[depth:])
+        return reason, polys
+
+    def out_of_budget():
+        return (tested >= cons.budget
+                or (cons.max_witnesses and found >= cons.max_witnesses))
+
+    def record(Ms, certs):
+        nonlocal found
+        found += 1
+        if keep:
+            witnesses.append(Witness(Ms if m > 1 else Ms[0], certs))
+
+    def walk(polys, chosen, depth):
+        nonlocal tested, stopped
+        weight = per_level ** (m - depth)
         for M, tup in iter_candidates(problem.ring, problem.xvars, support, cons):
             # stopping here leaves this candidate untested
-            if (stopped or tested >= cons.budget
-                    or (cons.max_witnesses and found >= cons.max_witnesses)):
+            if stopped or out_of_budget():
                 stopped = True
                 return
             tested += 1
-            if depth == m:
-                ok, reason, certs = verify_candidate(problem, M, tup, polys, yname)
-                if ok:
-                    found += 1
-                    if keep:
-                        witnesses.append(Witness(chosen + (M,) if m > 1 else M, certs))
-                    continue
+            reason, out = check(polys, depth, M, tup)
+            if reason is not None:
+                rejected[reason] = rejected.get(reason, 0) + weight
+            elif depth == m:
+                record(chosen + (M,), out)
             else:
-                reason = _check_side_constraints(problem, M, tup)
-                if reason is None:
-                    nxt = [P.substitute(yname, M) for P in polys]
-                    reason = _intermediate_reason(nxt, ynames[depth:])
-                    if reason is None:
-                        walk(nxt, chosen + (M,), depth + 1)
-                        continue
-            rejected[reason] = rejected.get(reason, 0) + weight
+                walk(out, chosen + (M,), depth + 1)
 
-    walk(problem.P, (), 1)
+    if exhaustive:
+        walk(problem.P, (), 1)
+    else:
+        draws = iter_candidates(problem.ring, problem.xvars, support,
+                                replace(cons, budget=cons.budget * m))
+        while not out_of_budget():
+            drawn = [next(draws) for _ in range(m)]
+            tested += 1
+            out = problem.P
+            for depth, (M, tup) in enumerate(drawn, 1):
+                reason, out = check(out, depth, M, tup)
+                if reason is not None:
+                    rejected[reason] = rejected.get(reason, 0) + 1
+                    break
+            else:
+                record(tuple(M for M, _ in drawn), out)
     return found, SearchReport(
         witnesses=witnesses,
         tested=tested,
@@ -409,8 +440,8 @@ def _search(problem, cons, keep=True):
         budget_consumed=tested,
         seed=cons.seed,
         strategy=cons.strategy,
-        complete=cons.strategy == "exhaustive" and not stopped,
-        box_size=per_level ** m if per_level is not None else None,
+        complete=exhaustive and not stopped,
+        box_size=per_level ** m if exhaustive else None,
         degree_bound_warning=problem.degree_bound_warning,
     )
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -237,6 +238,35 @@ def test_verify_rejects_tampered_envelope(capsys, tmp_path):
     bad.write_text(json.dumps(env))
     assert main(["verify", str(bad), "--out", str(tmp_path / "v.json")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("poly, tampered", [("x^2 - 1", "x - 1"), ("6*x + 6", "2")],
+                         ids=["polynomial-factor", "constant-factor"])
+def test_verify_rejects_a_huge_multiplicity_quickly(capsys, tmp_path, poly, tampered):
+    out = tmp_path / "good.json"
+    assert main(["factor", poly, "--ring", "Z", "--out", str(out)]) == 0
+    env = json.loads(out.read_text())
+    item = next(it for it in env["result"]["factors"] if it["poly"] == tampered)
+    item["multiplicity"] = 10 ** 9
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(env))
+    t0 = time.perf_counter()
+    assert main(["verify", str(bad)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "recomposition does not match the input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tampered, multiplicity",
+                         [("1", 10 ** 9), ("-1", 10 ** 9), ("0", 10 ** 9), ("x + 7", 0)])
+def test_verify_refuses_unit_and_zero_factors(capsys, tmp_path, tampered, multiplicity):
+    out = tmp_path / "good.json"
+    assert main(["factor", "6*x + 6", "--ring", "Z", "--out", str(out)]) == 0
+    env = json.loads(out.read_text())
+    env["result"]["factors"].append({"poly": tampered, "multiplicity": multiplicity})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(env))
+    assert main(["verify", str(bad)]) == 1
+    assert "is zero, a unit or not raised" in capsys.readouterr().err
 
 
 def test_verify_missing_envelope_file(capsys, tmp_path):

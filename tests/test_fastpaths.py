@@ -1,19 +1,22 @@
-"""The GF(p) integer kernels, dense substitution, heap-ordered exact
-division, GF(p^k) table arithmetic and dense Kronecker recombination, each
-checked against a plain reference or an independent oracle."""
+"""The GF(p) and Z/mZ integer kernels, Hensel lifting, the distinct-degree
+split, dense substitution, heap-ordered exact division, GF(p^k) table
+arithmetic and dense Kronecker recombination, each checked against a plain
+reference or an independent oracle."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from schinzelpoly import factor as factor_mod
 from schinzelpoly import rings
 from schinzelpoly.factor import brute_force_factor, brute_force_irreducible, factor_multivariate
 from schinzelpoly.multipoly import MultiPoly, VarSet, format_poly, grlex_key
 from schinzelpoly.rings import (GF, QQ, ZZ, ExtField, PolyRing, u_add, u_deriv, u_divmod,
-                                u_mul, u_sub)
+                                u_mul, u_sub, zm_add, zm_divmod, zm_mul, zm_sub)
 from schinzelpoly.textform import parse_poly
 
 PRIMES = [2, 3, 5, 10007]
@@ -94,6 +97,120 @@ def test_u_add_sub_deriv(p):
         while deriv and deriv[-1] == 0:
             deriv.pop()
         assert u_deriv(a, K) == deriv
+
+
+# ---------------------------------------------------------------------------
+# Z/mZ kernels for composite m: packed slots (9), slots wider than 8 bytes
+# (3^40), and a modulus above 2^64
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [9, 3 ** 40, 5 ** 30], ids=["9", "3^40", "5^30"])
+def test_zm_kernels_match_schoolbook(m):
+    rng = random.Random(m % 1000)
+    for da in range(-1, 41, 3):
+        for db in (-1, 0, 1, 4, 13, 40):
+            a, b = rand_dense(rng, m, da), rand_dense(rng, m, db)
+            assert zm_add(a, b, m) == ref_add(a, b, m)
+            assert zm_sub(a, b, m) == ref_add(a, b, m, sign=-1)
+            assert zm_mul(a, b, m) == ref_mul(a, b, m)
+            if db < 0:
+                continue
+            # a monic divisor, and one whose leading coefficient is a unit mod m
+            for lc in (1, next(c for c in range(2, m) if math.gcd(c, m) == 1)):
+                b = b[:-1] + [lc]
+                q, r = zm_divmod(a, b, m)
+                assert len(r) < len(b)
+                assert all(0 <= c < m for c in q + r)
+                assert ref_add(ref_mul(q, b, m), r, m) == a
+    top = [m - 1] * 41
+    assert zm_mul(top, top, m) == ref_mul(top, top, m)
+
+
+def odd_prime_for(f):
+    """The first odd prime not dividing lc(f) modulo which f stays squarefree."""
+    for p in itertools.count(3, 2):
+        if rings.is_prime(p) and f[-1] % p:
+            fbar = [c % p for c in f]
+            if len(rings.u_gcd(fbar, u_deriv(fbar, GF(p)), GF(p))) == 1:
+                return p
+
+
+def test_hensel_lift_postcondition():
+    rng = random.Random(41)
+    seen = set()
+    while len(seen) < 5:  # every factor count from 2 to 6
+        f = [1]
+        for _ in range(rng.randint(2, 6)):
+            f = rings.zx_mul(f, [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))]
+                             + [rng.choice([1, 2, 3, -1])])
+        if len(f) < 3 or len(rings.zx_gcd(f, rings.zx_deriv(f))) > 1:
+            continue
+        p = odd_prime_for(f)
+        K = GF(p)
+        modular = factor_mod._ff_factor_dense([c % p for c in f], K)[1]
+        if not 2 <= len(modular) <= 6:
+            continue
+        seen.add(len(modular))
+        for l in (1, 2, 5, 9):
+            P = p ** l
+            lifted = factor_mod._hensel_lift(p, f, [g for g, _ in modular], l)
+            assert all(g[-1] == 1 and all(0 <= c < P for c in g) for g in lifted)
+            assert [[c % p for c in g] for g in lifted] == [g for g, _ in modular]
+            prod = [f[-1] % P]
+            for g in lifted:
+                prod = ref_mul(prod, g, P)
+            assert prod == [c % P for c in f]
+
+
+# ---------------------------------------------------------------------------
+# The distinct-degree split and the irreducibility test built on it
+# ---------------------------------------------------------------------------
+
+V1 = VarSet(("x",))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_u_ddf_parts_multiply_back_and_have_one_factor_degree(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    K = GF(p)
+    rng = random.Random(300 + p)
+    for _ in range(40):
+        f = rings.u_monic(rand_dense(rng, p, rng.randint(1, 16)), K)[1]
+        if len(rings.u_gcd(f, u_deriv(f, K), K)) != 1:
+            continue
+        parts = list(rings.u_ddf(f, K))
+        assert [d for _, d in parts] == sorted({d for _, d in parts})
+        prod = [1]
+        for g, d in parts:
+            prod = u_mul(prod, g, K)
+            _, facs = sympy.Poly(list(reversed(g)), x, modulus=p).factor_list()
+            assert g[-1] == 1 and {q.degree() for q, _ in facs} == {d}
+        assert prod == f
+
+
+@pytest.mark.parametrize("p, top", [(2, 7), (3, 4)])
+def test_u_is_irreducible_matches_sympy_exhaustively(p, top):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    K = GF(p)
+    for n in range(0, top + 1):
+        for low in itertools.product(range(p), repeat=n):
+            for lc in range(1, p):
+                f = list(low) + [lc]
+                want = n >= 1 and sympy.Poly(list(reversed(f)), x, modulus=p).is_irreducible
+                assert rings.u_is_irreducible(f, K) == want, f
+
+
+@pytest.mark.parametrize("p, k, top, count", [(2, 2, 5, 60), (3, 2, 3, 60)])
+def test_u_is_irreducible_matches_brute_force_over_extensions(p, k, top, count):
+    K = GF(p, k)
+    box = K.element_box()
+    rng = random.Random(10 * p + k)
+    for _ in range(count):
+        f = [rng.choice(box) for _ in range(rng.randint(1, top))] + [rng.choice(box[1:])]
+        g = MultiPoly.from_terms(K, V1, {(i,): c for i, c in enumerate(f)})
+        assert rings.u_is_irreducible(f, K) == brute_force_irreducible(g), f
 
 
 # ---------------------------------------------------------------------------

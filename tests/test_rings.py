@@ -128,7 +128,7 @@ def test_gcd_scaling_invariant():
 def test_frobenius_fixed_points():
     # t^q == t for every element of small GF(q)
     for K in (F4, GF(2, 3), GF(3, 2)):
-        for a in K.all_elements():
+        for a in K.element_box():
             assert K.pow(a, K.order) == a
 
 
@@ -142,7 +142,7 @@ def test_default_extension_moduli():
 
 def test_extension_field_inverse():
     K = GF(2, 3)
-    for a in K.all_elements():
+    for a in K.element_box():
         if a:
             assert K.mul(a, K.inv(a)) == K.one
 

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import random
 import warnings
 
 import pytest
@@ -19,6 +20,7 @@ from schinzelpoly.schinzel import (
     schinzel_search,
     schinzel_search_multi,
     support_monomials,
+    verify_candidate,
 )
 from schinzelpoly.textform import parse_poly
 
@@ -328,6 +330,33 @@ def test_density_counts_the_random_search_witnesses():
     dens = density_probe(problem(ZZ, Vx, Vy, ["y", "y+2"], (2,), max_witnesses=3, **kw), 300)
     assert dens.samples == rep.tested == 300
     assert dens.witnesses == len(rep.witnesses) > 3
+
+
+def test_multi_y_random_samples_are_whole_tuples_from_one_stream(capsys):
+    # each sample draws (M_1, M_2), N coefficients each, from one seeded
+    # stream, and counts once whether or not it survives depth 1
+    Y2 = VarSet(("y1", "y2"))
+    prob = problem(F2, Vx, Y2, ["y1*y2 + x1"], (1,), strategy="random", seed=3, budget=50)
+    rng = random.Random(3)
+    box = F2.element_box()
+
+    def draw():
+        tup = tuple(box[rng.randrange(len(box))] for _ in prob.support)
+        return MultiPoly(F2, Vx, {e: v for e, v in zip(prob.support, tup) if v}), tup
+
+    hits = 0
+    for _ in range(50):
+        (M1, tup1), (M2, tup2) = draw(), draw()
+        mid = [P.substitute("y1", M1) for P in prob.P]
+        if (verify_candidate(prob, M1, tup1, prob.P, "y1")[0]
+                and all(F.degree_in("y2") >= 1 for F in mid)):
+            hits += verify_candidate(prob, M2, tup2, mid, "y2")[0]
+    assert main(["density", "--ring", "GF(2)", "--P", "y1*y2 + x1", "--deg", "1",
+                 "--samples", "50", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["witnesses"] == hits
+    rep = schinzel_search_multi(prob)
+    assert rep.tested == 50 and len(rep.witnesses) == hits
+    assert sum(rep.rejected.values()) == 50 - hits
 
 
 def test_density_twin_positive():
