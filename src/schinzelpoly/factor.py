@@ -438,33 +438,63 @@ def _digits_fit(part, whole, D):
     return True
 
 
-def _zx_factor_squarefree(f):
-    """Irreducible factors of a primitive squarefree f with lc > 0, deg >= 1.
-
-    The first ZX_SCREEN_PRIMES good primes (not dividing lc, so the degree
-    is kept) screen f: an irreducible reduction proves f irreducible.  The
-    Hensel prime is the first good prime modulo which f stays squarefree.
-    """
-    n = u_deg(f)
-    if n == 1:
-        return [list(f)]
+def _zx_screen(f):
+    """Whether the reduction of a primitive f with lc > 0 and deg >= 2 is
+    irreducible modulo one of the first ZX_SCREEN_PRIMES good primes (those
+    not dividing lc, so the degree is kept).  That proves f irreducible, and
+    so squarefree, in Z[x]."""
     lc = f[-1]
-    hensel = None
     screened = 0
     for p in _odd_primes():
         if lc % p == 0:
             continue
         K = PrimeField(p)
+        if u_is_irreducible(u_trim([c % p for c in f], K), K):
+            return True
+        screened += 1
+        if screened == ZX_SCREEN_PRIMES:
+            return False
+
+
+def _zx_factor_squarefree(f):
+    """Irreducible factors of a primitive squarefree f with lc > 0, deg >= 1:
+    the screen, then _zx_hensel_factors."""
+    if u_deg(f) == 1 or _zx_screen(f):
+        return [list(f)]
+    return _zx_hensel_factors(f)
+
+
+def _zx_is_irreducible(f):
+    """Irreducibility in Z[x] of a primitive dense f of degree >= 1, with a
+    leading coefficient of either sign.
+
+    The screen runs first, since an irreducible reduction proves f
+    squarefree too.  Only when it fails does the squarefree test run (a
+    nontrivial gcd(f, f') means reducible), and only then the Hensel-prime
+    search, lifting and recombination.
+    """
+    if f[-1] < 0:
+        f = [-c for c in f]
+    if u_deg(f) == 1 or _zx_screen(f):
+        return True
+    if len(zx_gcd(f, zx_deriv(f))) > 1:
+        return False
+    return len(_zx_hensel_factors(f)) == 1
+
+
+def _zx_hensel_factors(f):
+    """Irreducible factors of a primitive squarefree f with lc > 0, deg >= 2,
+    by lifting its factorization modulo the Hensel prime, the first good
+    prime modulo which f stays squarefree, and recombining the lifts."""
+    n = u_deg(f)
+    lc = f[-1]
+    for p in _odd_primes():
+        if lc % p == 0:
+            continue
+        K = PrimeField(p)
         fbar = u_trim([c % p for c in f], K)
-        if screened < ZX_SCREEN_PRIMES:
-            screened += 1
-            if u_is_irreducible(fbar, K):
-                return [list(f)]
-        if hensel is None and u_deg(u_gcd(fbar, u_deriv(fbar, K), K)) == 0:
-            hensel = p, K, fbar
-        if hensel is not None and screened == ZX_SCREEN_PRIMES:
+        if u_deg(u_gcd(fbar, u_deriv(fbar, K), K)) == 0:
             break
-    p, K, fbar = hensel
     _, fmonic = u_monic(fbar, K)
     rng = random.Random(0)
     modular = sorted(_ff_factor_monic_squarefree(fmonic, K, rng))
@@ -731,10 +761,8 @@ def _dense_image(f: MultiPoly, var):
     a positive rational to a primitive integer list."""
     c = dense_in_var(f, var)
     if isinstance(f.ring, RationalField):
-        lcm = 1
-        for v in c:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        c = zx_primitive([int(v * lcm) for v in c])[1]
+        lcm = math.lcm(*(v.denominator for v in c))
+        c = zx_primitive([v.numerator * (lcm // v.denominator) for v in c])[1]
     return c
 
 
@@ -950,17 +978,18 @@ def _is_irreducible_auto(f, seed, need_witness):
 
     if len(effective) == 1:
         var = effective[0]
-        if isinstance(ring, (PrimeField, ExtField)):
-            if isinstance(ring, PrimeField) and ring.p == 2:
-                ok = gf2_is_irreducible(_gf2_from_dense([int(v) for v in dense_in_var(f, var)]))
-            else:
-                ok = u_is_irreducible(dense_in_var(f, var), ring)
-            if ok:
-                return IrreducibilityCertificate(True, "irreducible", None, "univariate-ff")
-            witness = _first_witness(f, seed) if need_witness else None
-            return IrreducibilityCertificate(False, "reducible", witness, "univariate-ff")
-        if isinstance(ring, (IntegerRing, RationalField)):
-            return _is_irreducible_via_factor(f, seed)
+        if isinstance(ring, PrimeField) and ring.p == 2:
+            ok = gf2_is_irreducible(_gf2_from_dense([int(v) for v in dense_in_var(f, var)]))
+        elif ring.is_finite:
+            ok = u_is_irreducible(dense_in_var(f, var), ring)
+        else:
+            ok = _zx_is_irreducible(_dense_image(f, var))
+        # over Z and Q the method stays "kronecker", the name envelopes and route counts use
+        method = "univariate-ff" if ring.is_finite else "kronecker"
+        if ok:
+            return IrreducibilityCertificate(True, "irreducible", None, method)
+        witness = _first_witness(f, seed) if need_witness else None
+        return IrreducibilityCertificate(False, "reducible", witness, method)
 
     cert = _try_specialization_certificate(f, effective, seed)
     if cert is not None:

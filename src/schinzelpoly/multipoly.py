@@ -12,6 +12,8 @@ never -1, so sentinel arithmetic cannot slip through silently.
 from __future__ import annotations
 
 import heapq
+import math
+from fractions import Fraction
 from operator import mul
 
 from .errors import (
@@ -22,13 +24,17 @@ from .errors import (
 from .rings import (
     IntegerRing,
     PrimeField,
+    RationalField,
     Ring,
     RingElement,
-    u_add,
+    dense_trim,
     u_gcd,
-    u_mul,
     u_trim,
+    zm_add,
+    zm_mul,
+    zx_add,
     zx_gcd,
+    zx_mul,
 )
 
 NEG_INF = float("-inf")
@@ -317,7 +323,7 @@ class MultiPoly:
         if value_poly.ring != self.ring:
             raise RingMismatchError("substitution value lives in a different ring")
         g = value_poly if value_poly.vars == new_vars else value_poly.embed(new_vars)
-        if len(new_vars) == 1 and isinstance(self.ring, PrimeField):
+        if len(new_vars) == 1 and isinstance(self.ring, (IntegerRing, RationalField, PrimeField)):
             return self._substitute_dense(i, g)
         coeffs = []
         for c in self.coeffs_in(name):
@@ -329,23 +335,42 @@ class MultiPoly:
         return acc
 
     def _substitute_dense(self, i, g):
-        """substitute() for a bivariate self over GF(p): dense Horner in the
-        one remaining variable, on the packed GF(p) kernels."""
+        """substitute() for a bivariate self over Z, Q or GF(p): dense Horner
+        in the one remaining variable, on the zx_* kernels (zm_* mod p).
+
+        Over Q the Horner runs on integers.  With self = P/a and g = h/b for
+        integral P = sum_k c_k y^k of degree D in y and integral h,
+        self(g) = sum_k c_k h^k b^(D-k) / (a b^D).
+        """
         K = self.ring
         j = 1 - i  # index of the remaining variable
-        m = [K.zero] * (g.degree_vector()[0] + 1)
-        for (e,), v in g.terms.items():
-            m[e] = v
-        m = u_trim(m, K)
+        p = K.p if isinstance(K, PrimeField) else 0
+        terms, gterms, b = self.terms, g.terms, 1
+        if isinstance(K, RationalField):
+            a = math.lcm(*(v.denominator for v in terms.values()))
+            b = math.lcm(*(v.denominator for v in gterms.values()))
+            terms = {e: v.numerator * (a // v.denominator) for e, v in terms.items()}
+            gterms = {e: v.numerator * (b // v.denominator) for e, v in gterms.items()}
+        h = [0] * (g.degree_vector()[0] + 1)
+        for (e,), v in gterms.items():
+            h[e] = v
+        h = dense_trim(h)
         rows = [{} for _ in range(self.degree_vector()[i] + 1)]
-        for e, v in self.terms.items():
+        for e, v in terms.items():
             rows[e[i]][e[j]] = v
         acc = []
+        w = 1  # b^(D-k) at row k
         for row in reversed(rows):
-            c = [K.zero] * (max(row, default=-1) + 1)
+            c = [0] * (max(row, default=-1) + 1)
             for e, v in row.items():
                 c[e] = v
-            acc = u_add(u_mul(acc, m, K), c, K)
+            if w != 1:
+                c = [v * w for v in c]
+            acc = zm_add(zm_mul(acc, h, p), c, p) if p else zx_add(zx_mul(acc, h), c)
+            w *= b
+        if isinstance(K, RationalField):
+            den = a * b ** (len(rows) - 1)
+            return MultiPoly(K, g.vars, {(e,): Fraction(v, den) for e, v in enumerate(acc) if v})
         return MultiPoly(K, g.vars, {(e,): v for e, v in enumerate(acc) if v})
 
     def partial_eval(self, assignment):

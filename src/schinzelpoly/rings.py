@@ -384,6 +384,12 @@ def zx_mul(a, b):
     return dense_trim(out)
 
 
+def zx_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return dense_trim([x + y for x, y in zip(a, b)] + a[len(b):])
+
+
 def zx_sub(a, b):
     n = max(len(a), len(b))
     return dense_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
@@ -727,8 +733,8 @@ class IntegerRing(Ring):
             raise ValueError("Z needs a coefficient bound to define a finite box")
         return list(_spiral(coeff_bound))
 
-    def element_stream(self, coeff_bound=None):
-        return _spiral(coeff_bound)
+    def element_stream(self):
+        return _spiral()
 
 
 class RationalField(Ring):
@@ -794,8 +800,8 @@ class RationalField(Ring):
             raise ValueError("Q needs a coefficient bound to define a finite box")
         return [Fraction(n) for n in _spiral(coeff_bound)]
 
-    def element_stream(self, coeff_bound=None):
-        return (Fraction(n) for n in _spiral(coeff_bound))
+    def element_stream(self):
+        return (Fraction(n) for n in _spiral())
 
 
 class PrimeField(Ring):
@@ -1227,8 +1233,8 @@ class PolyRing(Ring):
                     out.append(tuple(lower) + (lead,))
         return out
 
-    def element_stream(self, coeff_bound=None):
-        base_box = self.base.element_box(coeff_bound=coeff_bound)
+    def element_stream(self):
+        base_box = self.base.element_box()
         nonzero = [v for v in base_box if not self.base.is_zero(v)]
         yield ()
         d = 0

@@ -405,6 +405,41 @@ def test_threads_accepted_without_changing_the_result(capsys, args):
     assert capsys.readouterr().out == one
 
 
+IRRED_REDUCIBLE_ENVELOPE = """{
+  "command": "irred",
+  "inputs": {
+    "poly": "%s",
+    "vars": [
+      "x1"
+    ]
+  },
+  "result": {
+    "irreducible": false,
+    "method": "kronecker",
+    "reason": "reducible",
+    "witness_factor": "%s"
+  },
+  "ring": "%s",
+  "timing_ms": null,
+  "tool": "schinzelpoly",
+  "verification": "passed",
+  "version": "0.1.0"
+}
+"""
+
+
+@pytest.mark.parametrize("poly, ring, witness", [
+    ("x1^2 - 1", "Z", "x1 - 1"),
+    ("4*x1^2 - 9", "Q", "x1 - 3/2"),
+    ("x1^4 + 2*x1^2 + 1", "Z", "x1^2 + 1"),        # (x1^2 + 1)^2
+])
+def test_irred_reducible_univariate_envelope_is_pinned(capsys, poly, ring, witness):
+    # decided on the dense image; the witness is the first factor of the
+    # full factorization, and the method name stays "kronecker"
+    assert main(["irred", poly, "--ring", ring]) == 0
+    assert capsys.readouterr().out == IRRED_REDUCIBLE_ENVELOPE % (poly, witness, ring)
+
+
 def test_envelope_timing_null_by_default(capsys, tmp_path):
     rc, env = run_cli(["irred", "x^2+1", "--ring", "Z"], capsys, tmp_path)
     assert env["timing_ms"] is None

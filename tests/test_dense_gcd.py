@@ -7,6 +7,7 @@ dependency; they are skipped when it is not installed.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from schinzelpoly import rings
 from schinzelpoly.errors import BudgetExceededError
 from schinzelpoly.factor import factor_multivariate
 from schinzelpoly.multipoly import MultiPoly, VarSet, poly_gcd
-from schinzelpoly.rings import GF, ZZ, PrimeField, u_is_irreducible, zx_gcd
+from schinzelpoly.rings import GF, QQ, ZZ, PrimeField, u_is_irreducible, zx_gcd
 
 V1 = VarSet(("x",))
 V2 = VarSet(("x1", "x"))  # the polynomials below involve only x, the second
@@ -341,3 +342,87 @@ def test_primes_dividing_the_leading_coefficient_do_not_screen():
     # (3x + 1)(x + 1) is x + 1 mod 3, irreducible there only because the degree fell
     f = zx_mul([1, 3], [1, 1])
     assert sorted(factor_mod._zx_factor_squarefree(f)) == [[1, 1], [1, 3]]
+
+
+# ---------------------------------------------------------------------------
+# _zx_is_irreducible: the decision on the dense image, screen before Yun.
+# ---------------------------------------------------------------------------
+
+def zx_decision_cases(seed, count):
+    """Primitive dense Z[x] inputs of degree 1-8: products of up to three
+    random parts, some repeated, either sign of the leading coefficient."""
+    rng = random.Random(seed)
+    fixed = [[1, 0, 2, 0, 1],                     # (x^2 + 1)^2
+             [-1, 0, -2, 0, -1],                  # -(x^2 + 1)^2
+             [1, 0, 1],                           # x^2 + 1
+             [-3, 0, -1],                         # -x^2 - 3
+             zx_mul([1, 1], [1, 1]),              # (x + 1)^2
+             zx_mul([-2, 0, 1], zx_mul([1, 1], [1, 1])),
+             swinnerton_dyer([2, 3, 5, 7])]
+    out = list(fixed)
+    while len(out) < count:
+        f = [1]
+        for _ in range(rng.randint(1, 3)):
+            part = rand_zx(rng, rng.randint(1, 3), bound=5)
+            for _ in range(rng.choice([1, 1, 2])):
+                f = zx_mul(f, part)
+        f = rings.zx_primitive(f)[1]
+        if 2 <= len(f) <= 9:
+            out.append(f)
+    return out
+
+
+def single_irreducible(fac):
+    return len(fac.factors) == 1 and fac.factors[0][1] == 1
+
+
+def test_zx_is_irreducible_matches_factoring_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    seen = set()
+    for f in zx_decision_cases(seed=29, count=160):
+        got = factor_mod._zx_is_irreducible(f)
+        assert got == single_irreducible(factor_multivariate(poly(ZZ, V1, f))), f
+        coeff, pairs = sympy.factor_list(sympy.Poly(list(reversed(f)), x, domain="ZZ"))
+        assert got == (len(pairs) == 1 and pairs[0][1] == 1), f
+        seen.add((got, f[-1] > 0, len(zx_gcd(f, rings.zx_deriv(f))) > 1))
+    # irreducible and reducible, both signs, and squarefree or not among the reducible
+    assert {(True, True), (True, False), (False, True), (False, False)} <= {s[:2] for s in seen}
+    assert (False, True, True) in seen and (False, True, False) in seen
+
+
+def test_zx_is_irreducible_over_q_through_the_dense_image():
+    rng = random.Random(31)
+    for f in zx_decision_cases(seed=37, count=80):
+        den = rng.choice([1, 2, 3, 6, 35])
+        scale = Fraction(rng.choice([1, -1, 3, -5]), rng.choice([1, 2, 7]))
+        F = poly(QQ, V2, [Fraction(c, den) * scale for c in f])
+        image = factor_mod._dense_image(F, "x")
+        assert image in (f, [-c for c in f])
+        assert factor_mod._zx_is_irreducible(image) == single_irreducible(factor_multivariate(F)), f
+
+
+def test_non_squarefree_input_is_decided_before_any_hensel_prime_search(monkeypatch):
+    f = [1, 0, 2, 0, 1]  # (x^2 + 1)^2: a square modulo every prime, so the screen fails
+    screened = []
+    test = factor_mod.u_is_irreducible
+
+    def no_search(*args):
+        raise AssertionError("a non-squarefree input reached the Hensel-prime search")
+
+    monkeypatch.setattr(factor_mod, "u_is_irreducible",
+                        lambda g, K: screened.append(K.p) or test(g, K))
+    monkeypatch.setattr(factor_mod, "_zx_hensel_factors", no_search)
+    assert factor_mod._zx_is_irreducible(f) is False
+    assert factor_mod._zx_is_irreducible([-c for c in f]) is False
+    assert screened == [3, 5, 7, 11, 13, 17] * 2
+
+
+def test_screened_input_skips_the_squarefree_test(monkeypatch):
+    def no_gcd(*args):
+        raise AssertionError("the screen should have decided before the squarefree test")
+
+    monkeypatch.setattr(factor_mod, "zx_gcd", no_gcd)
+    monkeypatch.setattr(factor_mod, "_zx_hensel_factors", no_gcd)
+    assert factor_mod._zx_is_irreducible([-7, 0, 1]) is True     # irreducible mod 5
+    assert factor_mod._zx_is_irreducible([3, 0, -1]) is True     # -x^2 + 3

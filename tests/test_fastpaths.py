@@ -269,6 +269,69 @@ def test_substitute_constant_and_cancelling_image():
     assert MultiPoly.zero(K, vars).substitute("y", x_sq).is_zero()
 
 
+def sparse_horner(P, name, M):
+    """P(M) by Horner on whole MultiPolys in the remaining variables."""
+    i = P.vars.index(name)
+    new_vars = P.vars.without(name)
+    acc = MultiPoly.zero(P.ring, new_vars)
+    for c in reversed(P.coeffs_in(name)):
+        acc = acc * M + MultiPoly(P.ring, new_vars, {e[:i] + e[i + 1:]: v for e, v in c.terms.items()})
+    return acc
+
+
+def rand_rational_poly(rng, vars, deg, nterms):
+    """Coefficients with denominators up to 6, most of them not integers."""
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(rng.randrange(deg + 1) for _ in vars)
+        terms[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return MultiPoly.from_terms(QQ, vars, terms)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
+@pytest.mark.parametrize("yfirst", [True, False])
+def test_substitute_dense_over_z_and_q_matches_sparse_horner(ring, yfirst):
+    rng = random.Random(7 * yfirst + (ring is QQ))
+    vars = VarSet(("y", "x1")) if yfirst else VarSet(("x1", "y"))
+    xv = VarSet(("x1",))
+    make = rand_poly if ring is ZZ else (lambda rng, ring, vars, deg, n: rand_rational_poly(rng, vars, deg, n))
+    for _ in range(60):
+        P = make(rng, ring, vars, 6, rng.randrange(1, 8))
+        M = make(rng, ring, xv, rng.randrange(0, 6), rng.randrange(0, 5))
+        got = P.substitute("y", M)
+        assert got.vars == xv
+        assert got == sparse_horner(P, "y", M) == ref_substitute(P, "y", M)
+        if ring is QQ:
+            assert all(type(v) is Fraction for v in got.terms.values())
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
+def test_substitute_dense_over_z_and_q_edges(ring):
+    vars = VarSet(("x1", "y"))
+    xv = VarSet(("x1",))
+    c = ring.from_int
+    half, third = (Fraction(1, 2), Fraction(-1, 3)) if ring is QQ else (c(1), c(-1))
+    P = MultiPoly(ring, vars, {(0, 2): half, (1, 0): c(2), (0, 0): third})  # half*y^2 + 2*x1 + third
+    # a constant image
+    three = MultiPoly.constant(ring, xv, c(3))
+    assert P.substitute("y", three) == MultiPoly(ring, xv, {(1,): c(2), (0,): half * 9 + third})
+    # the zero image and the zero polynomial
+    assert P.substitute("y", MultiPoly.zero(ring, xv)) == MultiPoly(ring, xv, {(1,): c(2), (0,): third})
+    x_sq = MultiPoly(ring, xv, {(2,): half})
+    assert MultiPoly.zero(ring, vars).substitute("y", x_sq).is_zero()
+    # y - half*x1^2 at y = half*x1^2 cancels to zero, and so does a y^2 term
+    Q = MultiPoly(ring, vars, {(0, 1): c(1), (2, 0): -half})
+    assert Q.substitute("y", x_sq).is_zero()
+    R = MultiPoly(ring, vars, {(0, 2): c(1), (4, 0): -half * half, (1, 0): c(5)})
+    assert R.substitute("y", x_sq) == MultiPoly(ring, xv, {(1,): c(5)})
+    if ring is QQ:
+        # denominators of P and of the image combine: (y/2 + 1/3)(y = x1/3 + 1/5)
+        S = MultiPoly(QQ, vars, {(0, 1): Fraction(1, 2), (0, 0): Fraction(1, 3)})
+        img = MultiPoly(QQ, xv, {(1,): Fraction(1, 3), (0,): Fraction(1, 5)})
+        assert S.substitute("y", img) == MultiPoly(QQ, xv, {(1,): Fraction(1, 6),
+                                                             (0,): Fraction(13, 30)})
+
+
 # ---------------------------------------------------------------------------
 # try_divexact: the heap-ordered division against repeated leading-term
 # subtraction on whole polynomials
