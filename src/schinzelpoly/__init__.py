@@ -19,7 +19,6 @@ from .multipoly import (
 )
 from .factor import (
     Factorization,
-    KroneckerMap,
     brute_force_irreducible,
     capelli_check,
     factor_multivariate,
@@ -27,7 +26,6 @@ from .factor import (
     factor_univariate_integers,
     is_irreducible,
     kronecker_fold,
-    kronecker_unfold,
 )
 from .schinzel import (
     SchinzelProblem,
@@ -53,10 +51,9 @@ __all__ = [
     "ring_factor", "ring_gcd", "ring_is_unit",
     "MultiPoly", "VarSet", "content", "degree_in", "degree_vector",
     "format_poly", "poly_gcd", "primitive_part", "substitute_y", "total_degree",
-    "Factorization", "KroneckerMap", "brute_force_irreducible", "capelli_check",
+    "Factorization", "brute_force_irreducible", "capelli_check",
     "factor_multivariate", "factor_univariate_finite_field",
     "factor_univariate_integers", "is_irreducible", "kronecker_fold",
-    "kronecker_unfold",
     "SchinzelProblem", "SearchConstraints", "SearchReport",
     "check_fixed_divisor", "density_probe", "schinzel_search",
     "schinzel_search_multi",

@@ -306,21 +306,17 @@ def cmd_goldbach(args):
     t0 = time.perf_counter()
     try:
         dec = goldbach_decompose(Q, relaxed_var=relaxed_var, budget=args.budget)
-    except ExhaustiveNoneError as e:
+    except (ExhaustiveNoneError, BudgetExceededError) as e:
+        none = isinstance(e, ExhaustiveNoneError)
+        dt = (time.perf_counter() - t0) * 1000
         env = make_envelope("goldbach", ring, inputs,
-                            {"status": "exhausted-none", "tested": e.tested},
-                            timing_ms=None)
+                            {"status": "exhausted-none" if none else "budget-exhausted",
+                             "tested": e.tested},
+                            timing_ms=dt if args.timings else None)
         emit(env, args.out)
-        note(f"goldbach: exhaustively none ({e})")
-        return EXIT_NONE
-    except BudgetExceededError as e:
-        env = make_envelope("goldbach", ring, inputs,
-                            {"status": "budget-exhausted", "tested": e.tested},
-                            timing_ms=None)
-        emit(env, args.out)
-        note(f"goldbach: budget exhausted ({e})")
-        return EXIT_BUDGET
-    dt = (time.perf_counter() - t0) * 1000
+        note(f"goldbach: {'exhaustively none' if none else 'budget exhausted'} ({e})")
+        return EXIT_NONE if none else EXIT_BUDGET
+    dt = (time.perf_counter() - t0) * 1000 if args.timings else None
     ok = dec.verify()
     result = {
         "status": "found",
@@ -332,8 +328,7 @@ def cmd_goldbach(args):
         "tested": dec.tested,
     }
     env = make_envelope("goldbach", ring, inputs, result,
-                        verification="passed" if ok else "failed",
-                        timing_ms=dt if args.timings else None)
+                        verification="passed" if ok else "failed", timing_ms=dt)
     emit(env, args.out)
     note(f"goldbach: {format_poly(Q)} = ({format_poly(dec.F)}) + ({format_poly(dec.G)})")
     return EXIT_OK if ok else EXIT_USAGE
@@ -371,8 +366,10 @@ def cmd_spectrum(args):
         res = spectrum_construct(spec, budget=args.budget, seed=args.seed,
                                  coeff_bound=args.coeff_bound)
     except BudgetExceededError as e:
+        dt = (time.perf_counter() - t0) * 1000
         env = make_envelope("spectrum", ring, inputs,
-                            {"status": "budget-exhausted", "tested": e.tested})
+                            {"status": "budget-exhausted", "tested": e.tested},
+                            timing_ms=dt if args.timings else None)
         emit(env, args.out)
         note(f"spectrum: budget exhausted ({e})")
         return EXIT_BUDGET
@@ -405,9 +402,12 @@ def swan_scan(P: MultiPoly, xname: str, yname: str, max_deg: int,
     if not ring.is_finite:
         raise AlgebraError("swan-scan needs a finite field")
     q = ring.order
-    total = q ** (max_deg + 1)
-    if total > enumeration_cap:
-        raise BudgetExceededError(f"enumeration of {total} candidates is too large")
+    total = 1
+    for _ in range(max_deg + 1):
+        total *= q  # q^(max_deg + 1) itself can have millions of digits
+        if total > enumeration_cap:
+            raise BudgetExceededError(f"enumeration of {q}^{max_deg + 1} candidates "
+                                      f"exceeds the cap of {enumeration_cap}")
     support = [(i,) for i in range(max_deg + 1)]
     irreducible = 0
     witnesses = []
@@ -671,12 +671,13 @@ def _threads(text):
     return n
 
 
-def _add_common(sp, ring=True):
+def _add_common(sp, ring=True, budget=False):
     if ring:
         sp.add_argument("--ring", default=os.environ.get(_RING_ENV, "Z"),
                         help="coefficient ring: Z, Q, GF(p), GF(p^k), GF(p)[u], Q[u]")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=100_000)
+    if budget:
+        sp.add_argument("--budget", type=int, default=100_000)
     sp.add_argument("--threads", type=_threads, default=1,
                     help="accepted for compatibility; every command runs on one thread")
     sp.add_argument("--out", default=None, help="write the JSON envelope to this path")
@@ -719,7 +720,7 @@ def build_parser():
     sp.add_argument("--exact-degrees", action="store_true")
     sp.add_argument("--paper-mode", action="store_true")
     sp.add_argument("--max-witnesses", type=int, default=None)
-    _add_common(sp)
+    _add_common(sp, budget=True)
     sp.set_defaults(func=cmd_schinzel)
 
     sp = sub.add_parser("density", help="witness-fraction probe")
@@ -733,7 +734,7 @@ def build_parser():
     sp.add_argument("--exact-degrees", action="store_true")
     sp.add_argument("--paper-mode", action="store_true")
     sp.add_argument("--strategy", default="random", choices=("random",))
-    _add_common(sp)
+    _add_common(sp, budget=True)
     sp.set_defaults(func=cmd_density)
 
     sp = sub.add_parser("goldbach", help="decompose Q into two irreducibles")
@@ -742,7 +743,7 @@ def build_parser():
     sp.add_argument("--relaxed-degx", action="store_true",
                     help="per-variable degree clause deg_x1(F) <= deg_x1(Q) "
                          "(finite fields, n >= 2)")
-    _add_common(sp)
+    _add_common(sp, budget=True)
     sp.set_defaults(func=cmd_goldbach)
 
     sp = sub.add_parser("spectrum", help="rational function with a prescribed spectrum")
@@ -755,7 +756,7 @@ def build_parser():
     sp.add_argument("--w", action="append", required=True)
     sp.add_argument("--deg", required=True)
     sp.add_argument("--coeff-bound", type=int, default=2)
-    _add_common(sp, ring=False)
+    _add_common(sp, ring=False, budget=True)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("swan-scan", help="exhaustive P(x, M) scan over all M")

@@ -357,8 +357,8 @@ def _goldbach_finite_field(Q: MultiPoly, relaxed_var, budget):
         bounds[vi] = dv
         monomials = sorted(
             e for e in itertools.product(*[range(b + 1) for b in bounds])
-            if sum(e) >= 1 and (other_bound == 0 or max(e[j] for j in range(len(vars)) if j != vi) == other_bound
-                                or sum(e) == 0))
+            if sum(e) >= 1 and (other_bound == 0
+                                or max(e[j] for j in range(len(vars)) if j != vi) == other_bound))
         found = binomial_pass(monomials, "relaxed-search")
         if found is not None:
             return found

@@ -1,12 +1,14 @@
 """Irreducibility testing and factorization.
 
-Univariate over GF(q): squarefree decomposition (with p-th-root descent),
-distinct-degree, then seeded equal-degree splitting.  Univariate over Z/Q:
-Yun squarefree decomposition, factorization mod a good prime, quadratic
+Univariate factoring has one entry on dense coefficient lists,
+_factor_dense, for univariate inputs, Kronecker images and k[u] elements.
+Over GF(q): squarefree decomposition (with p-th-root descent),
+distinct-degree, then seeded equal-degree splitting.  Over Z/Q: Yun
+squarefree decomposition, factorization mod a good prime, quadratic
 Hensel lifting to a Landau-Mignotte-style bound, and subset recombination
 with trailing-coefficient pruning.  Multivariate: Kronecker substitution
-x_i -> x^(D^(i-1)) with D = 1 + max partial degree, univariate
-factorization of the image, and recombination of sub-multisets of its
+x_i -> x^(D^(i-1)) with D = 1 + max partial degree, the dense image
+factored by _factor_dense, and recombination of sub-multisets of its
 factors (equal factors enumerated once per count) on dense coefficient
 lists, with shared prefix products.  A sub-multiset is pruned by the
 base-D digits of its leading and trailing exponents, then accepted exactly
@@ -23,10 +25,11 @@ polygon proves irreducibility; Gao 2001, Gao-Lauder 2001); then univariate
 tests and specialization.  method="kronecker" skips them all and stays an
 independent oracle.
 
-k[u] coefficients are handled by folding u in as one more variable over
-the base field; content over k[u] is split off first, so no u-only factor
-can survive into the recombination.  Irreducibility over k[u] with unit
-content is decided on the same lifted form, so every shortcut applies.
+k[u] takes the dispatch Z takes: its content is split off first and
+factored as a k[u] element, so no u-only factor can survive, and the
+primitive part is factored with u folded in as one more variable over the
+base field.  Irreducibility over k[u] with unit content is decided on the
+same lifted form, so every shortcut applies.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .rings import (
     PrimeField,
     RationalField,
     RingElement,
+    ZZ,
     factor_int,
     is_perfect_power,
     is_prime,
@@ -129,22 +133,6 @@ class Factorization:
 # Kronecker substitution.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KroneckerMap:
-    """The fold x_i -> x^(D^(i-1)), injective on partial degrees < D."""
-
-    D: int
-    n: int
-    source: tuple
-    target: str = "x"
-
-    def fold(self, f: MultiPoly) -> MultiPoly:
-        return kronecker_fold(f, self.D, target=self.target)
-
-    def unfold(self, g: MultiPoly, vars: VarSet) -> MultiPoly:
-        return kronecker_unfold(g, self.D, len(vars), vars)
-
-
 def kronecker_fold(f: MultiPoly, D: int, target: str = "x") -> MultiPoly:
     """Fold a multivariate polynomial to one variable; needs D > all partial degrees."""
     degs = f.degree_vector()
@@ -158,25 +146,6 @@ def kronecker_fold(f: MultiPoly, D: int, target: str = "x") -> MultiPoly:
             E += ei * D ** i
         out[(E,)] = v
     return MultiPoly(f.ring, tvars, out)
-
-
-def kronecker_unfold(g: MultiPoly, D: int, n: int, vars: VarSet) -> MultiPoly:
-    """Inverse of the fold on images of the bounded-degree box."""
-    if len(vars) != n:
-        raise ValueError("variable count mismatch")
-    if g.vars.names and len(g.vars) != 1:
-        raise ValueError("unfold expects a univariate polynomial")
-    if not g.is_zero() and g.total_degree() >= D ** n:
-        raise ValueError(f"degree {g.total_degree()} too large for a D={D}, n={n} unfold")
-    out = {}
-    for e, v in g.terms.items():
-        E = e[0]
-        digits = []
-        for _ in range(n):
-            digits.append(E % D)
-            E //= D
-        out[tuple(digits)] = v
-    return MultiPoly(g.ring, vars, out)
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +531,7 @@ def factor_multivariate(f: MultiPoly, seed: int = 0) -> Factorization:
     ring, vars = f.ring, f.vars
     if f.is_zero():
         raise ZeroInputError("cannot factor the zero polynomial")
-    if isinstance(ring, PolyRing):
-        return _factor_over_polyring(f, seed)
-    if not isinstance(ring, (IntegerRing, RationalField, PrimeField, ExtField)):
+    if not isinstance(ring, (IntegerRing, RationalField, PrimeField, ExtField, PolyRing)):
         raise UnsupportedRingError(f"factorization over {ring} is not supported")
 
     pairs = []
@@ -585,24 +552,52 @@ def factor_multivariate(f: MultiPoly, seed: int = 0) -> Factorization:
 
 
 def _factor_primitive(pp: MultiPoly, seed):
-    """Factor a canonical primitive nonconstant polynomial over Z/Q/GF(q)."""
+    """Factor a canonical primitive nonconstant polynomial over Z, Q, GF(q)
+    or k[u]; the factors are canonical, and their product is pp."""
     ring = pp.ring
+    if isinstance(ring, PolyRing):
+        # Factor the lifted form over the base field.  A product of
+        # canonical factors is canonical, like pp, so the units dropped by
+        # normalizing the unlifted factors multiply to 1.
+        out = []
+        for g, mult in factor_multivariate(_lift_u(pp), seed).factors:
+            back = _unlift_u(g, ring, pp.vars)
+            if back.is_constant():
+                raise ArithmeticError("u-only factor survived content splitting")
+            out.append((back.monic_normalize()[1], mult))
+        return out
     effective = [n for n in pp.vars.names if pp.degree_in(n) > 0]
     if len(effective) == 1:
         var = effective[0]
-        if isinstance(ring, (PrimeField, ExtField)):
-            return _factor_univariate_ff(pp, var, seed)
-        if isinstance(ring, IntegerRing):
-            return _factor_univariate_int(pp, var)
-        return _factor_univariate_q(pp, var)
+        return [(poly_from_dense(ring, pp.vars, var, fac), mult)
+                for fac, mult in _factor_dense(dense_in_var(pp, var), ring, seed)]
     return _factor_kronecker(pp, effective, seed)
 
 
-def _factor_univariate_ff(pp, var, seed):
-    K = pp.ring
-    dense = dense_in_var(pp, var)
-    _, facs = _ff_factor_dense(dense, K, seed=seed)
-    return [(poly_from_dense(K, pp.vars, var, fac), m) for fac, m in facs]
+def _factor_dense(c, K, seed=0):
+    """The univariate factorization of a dense list c over GF(q), Z or Q:
+    [(irreducible factor, mult)], monic over GF(q) and Q, primitive with
+    lc > 0 over Z.  Over Z and Q the factors are those of c's primitive
+    integer image.  The unit and content of c are dropped, so a constant
+    has none.  Sorted like Factorization: by degree, then by the nonzero
+    terms from the top."""
+    if len(c) < 2:
+        return []
+    if K.is_finite:
+        out = _ff_factor_dense(c, K, seed)[1]
+    else:
+        f = _integer_image(c)
+        if f[-1] < 0:
+            f = [-v for v in f]
+        out = [(fac, mult) for part, mult in _yun_squarefree(f)
+               for fac in _zx_factor_squarefree(part)]
+        if isinstance(K, RationalField):
+            out = [([Fraction(v, fac[-1]) for v in fac], mult) for fac, mult in out]
+
+    def key(fm):
+        g = fm[0]
+        return len(g), [(i, g[i]) for i in range(len(g) - 1, -1, -1) if g[i]]
+    return sorted(out, key=key)
 
 
 def _yun_squarefree(f):
@@ -626,22 +621,6 @@ def _yun_squarefree(f):
         d = zx_sub(c, zx_deriv(b))
         i += 1
     return out
-
-
-def _zx_factor(f):
-    """[(irreducible factor, mult)] of a primitive dense f over Z with lc > 0."""
-    return [(fac, mult) for part, mult in _yun_squarefree(f)
-            for fac in _zx_factor_squarefree(part)]
-
-
-def _factor_univariate_int(pp, var):
-    return [(poly_from_dense(pp.ring, pp.vars, var, fac), mult)
-            for fac, mult in _zx_factor(dense_in_var(pp, var))]
-
-
-def _factor_univariate_q(pp, var):
-    return [(poly_from_dense(pp.ring, pp.vars, var, [Fraction(c, fac[-1]) for c in fac]), mult)
-            for fac, mult in _zx_factor(_dense_image(pp, var))]
 
 
 def _normalize_candidate(cand: MultiPoly):
@@ -669,9 +648,8 @@ def _factor_kronecker(pp: MultiPoly, effective, seed):
     sub_vars = VarSet(tuple(effective))
     collapsed = pp.embed(vars) if vars.names == sub_vars.names else _restrict(pp, sub_vars)
     D = 1 + max(collapsed.degree_in(v) for v in sub_vars.names)
-    folded = _normalize_candidate(kronecker_fold(collapsed, D, target=sub_vars.names[0]))
-    types = sorted(_factor_primitive(folded, seed), key=lambda fm: _factor_sort_key(fm[0]))
     var = sub_vars.names[0]
+    whole = _dense_image(kronecker_fold(collapsed, D, target=var), var)
     if ring.is_finite:
         def mul(a, b):
             return u_mul(a, b, ring)
@@ -680,9 +658,11 @@ def _factor_kronecker(pp: MultiPoly, effective, seed):
             return u_divmod(a, b, ring)[0]
     else:
         mul, div = zx_mul, zx_try_div
-    polys = [_dense_image(f, var) for f, _ in types]
+    # The image keeps its unit: _factor_dense drops it, and every cofactor
+    # whole / prod carries it, so no test below depends on it.
+    types = _factor_dense(whole, ring if ring.is_finite else ZZ, seed)
+    polys = [f for f, _ in types]
     counts = [m for _, m in types]
-    whole = _dense_image(folded, var)
     target = list(collapsed.degree_vector())
     # digits[i][E]: the exponent of the i-th variable in the unfold of x^E
     digits = [[E // D ** i % D for E in range(len(whole))] for i in range(len(sub_vars))]
@@ -760,10 +740,14 @@ def _dense_image(f: MultiPoly, var):
     """Dense coefficients of f in var, its only variable; over Q scaled by
     a positive rational to a primitive integer list."""
     c = dense_in_var(f, var)
-    if isinstance(f.ring, RationalField):
-        lcm = math.lcm(*(v.denominator for v in c))
-        c = zx_primitive([v.numerator * (lcm // v.denominator) for v in c])[1]
-    return c
+    return _integer_image(c) if isinstance(f.ring, RationalField) else c
+
+
+def _integer_image(c):
+    """The primitive integer list that is a positive rational multiple of the
+    dense list c over Z or Q."""
+    lcm = math.lcm(*(v.denominator for v in c))
+    return zx_primitive([v.numerator * (lcm // v.denominator) for v in c])[1]
 
 
 def _unfolded_degrees(c, digits):
@@ -842,43 +826,12 @@ def _unlift_u(g: MultiPoly, ring: PolyRing, vars: VarSet):
     return MultiPoly(ring, vars, terms)
 
 
-def _factor_over_polyring(f: MultiPoly, seed):
-    ring: PolyRing = f.ring
-    vars = f.vars
-    pairs = []
-    c = f.content_value()  # monic u-polynomial
-    pp = f.div_scalar(c)
-    cunit, cfactors = ring.factor_value(c, seed=seed)
-    for value, mult in cfactors:
-        pairs.append((MultiPoly.constant(ring, vars, value), mult))
-    sign, pp = pp.monic_normalize()
-    unit_value = ring.mul(cunit, sign)
-
-    if not pp.is_constant():
-        lifted = _lift_u(pp)
-        base_fac = factor_multivariate(lifted, seed=seed)
-        uval = base_fac.unit.value
-        unit_value = ring.mul(unit_value, (uval,) if not ring.base.is_zero(uval) else ring.zero)
-        for g, mult in base_fac.factors:
-            back = _unlift_u(g, ring, vars)
-            if back.is_constant():
-                raise ArithmeticError("u-only factor survived content splitting")
-            u2, back = back.monic_normalize()
-            unit_value = ring.mul(unit_value, ring.pow(u2, mult))
-            pairs.append((back, mult))
-    return Factorization.build(ring, vars, unit_value, pairs)
-
-
-def factor_poly_ring_value(ring: PolyRing, a, seed=0):
-    """Factor a k[u] ring element; returns (unit value, [(value, mult)])."""
-    base = ring.base
-    V = VarSet(("u",))
-    f = MultiPoly.from_terms(base, V, {(i,): c for i, c in enumerate(a)})
-    if f.is_zero():
+def factor_poly_ring_value(ring: PolyRing, a):
+    """Factor a nonzero k[u] element: (unit value, [(monic value, mult)]),
+    the unit being its leading coefficient."""
+    if not a:
         raise ZeroInputError("cannot factor 0")
-    fac = factor_multivariate(f, seed=seed)
-    unit = (fac.unit.value,)
-    return unit, [(tuple(dense_in_var(g, "u")), m) for g, m in fac.factors]
+    return (a[-1],), [(tuple(fac), mult) for fac, mult in _factor_dense(list(a), ring.base)]
 
 
 # ---------------------------------------------------------------------------

@@ -518,15 +518,9 @@ def _pollard_rho(n):
         while d == 1:
             x = f(x)
             y = f(f(y))
-            d = _int_gcd(abs(x - y), n)
+            d = math.gcd(x - y, n)
         if d != n:
             return d
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def factor_int(n):
@@ -703,7 +697,7 @@ class IntegerRing(Ring):
         return 1, a
 
     def gcd(self, a, b):
-        return _int_gcd(abs(a), abs(b))
+        return math.gcd(a, b)
 
     def is_unit(self, a):
         return a in (1, -1)
@@ -1214,12 +1208,10 @@ class PolyRing(Ring):
         s = self.format(a)
         return any(ch in s for ch in "+-*^() ") or s == "u"
 
-    def factor_value(self, a, seed=0):
-        if not a:
-            raise ZeroInputError("cannot factor 0")
+    def factor_value(self, a):
         from . import factor as _factor  # deferred; factor builds on this module
 
-        return _factor.factor_poly_ring_value(self, a, seed=seed)
+        return _factor.factor_poly_ring_value(self, a)
 
     def element_box(self, coeff_bound=None, deg_bound=None):
         if deg_bound is None:

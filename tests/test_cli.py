@@ -455,3 +455,46 @@ def test_ring_env_variable(capsys, tmp_path, monkeypatch):
     rc, env = run_cli(["irred", "x^2+x+1"], capsys, tmp_path)
     assert env["ring"] == "GF(2)"
     assert env["result"]["irreducible"] is True
+
+
+@pytest.mark.parametrize("args", [
+    ["goldbach", "--ring", "GF(2)", "--Q", "x^2+x"],                   # exhausted-none
+    ["goldbach", "--ring", "GF(2)", "--Q", "x^2+x", "--budget", "1"],  # budget-exhausted
+    ["spectrum", "--field", "Q", "--S", "1", "--a0", "0", "--w", "x1", "--deg", "2",
+     "--budget", "1"],                                                 # budget-exhausted
+], ids=["goldbach-none", "goldbach-budget", "spectrum-budget"])
+def test_timings_reach_failure_envelopes(capsys, tmp_path, args):
+    rc, env = run_cli(args, capsys, tmp_path)
+    assert rc in (2, 3) and env["result"]["status"] != "found"
+    assert env["timing_ms"] is None
+    rc2, timed = run_cli(args + ["--timings"], capsys, tmp_path, name="timed.json")
+    assert rc2 == rc and timed["result"] == env["result"]
+    assert isinstance(timed["timing_ms"], float)
+
+
+@pytest.mark.parametrize("args", [["factor", "x"], ["irred", "x"],
+                                  ["swan-scan", "--ring", "GF(2)", "--P", "y + x",
+                                   "--max-deg", "1"]], ids=lambda a: a[0])
+def test_budget_only_on_commands_that_read_it(capsys, args):
+    assert main(args + ["--budget", "5"]) == 1
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_deg", [10_000, 10 ** 8])
+def test_swan_scan_cap_is_checked_without_the_full_count(capsys, tmp_path, max_deg):
+    args = ["swan-scan", "--ring", "GF(3)", "--P", "y^3 + x^2 + 1"]
+    t0 = time.perf_counter()
+    assert main(args + ["--max-deg", str(max_deg)]) == 3
+    err = capsys.readouterr().err
+    assert f"3^{max_deg + 1} candidates exceeds the cap of {1 << 22}" in err
+    assert "Traceback" not in err and "digits" not in err
+    # verify re-runs the scan with the envelope's max_deg
+    env = json.loads(emitted_envelope(tmp_path, args + ["--max-deg", "1"]))
+    env["inputs"]["max_deg"] = max_deg
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(env))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert "exceeds the cap" in err and "Traceback" not in err
+    assert time.perf_counter() - t0 < 1.0

@@ -2,25 +2,28 @@
 
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from schinzelpoly.errors import BudgetExceededError, ZeroInputError
 from schinzelpoly.factor import (
-    KroneckerMap,
+    _factor_dense,
+    _unfold_dense,
     brute_force_factor,
     brute_force_irreducible,
     capelli_check,
     factor_multivariate,
+    factor_poly_ring_value,
     factor_univariate_finite_field,
     factor_univariate_integers,
     gf2_is_irreducible,
     is_irreducible,
     kronecker_fold,
-    kronecker_unfold,
 )
-from schinzelpoly.multipoly import MultiPoly, VarSet
-from schinzelpoly.rings import GF, QQ, ZZ, PolyRing
+from schinzelpoly.multipoly import MultiPoly, VarSet, dense_in_var
+from schinzelpoly.rings import GF, QQ, ZZ, PolyRing, u_trim
 from schinzelpoly.textform import parse_poly
 
 F2 = GF(2)
@@ -48,13 +51,20 @@ def test_kronecker_fold_examples():
     assert str(kronecker_fold(g, 3)) == "x^5 + 1"
 
 
+def unfold(g, D, vars):
+    """The unfold the Kronecker route uses, on the dense image of g."""
+    c = dense_in_var(g, "x")
+    digits = [[E // D ** i % D for E in range(len(c))] for i in range(len(vars))]
+    return _unfold_dense(c, g.ring, vars, digits)
+
+
 def test_kronecker_unfold_examples():
     g = parse_poly("x^3 + x", QQ, V1)
-    assert kronecker_unfold(g, 3, 2, V2) == parse_poly("x1 + x2", QQ, V2)
+    assert unfold(g, 3, V2) == parse_poly("x1 + x2", QQ, V2)
     h = parse_poly("x^5 + 1", QQ, V1)
-    assert kronecker_unfold(h, 3, 2, V2) == parse_poly("x1^2*x2 + 1", QQ, V2)
+    assert unfold(h, 3, V2) == parse_poly("x1^2*x2 + 1", QQ, V2)
     z = MultiPoly.zero(QQ, V1)
-    assert kronecker_unfold(z, 3, 2, V2).is_zero()
+    assert unfold(z, 3, V2).is_zero()
 
 
 def test_kronecker_roundtrip_random():
@@ -67,7 +77,7 @@ def test_kronecker_roundtrip_random():
             if c:
                 terms[e] = c
         f = MultiPoly.from_terms(ZZ, V2, terms)
-        assert kronecker_unfold(kronecker_fold(f, D), D, 2, V2) == f
+        assert unfold(kronecker_fold(f, D), D, V2) == f
 
 
 def test_kronecker_multiplicative():
@@ -92,15 +102,6 @@ def test_kronecker_bound_errors():
     f = parse_poly("x1^3", QQ, V2)
     with pytest.raises(ValueError):
         kronecker_fold(f, 3)
-    g = parse_poly("x^9", QQ, V1)
-    with pytest.raises(ValueError):
-        kronecker_unfold(g, 3, 2, V2)
-
-
-def test_kronecker_map_record():
-    m = KroneckerMap(D=3, n=2, source=("x1", "x2"))
-    f = parse_poly("x1*x2", QQ, V2)
-    assert m.unfold(m.fold(f), V2) == f
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +272,104 @@ def test_polyring_coefficients():
     for g, _ in fac.factors:
         if not g.is_constant():
             assert is_irreducible(g)
+
+
+def ku_units(base):
+    box = base.element_box() if base.is_finite else [base.from_int(n) for n in (-3, -2, -1, 1, 2, 3)]
+    return [v for v in box if not base.is_zero(v)]
+
+
+def random_ku_value(base, rng, deg, lc_choices):
+    """A k[u] value of u-degree deg whose leading coefficient is drawn from lc_choices."""
+    elems = [base.zero] + ku_units(base)
+    return tuple(u_trim([rng.choice(elems) for _ in range(deg)] + [rng.choice(lc_choices)], base))
+
+
+def random_ku_poly(ring, rng, vars, dx):
+    """A polynomial of x-degree dx over k[u] whose x-leading coefficient has
+    u-degree <= 1 and a u-leading coefficient other than 1.  The other
+    coefficients reach u-degree 3, so the graded-lex leading term of the
+    lifted form in k[x, u] is often not the x-leading one."""
+    base = ring.base
+    others = [v for v in ku_units(base) if v != base.one]
+    terms = {(dx,): random_ku_value(base, rng, rng.randint(0, 1), others)}
+    for i in range(dx):
+        value = random_ku_value(base, rng, rng.randint(0, 3), [base.zero] + ku_units(base))
+        if value:
+            terms[(i,)] = value
+    return MultiPoly.from_terms(ring, vars, terms)
+
+
+@pytest.mark.parametrize("base", [F3, F4, QQ], ids=str)
+def test_ku_factoring_with_nontrivial_units(base):
+    # every unit is 1 over GF(2)[u]; here the factors' u-leading coefficients
+    # are not, so the canonical forms must come out of the lifted route
+    ring = PolyRing(base)
+    Vx = VarSet(("x",))
+    rng = random.Random(9)
+    for _ in range(12):
+        f = MultiPoly.constant(ring, Vx, random_ku_value(base, rng, rng.randint(0, 2), ku_units(base)))
+        for _ in range(rng.randint(2, 3)):
+            f = f * random_ku_poly(ring, rng, Vx, rng.randint(1, 2))
+        fac = factor_multivariate(f)
+        assert fac.recompose_over(Vx) == f, f
+        for g, _ in fac.factors:
+            assert g.monic_normalize()[0] == ring.one, g
+        for seed in range(1, 4):
+            again = factor_multivariate(f, seed=seed)
+            assert again.unit == fac.unit and fstrs(again) == fstrs(fac), (f, seed)
+
+
+@pytest.mark.parametrize("base", [F3, F5, QQ], ids=str)
+def test_factor_poly_ring_value_matches_sympy(base):
+    sympy = pytest.importorskip("sympy")
+    ring = PolyRing(base)
+    u = sympy.Symbol("u")
+    rng = random.Random(13)
+    for _ in range(30):
+        a = random_ku_value(base, rng, 0, ku_units(base))
+        for _ in range(rng.randint(1, 4)):
+            a = ring.mul(a, ring.pow(random_ku_value(base, rng, rng.randint(1, 3), ku_units(base)),
+                                     rng.randint(1, 2)))
+        unit, pairs = factor_poly_ring_value(ring, a)
+        assert unit == (a[-1],)
+        expr = sum(sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * u ** i
+                   for i, c in enumerate(a))
+        if base.is_finite:
+            _, got = sympy.factor_list(expr, u, modulus=base.p)
+            want = Counter({tuple(int(c) % base.p for c in
+                                  reversed(sympy.Poly(q, u, modulus=base.p).monic().all_coeffs())): m
+                            for q, m in got})
+        else:
+            _, got = sympy.factor_list(expr, u)
+            want = Counter({tuple(Fraction(int(c.p), int(c.q)) for c in
+                                  reversed(sympy.Poly(q, u, domain="QQ").monic().all_coeffs())): m
+                            for q, m in got})
+        assert Counter(dict(pairs)) == want, a
+
+
+def test_factor_dense_drops_unit_and_content():
+    # Z: primitive factors with lc > 0, by degree, then terms from the top
+    assert _factor_dense([-6, 0, -6], ZZ) == [([1, 0, 1], 1)]
+    assert _factor_dense([2, -3, -2], ZZ) == [([2, 1], 1), ([-1, 2], 1)]
+    # Q: the monic factors of the primitive integer image
+    assert _factor_dense([Fraction(1), Fraction(-3, 2), Fraction(-1)], QQ) == \
+        [([Fraction(-1, 2), Fraction(1)], 1), ([Fraction(2), Fraction(1)], 1)]
+    assert _factor_dense([2, 0, 2], F3) == [([1, 0, 1], 1)]
+    assert _factor_dense([5], ZZ) == _factor_dense([2], F3) == []
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
+def test_kronecker_image_with_negative_leading_coefficient(ring):
+    sympy = pytest.importorskip("sympy")
+    f = parse_poly("x1^3 - x2^2", ring, V2) * parse_poly("x1 + x2 + 1", ring, V2)
+    assert dense_in_var(kronecker_fold(f, 1 + max(f.degree_vector())), "x")[-1] < 0
+    fac = factor_multivariate(f)
+    assert fac.recompose_over(V2) == f and fac.unit.value == 1
+    x1, x2 = sympy.symbols("x1 x2")
+    _, want = sympy.factor_list((x1 ** 3 - x2 ** 2) * (x1 + x2 + 1), x1, x2)
+    assert sorted((str(g).replace("^", "**"), m) for g, m in fac.factors) == \
+        sorted((str(q), m) for q, m in want)
 
 
 def test_factor_zero_raises():
