@@ -671,11 +671,12 @@ def _threads(text):
     return n
 
 
-def _add_common(sp, ring=True, budget=False):
+def _add_common(sp, ring=True, budget=False, seed=True):
     if ring:
         sp.add_argument("--ring", default=os.environ.get(_RING_ENV, "Z"),
                         help="coefficient ring: Z, Q, GF(p), GF(p^k), GF(p)[u], Q[u]")
-    sp.add_argument("--seed", type=int, default=0)
+    if seed:
+        sp.add_argument("--seed", type=int, default=0)
     if budget:
         sp.add_argument("--budget", type=int, default=100_000)
     sp.add_argument("--threads", type=_threads, default=1,
@@ -702,7 +703,7 @@ def build_parser():
     sp = sub.add_parser("irred", help="test irreducibility")
     sp.add_argument("poly")
     sp.add_argument("--vars", type=int, default=None)
-    _add_common(sp)
+    _add_common(sp, seed=False)
     sp.set_defaults(func=cmd_irred)
 
     sp = sub.add_parser("schinzel", help="search for witnesses M")
@@ -743,7 +744,7 @@ def build_parser():
     sp.add_argument("--relaxed-degx", action="store_true",
                     help="per-variable degree clause deg_x1(F) <= deg_x1(Q) "
                          "(finite fields, n >= 2)")
-    _add_common(sp, budget=True)
+    _add_common(sp, budget=True, seed=False)
     sp.set_defaults(func=cmd_goldbach)
 
     sp = sub.add_parser("spectrum", help="rational function with a prescribed spectrum")

@@ -6,9 +6,11 @@ loop serves the single-y search, the multi-y search and the density probe:
 it specializes y_1, ..., y_m in turn with candidates enumerated (or
 sampled) from the box, checks that every intermediate polynomial keeps the
 standing hypotheses, verifies irreducibility of every P_i at the last y,
-and keeps an exact accounting of rejections.  Exhaustive runs over finite
-boxes are complete: an empty witness list is a proof of non-existence
-inside the box.
+and keeps an exact accounting of rejections.  Each candidate is verified
+exactly once: a witness keeps the certificates of the verification that
+accepted it, and the independent re-check is `verify` on the emitted
+envelope.  Exhaustive runs over finite boxes are complete: an empty
+witness list is a proof of non-existence inside the box.
 
 Enumeration order over Z boxes follows a balanced spiral per coefficient
 (0, 1, -1, 2, -2, ...) graded by max-norm, so small witnesses surface
@@ -282,6 +284,10 @@ def verify_candidate(problem: SchinzelProblem, M: MultiPoly, tup=(), polys=None,
 
 @dataclass
 class Witness:
+    """M (a tuple (M_1, ..., M_m) for several y) and the method names of
+    the irreducibility certificates, one per P_i, that the search's own
+    verify_candidate call returned at the last y."""
+
     M: MultiPoly
     certificates: list
 
@@ -312,25 +318,6 @@ class SearchReport:
         if self.complete:
             return "exhausted-none"
         return "budget-exhausted"
-
-
-def _reverify(problem, witnesses):
-    """Certificates are re-checked at report time, never trusted."""
-    ynames = problem.yvars.names
-    for w in witnesses:
-        Ms = w.M if isinstance(w.M, tuple) else (w.M,)
-        polys = problem.P
-        for yname, M in zip(ynames, Ms[:-1]):
-            polys = [P.substitute(yname, M) for P in polys]
-        ok, reason, certs = verify_candidate(problem, Ms[-1], _tuple_of(problem, Ms[-1]),
-                                             polys, ynames[-1])
-        if not ok:
-            raise RuntimeError(f"stale witness {[str(M) for M in Ms]}: {reason}")
-        w.certificates = certs
-
-
-def _tuple_of(problem, M):
-    return tuple(M.terms.get(e, problem.ring.zero) for e in problem.support)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +448,10 @@ def schinzel_search_multi(problem: SchinzelProblem) -> SearchReport:
     polynomials must keep positive degree in the remaining y variables and
     stay irreducible (the standing hypotheses), otherwise the whole
     subtree is rejected and accounted for.  A witness is one M for a
-    single y and the tuple (M_1, ..., M_m) otherwise.
+    single y and the tuple (M_1, ..., M_m) otherwise; it carries the
+    certificates from the one verification that accepted it.
     """
-    _, report = _search(problem, problem.constraints)
-    _reverify(problem, report.witnesses)
-    return report
+    return _search(problem, problem.constraints)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,25 @@ def test_verify_rejects_tampered_envelope(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args, rejected", [
+    (["schinzel", "--ring", "Z", "--P", "y", "--P", "y+2", "--deg", "2",
+      "--coeff-bound", "2"], "x1^2"),
+    (["schinzel", "--ring", "GF(2)", "--P", "y1*y2 + x1", "--deg", "1"], ["1", "x1"]),
+], ids=["single-y", "multi-y"])
+def test_verify_rejects_a_witness_the_box_rejected(capsys, tmp_path, args, rejected):
+    env = json.loads(emitted_envelope(tmp_path, args))
+    res = env["result"]
+    # the whole box was searched, so a value missing from the witnesses
+    # is one the search rejected
+    assert res["complete"] and rejected not in [w["M"] for w in res["witnesses"]]
+    res["witnesses"][0]["M"] = rejected
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(env))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 1
+    assert "does not re-verify" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("poly, tampered", [("x^2 - 1", "x - 1"), ("6*x + 6", "2")],
                          ids=["polynomial-factor", "constant-factor"])
 def test_verify_rejects_a_huge_multiplicity_quickly(capsys, tmp_path, poly, tampered):
@@ -478,6 +497,13 @@ def test_timings_reach_failure_envelopes(capsys, tmp_path, args):
 def test_budget_only_on_commands_that_read_it(capsys, args):
     assert main(args + ["--budget", "5"]) == 1
     assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["irred", "x"], ["goldbach", "--Q", "x"]],
+                         ids=lambda a: a[0])
+def test_seed_only_on_commands_that_read_it(capsys, args):
+    assert main(args + ["--seed", "7"]) == 1
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("max_deg", [10_000, 10 ** 8])

@@ -164,6 +164,35 @@ def test_ff_random_recomposition():
                 assert is_irreducible(g)
 
 
+def _field_poly(K, vars, build):
+    """build(x_1, ..., x_n, c) with the variables of vars over K and c
+    turning an integer into a constant."""
+    xs = [MultiPoly.variable(K, vars, name) for name in vars.names]
+    return build(*xs, lambda k: MultiPoly.constant(K, vars, K.from_int(k)))
+
+
+V3 = VarSet(("x1", "x2", "x3"))
+
+
+# x^(q^k) - x is the product of the monic irreducibles of degree dividing
+# k, each once; Artin-Schreier x^p - x - a (a != 0) is irreducible over GF(p)
+@pytest.mark.parametrize("K, vars, build, shape", [
+    (F3, V1, lambda x, c: x ** 9 - x, {(1, 1): 3, (2, 1): 3}),
+    (F3, V1, lambda x, c: x ** 27 - x, {(1, 1): 3, (3, 1): 8}),
+    (F2, V1, lambda x, c: x ** 64 - x, {(1, 1): 2, (2, 1): 1, (3, 1): 2, (6, 1): 9}),
+    (GF(7), V1, lambda x, c: x ** 7 - x - c(1), {(7, 1): 1}),
+    (F5, V1, lambda x, c: x ** 5 - x - c(2), {(5, 1): 1}),
+    (GF(3, 2), V2, lambda x1, x2, c: (x1 + x2) ** 9, {(1, 9): 1}),
+    (F2, V3, lambda x1, x2, x3, c: (x1 ** 2 + x2 * x3 + c(1)) ** 4, {(2, 4): 1}),
+], ids=["x^9-x/GF(3)", "x^27-x/GF(3)", "x^64-x/GF(2)", "artin-schreier/GF(7)",
+        "artin-schreier/GF(5)", "(x1+x2)^9/GF(9)", "(x1^2+x2*x3+1)^4/GF(2)"])
+def test_adversarial_finite_field_families(K, vars, build, shape):
+    f = _field_poly(K, vars, build)
+    fac = factor_multivariate(f)
+    assert Counter((g.total_degree(), m) for g, m in fac.factors) == shape
+    assert fac.recompose_over(vars) == f
+
+
 # ---------------------------------------------------------------------------
 # Univariate over Z and Q
 # ---------------------------------------------------------------------------

@@ -200,8 +200,9 @@ def test_multi_complete_when_max_witnesses_hits_last_candidate(max_witnesses, te
     assert (rep.tested, rep.complete) == (tested, complete)
 
 
-def test_verify_candidate_once_per_candidate_and_witness(monkeypatch, capsys):
-    # the twin golden tests 8 candidates and re-verifies its 5 witnesses
+def test_verify_candidate_once_per_candidate(monkeypatch, capsys):
+    # the twin golden tests 8 candidates; its 5 witnesses keep the
+    # certificates of their one verification
     case = json.loads((pathlib.Path(__file__).parent / "golden"
                        / "schinzel_twin_small.json").read_text())
     calls = []
@@ -215,7 +216,26 @@ def test_verify_candidate_once_per_candidate_and_witness(monkeypatch, capsys):
     assert main(case["args"]) == case["exit_code"]
     env = json.loads(capsys.readouterr().out)
     assert env["result"]["tested"] == 8 and len(env["result"]["witnesses"]) == 5
-    assert len(calls) == 13
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("ring, ptexts, yvars, d, kw", [
+    (ZZ, ["y", "y+2"], ("y1",), (2,), dict(coeff_bound=2, max_witnesses=5)),
+    (ZZ, ["y1*y2 + 1"], ("y1", "y2"), (1,), dict(coeff_bound=1, max_witnesses=5)),
+    (F2, ["y1*y2 + x1"], ("y1", "y2"), (1,), dict(strategy="random", seed=3, budget=40)),
+], ids=["twin-golden", "multi-y", "multi-y-random"])
+def test_witness_certificates_match_a_fresh_verification(ring, ptexts, yvars, d, kw):
+    prob = problem(ring, Vx, VarSet(yvars), ptexts, d, **kw)
+    rep = schinzel_search_multi(prob)
+    assert rep.found
+    for w in rep.witnesses:
+        Ms = w.M if isinstance(w.M, tuple) else (w.M,)
+        polys = prob.P
+        for yname, M in zip(yvars, Ms[:-1]):
+            polys = [P.substitute(yname, M) for P in polys]
+        fresh = verify_candidate(prob, Ms[-1], polys=polys, yname=yvars[-1])
+        assert fresh == (True, "witness", w.certificates)
+        assert len(w.certificates) == len(prob.P)
 
 
 def test_multi_agrees_with_single_on_m1():
