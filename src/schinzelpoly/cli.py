@@ -613,6 +613,18 @@ def _verify_density(env):
     return same, "re-ran probe"
 
 
+def _refused_input(inputs):
+    """Why an envelope's inputs could not have come from the parser, or None:
+    a bound below its floor describes an empty or meaningless box, and
+    nothing proved over it holds."""
+    for key, low in _FLOORS.items():
+        value = inputs.get(key)
+        for v in value if isinstance(value, list) else [value]:
+            if v is not None and v < low:
+                return f"input {key} = {value} is below {low}"
+    return None
+
+
 _VERIFIERS = {
     "factor": _verify_factor,
     "irred": _verify_irred,
@@ -643,7 +655,8 @@ def cmd_verify(args):
         note(f"verify: no checker for command {command!r}")
         return EXIT_USAGE
     try:
-        ok, detail = checker(env)
+        refused = _refused_input(env["inputs"])
+        ok, detail = (False, refused) if refused else checker(env)
     except (KeyError, IndexError, TypeError, AttributeError) as e:
         # a missing field, or a field of the wrong shape
         note(f"error: malformed envelope {args.envelope}: {type(e).__name__}: {e}")
@@ -661,14 +674,26 @@ def cmd_verify(args):
 # Argument parsing.
 # ---------------------------------------------------------------------------
 
-def _threads(text):
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError("threads must be >= 1")
-    return n
+# the least value of each integer option: anything lower is refused with
+# exit 1 (by the parser, and for the list --deg by the command), and verify
+# fails an envelope whose inputs record it
+_FLOORS = {"budget": 1, "coeff_bound": 0, "deg": 0, "deg_u": 0, "deg_u_target": 0,
+           "max_deg": 0, "max_witnesses": 1, "threads": 1}
+
+
+def _at_least_floor(key):
+    """The argparse type of the option for key: an int >= _FLOORS[key]."""
+    low, name = _FLOORS[key], key.replace("_", "-")
+
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}")
+        return n
+    return parse
 
 
 def _add_common(sp, ring=True, budget=False, seed=True):
@@ -678,8 +703,8 @@ def _add_common(sp, ring=True, budget=False, seed=True):
     if seed:
         sp.add_argument("--seed", type=int, default=0)
     if budget:
-        sp.add_argument("--budget", type=int, default=100_000)
-    sp.add_argument("--threads", type=_threads, default=1,
+        sp.add_argument("--budget", type=_at_least_floor("budget"), default=100_000)
+    sp.add_argument("--threads", type=_at_least_floor("threads"), default=1,
                     help="accepted for compatibility; every command runs on one thread")
     sp.add_argument("--out", default=None, help="write the JSON envelope to this path")
     sp.add_argument("--timings", action="store_true",
@@ -714,13 +739,13 @@ def build_parser():
                     help="n; must match the length of --deg")
     sp.add_argument("--strategy", choices=("exhaustive", "random"),
                     default="exhaustive")
-    sp.add_argument("--coeff-bound", type=int, default=None)
-    sp.add_argument("--deg-u", type=int, default=None,
+    sp.add_argument("--coeff-bound", type=_at_least_floor("coeff_bound"), default=None)
+    sp.add_argument("--deg-u", type=_at_least_floor("deg_u"), default=None,
                     help="degree-in-u bound for k[u] coefficient boxes")
-    sp.add_argument("--deg-u-target", type=int, default=None)
+    sp.add_argument("--deg-u-target", type=_at_least_floor("deg_u_target"), default=None)
     sp.add_argument("--exact-degrees", action="store_true")
     sp.add_argument("--paper-mode", action="store_true")
-    sp.add_argument("--max-witnesses", type=int, default=None)
+    sp.add_argument("--max-witnesses", type=_at_least_floor("max_witnesses"), default=None)
     _add_common(sp, budget=True)
     sp.set_defaults(func=cmd_schinzel)
 
@@ -729,9 +754,9 @@ def build_parser():
     sp.add_argument("--deg", required=True)
     sp.add_argument("--vars", type=int, default=None)
     sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--coeff-bound", type=int, default=None)
-    sp.add_argument("--deg-u", type=int, default=None)
-    sp.add_argument("--deg-u-target", type=int, default=None)
+    sp.add_argument("--coeff-bound", type=_at_least_floor("coeff_bound"), default=None)
+    sp.add_argument("--deg-u", type=_at_least_floor("deg_u"), default=None)
+    sp.add_argument("--deg-u-target", type=_at_least_floor("deg_u_target"), default=None)
     sp.add_argument("--exact-degrees", action="store_true")
     sp.add_argument("--paper-mode", action="store_true")
     sp.add_argument("--strategy", default="random", choices=("random",))
@@ -756,13 +781,13 @@ def build_parser():
     sp.add_argument("--V", default="1")
     sp.add_argument("--w", action="append", required=True)
     sp.add_argument("--deg", required=True)
-    sp.add_argument("--coeff-bound", type=int, default=2)
+    sp.add_argument("--coeff-bound", type=_at_least_floor("coeff_bound"), default=2)
     _add_common(sp, ring=False, budget=True)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("swan-scan", help="exhaustive P(x, M) scan over all M")
     sp.add_argument("--P", required=True, help="a polynomial in x and y")
-    sp.add_argument("--max-deg", type=int, required=True)
+    sp.add_argument("--max-deg", type=_at_least_floor("max_deg"), required=True)
     _add_common(sp)
     sp.set_defaults(func=cmd_swan_scan)
 

@@ -48,6 +48,7 @@ from .rings import (
     IntegerRing,
     PolyRing,
     PrimeField,
+    ROOT_SCAN_LIMIT,
     RationalField,
     RingElement,
     ZZ,
@@ -71,6 +72,7 @@ from .rings import (
     zm_add,
     zm_divmod,
     zm_mul,
+    zm_roots,
     zm_sub,
     zx_deriv,
     zx_gcd,
@@ -125,9 +127,6 @@ class Factorization:
             acc = acc * (f ** m)
         return acc
 
-    def is_single_irreducible(self):
-        return len(self.factors) == 1 and self.factors[0][1] == 1
-
 
 # ---------------------------------------------------------------------------
 # Kronecker substitution.
@@ -178,11 +177,19 @@ def _gf2_sq(a):
 
 
 def gf2_is_irreducible(a: int) -> bool:
-    """Irreducibility of an F_2[x] polynomial packed as an int bit mask."""
+    """Irreducibility of an F_2[x] polynomial packed as an int bit mask.
+
+    The roots come first, as in u_is_irreducible: f(0) is the constant bit
+    and f(1) the parity of the bit count.  A root makes degree >= 2
+    reducible, and degree 2 or 3 without one is irreducible."""
     n = a.bit_length() - 1
     if n <= 0:
         return False
     if n == 1:
+        return True
+    if not a & 1 or not a.bit_count() & 1:
+        return False
+    if n <= 3:
         return True
     m = (n + 1) // 2
     even_mask = ((1 << (2 * m)) - 1) // 3
@@ -274,9 +281,16 @@ def _ff_edf(g, d, K, rng):
 
 
 def _ff_factor_monic_squarefree(f, K, rng):
+    """Monic irreducible factors of a monic squarefree f.  Over GF(p) with
+    p <= ROOT_SCAN_LIMIT the linear part of the distinct-degree split is
+    split into x - a over its roots a, with no random splitting."""
+    scan = isinstance(K, PrimeField) and K.p <= ROOT_SCAN_LIMIT
     out = []
     for prod, d in u_ddf(f, K):
-        out.extend(_ff_edf(prod, d, K, rng))
+        if d == 1 and scan:
+            out.extend([-a % K.p, 1] for a in zm_roots(prod, K.p))
+        else:
+            out.extend(_ff_edf(prod, d, K, rng))
     return out
 
 
@@ -411,7 +425,10 @@ def _zx_screen(f):
     """Whether the reduction of a primitive f with lc > 0 and deg >= 2 is
     irreducible modulo one of the first ZX_SCREEN_PRIMES good primes (those
     not dividing lc, so the degree is kept).  That proves f irreducible, and
-    so squarefree, in Z[x]."""
+    so squarefree, in Z[x].  The screen primes are 3 to 17 unless lc has
+    small prime factors, all below ROOT_SCAN_LIMIT, so u_is_irreducible
+    decides a reduction of degree 2 or 3 by its roots alone, and rejects
+    any reduction with a root before a gcd."""
     lc = f[-1]
     screened = 0
     for p in _odd_primes():

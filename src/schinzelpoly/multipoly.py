@@ -17,6 +17,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import (
+    BudgetExceededError,
     RingMismatchError,
     VariableMismatchError,
     ZeroInputError,
@@ -38,6 +39,17 @@ from .rings import (
 )
 
 NEG_INF = float("-inf")
+
+# the largest exponent the parser accepts and the largest degree of a dense
+# coefficient list; a list that long takes about 8 MB
+DEGREE_CAP = 1 << 20
+
+
+def check_degree(d, what):
+    """Refuse a degree or exponent above DEGREE_CAP, before anything dense
+    is built from it."""
+    if d > DEGREE_CAP:
+        raise BudgetExceededError(f"{what} {d} exceeds the degree cap of {DEGREE_CAP}")
 
 
 class VarSet:
@@ -267,16 +279,6 @@ class MultiPoly:
         return MultiPoly(ring, self.vars,
                          {e: ring.mul(v, value) for e, v in self.terms.items()})
 
-    def mul_monomial(self, exps, coeff=None):
-        ring = self.ring
-        coeff = ring.one if coeff is None else coeff
-        if ring.is_zero(coeff):
-            return MultiPoly.zero(ring, self.vars)
-        exps = tuple(exps)
-        return MultiPoly(ring, self.vars,
-                         {tuple(a + b for a, b in zip(e, exps)): ring.mul(v, coeff)
-                          for e, v in self.terms.items()})
-
     # -- variable plumbing ---------------------------------------------------------
 
     def embed(self, new_vars: VarSet):
@@ -355,7 +357,9 @@ class MultiPoly:
         for (e,), v in gterms.items():
             h[e] = v
         h = dense_trim(h)
-        rows = [{} for _ in range(self.degree_vector()[i] + 1)]
+        dy = self.degree_vector()[i]
+        check_degree(dy, f"degree in {self.vars.names[i]}")
+        rows = [{} for _ in range(dy + 1)]
         for e, v in terms.items():
             rows[e[i]][e[j]] = v
         acc = []
@@ -606,6 +610,7 @@ def dense_in_var(f: MultiPoly, var):
     i = f.vars.index(var)
     d = f.degree_in(var)
     d = 0 if d == NEG_INF else int(d)
+    check_degree(d, f"degree in {var}")
     out = [f.ring.zero] * (d + 1)
     for e, v in f.terms.items():
         out[e[i]] = v

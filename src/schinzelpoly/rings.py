@@ -42,6 +42,9 @@ from .errors import ParseError, RingMismatchError, ZeroInputError
 # one ring method call per coefficient otherwise.  They implement GF(p^k)
 # and k[u] element arithmetic here and carry the finite-field factorizer;
 # u_ddf is its one distinct-degree loop, which u_is_irreducible also runs.
+# Over GF(p) with p <= ROOT_SCAN_LIMIT, zm_roots finds the roots by
+# evaluating at every element, which decides degrees 2 and 3 outright and
+# splits the linear part of a distinct-degree split.
 # zx_* below work in Z[x].
 # ---------------------------------------------------------------------------
 
@@ -51,6 +54,9 @@ _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _PACK_MIN_WORK = 24
 # up to this exponent u_powmod reduces x^e by one division, not by squaring
 _X_POW_DIRECT = 64
+# up to this prime p, evaluating at all p elements finds the roots in GF(p)
+# more cheaply than gcd(f, x^p - x) and equal-degree splitting
+ROOT_SCAN_LIMIT = 64
 
 
 def dense_trim(c):
@@ -101,6 +107,18 @@ def zm_mul(a, b, m):
             * int.from_bytes(struct.pack(f"<{lb}{code}", *b), "little"))
     slots = struct.unpack(f"<{n}{code}", prod.to_bytes(n * width, "little"))
     return dense_trim([v % m for v in slots])
+
+
+def zm_roots(f, p):
+    """The roots in GF(p) of a nonzero f, in increasing order, lazily:
+    f is evaluated by Horner at 0, 1, ..., p - 1."""
+    rev = f[::-1]
+    for a in range(p):
+        v = 0
+        for c in rev:
+            v = (v * a + c) % p
+        if not v:
+            yield a
 
 
 def zm_divmod(a, b, m):
@@ -305,10 +323,22 @@ def u_ddf(f, K):
 def u_is_irreducible(f, K):
     """Irreducibility in GF(q)[x]: f is squarefree and the first part of
     its distinct-degree split has the degree of f, so the test stops at the
-    first factor of lower degree, which makes reducible inputs cheap."""
+    first factor of lower degree, which makes reducible inputs cheap.
+
+    Over GF(p) with p <= ROOT_SCAN_LIMIT the roots come first: a root is a
+    linear factor, so f of degree >= 2 with one is reducible, and f of
+    degree 2 or 3 without one is irreducible, since a proper factor would
+    be linear (von zur Gathen & Gerhard, Modern Computer Algebra, §14).
+    Only degree >= 4 without a root goes on to the gcds and powers.
+    """
     n = u_deg(f)
     if n <= 1:
         return n == 1
+    if isinstance(K, PrimeField) and K.p <= ROOT_SCAN_LIMIT:
+        if next(zm_roots(f, K.p), None) is not None:
+            return False
+        if n <= 3:
+            return True
     fp = u_deriv(f, K)
     if not fp or u_deg(u_gcd(f, fp, K)) > 0:
         return False  # a p-th power, or not squarefree

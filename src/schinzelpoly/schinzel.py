@@ -291,9 +291,6 @@ class Witness:
     M: MultiPoly
     certificates: list
 
-    def __iter__(self):
-        yield self.M
-
 
 @dataclass
 class SearchReport:

@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, VariableMismatchError
-from .multipoly import MultiPoly, VarSet
+from .multipoly import MultiPoly, VarSet, check_degree
 from .rings import ExtField, PolyRing, RationalField, Ring
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()/]))")
@@ -109,6 +109,7 @@ class _Parser:
             kind2, e, pos2 = self.next()
             if kind2 != "num":
                 raise ParseError("expected an exponent", position=pos2)
+            check_degree(e, "exponent")
             return e
         return 1
 

@@ -8,8 +8,9 @@ import time
 import pytest
 
 from schinzelpoly.cli import main, swan_scan
-from schinzelpoly.errors import ParseError
-from schinzelpoly.multipoly import MultiPoly, VarSet, format_poly
+from schinzelpoly.errors import BudgetExceededError, ParseError
+from schinzelpoly.factor import factor_multivariate
+from schinzelpoly.multipoly import DEGREE_CAP, MultiPoly, VarSet, format_poly
 from schinzelpoly.rings import GF, QQ, ZZ, PolyRing
 from schinzelpoly.textform import infer_vars, parse_poly
 
@@ -524,3 +525,106 @@ def test_swan_scan_cap_is_checked_without_the_full_count(capsys, tmp_path, max_d
     err = capsys.readouterr().err
     assert "exceeds the cap" in err and "Traceback" not in err
     assert time.perf_counter() - t0 < 1.0
+
+
+# ---------------------------------------------------------------------------
+# Bounds below their floor, and exponents above the degree cap
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args, option", [
+    (["swan-scan", "--ring", "GF(2)", "--P", "y+x", "--max-deg", "-1"], "max-deg"),
+    (["schinzel", "--ring", "Z", "--P", "y", "--deg", "2", "--coeff-bound", "-1"], "coeff-bound"),
+    (["schinzel", "--ring", "GF(2)[u]", "--P", "y", "--deg", "1", "--deg-u", "-1"], "deg-u"),
+    (["schinzel", "--ring", "GF(2)[u]", "--P", "y", "--deg", "1", "--deg-u", "1",
+      "--deg-u-target", "-1"], "deg-u-target"),
+    (["schinzel", "--ring", "GF(2)", "--P", "y+x", "--deg", "1", "--max-witnesses", "0"],
+     "max-witnesses"),
+    (["schinzel", "--ring", "GF(2)", "--P", "y+x", "--deg", "1", "--budget", "0"], "budget"),
+    (["density", "--ring", "Z", "--P", "y", "--deg", "1", "--coeff-bound", "-3"], "coeff-bound"),
+    (["spectrum", "--field", "Q", "--S", "0,1", "--a0", "2", "--w", "x1", "--w", "x1+1",
+      "--deg", "4,4", "--coeff-bound", "-1"], "coeff-bound"),
+    (["goldbach", "--Q", "x^2+1", "--budget", "-1"], "budget"),
+], ids=lambda a: a if isinstance(a, str) else a[0])
+def test_bounds_below_their_floor_are_refused_by_the_parser(capsys, args, option):
+    # an empty or negative box used to come back as a proof (exit 2) or a
+    # scan of one candidate (exit 0)
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert f"argument --{option}: {option} must be >= " in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["swan-scan", "--ring", "GF(2)", "--P", "y+x", "--max-deg", "0"],
+    ["schinzel", "--ring", "Z", "--P", "y", "--deg", "1", "--coeff-bound", "0"],
+    ["schinzel", "--ring", "GF(2)", "--P", "y+x", "--deg", "1", "--max-witnesses", "1",
+     "--budget", "1"],
+], ids=["max-deg", "coeff-bound", "max-witnesses-and-budget"])
+def test_bounds_at_their_floor_are_accepted(capsys, tmp_path, args):
+    rc, env = run_cli(args, capsys, tmp_path)
+    assert rc in (0, 2, 3) and env["result"]
+    assert main(["verify", str(tmp_path / "env.json")]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("args, key, value", [
+    (["swan-scan", "--ring", "GF(2)", "--P", "y+x", "--max-deg", "1"], "max_deg", -1),
+    (["schinzel", "--ring", "Z", "--P", "y", "--P", "y+2", "--deg", "2",
+      "--coeff-bound", "3"], "coeff_bound", -1),
+    (["schinzel", "--ring", "Z", "--P", "y", "--P", "y+2", "--deg", "2",
+      "--coeff-bound", "3"], "deg", [-1]),
+    (["schinzel", "--ring", "GF(2)", "--P", "y^8 + x1^3", "--deg", "4"], "max_witnesses", 0),
+    (["goldbach", "--ring", "GF(2)", "--Q", "x^2+x"], "budget", 0),
+    (["density", "--deg-u", "2", "--ring", "GF(2)[u]", "--P", "y", "--deg", "1",
+      "--samples", "20"], "deg_u", -1),
+], ids=["swan-scan-max_deg", "schinzel-coeff_bound", "schinzel-deg", "schinzel-max_witnesses",
+        "goldbach-budget", "density-deg_u"])
+def test_verify_refuses_an_envelope_with_a_bound_below_its_floor(capsys, tmp_path, args,
+                                                                 key, value):
+    env = json.loads(emitted_envelope(tmp_path, args))
+    env["inputs"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(env))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 1
+    assert f"input {key} = {value} is below" in capsys.readouterr().err
+
+
+HUGE = "99999999999"  # above the cap, and too large for a dense list to be tried
+
+
+@pytest.mark.parametrize("args", [
+    ["factor", f"x^{HUGE}", "--ring", "GF(2)"],
+    ["irred", f"x^{HUGE}+1", "--ring", "Z"],
+    ["schinzel", "--ring", "GF(2)", "--P", f"y^{HUGE}+x", "--deg", "1"],
+    ["factor", f"(2)^{HUGE}*x", "--ring", "Z"],
+    ["irred", f"x^2 + t^{HUGE}", "--ring", "GF(2^2)"],
+], ids=["factor", "irred", "schinzel", "coefficient", "symbol"])
+def test_huge_exponents_are_refused_with_the_cap(capsys, args):
+    t0 = time.perf_counter()
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert f"exponent {HUGE} exceeds the degree cap of {DEGREE_CAP}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_verify_refuses_a_huge_exponent_with_the_cap(capsys, tmp_path):
+    env = json.loads(emitted_envelope(tmp_path, ["factor", "x^2 + x", "--ring", "GF(2)"]))
+    env["inputs"]["poly"] = f"x^{HUGE}"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(env))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 3
+    assert f"degree cap of {DEGREE_CAP}" in capsys.readouterr().err
+
+
+def test_dense_conversions_refuse_a_degree_above_the_cap():
+    # built without the parser, so only the dense conversions can refuse
+    big = int(HUGE)
+    f = MultiPoly(F2, VarSet(("x",)), {(big,): 1, (0,): 1})
+    with pytest.raises(BudgetExceededError, match=f"degree in x {big} exceeds the degree cap"):
+        factor_multivariate(f)
+    P = MultiPoly(F2, VarSet(("x", "y")), {(0, big): 1, (1, 0): 1})
+    with pytest.raises(BudgetExceededError, match=f"degree in y {big} exceeds the degree cap"):
+        P.substitute("y", MultiPoly(F2, VarSet(("x",)), {(1,): 1}))

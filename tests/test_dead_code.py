@@ -1,5 +1,6 @@
-"""Dead-code guard: every top-level function and class in the package is
-referenced somewhere in the package other than its own body."""
+"""Dead-code guard: every top-level function and class in the package, and
+every method of a top-level class that is not a dunder, is referenced
+somewhere in the package other than its own body."""
 
 import ast
 import pathlib
@@ -24,9 +25,27 @@ def _references(node):
     return counts
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _definitions(tree):
+    """(label, node) of each top-level def and class, labelled by name, and
+    of each non-dunder method of a top-level class, labelled Class.method.
+    A method counts as referenced by any use of its name, whatever the
+    receiver."""
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, FUNCTIONS) and not (
+                        sub.name.startswith("__") and sub.name.endswith("__")):
+                    yield f"{node.name}.{sub.name}", sub
+
+
 def unreferenced_definitions(src=SRC):
-    """(module, name) of each top-level def or class that nothing in src
-    references outside its own body."""
+    """(module, label) of each definition that nothing in src references
+    outside its own body."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
     total = Counter()
@@ -34,10 +53,9 @@ def unreferenced_definitions(src=SRC):
         total.update(_references(tree))
     unreferenced = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and total[node.name] == _references(node)[node.name]):
-                unreferenced.append((module, node.name))
+        for label, node in _definitions(tree):
+            if total[node.name] == _references(node)[node.name]:
+                unreferenced.append((module, label))
     return unreferenced
 
 
@@ -50,3 +68,17 @@ def test_every_top_level_definition_is_referenced():
 def test_allow_list_names_only_unreferenced_definitions():
     # an allowed name that gains a caller must leave the list
     assert {n for _, n in unreferenced_definitions()} >= ALLOWED_UNREFERENCED
+
+
+def test_guard_sees_methods_but_not_dunders(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class A:\n"
+        "    def used(self):\n"
+        "        return self.unused_peer\n"
+        "    def unused(self):\n"
+        "        return self.unused()\n"
+        "    def __iter__(self):\n"
+        "        yield 1\n"
+        "\n"
+        "A().used()\n", encoding="utf-8")
+    assert unreferenced_definitions(tmp_path) == [("mod.py", "A.unused")]

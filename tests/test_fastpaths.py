@@ -1,5 +1,6 @@
 """The GF(p) and Z/mZ integer kernels, Hensel lifting, the distinct-degree
-split, dense substitution, heap-ordered exact division, GF(p^k) table
+split, the GF(p) root scan and the decisions and splits built on it, dense
+substitution, heap-ordered exact division, GF(p^k) table
 arithmetic and dense Kronecker recombination, each checked against a plain
 reference or an independent oracle."""
 
@@ -163,7 +164,8 @@ def test_hensel_lift_postcondition():
 
 
 # ---------------------------------------------------------------------------
-# The distinct-degree split and the irreducibility test built on it
+# The distinct-degree split, the root scan, and the irreducibility tests and
+# the factorization built on them
 # ---------------------------------------------------------------------------
 
 V1 = VarSet(("x",))
@@ -189,17 +191,138 @@ def test_u_ddf_parts_multiply_back_and_have_one_factor_degree(p):
         assert prod == f
 
 
-@pytest.mark.parametrize("p, top", [(2, 7), (3, 4)])
+def sympy_irreducible(f, p):
+    """sympy's irreducibility test on a dense GF(p) list of degree >= 1."""
+    galois = pytest.importorskip("sympy.polys.galoistools")
+    domains = pytest.importorskip("sympy.polys.domains")
+    return galois.gf_irreducible_p([c % p for c in reversed(f)], p, domains.ZZ)
+
+
+@pytest.mark.parametrize("p, top", [(2, 7), (3, 6), (5, 4), (7, 3)])
 def test_u_is_irreducible_matches_sympy_exhaustively(p, top):
+    # every polynomial up to the degree, so every root position, repeated
+    # roots, p-th powers and products of root-free factors all occur
+    K = GF(p)
+    kinds = Counter()
+    for n in range(0, top + 1):
+        for low in itertools.product(range(p), repeat=n):
+            monic = list(low) + [1]
+            want = n >= 1 and sympy_irreducible(monic, p)
+            for lc in range(1, p):
+                f = [c * lc % p for c in monic]
+                assert rings.u_is_irreducible(f, K) == want, f
+            if n >= 2:
+                fp = u_deriv(monic, K)
+                kinds["p-th power" if not fp else "repeated factor"
+                      if len(rings.u_gcd(monic, fp, K)) > 1 else "squarefree"] += 1
+    assert len(kinds) == (3 if top >= p else 2)                 # a p-th power has degree >= p
+
+
+def test_gf2_is_irreducible_matches_sympy_exhaustively():
+    for a in range(1 << 13):  # every GF(2) polynomial of degree <= 12
+        dense = [(a >> i) & 1 for i in range(a.bit_length())]
+        want = len(dense) >= 2 and sympy_irreducible(dense, 2)
+        assert factor_mod.gf2_is_irreducible(a) == want, bin(a)
+
+
+def random_irreducible_dense(rng, p, deg):
+    K = GF(p)
+    while True:
+        g = rand_dense(rng, p, deg)
+        g = rings.u_monic(g, K)[1]
+        if rings.u_is_irreducible(g, K):
+            return g
+
+
+@pytest.mark.parametrize("p", [61, 67, 10007])
+def test_u_is_irreducible_matches_sympy_on_both_sides_of_the_root_scan(p):
+    # 61 is scanned for roots and 67 and 10007 are not
+    assert (p <= rings.ROOT_SCAN_LIMIT) == (p == 61)
+    K = GF(p)
+    rng = random.Random(p)
+    cases = [rand_dense(rng, p, rng.randint(1, 8)) for _ in range(60)]
+    for _ in range(15):
+        g = random_irreducible_dense(rng, p, rng.randint(2, 3))
+        h = random_irreducible_dense(rng, p, rng.randint(2, 3))
+        cases += [u_mul(g, h, K),                          # no root, reducible
+                  u_mul(g, g, K),                          # no root, a square
+                  u_mul(g, [rng.randrange(p), 1], K)]      # one root
+    if p < 100:
+        # g^p = g(x^p): no root and a zero derivative
+        g, gp = random_irreducible_dense(rng, p, 2), [1]
+        for _ in range(p):
+            gp = u_mul(gp, g, K)
+        assert not u_deriv(gp, K) and len(gp) == 2 * p + 1
+        cases.append(gp)
+    seen = Counter()
+    for f in cases:
+        want = sympy_irreducible(f, p)
+        assert rings.u_is_irreducible(f, K) == want, f
+        seen[want] += 1
+    assert seen[True] >= 5 and seen[False] >= 40
+
+
+def test_degrees_two_and_three_are_decided_by_their_roots(monkeypatch):
+    def no_ddf(*args):
+        raise AssertionError("degree 2 or 3 reached the distinct-degree split")
+
+    monkeypatch.setattr(rings, "u_ddf", no_ddf)
+    K = GF(7)
+    assert rings.u_is_irreducible([1, 0, 1], K)              # x^2 + 1
+    assert not rings.u_is_irreducible([6, 0, 1], K)          # (x - 1)(x + 1)
+    assert rings.u_is_irreducible([2, 0, 0, 1], K)           # x^3 + 2
+    assert not rings.u_is_irreducible([0, 0, 0, 1], K)       # x^3
+    assert factor_mod.gf2_is_irreducible(0b1011)             # x^3 + x + 1
+    assert not factor_mod.gf2_is_irreducible(0b1110)         # x (x^2 + x + 1)
+
+
+def test_zm_roots_are_every_root_in_order():
+    rng = random.Random(5)
+    for p in (2, 3, 5, 61):
+        for _ in range(20):
+            roots = sorted(rng.sample(range(p), rng.randint(0, min(p, 5))))
+            f = [rng.randrange(1, p)]
+            for a in roots:
+                f = u_mul(f, [-a % p, 1], GF(p))
+            g = random_irreducible_dense(rng, p, 2)              # root-free
+            f = u_mul(f, u_mul(g, g, GF(p)), GF(p))
+            assert list(rings.zm_roots(f, p)) == roots, (p, f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 61, 67, 10007])
+def test_ff_factor_dense_matches_sympy_with_several_linear_factors(p):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     K = GF(p)
-    for n in range(0, top + 1):
-        for low in itertools.product(range(p), repeat=n):
-            for lc in range(1, p):
-                f = list(low) + [lc]
-                want = n >= 1 and sympy.Poly(list(reversed(f)), x, modulus=p).is_irreducible
-                assert rings.u_is_irreducible(f, K) == want, f
+    rng = random.Random(7 * p)
+    for _ in range(12):
+        f = [rng.randrange(1, p)]
+        for a in rng.sample(range(p), min(p, rng.randint(2, 5))):
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                f = u_mul(f, [-a % p, 1], K)
+        for _ in range(rng.randint(0, 2)):
+            f = u_mul(f, rand_dense(rng, p, rng.randint(1, 4)), K)
+        lc, got = factor_mod._ff_factor_dense(f, K)
+        coeff, want = sympy.Poly(list(reversed(f)), x, modulus=p).factor_list()
+        assert lc == int(coeff) % p
+        assert sorted(got) == sorted(([int(c) % p for c in reversed(g.all_coeffs())], m)
+                                     for g, m in want), f
+
+
+@pytest.mark.parametrize("p", [5, 67])
+def test_linear_part_is_split_without_random_splitting_up_to_the_limit(monkeypatch, p):
+    K = GF(p)
+    edf = factor_mod._ff_edf
+    degrees = []
+    monkeypatch.setattr(factor_mod, "_ff_edf",
+                        lambda g, d, *rest: degrees.append(d) or edf(g, d, *rest))
+    c = next(c for c in range(1, p) if all((a * a + c) % p for a in range(p)))
+    parts = [[1, 1], [2, 1], [3, 1], [c, 0, 1]]                 # three roots, x^2 + c
+    f = [1]
+    for g in parts:
+        f = u_mul(f, g, K)
+    assert sorted(g for g, _ in factor_mod._ff_factor_dense(f, K)[1]) == sorted(parts)
+    assert set(degrees) == ({2} if p <= rings.ROOT_SCAN_LIMIT else {1, 2})
 
 
 @pytest.mark.parametrize("p, k, top, count", [(2, 2, 5, 60), (3, 2, 3, 60)])
@@ -348,7 +471,7 @@ def ref_divexact(f, g):
         if c is None:
             return None
         q[diff] = c
-        rem = rem - g.mul_monomial(diff, c)
+        rem = rem - g * MultiPoly.monomial(ring, f.vars, diff, c)
     return MultiPoly(ring, f.vars, q)
 
 

@@ -25,7 +25,7 @@ from schinzelpoly.factor import brute_force_irreducible, factor_multivariate, kr
 from schinzelpoly.multipoly import MultiPoly, VarSet
 from schinzelpoly.rings import GF, ZZ
 from schinzelpoly.textform import parse_poly
-from test_dense_gcd import swinnerton_dyer
+from test_dense_gcd import single_irreducible, swinnerton_dyer
 
 V1 = VarSet(("x",))
 V2 = VarSet(("x1", "x2"))
@@ -251,7 +251,7 @@ def test_kronecker_unfolds_only_subsets_whose_digits_fit(monkeypatch, text):
     split = factor_mod._kronecker_split
     monkeypatch.setattr(factor_mod, "_kronecker_split",
                         lambda prod, *rest: seen.append(prod) or split(prod, *rest))
-    assert factor_multivariate(f).is_single_irreducible()
+    assert single_irreducible(factor_multivariate(f))
     assert seen
     for g in seen:
         e = [E for E, v in enumerate(g) if v]
@@ -306,7 +306,7 @@ def test_kronecker_counts_every_subset_against_the_cap(monkeypatch):
     total = multiset_subsets(counts)
     assert (counts, total) == ([4, 6, 1, 1], 75)
     monkeypatch.setattr(factor_mod, "RECOMBINATION_SUBSET_CAP", total)
-    assert factor_multivariate(f).is_single_irreducible()
+    assert single_irreducible(factor_multivariate(f))
     monkeypatch.setattr(factor_mod, "RECOMBINATION_SUBSET_CAP", total - 1)
     with pytest.raises(BudgetExceededError, match="Kronecker recombination exceeded") as hit:
         factor_multivariate(f)
