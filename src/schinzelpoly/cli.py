@@ -33,9 +33,11 @@ from .schinzel import (
     SchinzelProblem,
     SearchConstraints,
     density_probe,
+    image_irreducibility,
     iter_candidates,
     schinzel_search,
     schinzel_search_multi,
+    specializers,
 )
 from .constructions import (
     SpectrumSpec,
@@ -84,7 +86,7 @@ def note(msg):
 
 
 def _vars_for(args, text_polys, extra=()):
-    if getattr(args, "vars", None):
+    if args.vars is not None:
         names = tuple(f"x{i}" for i in range(1, args.vars + 1))
         return VarSet(names + tuple(extra))
     return infer_vars(" ".join(text_polys), extra=extra)
@@ -197,7 +199,7 @@ def _build_problem(args):
     ring = parse_ring(args.ring)
     d = tuple(int(t) for t in args.deg.split(","))
     n = len(d)
-    if getattr(args, "vars", None) and args.vars != n:
+    if args.vars is not None and args.vars != n:
         raise ValueError(f"--vars {args.vars} conflicts with --deg of length {n}")
     xnames = tuple(f"x{i}" for i in range(1, n + 1))
     yset = set()
@@ -397,7 +399,9 @@ def cmd_spectrum(args):
 def swan_scan(P: MultiPoly, xname: str, yname: str, max_deg: int,
               enumeration_cap: int = 1 << 22):
     """Exhaustive scan of all M with deg(M) <= max_deg over a finite field:
-    counts how many make P(x, M(x)) irreducible."""
+    counts how many make P(x, M(x)) irreducible.  Each image is decided as
+    a witness search decides it: over GF(p), P's dense rows in y are built
+    once and every M costs one Horner pass and one dense decision."""
     ring = P.ring
     if not ring.is_finite:
         raise AlgebraError("swan-scan needs a finite field")
@@ -409,13 +413,13 @@ def swan_scan(P: MultiPoly, xname: str, yname: str, max_deg: int,
             raise BudgetExceededError(f"enumeration of {q}^{max_deg + 1} candidates "
                                       f"exceeds the cap of {enumeration_cap}")
     support = [(i,) for i in range(max_deg + 1)]
+    spec = specializers([P], yname)[0]
     irreducible = 0
     witnesses = []
     count = 0
     for M, _ in iter_candidates(ring, VarSet((xname,)), support, SearchConstraints()):
         count += 1
-        F = P.substitute(yname, M)
-        if not F.is_zero() and is_irreducible(F):
+        if image_irreducibility(P, yname, M, spec)[0]:
             irreducible += 1
             if len(witnesses) < 5:
                 witnesses.append(format_poly(M))
@@ -618,6 +622,8 @@ def _refused_input(inputs):
     a bound below its floor describes an empty or meaningless box, and
     nothing proved over it holds."""
     for key, low in _FLOORS.items():
+        if key == "vars":
+            continue  # envelopes record the variable names, not the count
         value = inputs.get(key)
         for v in value if isinstance(value, list) else [value]:
             if v is not None and v < low:
@@ -678,7 +684,7 @@ def cmd_verify(args):
 # exit 1 (by the parser, and for the list --deg by the command), and verify
 # fails an envelope whose inputs record it
 _FLOORS = {"budget": 1, "coeff_bound": 0, "deg": 0, "deg_u": 0, "deg_u_target": 0,
-           "max_deg": 0, "max_witnesses": 1, "threads": 1}
+           "max_deg": 0, "max_witnesses": 1, "threads": 1, "vars": 1}
 
 
 def _at_least_floor(key):
@@ -721,13 +727,13 @@ def build_parser():
 
     sp = sub.add_parser("factor", help="factor a polynomial")
     sp.add_argument("poly")
-    sp.add_argument("--vars", type=int, default=None)
+    sp.add_argument("--vars", type=_at_least_floor("vars"), default=None)
     _add_common(sp)
     sp.set_defaults(func=cmd_factor)
 
     sp = sub.add_parser("irred", help="test irreducibility")
     sp.add_argument("poly")
-    sp.add_argument("--vars", type=int, default=None)
+    sp.add_argument("--vars", type=_at_least_floor("vars"), default=None)
     _add_common(sp, seed=False)
     sp.set_defaults(func=cmd_irred)
 
@@ -735,7 +741,7 @@ def build_parser():
     sp.add_argument("--P", action="append", required=True,
                     help="a polynomial in x1..xn and y (repeatable)")
     sp.add_argument("--deg", required=True, help="d1,...,dn")
-    sp.add_argument("--vars", type=int, default=None,
+    sp.add_argument("--vars", type=_at_least_floor("vars"), default=None,
                     help="n; must match the length of --deg")
     sp.add_argument("--strategy", choices=("exhaustive", "random"),
                     default="exhaustive")
@@ -752,7 +758,7 @@ def build_parser():
     sp = sub.add_parser("density", help="witness-fraction probe")
     sp.add_argument("--P", action="append", required=True)
     sp.add_argument("--deg", required=True)
-    sp.add_argument("--vars", type=int, default=None)
+    sp.add_argument("--vars", type=_at_least_floor("vars"), default=None)
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--coeff-bound", type=_at_least_floor("coeff_bound"), default=None)
     sp.add_argument("--deg-u", type=_at_least_floor("deg_u"), default=None)
@@ -765,7 +771,7 @@ def build_parser():
 
     sp = sub.add_parser("goldbach", help="decompose Q into two irreducibles")
     sp.add_argument("--Q", required=True)
-    sp.add_argument("--vars", type=int, default=None)
+    sp.add_argument("--vars", type=_at_least_floor("vars"), default=None)
     sp.add_argument("--relaxed-degx", action="store_true",
                     help="per-variable degree clause deg_x1(F) <= deg_x1(Q) "
                          "(finite fields, n >= 2)")

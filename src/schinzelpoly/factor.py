@@ -18,12 +18,14 @@ factor found.  Monomial content x_i^k is split off before the fold.  Both
 recombinations count every subset they enumerate against one cap
 (RECOMBINATION_SUBSET_CAP), reported when exceeded.
 
-is_irreducible(method="auto") tries sound shortcuts before factoring: the
+is_irreducible(method="auto") tries sound shortcuts before factoring: a
+univariate input is decided on its dense list by dense_is_irreducible,
+which the witness searches call directly; otherwise the
 degree-1-in-a-variable rule; then, for a bivariate input that no variable
 divides, the Newton-polygon certificate (an integrally indecomposable
-polygon proves irreducibility; Gao 2001, Gao-Lauder 2001); then univariate
-tests and specialization.  method="kronecker" skips them all and stays an
-independent oracle.
+polygon proves irreducibility; Gao 2001, Gao-Lauder 2001); then the
+content and specialization certificates, over GF(p) at points of GF(p^k)
+too.  method="kronecker" skips them all and stays an independent oracle.
 
 k[u] takes the dispatch Z takes: its content is split off first and
 factored as a k[u] element, so no u-only factor can survive, and the
@@ -44,6 +46,7 @@ from fractions import Fraction
 from .errors import BudgetExceededError, UnsupportedRingError, ZeroInputError
 from .multipoly import MultiPoly, VarSet, dense_in_var, list_content, poly_from_dense, poly_gcd
 from .rings import (
+    EXT_TABLE_LIMIT,
     ExtField,
     IntegerRing,
     PolyRing,
@@ -933,6 +936,12 @@ def _is_irreducible_auto(f, seed, need_witness):
     ring = f.ring
     effective = [n for n in f.vars.names if f.degree_in(n) > 0]
 
+    if len(effective) == 1:
+        var = effective[0]
+        ok, reason, method = dense_is_irreducible(dense_in_var(f, var), ring)
+        witness = _first_witness(f, seed) if need_witness and not ok else None
+        return IrreducibilityCertificate(ok, reason, witness, method)
+
     # Degree-1-in-a-variable rule: exact, both directions.
     for v in effective:
         if f.degree_in(v) == 1:
@@ -946,25 +955,42 @@ def _is_irreducible_auto(f, seed, need_witness):
     if len(effective) == 2 and _newton_indecomposable(f, effective):
         return IrreducibilityCertificate(True, "irreducible", None, "newton-polytope")
 
-    if len(effective) == 1:
-        var = effective[0]
-        if isinstance(ring, PrimeField) and ring.p == 2:
-            ok = gf2_is_irreducible(_gf2_from_dense([int(v) for v in dense_in_var(f, var)]))
-        elif ring.is_finite:
-            ok = u_is_irreducible(dense_in_var(f, var), ring)
-        else:
-            ok = _zx_is_irreducible(_dense_image(f, var))
-        # over Z and Q the method stays "kronecker", the name envelopes and route counts use
-        method = "univariate-ff" if ring.is_finite else "kronecker"
-        if ok:
-            return IrreducibilityCertificate(True, "irreducible", None, method)
-        witness = _first_witness(f, seed) if need_witness else None
-        return IrreducibilityCertificate(False, "reducible", witness, method)
-
-    cert = _try_specialization_certificate(f, effective, seed)
+    cert = _try_specialization_certificate(f, effective)
     if cert is not None:
         return cert
     return _is_irreducible_via_factor(f, seed)
+
+
+def dense_is_irreducible(c, K):
+    """Irreducibility of the polynomial with dense coefficients c (low to
+    high; a constant or zero c included) over Z, Q or GF(q), as
+    is_irreducible decides it: (irreducible, reason, method).
+
+    Zero and constants are "unit/constant" (method "degree"); over Z a
+    content above 1 is "content"; degree 1 is irreducible by
+    "linear-variable".  Otherwise gf2_is_irreducible (GF(2)),
+    u_is_irreducible (GF(q)) or _zx_is_irreducible (Z and Q, on the
+    primitive integer image) decides, reported as "univariate-ff" over
+    GF(q) and "kronecker" over Z and Q, the names envelopes and route
+    counts use.  Over Q, c may be any positive integer multiple of the
+    polynomial, as Specializer returns it.
+    """
+    if len(c) < 2:
+        return False, "unit/constant", "degree"
+    if isinstance(K, IntegerRing) and math.gcd(*c) != 1:
+        return False, "content", "content"
+    if len(c) == 2:
+        return True, "irreducible", "linear-variable"
+    if K.is_finite:
+        if isinstance(K, PrimeField) and K.p == 2:
+            ok = gf2_is_irreducible(_gf2_from_dense(c))
+        else:
+            ok = u_is_irreducible(c, K)
+        method = "univariate-ff"
+    else:
+        ok = _zx_is_irreducible(_integer_image(c) if isinstance(K, RationalField) else c)
+        method = "kronecker"
+    return ok, "irreducible" if ok else "reducible", method
 
 
 def _is_irreducible_via_factor(f, seed):
@@ -1039,38 +1065,102 @@ def _newton_indecomposable(f, effective):
     return True
 
 
-def _try_specialization_certificate(f, effective, seed):
-    """Sound one-sided test: specialize all but one variable at points that
-    preserve the main degree; an irreducible, degree-preserving univariate
-    image of a polynomial with unit content w.r.t. the main variable proves
-    irreducibility over the fraction field."""
+def _try_specialization_certificate(f, effective):
+    """Sound certificates for f with two or more effective variables, tried
+    before Kronecker; None when none applies.
+
+    Content (over a field): a nonconstant content of f in an effective
+    variable v is a proper factor, since f divided by it keeps its degree in
+    v, so f is reducible.  It is the witness, with method "content".  The
+    contents in the other variables than main are only computed once the
+    base-ring points fail, since a certifying image proves them units.
+
+    Specialization: when the content of f in its main variable (of largest
+    degree) is a unit, one image f(main, a) at a point a of the other
+    variables that keeps the main degree and is irreducible proves f
+    irreducible over the fraction field.  A factorization f = g*h with both
+    factors of positive main degree would keep both degrees in the image,
+    and a factor of degree 0 in main divides the content.  The first
+    _SPECIALIZE_ATTEMPTS points of the base ring are tried; over GF(p),
+    which may have too few points, then as many points of GF(p^k) outside
+    GF(p) for p^k <= EXT_TABLE_LIMIT, k = 2, 3, ..., the image being
+    decided over GF(p^k) (Bernardin & Monagan 1997; von zur Gathen &
+    Gerhard, Modern Computer Algebra, §14).  The method is
+    "specialization".
+    """
     ring = f.ring
-    main = max(effective, key=lambda v: f.degree_in(v))
+    main = max(effective, key=f.degree_in)
     others = [v for v in effective if v != main]
-    if not others:
-        return None
-    acc = list_content(f.coeffs_in(main))
-    if not (acc.is_constant() and ring.is_unit(acc.constant_value())):
-        return None
+    content = _nonunit_content(f, main)
+    if content is not None:
+        return _content_certificate(content) if ring.is_field else None
     if ring.is_finite:
         pool = ring.element_box()
     else:
         pool = [ring.from_int(n) for n in (1, -1, 2, -2, 3, 0, -3, 4)]
-    deg_main = f.degree_in(main)
-    attempts = 0
-    for point in itertools.product(pool, repeat=len(others)):
-        if attempts >= _SPECIALIZE_ATTEMPTS:
-            break
-        attempts += 1
-        g = f.partial_eval(dict(zip(others, point)))
-        if g.degree_in(main) != deg_main:
-            continue
-        if not ring.is_field:
-            g = g.primitive_part()
-        sub = is_irreducible(g, method="auto", seed=seed)
-        if sub.irreducible:
+    points = ((ring, pt) for pt in itertools.product(pool, repeat=len(others)))
+    if _irreducible_image(f, main, others, itertools.islice(points, _SPECIALIZE_ATTEMPTS)):
+        return IrreducibilityCertificate(True, "irreducible", None, "specialization")
+    if not ring.is_field:
+        return None
+    for v in others:
+        content = _nonunit_content(f, v)
+        if content is not None:
+            return _content_certificate(content)
+    if isinstance(ring, PrimeField):
+        points = itertools.islice(_extension_points(ring.p, len(others)), _SPECIALIZE_ATTEMPTS)
+        if _irreducible_image(f, main, others, points):
             return IrreducibilityCertificate(True, "irreducible", None, "specialization")
     return None
+
+
+def _nonunit_content(f, v):
+    """The content of f in v (a polynomial in the other variables) when it
+    is no unit, else None."""
+    acc = list_content(f.coeffs_in(v))
+    return None if acc.is_constant() and f.ring.is_unit(acc.constant_value()) else acc
+
+
+def _content_certificate(content):
+    return IrreducibilityCertificate(False, "reducible", content.monic_normalize()[1], "content")
+
+
+def _irreducible_image(f, main, others, points):
+    """Whether f at one of the points, pairs (K, a point over K) with K the
+    ring of f or an extension of its prime field, has an image in main that
+    keeps the main degree and is irreducible over K."""
+    i = f.vars.index(main)
+    idx = [f.vars.index(v) for v in others]
+    deg_main = f.degree_in(main)
+    for K, point in points:
+        c = [K.zero] * (deg_main + 1)
+        for e, v in f.terms.items():
+            if K is not f.ring:
+                v = K.from_int(v)
+            for j, x in zip(idx, point):
+                if e[j]:
+                    v = K.mul(v, K.pow(x, e[j]))
+            c[e[i]] = K.add(c[e[i]], v)
+        if not c[-1]:
+            continue  # the main degree dropped
+        if not K.is_field:
+            c = zx_primitive(c)[1]
+        if dense_is_irreducible(c, K)[0]:
+            return True
+    return False
+
+
+def _extension_points(p, m):
+    """(GF(p^k), a point of GF(p^k)^m outside GF(p)^m) for k = 2, 3, ...
+    while p^k <= EXT_TABLE_LIMIT; each field is built when first reached
+    (its tables are cached by the rings module)."""
+    k = 2
+    while p ** k <= EXT_TABLE_LIMIT:
+        E = ExtField(p, k)
+        for point in itertools.product(E.element_box(), repeat=m):
+            if any(len(a) > 1 for a in point):
+                yield E, point
+        k += 1
 
 
 # ---------------------------------------------------------------------------

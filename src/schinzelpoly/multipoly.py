@@ -326,7 +326,11 @@ class MultiPoly:
             raise RingMismatchError("substitution value lives in a different ring")
         g = value_poly if value_poly.vars == new_vars else value_poly.embed(new_vars)
         if len(new_vars) == 1 and isinstance(self.ring, (IntegerRing, RationalField, PrimeField)):
-            return self._substitute_dense(i, g)
+            c, den = Specializer(self, name)(g)
+            if isinstance(self.ring, RationalField):
+                return MultiPoly(self.ring, new_vars,
+                                 {(e,): Fraction(v, den) for e, v in enumerate(c) if v})
+            return MultiPoly(self.ring, new_vars, {(e,): v for e, v in enumerate(c) if v})
         coeffs = []
         for c in self.coeffs_in(name):
             coeffs.append(MultiPoly(self.ring, new_vars,
@@ -335,71 +339,6 @@ class MultiPoly:
         for c in reversed(coeffs):
             acc = acc * g + c
         return acc
-
-    def _substitute_dense(self, i, g):
-        """substitute() for a bivariate self over Z, Q or GF(p): dense Horner
-        in the one remaining variable, on the zx_* kernels (zm_* mod p).
-
-        Over Q the Horner runs on integers.  With self = P/a and g = h/b for
-        integral P = sum_k c_k y^k of degree D in y and integral h,
-        self(g) = sum_k c_k h^k b^(D-k) / (a b^D).
-        """
-        K = self.ring
-        j = 1 - i  # index of the remaining variable
-        p = K.p if isinstance(K, PrimeField) else 0
-        terms, gterms, b = self.terms, g.terms, 1
-        if isinstance(K, RationalField):
-            a = math.lcm(*(v.denominator for v in terms.values()))
-            b = math.lcm(*(v.denominator for v in gterms.values()))
-            terms = {e: v.numerator * (a // v.denominator) for e, v in terms.items()}
-            gterms = {e: v.numerator * (b // v.denominator) for e, v in gterms.items()}
-        h = [0] * (g.degree_vector()[0] + 1)
-        for (e,), v in gterms.items():
-            h[e] = v
-        h = dense_trim(h)
-        dy = self.degree_vector()[i]
-        check_degree(dy, f"degree in {self.vars.names[i]}")
-        rows = [{} for _ in range(dy + 1)]
-        for e, v in terms.items():
-            rows[e[i]][e[j]] = v
-        acc = []
-        w = 1  # b^(D-k) at row k
-        for row in reversed(rows):
-            c = [0] * (max(row, default=-1) + 1)
-            for e, v in row.items():
-                c[e] = v
-            if w != 1:
-                c = [v * w for v in c]
-            acc = zm_add(zm_mul(acc, h, p), c, p) if p else zx_add(zx_mul(acc, h), c)
-            w *= b
-        if isinstance(K, RationalField):
-            den = a * b ** (len(rows) - 1)
-            return MultiPoly(K, g.vars, {(e,): Fraction(v, den) for e, v in enumerate(acc) if v})
-        return MultiPoly(K, g.vars, {(e,): v for e, v in enumerate(acc) if v})
-
-    def partial_eval(self, assignment):
-        """Evaluate some variables at ring values; returns a poly in the rest."""
-        ring = self.ring
-        keep = [n for n in self.vars.names if n not in assignment]
-        new_vars = VarSet(keep)
-        keep_idx = [self.vars.index(n) for n in keep]
-        out = {}
-        for e, v in self.terms.items():
-            val = v
-            for n, x in assignment.items():
-                p = e[self.vars.index(n)]
-                if p:
-                    val = ring.mul(val, ring.pow(x, p))
-            ee = tuple(e[i] for i in keep_idx)
-            if ee in out:
-                s = ring.add(out[ee], val)
-                if ring.is_zero(s):
-                    del out[ee]
-                    continue
-                out[ee] = s
-            elif not ring.is_zero(val):
-                out[ee] = val
-        return MultiPoly(ring, new_vars, out)
 
     # -- content / normalization ---------------------------------------------------
 
@@ -570,6 +509,73 @@ class MultiPoly:
                     else:
                         rem[t] = s
         return MultiPoly(ring, self.vars, q)
+
+
+# ---------------------------------------------------------------------------
+# Dense substitution: one bivariate P, many values for one of its variables.
+# ---------------------------------------------------------------------------
+
+class Specializer:
+    """y -> g(x) in a polynomial P over Z, Q or GF(p) in y and one other
+    variable x, on dense lists.
+
+    The rows of P in y (its coefficients, dense in x) are built once, so
+    each value g costs one Horner pass in x on the zx_* kernels (zm_* mod
+    p).  MultiPoly.substitute takes this path whenever one variable is
+    left, and the witness searches keep one Specializer per P across their
+    candidates.
+
+    Over Q the Horner runs on integers.  With P = sum_k c_k y^k / a for
+    integral c_k, of degree D in y, and g = h / b for integral h,
+    P(x, g) = sum_k c_k h^k b^(D-k) / (a b^D).
+    """
+
+    __slots__ = ("rows", "den", "p", "rational")
+
+    def __init__(self, P, name):
+        K = P.ring
+        i = P.vars.index(name)
+        j = 1 - i  # index of x
+        terms = P.terms
+        self.rational = isinstance(K, RationalField)
+        self.den = 1
+        if self.rational:
+            self.den = math.lcm(*(v.denominator for v in terms.values()))
+            terms = {e: v.numerator * (self.den // v.denominator) for e, v in terms.items()}
+        dy = P.degree_vector()[i]
+        check_degree(dy, f"degree in {name}")
+        rows = [{} for _ in range(dy + 1)]
+        for e, v in terms.items():
+            rows[e[i]][e[j]] = v
+        self.rows = []  # top row first
+        for row in reversed(rows):
+            c = [0] * (max(row, default=-1) + 1)
+            for e, v in row.items():
+                c[e] = v
+            self.rows.append(c)
+        self.p = K.p if isinstance(K, PrimeField) else 0
+
+    def __call__(self, g):
+        """(c, den) with P(x, g) = c / den, for g over P's ring in x alone:
+        c is a dense int list, reduced mod p over GF(p), and den = 1 except
+        over Q."""
+        gterms, b = g.terms, 1
+        if self.rational:
+            b = math.lcm(*(v.denominator for v in gterms.values()))
+            gterms = {e: v.numerator * (b // v.denominator) for e, v in gterms.items()}
+        h = [0] * (g.degree_vector()[0] + 1)
+        for (e,), v in gterms.items():
+            h[e] = v
+        h = dense_trim(h)
+        p = self.p
+        acc = []
+        w = 1  # b^(D-k) at row k
+        for c in self.rows:
+            if w != 1:
+                c = [v * w for v in c]
+            acc = zm_add(zm_mul(acc, h, p), c, p) if p else zx_add(zx_mul(acc, h), c)
+            w *= b
+        return acc, self.den * b ** (len(self.rows) - 1)
 
 
 # ---------------------------------------------------------------------------

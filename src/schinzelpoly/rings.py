@@ -269,17 +269,23 @@ def u_xgcd(a, b, K):
 
 
 def u_powmod(a, e, m, K):
-    """a^e mod m by square and multiply."""
-    if 0 < e <= _X_POW_DIRECT and len(a) == 2 and a[0] == K.zero and a[1] == K.one:
+    """a^e mod m for e >= 0, by left-to-right square and multiply.
+
+    The top bit of e costs nothing; every lower bit costs one square and,
+    when set, one product by a, each reduced once.  a is reduced only when
+    its degree reaches that of m, and is never modified.  So x^(q^d) mod f
+    for q = 3 takes 2 products and 2 reductions."""
+    if e == 0:
+        return [K.one]
+    if e <= _X_POW_DIRECT and len(a) == 2 and a[0] == K.zero and a[1] == K.one:
         # x^e for a small e (x^q of a Frobenius step): one division
         return u_rem([K.zero] * e + [K.one], m, K)
-    result = [K.one]
-    base = u_rem(a, m, K)
-    while e > 0:
-        if e & 1:
+    base = u_rem(a, m, K) if len(a) >= len(m) else list(a)
+    result = base
+    for bit in bin(e)[3:]:
+        result = u_rem(u_mul(result, result, K), m, K)
+        if bit == "1":
             result = u_rem(u_mul(result, base, K), m, K)
-        base = u_rem(u_mul(base, base, K), m, K)
-        e >>= 1
     return result
 
 

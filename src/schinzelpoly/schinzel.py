@@ -26,9 +26,9 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 from .errors import UnsupportedRingError, ZeroInputError
-from .factor import is_irreducible
-from .multipoly import MultiPoly, VarSet, poly_gcd
-from .rings import IntegerRing, PolyRing, RationalField, Ring
+from .factor import dense_is_irreducible, is_irreducible
+from .multipoly import MultiPoly, Specializer, VarSet, poly_gcd
+from .rings import IntegerRing, PolyRing, PrimeField, RationalField, Ring
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +226,10 @@ def _deg_u_of(M: MultiPoly):
     return best
 
 
-def _reason_of(cert):
-    if cert.reason == "content":
+def _reason_of(reason):
+    if reason == "content":
         return REASON_CONTENT
-    if cert.reason == "unit/constant":
+    if reason == "unit/constant":
         return REASON_CONSTANT
     return REASON_REDUCIBLE
 
@@ -255,10 +255,35 @@ def _check_side_constraints(problem, M, tup):
     return None
 
 
+def specializers(polys, yname):
+    """One Specializer per P in polys when substituting for yname leaves one
+    variable over Z, Q or GF(p), else None for every P (such images stay
+    MultiPoly).  A search builds them once for all its candidates."""
+    if polys and isinstance(polys[0].ring, (IntegerRing, RationalField, PrimeField)):
+        return [Specializer(P, yname) if len(P.vars) == 2 else None for P in polys]
+    return [None] * len(polys)
+
+
+def image_irreducibility(P, yname, M, spec=None):
+    """(irreducible, reason, method) of P(yname = M), as is_irreducible
+    reports them, with the zero image "unit/constant".  With P's
+    Specializer the image stays a dense list and dense_is_irreducible
+    decides it."""
+    if spec is not None:
+        return dense_is_irreducible(spec(M)[0], P.ring)
+    F = P.substitute(yname, M)
+    if F.is_zero():
+        return False, "unit/constant", "degree"
+    cert = is_irreducible(F)
+    return cert.irreducible, cert.reason, cert.method
+
+
 def verify_candidate(problem: SchinzelProblem, M: MultiPoly, tup=(), polys=None,
-                     yname=None):
+                     yname=None, specs=None):
     """Return (is_witness, reason, certificates) for substituting M for
-    yname (default: the first y variable) in polys (default: the P_i)."""
+    yname (default: the first y variable) in polys (default: the P_i).
+    specs are the polys' specializers (see specializers), built here when
+    the caller does not keep them across candidates."""
     side = _check_side_constraints(problem, M, tup)
     if side is not None:
         return False, side, []
@@ -266,15 +291,14 @@ def verify_candidate(problem: SchinzelProblem, M: MultiPoly, tup=(), polys=None,
         polys = problem.P
     if yname is None:
         yname = problem.yvars.names[0]
+    if specs is None:
+        specs = specializers(polys, yname)
     certs = []
-    for P in polys:
-        Fi = P.substitute(yname, M)
-        if Fi.is_zero():
-            return False, REASON_CONSTANT, []
-        cert = is_irreducible(Fi)
-        if not cert:
-            return False, _reason_of(cert), []
-        certs.append(cert.method)
+    for P, spec in zip(polys, specs):
+        ok, reason, method = image_irreducibility(P, yname, M, spec)
+        if not ok:
+            return False, _reason_of(reason), []
+        certs.append(method)
     return True, "witness", certs
 
 
@@ -360,12 +384,13 @@ def _search(problem, cons, keep=True):
     tested = found = 0
     stopped = False
 
-    def check(polys, depth, M, tup):
+    def check(polys, depth, M, tup, specs):
         """M for y_depth: (reason, _) when rejected, else (None, the
-        certificates at depth m or the polynomials for the next depth)."""
+        certificates at depth m or the polynomials for the next depth).
+        specs are the specializers of polys at depth m."""
         yname = ynames[depth - 1]
         if depth == m:
-            ok, reason, certs = verify_candidate(problem, M, tup, polys, yname)
+            ok, reason, certs = verify_candidate(problem, M, tup, polys, yname, specs)
             return (None if ok else reason), certs
         reason = _check_side_constraints(problem, M, tup)
         if reason is None:
@@ -386,13 +411,14 @@ def _search(problem, cons, keep=True):
     def walk(polys, chosen, depth):
         nonlocal tested, stopped
         weight = per_level ** (m - depth)
+        specs = specializers(polys, ynames[-1]) if depth == m else None
         for M, tup in iter_candidates(problem.ring, problem.xvars, support, cons):
             # stopping here leaves this candidate untested
             if stopped or out_of_budget():
                 stopped = True
                 return
             tested += 1
-            reason, out = check(polys, depth, M, tup)
+            reason, out = check(polys, depth, M, tup, specs)
             if reason is not None:
                 rejected[reason] = rejected.get(reason, 0) + weight
             elif depth == m:
@@ -405,12 +431,14 @@ def _search(problem, cons, keep=True):
     else:
         draws = iter_candidates(problem.ring, problem.xvars, support,
                                 replace(cons, budget=cons.budget * m))
+        # with one y every draw specializes the P_i themselves
+        specs = specializers(problem.P, ynames[0]) if m == 1 else None
         while not out_of_budget():
             drawn = [next(draws) for _ in range(m)]
             tested += 1
             out = problem.P
             for depth, (M, tup) in enumerate(drawn, 1):
-                reason, out = check(out, depth, M, tup)
+                reason, out = check(out, depth, M, tup, specs)
                 if reason is not None:
                     rejected[reason] = rejected.get(reason, 0) + 1
                     break

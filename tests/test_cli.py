@@ -590,6 +590,39 @@ def test_verify_refuses_an_envelope_with_a_bound_below_its_floor(capsys, tmp_pat
     assert f"input {key} = {value} is below" in capsys.readouterr().err
 
 
+VARS_COMMANDS = [
+    ["factor", "x1+1"],
+    ["irred", "x1+1"],
+    ["goldbach", "--Q", "x1^2+1"],
+    ["schinzel", "--ring", "Z", "--P", "y", "--deg", "2", "--coeff-bound", "1"],
+    ["density", "--ring", "Z", "--P", "y", "--deg", "2", "--coeff-bound", "1"],
+]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("args", VARS_COMMANDS, ids=lambda a: a[0])
+def test_vars_below_one_is_refused_by_the_parser(capsys, args, value):
+    # 0 used to run as if --vars were absent, -1 to fail on "unknown variable"
+    assert main(args + ["--vars", value]) == 1
+    captured = capsys.readouterr()
+    assert "argument --vars: vars must be >= 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["factor", "x1^2+x1", "--ring", "GF(2)", "--vars", "2"],
+    ["irred", "x1+1", "--vars", "1"],
+    ["goldbach", "--ring", "GF(2)", "--Q", "x1^2+x1", "--vars", "2"],
+    ["schinzel", "--ring", "Z", "--P", "y", "--deg", "2", "--coeff-bound", "1", "--vars", "1"],
+], ids=lambda a: a[0])
+def test_vars_at_its_floor_runs_and_verifies(capsys, tmp_path, args):
+    # the envelopes record the variable names, which the floor check skips
+    rc, env = run_cli(args, capsys, tmp_path)
+    assert rc == 0
+    assert main(["verify", str(tmp_path / "env.json")]) == 0
+    capsys.readouterr()
+
+
 HUGE = "99999999999"  # above the cap, and too large for a dense list to be tried
 
 

@@ -1,0 +1,221 @@
+"""The dense path of the witness searches: Specializer and
+dense_is_irreducible against MultiPoly.substitute, is_irreducible and the
+Kronecker oracle, and the content and GF(p^k) specialization certificates
+of bivariate finite-field inputs against the Kronecker oracle."""
+
+import itertools
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from schinzelpoly import factor as factor_mod
+from schinzelpoly.factor import dense_is_irreducible, is_irreducible
+from schinzelpoly.multipoly import MultiPoly, Specializer, VarSet, dense_in_var
+from schinzelpoly.rings import GF, QQ, ROOT_SCAN_LIMIT, ZZ, PrimeField
+from schinzelpoly.schinzel import image_irreducibility, specializers
+
+X = VarSet(("x",))
+XY = VarSet(("x", "y"))
+YX = VarSet(("y", "x"))
+V2 = VarSet(("x1", "x2"))
+
+# (ring, coefficient values, top degree): every polynomial of the box
+BOXES = [
+    (ZZ, [0, 1, -1, 2, -2, 6], 4),
+    (QQ, [0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)], 3),
+    (GF(2), [0, 1], 8),
+    (GF(3), [0, 1, 2], 5),
+    (GF(67), [0, 1, 2, 33, 65, 66], 4),
+]
+
+
+def univariate_box(ring, values, top):
+    for coeffs in itertools.product(values, repeat=top + 1):
+        terms = {(e,): Fraction(v) if ring is QQ else v for e, v in enumerate(coeffs) if v}
+        if terms:
+            yield MultiPoly(ring, X, terms)
+
+
+def expected_method(f):
+    """The route names is_irreducible has always reported for univariate f."""
+    if f.is_constant():
+        return "degree"
+    if f.ring is ZZ and f.content_value() != 1:
+        return "content"
+    if f.degree_in("x") == 1:
+        return "linear-variable"
+    return "univariate-ff" if f.ring.is_finite else "kronecker"
+
+
+@pytest.mark.parametrize("ring, values, top", BOXES, ids=[str(b[0]) for b in BOXES])
+def test_dense_decision_matches_is_irreducible_on_every_box_polynomial(ring, values, top):
+    assert GF(67).p > ROOT_SCAN_LIMIT
+    seen = Counter()
+    for f in univariate_box(ring, values, top):
+        cert = is_irreducible(f)
+        got = dense_is_irreducible(dense_in_var(f, "x"), ring)
+        assert got == (cert.irreducible, cert.reason, cert.method), f
+        assert got[2] == expected_method(f), f
+        if not f.is_constant():
+            assert got[0] == is_irreducible(f, method="kronecker").irreducible, f
+        seen[got[1]] += 1
+    assert seen["irreducible"] and seen["reducible"] and seen["unit/constant"]
+    assert bool(seen["content"]) == (ring is ZZ)
+    assert dense_is_irreducible([], ring) == (False, "unit/constant", "degree")
+
+
+def test_dense_decision_over_q_takes_any_positive_integer_multiple():
+    for f in univariate_box(QQ, [0, 1, -1, Fraction(1, 2), Fraction(-2, 3)], 3):
+        c = dense_in_var(f, "x")
+        scaled = [int(v * 6) for v in c]
+        assert dense_is_irreducible(scaled, QQ) == dense_is_irreducible(c, QQ), f
+
+
+def sparse_image(P, M):
+    """P(y = M) as a sum of terms times powers of M, on MultiPoly arithmetic."""
+    acc = MultiPoly.zero(P.ring, X)
+    i = P.vars.index("y")
+    for e, v in P.terms.items():
+        acc = acc + MultiPoly.monomial(P.ring, X, e[:i] + e[i + 1:], v) * M ** e[i]
+    return acc
+
+
+def random_poly(rng, ring, vars, top, values):
+    terms = {}
+    for _ in range(rng.randrange(1, 7)):
+        terms[tuple(rng.randrange(top + 1) for _ in vars)] = rng.choice(values)
+    return MultiPoly.from_terms(ring, vars, terms)
+
+
+@pytest.mark.parametrize("ring, values", [
+    (ZZ, [1, -1, 2, -3, 5]),
+    (QQ, [1, -1, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]),
+    (GF(2), [1]),
+    (GF(3), [1, 2]),
+    (GF(67), [1, 2, 66, 40]),
+], ids=["Z", "Q", "GF(2)", "GF(3)", "GF(67)"])
+@pytest.mark.parametrize("vars", [XY, YX], ids=["xy", "yx"])
+def test_one_specializer_serves_every_candidate(ring, values, vars):
+    # one Specializer per P across many M, as a search keeps it: every image
+    # matches the sparse reference, and the dense decision of every image
+    # matches is_irreducible on the MultiPoly image
+    rng = random.Random(f"{ring}/{vars.names}")
+    for _ in range(6):
+        P = random_poly(rng, ring, vars, 4, values)
+        spec = Specializer(P, "y")
+        assert specializers([P], "y") != [None]
+        for _ in range(25):
+            M = random_poly(rng, ring, X, rng.randrange(0, 4), values + [0])
+            c, den = spec(M)
+            want = sparse_image(P, M)
+            got = MultiPoly(ring, X, {(e,): Fraction(v, den) if ring is QQ else v
+                                      for e, v in enumerate(c) if v})
+            assert got == want == P.substitute("y", M), (P, M)
+            dense = image_irreducibility(P, "y", M, spec)
+            if want.is_zero():
+                assert dense == (False, "unit/constant", "degree")
+            else:
+                cert = is_irreducible(want)
+                assert dense == (cert.irreducible, cert.reason, cert.method), (P, M)
+            assert image_irreducibility(P, "y", M) == dense
+
+
+def test_specializers_only_where_one_variable_is_left():
+    Z3 = VarSet(("x1", "x2", "y"))
+    P2 = MultiPoly(GF(3), XY, {(1, 0): 1, (0, 1): 1})
+    P3 = MultiPoly(GF(3), Z3, {(1, 0, 0): 1, (0, 0, 1): 1})
+    assert [type(s) for s in specializers([P2, P2], "y")] == [Specializer, Specializer]
+    assert specializers([P3], "y") == [None]
+    P4 = MultiPoly(GF(2, 2), XY, {(1, 0): (1,), (0, 1): (0, 1)})
+    assert specializers([P4], "y") == [None]
+
+
+# ---------------------------------------------------------------------------
+# The content and GF(p^k) specialization certificates against Kronecker
+# ---------------------------------------------------------------------------
+
+def every_bivariate(K, top):
+    monos = list(itertools.product(range(top + 1), repeat=2))
+    for coeffs in itertools.product(K.element_box(), repeat=len(monos)):
+        terms = {e: v for e, v in zip(monos, coeffs) if v}
+        if terms:
+            yield MultiPoly(K, V2, terms)
+
+
+def gf3_sample():
+    """Seeded GF(3) inputs with partial degrees <= (3, 3): half of them
+    random, half products of two random factors."""
+    K = GF(3)
+    rng = random.Random(2024)
+    box = K.element_box()
+
+    def rand(dx, dy):
+        terms = {(i, j): rng.choice(box) for i in range(dx + 1) for j in range(dy + 1)}
+        return MultiPoly.from_terms(K, V2, terms)
+
+    out = []
+    while len(out) < 240:
+        if len(out) % 2:
+            f = rand(rng.randint(1, 2), rng.randint(0, 2)) * rand(rng.randint(0, 1), rng.randint(1, 1))
+        else:
+            f = rand(3, 3)
+        if not f.is_zero():
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("inputs", [lambda: every_bivariate(GF(2), 2), gf3_sample],
+                         ids=["GF(2)-every-(2,2)", "GF(3)-sample"])
+def test_certificates_agree_with_kronecker(monkeypatch, inputs):
+    drawn = []
+    extension_points = factor_mod._extension_points
+
+    def spy(p, m):
+        for item in extension_points(p, m):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(factor_mod, "_extension_points", spy)
+    routes = Counter()
+    count = 0
+    for f in inputs():
+        count += 1
+        drawn.clear()
+        auto = is_irreducible(f, need_witness=True)
+        oracle = is_irreducible(f, method="kronecker")
+        assert auto.irreducible == oracle.irreducible, (f, auto.method)
+        if auto.method == "content":
+            assert auto.reason == "reducible" and not auto.irreducible
+            w = auto.witness
+            cofactor = f.try_divexact(w)
+            assert not w.is_constant() and cofactor is not None and not cofactor.is_constant(), f
+        if auto.method == "specialization":
+            assert auto.irreducible
+            # base points come first, so a drawn point of GF(p^k) decided it
+            routes["extension" if drawn else "base"] += 1
+            assert all(not isinstance(E, PrimeField) and any(len(a) > 1 for a in pt)
+                       for E, pt in drawn)
+        routes[auto.method] += 1
+    if inputs is gf3_sample:
+        assert count == 240
+    else:
+        assert count == 511
+    assert routes["content"] and routes["extension"] and routes["base"], routes
+    assert routes["kronecker"], routes
+
+
+def test_a_content_free_of_base_roots_is_caught_before_the_extension_points():
+    # (x2 + 1)(x1^2 + x1 + x2) over GF(2): no image at x2 in GF(2) keeps
+    # degree 2 and is irreducible, but at x2 = t in GF(4) the image is
+    # (t + 1)(x1^2 + x1 + t), irreducible over GF(4).  Only the content
+    # in x1 stands between it and a false certificate.
+    K = GF(2)
+    f = MultiPoly(K, V2, {(2, 1): 1, (1, 1): 1, (0, 2): 1, (2, 0): 1, (1, 0): 1, (0, 1): 1})
+    g = MultiPoly(K, V2, {(0, 1): 1, (0, 0): 1}) * MultiPoly(K, V2, {(2, 0): 1, (1, 0): 1, (0, 1): 1})
+    assert f == g
+    cert = is_irreducible(f, need_witness=True)
+    assert (cert.irreducible, cert.reason, cert.method) == (False, "reducible", "content")
+    assert cert.witness == MultiPoly(K, V2, {(0, 1): 1, (0, 0): 1})
+    assert not is_irreducible(f, method="kronecker")

@@ -549,7 +549,7 @@ def test_capelli_over_gf5_constants():
     assert not capelli_check(one, one, 2)
     Vxy = VarSet(("x1", "y"))
     f = parse_poly("y^2 + 1", F5, Vxy)
-    assert not is_irreducible(f.partial_eval({"x1": 0}))
+    assert not is_irreducible(f.substitute("x1", MultiPoly.zero(F5, VarSet(("y",)))))
 
 
 def test_capelli_over_rational_function_field():

@@ -191,6 +191,52 @@ def test_u_ddf_parts_multiply_back_and_have_one_factor_degree(p):
         assert prod == f
 
 
+# u_powmod: left-to-right square and multiply against repeated products
+@pytest.mark.parametrize("K", [GF(2), GF(3), GF(67), GF(2, 2)], ids=str)
+def test_u_powmod_matches_repeated_multiplication(K):
+    rng = random.Random(K.order)
+    box = K.element_box()
+
+    def rand(deg):
+        return [rng.choice(box) for _ in range(deg)] + [rng.choice(box[1:])]
+
+    for _ in range(3):
+        m = rand(rng.randint(2, 6))
+        # a reduced base, one of m's degree and one above it
+        for a in (rand(len(m) - 2), rand(len(m) - 1), rand(len(m) + 3)):
+            kept = list(a)
+            want = [K.one]
+            for e in range(71):
+                got = rings.u_powmod(a, e, m, K)
+                assert got == want, (a, e, m)
+                assert a == kept and (e == 0 or got is not a)
+                want = rings.u_rem(u_mul(want, a, K), m, K)
+            for e in (K.order ** 5, 2 ** 61 + 12345):
+                want = [K.one]
+                for bit in bin(e)[2:]:
+                    want = rings.u_rem(u_mul(want, want, K), m, K)
+                    if bit == "1":
+                        want = rings.u_rem(u_mul(want, a, K), m, K)
+                assert rings.u_powmod(a, e, m, K) == want
+
+
+@pytest.mark.parametrize("e, products", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+def test_u_powmod_product_count(monkeypatch, e, products):
+    # the top bit costs nothing: x^(q^d) steps with q = 3 take 2 products
+    K = GF(3)
+    calls = []
+
+    def counted(a, b, K):
+        calls.append(1)
+        return u_mul(a, b, K)
+
+    monkeypatch.setattr(rings, "u_mul", counted)
+    m = [1, 2, 0, 1, 1]
+    a = [2, 1, 1]
+    assert rings.u_powmod(a, e, m, K) is not a
+    assert len(calls) == products
+
+
 def sympy_irreducible(f, p):
     """sympy's irreducibility test on a dense GF(p) list of degree >= 1."""
     galois = pytest.importorskip("sympy.polys.galoistools")
