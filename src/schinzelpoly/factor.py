@@ -154,24 +154,31 @@ def kronecker_fold(f: MultiPoly, D: int, target: str = "x") -> MultiPoly:
 # GF(2) univariate fast path: polynomials as int bit masks.
 # ---------------------------------------------------------------------------
 
+# bytes.translate table from a 0/1 byte to the digit "0"/"1"
+_BIT_DIGITS = bytes(range(48, 50)) + bytes(254)
+
+
 def _gf2_from_dense(c):
-    v = 0
-    for i, x in enumerate(c):
-        if x:
-            v |= 1 << i
-    return v
+    return int(bytes(reversed(c)).translate(_BIT_DIGITS), 2) if c else 0
 
 
 def _gf2_mod(a, m):
-    dm = m.bit_length() - 1
-    while a and a.bit_length() - 1 >= dm:
-        a ^= m << (a.bit_length() - 1 - dm)
+    dm = m.bit_length()
+    s = a.bit_length() - dm
+    while s >= 0:
+        a ^= m << s
+        s = a.bit_length() - dm
     return a
 
 
 def _gf2_gcd(a, b):
     while b:
-        a, b = b, _gf2_mod(a, b)
+        db = b.bit_length()
+        s = a.bit_length() - db
+        while s >= 0:
+            a ^= b << s
+            s = a.bit_length() - db
+        a, b = b, a
     return a
 
 
@@ -907,6 +914,8 @@ def is_irreducible(f: MultiPoly, method: str = "auto", seed: int = 0,
     content is a unit, "auto" decides the lifted form in k[vars, u] (the
     same ring), and a witness comes back in k[u][vars].
     """
+    if method not in ("auto", "kronecker"):
+        raise ValueError(f"unknown method {method!r}")
     if f.is_zero():
         raise ZeroInputError("irreducibility of the zero polynomial is undefined")
     ring = f.ring
@@ -920,8 +929,6 @@ def is_irreducible(f: MultiPoly, method: str = "auto", seed: int = 0,
 
     if method == "kronecker":
         return _is_irreducible_via_factor(f, seed)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     if isinstance(ring, PolyRing):
         cert = _is_irreducible_auto(_lift_u(f), seed, need_witness)
         if cert.witness is not None:

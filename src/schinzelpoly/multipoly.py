@@ -12,9 +12,10 @@ never -1, so sentinel arithmetic cannot slip through silently.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import gt, mul
 
 from .errors import (
     BudgetExceededError,
@@ -27,8 +28,10 @@ from .rings import (
     PrimeField,
     RationalField,
     Ring,
+    SLOT_MOD,
     RingElement,
     dense_trim,
+    pack_slots,
     u_gcd,
     u_trim,
     zm_add,
@@ -319,18 +322,16 @@ class MultiPoly:
         return MultiPoly(ring, vars, out)
 
     def substitute(self, name, value_poly):
-        """Substitute a polynomial for one variable; the variable disappears."""
+        """Substitute a polynomial for one variable; the variable disappears.
+        Over Z, Q and GF(p) a Specializer computes it, otherwise a Horner
+        pass on MultiPolys."""
         i = self.vars.index(name)
-        new_vars = self.vars.without(name)
         if value_poly.ring != self.ring:
             raise RingMismatchError("substitution value lives in a different ring")
+        if isinstance(self.ring, (IntegerRing, RationalField, PrimeField)):
+            return Specializer(self, name)(value_poly)
+        new_vars = self.vars.without(name)
         g = value_poly if value_poly.vars == new_vars else value_poly.embed(new_vars)
-        if len(new_vars) == 1 and isinstance(self.ring, (IntegerRing, RationalField, PrimeField)):
-            c, den = Specializer(self, name)(g)
-            if isinstance(self.ring, RationalField):
-                return MultiPoly(self.ring, new_vars,
-                                 {(e,): Fraction(v, den) for e, v in enumerate(c) if v})
-            return MultiPoly(self.ring, new_vars, {(e,): v for e, v in enumerate(c) if v})
         coeffs = []
         for c in self.coeffs_in(name):
             coeffs.append(MultiPoly(self.ring, new_vars,
@@ -512,70 +513,132 @@ class MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Dense substitution: one bivariate P, many values for one of its variables.
+# Dense substitution: one P, many values for one of its variables.
 # ---------------------------------------------------------------------------
 
 class Specializer:
-    """y -> g(x) in a polynomial P over Z, Q or GF(p) in y and one other
-    variable x, on dense lists.
+    """y -> g in a polynomial P over Z, Q or GF(p), on dense images.
 
-    The rows of P in y (its coefficients, dense in x) are built once, so
-    each value g costs one Horner pass in x on the zx_* kernels (zm_* mod
-    p).  MultiPoly.substitute takes this path whenever one variable is
-    left, and the witness searches keep one Specializer per P across their
+    The rows of P in y (its coefficients, polynomials in the variables
+    left) are built once, so each value g costs one Horner pass over them.
+    A polynomial in the variables left is handled as its Kronecker image,
+    a dense list in which variable j stands for x^(s_j): s_0 = 1 and
+    s_(j+1) = s_j * (b_j + 1), where b_j = deg_j P + D * deg_j g, with D
+    the degree of P in y (at least 1), bounds the degree in variable j of
+    every Horner step, so no product wraps (von zur Gathen & Gerhard, Modern Computer
+    Algebra, §8.4).  The bounds only grow, and the rows are rebuilt when a
+    stride does; with one variable left the image is the coefficient list
+    itself.  MultiPoly.substitute takes this path over these rings, and
+    the witness searches keep one Specializer per P across their
     candidates.
 
-    Over Q the Horner runs on integers.  With P = sum_k c_k y^k / a for
-    integral c_k, of degree D in y, and g = h / b for integral h,
-    P(x, g) = sum_k c_k h^k b^(D-k) / (a b^D).
+    Over GF(p) with p in SLOT_MOD the rows are also packed ints, one byte
+    slot per coefficient, and a step acc * g + row runs on them whenever
+    its slots stay below 256: len(g.terms) * (p-1)^2 + p - 1 < 256.  Over
+    Q the Horner runs on integers: with P = sum_k c_k y^k / a for integral
+    c_k and g = h / b for integral h,
+    P(g) = sum_k c_k h^k b^(D-k) / (a b^D).
     """
 
-    __slots__ = ("rows", "den", "p", "rational")
+    __slots__ = ("ring", "left", "row_terms", "top", "den", "p", "span", "radices", "strides",
+                 "rows", "packed")
 
     def __init__(self, P, name):
         K = P.ring
         i = P.vars.index(name)
-        j = 1 - i  # index of x
+        self.ring = K
+        self.left = P.vars.without(name)
         terms = P.terms
-        self.rational = isinstance(K, RationalField)
         self.den = 1
-        if self.rational:
+        if isinstance(K, RationalField):
             self.den = math.lcm(*(v.denominator for v in terms.values()))
             terms = {e: v.numerator * (self.den // v.denominator) for e, v in terms.items()}
-        dy = P.degree_vector()[i]
-        check_degree(dy, f"degree in {name}")
-        rows = [{} for _ in range(dy + 1)]
+        top = P.degree_vector()
+        check_degree(top[i], f"degree in {name}")
+        self.row_terms = [{} for _ in range(top[i] + 1)]  # by power of y, top first
         for e, v in terms.items():
-            rows[e[i]][e[j]] = v
-        self.rows = []  # top row first
-        for row in reversed(rows):
-            c = [0] * (max(row, default=-1) + 1)
-            for e, v in row.items():
-                c[e] = v
-            self.rows.append(c)
+            self.row_terms[top[i] - e[i]][e[:i] + e[i + 1:]] = v
+        self.top = top[:i] + top[i + 1:]
         self.p = K.p if isinstance(K, PrimeField) else 0
+        self.span = max(top[i], 1)  # >= 1: the image of g itself fits when P has no y
+        self.radices = self.strides = None
+        self._cover((0,) * len(self.top))
 
-    def __call__(self, g):
-        """(c, den) with P(x, g) = c / den, for g over P's ring in x alone:
-        c is a dense int list, reduced mod p over GF(p), and den = 1 except
-        over Q."""
+    def _cover(self, gdeg):
+        """Fit the strides to a value of degree vector gdeg, rebuilding the
+        rows when one grows; returns the length of the value's image."""
+        D, old, strides = self.span, self.radices, self.strides
+        grow = old is None or (old and any(t + D * d >= r for t, d, r in zip(self.top, gdeg, old)))
+        if grow:
+            radices = [t + D * d + 1 for t, d in zip(self.top[:-1], gdeg)]
+            if old is not None:
+                radices = list(map(max, radices, old))
+            strides = list(itertools.accumulate([1] + radices, mul))[:len(self.top)]
+        size = sum(map(mul, self.top, strides)) + 1
+        n = size + D * sum(map(mul, gdeg, strides))
+        check_degree(n - 1, "Kronecker image degree")
+        if grow:
+            self.radices, self.strides, self.rows = radices, strides, []
+            for row in self.row_terms:
+                c = [0] * size
+                for e, v in row.items():
+                    c[sum(map(mul, e, strides))] = v
+                self.rows.append(dense_trim(c))
+            self.packed = [pack_slots(c) for c in self.rows] if self.p in SLOT_MOD else None
+        return n
+
+    def dense(self, g):
+        """(c, den) with P(g) = c / den, for g over P's ring in the variables
+        left or some of them: c is the image as a dense int list (the
+        coefficient list when one variable is left), reduced mod p over
+        GF(p), and den = 1 except over Q."""
+        if g.vars.names != self.left.names:
+            g = g.embed(self.left)
         gterms, b = g.terms, 1
-        if self.rational:
+        if isinstance(self.ring, RationalField):
             b = math.lcm(*(v.denominator for v in gterms.values()))
             gterms = {e: v.numerator * (b // v.denominator) for e, v in gterms.items()}
-        h = [0] * (g.degree_vector()[0] + 1)
-        for (e,), v in gterms.items():
-            h[e] = v
+        if len(self.top) == 1:
+            deg = max(gterms)[0] if gterms else 0
+            n = self._cover((deg,))
+            h = [0] * (deg + 1)
+            for (e,), v in gterms.items():
+                h[e] = v
+        else:
+            n = self._cover(g.degree_vector())
+            h = [0] * n
+            for e, v in gterms.items():
+                h[sum(map(mul, e, self.strides))] = v
         h = dense_trim(h)
         p = self.p
+        if self.packed is not None and len(gterms) * (p - 1) ** 2 + p - 1 < 256:
+            table, G, acc = SLOT_MOD[p], pack_slots(h), b""
+            for row in self.packed:
+                acc = (int.from_bytes(acc, "little") * G + row).to_bytes(n, "little").translate(table)
+            return list(acc.rstrip(b"\0")), 1
         acc = []
-        w = 1  # b^(D-k) at row k
+        w = 1  # b^(D-k) at the row of y^k
         for c in self.rows:
             if w != 1:
                 c = [v * w for v in c]
             acc = zm_add(zm_mul(acc, h, p), c, p) if p else zx_add(zx_mul(acc, h), c)
             w *= b
         return acc, self.den * b ** (len(self.rows) - 1)
+
+    def __call__(self, g):
+        """P(g) as a MultiPoly in the variables left."""
+        c, den = self.dense(g)
+        K, strides = self.ring, self.strides[::-1]
+        rational = isinstance(K, RationalField)
+        terms = {}
+        for k, v in enumerate(c):
+            if v:
+                e = []
+                for s in strides:
+                    x, k = divmod(k, s)
+                    e.append(x)
+                terms[tuple(e[::-1])] = Fraction(v, den) if rational else v
+        return MultiPoly(K, self.left, terms)
 
 
 # ---------------------------------------------------------------------------

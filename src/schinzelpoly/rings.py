@@ -34,14 +34,23 @@ from .errors import ParseError, RingMismatchError, ZeroInputError
 # trailing zeros ([] is the zero polynomial).
 #
 # zm_* work in (Z/mZ)[x] for any int modulus m, on coefficients in [0, m),
-# with inline `% m`; a product whose coefficients fit in 8 bytes is one
-# big-int multiply of Kronecker-packed operands (Harvey 2009).  They serve
-# GF(p) (m = p) and Hensel lifting over Z (m = p^(2^i)).
+# with inline `% m`.  A product is one big-int multiply of Kronecker-packed
+# operands (Harvey 2009) once it is large enough: while its coefficients
+# fit in one byte, the operands are packed by bytes() and all slots are
+# reduced at once by bytes.translate with SLOT_MOD[m]; in 2 to 8 bytes they
+# are packed by struct.  They serve GF(p) (m = p) and Hensel lifting over
+# Z (m = p^(2^i)).
 #
 # u_* work in K[x] for a field ring K: zm_* with m = p over a PrimeField,
-# one ring method call per coefficient otherwise.  They implement GF(p^k)
-# and k[u] element arithmetic here and carry the finite-field factorizer;
-# u_ddf is its one distinct-degree loop, which u_is_irreducible also runs.
+# one ring method call per coefficient otherwise.  Over GF(p) with
+# p in SLOT_MOD, division, the Euclid loop of u_gcd and the squarings of
+# u_powmod run on packed ints once the divisor has _PACK_MIN_LEN
+# coefficients: each division step eliminates one quotient coefficient by
+# one big-int multiply-add (XOR for p = 2), and the slots are reduced only
+# before one could pass 255.  They
+# implement GF(p^k) and k[u] element arithmetic here and carry the
+# finite-field factorizer; u_ddf is its one distinct-degree loop, which
+# u_is_irreducible also runs.
 # Over GF(p) with p <= ROOT_SCAN_LIMIT, zm_roots finds the roots by
 # evaluating at every element, which decides degrees 2 and 3 outright and
 # splits the linear part of a distinct-degree split.
@@ -49,9 +58,14 @@ from .errors import ParseError, RingMismatchError, ZeroInputError
 # ---------------------------------------------------------------------------
 
 # struct code of an unsigned little-endian slot, by slot width in bytes
-_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_SLOT_CODES = {2: "H", 4: "I", 8: "Q"}
 # below this many coefficient products the plain double loop beats packing
 _PACK_MIN_WORK = 24
+# below this many divisor coefficients the list loops beat packed division
+_PACK_MIN_LEN = 6
+# bytes.translate table reducing every byte slot mod m; the byte-slot
+# kernels run for these m, where (m-1) + (m-1)^2 < 256
+SLOT_MOD = {m: (bytes(range(m)) * (256 // m + 1))[:256] for m in range(2, 17)}
 # up to this exponent u_powmod reduces x^e by one division, not by squaring
 _X_POW_DIRECT = 64
 # up to this prime p, evaluating at all p elements finds the roots in GF(p)
@@ -82,31 +96,41 @@ def zm_sub(a, b, m):
     return dense_trim(out)
 
 
+def pack_slots(a):
+    """The coefficient list a, entries in [0, 256), as one int with
+    coefficient i in byte i."""
+    return int.from_bytes(bytes(a), "little")
+
+
 def zm_mul(a, b, m):
     """Product in (Z/mZ)[x]."""
     if not a or not b:
         return []
     la, lb = len(a), len(b)
-    # every coefficient of the integer product is at most min(la, lb)*(m-1)^2
-    nbytes = ((min(la, lb) * (m - 1) ** 2).bit_length() + 7) >> 3
-    width = 1
-    while width < nbytes:
-        width <<= 1
-    code = _SLOT_CODES.get(width)
-    if code is None or la * lb <= _PACK_MIN_WORK:
-        out = [0] * (la + lb - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return dense_trim([v % m for v in out])
-    # pack each operand into one int, `width` bytes per coefficient; the
-    # slots of the product cannot carry into each other
     n = la + lb - 1
-    prod = (int.from_bytes(struct.pack(f"<{la}{code}", *a), "little")
-            * int.from_bytes(struct.pack(f"<{lb}{code}", *b), "little"))
-    slots = struct.unpack(f"<{n}{code}", prod.to_bytes(n * width, "little"))
-    return dense_trim([v % m for v in slots])
+    # every coefficient of the integer product is at most min(la, lb)*(m-1)^2
+    top = min(la, lb) * (m - 1) ** 2
+    if la * lb > _PACK_MIN_WORK:
+        # pack each operand into one int, `width` bytes per coefficient; the
+        # slots of the product cannot carry into each other
+        if top < 256:
+            prod = pack_slots(a) * pack_slots(b)
+            return list(prod.to_bytes(n, "little").translate(SLOT_MOD[m]).rstrip(b"\0"))
+        width = 2
+        while width < (top.bit_length() + 7) >> 3:
+            width <<= 1
+        code = _SLOT_CODES.get(width)
+        if code is not None:
+            prod = (int.from_bytes(struct.pack(f"<{la}{code}", *a), "little")
+                    * int.from_bytes(struct.pack(f"<{lb}{code}", *b), "little"))
+            slots = struct.unpack(f"<{n}{code}", prod.to_bytes(n * width, "little"))
+            return dense_trim([v % m for v in slots])
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return dense_trim([v % m for v in out])
 
 
 def zm_roots(f, p):
@@ -207,11 +231,62 @@ def u_mul(a, b, K):
     return u_trim(out, K)
 
 
+def _slot_divmod(r, b, p, want_q):
+    """(q, r mod b) over GF(p), p in SLOT_MOD, on packed ints with reduced
+    slots and b nonzero; q is the quotient's coefficient list when want_q,
+    else None, and the remainder is packed and reduced."""
+    db = (b.bit_length() - 1) >> 3
+    d = ((r.bit_length() - 1) >> 3) - db
+    q = [0] * max(d + 1, 0) if want_q else None
+    if p == 2:
+        # slots stay 0 or 1, XOR adds them mod 2, and the top bit is in the top slot
+        while d >= 0:
+            if want_q:
+                q[d] = 1
+            r ^= b << (d << 3)
+            d = ((r.bit_length() - 1) >> 3) - db
+        return q, r
+    if d < 0:
+        return q, r
+    n = d + db + 1
+    table = SLOT_MOD[p]
+    inv = pow(b >> (db << 3), -1, p)
+    # r + (p - c) * b * x^d clears slot d + db mod p and adds at most (p-1)^2
+    # to the slots below it, so they take `room` steps between reductions
+    room = left = (256 - p) // (p - 1) ** 2
+    for d in range(d, -1, -1):
+        c = ((r >> ((d + db) << 3)) & 255) * inv % p
+        if c:
+            if want_q:
+                q[d] = c
+            if not left:
+                r = int.from_bytes(r.to_bytes(n, "little").translate(table), "little")
+                left = room
+            r += (p - c) * b << (d << 3)
+            left -= 1
+    return q, int.from_bytes(r.to_bytes(n, "little")[:db].translate(table), "little")
+
+
+def _slot_mulmod(x, y, m, p):
+    """x * y mod m over GF(p) on packed ints, when the slots of x * y fit."""
+    n = 2 * ((m.bit_length() + 7) >> 3)  # bytes enough for a product of residues
+    prod = int.from_bytes((x * y).to_bytes(n, "little").translate(SLOT_MOD[p]), "little")
+    return _slot_divmod(prod, m, p, False)[1]
+
+
+def _slot_list(v):
+    """The coefficient list of a packed int with reduced slots."""
+    return list(v.to_bytes((v.bit_length() + 7) >> 3, "little"))
+
+
 def u_divmod(a, b, K):
     """Euclidean division in K[x], K a field.  Returns (q, r)."""
     if not b:
         raise ZeroDivisionError("univariate division by zero polynomial")
     if isinstance(K, PrimeField):
+        if len(b) >= _PACK_MIN_LEN and K.p in SLOT_MOD:
+            q, r = _slot_divmod(pack_slots(a), pack_slots(b), K.p, True)
+            return q, _slot_list(r)
         return zm_divmod(a, b, K.p)
     r = list(a)
     q = [K.zero] * max(len(a) - len(b) + 1, 0)
@@ -230,6 +305,8 @@ def u_divmod(a, b, K):
 
 
 def u_rem(a, b, K):
+    if len(b) >= _PACK_MIN_LEN and isinstance(K, PrimeField) and K.p in SLOT_MOD:
+        return _slot_list(_slot_divmod(pack_slots(a), pack_slots(b), K.p, False)[1])
     return u_divmod(a, b, K)[1]
 
 
@@ -245,6 +322,13 @@ def u_monic(a, K):
 
 def u_gcd(a, b, K):
     """Monic gcd in K[x] (zero for gcd(0,0))."""
+    if (len(a) >= _PACK_MIN_LEN and len(b) >= _PACK_MIN_LEN and isinstance(K, PrimeField)
+            and K.p in SLOT_MOD):
+        # both remainders stay packed through the whole loop
+        a, b = pack_slots(a), pack_slots(b)
+        while b:
+            a, b = b, _slot_divmod(a, b, K.p, False)[1]
+        return u_monic(_slot_list(a), K)[1]
     a, b = list(a), list(b)
     while b:
         a, b = b, u_rem(a, b, K)
@@ -281,6 +365,17 @@ def u_powmod(a, e, m, K):
         # x^e for a small e (x^q of a Frobenius step): one division
         return u_rem([K.zero] * e + [K.one], m, K)
     base = u_rem(a, m, K) if len(a) >= len(m) else list(a)
+    if (len(m) >= _PACK_MIN_LEN and isinstance(K, PrimeField) and K.p in SLOT_MOD
+            and len(m) * (K.p - 1) ** 2 < 256):
+        # every residue and product stays packed: a product of two residues
+        # has fewer than len(m) terms per slot
+        M, B = pack_slots(m), pack_slots(base)
+        R = B
+        for bit in bin(e)[3:]:
+            R = _slot_mulmod(R, R, M, K.p)
+            if bit == "1":
+                R = _slot_mulmod(R, B, M, K.p)
+        return _slot_list(R)
     result = base
     for bit in bin(e)[3:]:
         result = u_rem(u_mul(result, result, K), m, K)

@@ -256,22 +256,22 @@ def _check_side_constraints(problem, M, tup):
 
 
 def specializers(polys, yname):
-    """One Specializer per P in polys when substituting for yname leaves one
-    variable over Z, Q or GF(p), else None for every P (such images stay
-    MultiPoly).  A search builds them once for all its candidates."""
+    """One Specializer per P in polys over Z, Q or GF(p), else None for
+    every P (such images come from MultiPoly.substitute).  A search builds
+    them once for all its candidates."""
     if polys and isinstance(polys[0].ring, (IntegerRing, RationalField, PrimeField)):
-        return [Specializer(P, yname) if len(P.vars) == 2 else None for P in polys]
+        return [Specializer(P, yname) for P in polys]
     return [None] * len(polys)
 
 
 def image_irreducibility(P, yname, M, spec=None):
     """(irreducible, reason, method) of P(yname = M), as is_irreducible
     reports them, with the zero image "unit/constant".  With P's
-    Specializer the image stays a dense list and dense_is_irreducible
-    decides it."""
-    if spec is not None:
-        return dense_is_irreducible(spec(M)[0], P.ring)
-    F = P.substitute(yname, M)
+    Specializer and one variable left the image stays a dense list and
+    dense_is_irreducible decides it."""
+    if spec is not None and len(spec.left) == 1:
+        return dense_is_irreducible(spec.dense(M)[0], P.ring)
+    F = P.substitute(yname, M) if spec is None else spec(M)
     if F.is_zero():
         return False, "unit/constant", "degree"
     cert = is_irreducible(F)
@@ -387,14 +387,14 @@ def _search(problem, cons, keep=True):
     def check(polys, depth, M, tup, specs):
         """M for y_depth: (reason, _) when rejected, else (None, the
         certificates at depth m or the polynomials for the next depth).
-        specs are the specializers of polys at depth m."""
+        specs are the specializers of polys for y_depth."""
         yname = ynames[depth - 1]
         if depth == m:
             ok, reason, certs = verify_candidate(problem, M, tup, polys, yname, specs)
             return (None if ok else reason), certs
         reason = _check_side_constraints(problem, M, tup)
         if reason is None:
-            polys = [P.substitute(yname, M) for P in polys]
+            polys = [P.substitute(yname, M) if s is None else s(M) for P, s in zip(polys, specs)]
             reason = _intermediate_reason(polys, ynames[depth:])
         return reason, polys
 
@@ -411,7 +411,7 @@ def _search(problem, cons, keep=True):
     def walk(polys, chosen, depth):
         nonlocal tested, stopped
         weight = per_level ** (m - depth)
-        specs = specializers(polys, ynames[-1]) if depth == m else None
+        specs = specializers(polys, ynames[depth - 1])
         for M, tup in iter_candidates(problem.ring, problem.xvars, support, cons):
             # stopping here leaves this candidate untested
             if stopped or out_of_budget():
@@ -431,13 +431,14 @@ def _search(problem, cons, keep=True):
     else:
         draws = iter_candidates(problem.ring, problem.xvars, support,
                                 replace(cons, budget=cons.budget * m))
-        # with one y every draw specializes the P_i themselves
-        specs = specializers(problem.P, ynames[0]) if m == 1 else None
+        # every draw specializes y_1 in the P_i themselves
+        first = specializers(problem.P, ynames[0])
         while not out_of_budget():
             drawn = [next(draws) for _ in range(m)]
             tested += 1
             out = problem.P
             for depth, (M, tup) in enumerate(drawn, 1):
+                specs = first if depth == 1 else specializers(out, ynames[depth - 1])
                 reason, out = check(out, depth, M, tup, specs)
                 if reason is not None:
                     rejected[reason] = rejected.get(reason, 0) + 1
@@ -503,6 +504,7 @@ def check_fixed_divisor(ring, xvars, yvars, P_list, d,
         raise ZeroInputError("empty polynomial set")
     support = support_monomials(tuple(d))
     yname = yvars.names[0]
+    spec = specializers([Pi], yname)[0]
     acc = None
     tested = 0
     exhausted = True
@@ -511,7 +513,7 @@ def check_fixed_divisor(ring, xvars, yvars, P_list, d,
             exhausted = False
             break
         tested += 1
-        val = Pi.substitute(yname, M)
+        val = Pi.substitute(yname, M) if spec is None else spec(M)
         if val.is_zero():
             continue
         acc = val if acc is None else poly_gcd(acc, val)

@@ -108,11 +108,11 @@ def test_one_specializer_serves_every_candidate(ring, values, vars):
         assert specializers([P], "y") != [None]
         for _ in range(25):
             M = random_poly(rng, ring, X, rng.randrange(0, 4), values + [0])
-            c, den = spec(M)
+            c, den = spec.dense(M)
             want = sparse_image(P, M)
             got = MultiPoly(ring, X, {(e,): Fraction(v, den) if ring is QQ else v
                                       for e, v in enumerate(c) if v})
-            assert got == want == P.substitute("y", M), (P, M)
+            assert got == want == spec(M) == P.substitute("y", M), (P, M)
             dense = image_irreducibility(P, "y", M, spec)
             if want.is_zero():
                 assert dense == (False, "unit/constant", "degree")
@@ -122,12 +122,13 @@ def test_one_specializer_serves_every_candidate(ring, values, vars):
             assert image_irreducibility(P, "y", M) == dense
 
 
-def test_specializers_only_where_one_variable_is_left():
+def test_specializers_over_z_q_and_gf_p_for_any_variables_left():
     Z3 = VarSet(("x1", "x2", "y"))
     P2 = MultiPoly(GF(3), XY, {(1, 0): 1, (0, 1): 1})
     P3 = MultiPoly(GF(3), Z3, {(1, 0, 0): 1, (0, 0, 1): 1})
-    assert [type(s) for s in specializers([P2, P2], "y")] == [Specializer, Specializer]
-    assert specializers([P3], "y") == [None]
+    specs = specializers([P2, P3], "y")
+    assert [type(s) for s in specs] == [Specializer, Specializer]
+    assert [s.left for s in specs] == [X, V2]
     P4 = MultiPoly(GF(2, 2), XY, {(1, 0): (1,), (0, 1): (0, 1)})
     assert specializers([P4], "y") == [None]
 

@@ -428,6 +428,17 @@ def test_unit_constant_reported():
         is_irreducible(MultiPoly.zero(ZZ, V1))
 
 
+@pytest.mark.parametrize("f", [
+    MultiPoly.constant(ZZ, V1, 3),
+    MultiPoly.zero(ZZ, V1),
+    parse_poly("2*x + 4", ZZ, V1),
+    parse_poly("x^2 + 1", ZZ, V1),
+], ids=["constant", "zero", "content", "nonconstant"])
+def test_unknown_method_is_refused_before_any_shortcut(f):
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        is_irreducible(f, method="bogus")
+
+
 def test_irreducible_over_z_implies_unit_content():
     rng = random.Random(4)
     for _ in range(60):

@@ -1,6 +1,7 @@
-"""The GF(p) and Z/mZ integer kernels, Hensel lifting, the distinct-degree
-split, the GF(p) root scan and the decisions and splits built on it, dense
-substitution, heap-ordered exact division, GF(p^k) table
+"""The GF(p) and Z/mZ integer kernels, the byte-slot GF(p) kernels against
+the list loops, Hensel lifting, the distinct-degree split, the GF(p) root
+scan and the decisions and splits built on it, dense substitution and the
+Specializer against sparse Horner, heap-ordered exact division, GF(p^k) table
 arithmetic and dense Kronecker recombination, each checked against a plain
 reference or an independent oracle."""
 
@@ -14,8 +15,10 @@ import pytest
 
 from schinzelpoly import factor as factor_mod
 from schinzelpoly import rings
+from schinzelpoly.errors import BudgetExceededError
 from schinzelpoly.factor import brute_force_factor, brute_force_irreducible, factor_multivariate
-from schinzelpoly.multipoly import MultiPoly, VarSet, format_poly, grlex_key
+from schinzelpoly.multipoly import (DEGREE_CAP, MultiPoly, Specializer, VarSet, format_poly,
+                                   grlex_key)
 from schinzelpoly.rings import (GF, QQ, ZZ, ExtField, PolyRing, u_add, u_deriv, u_divmod,
                                 u_mul, u_sub, zm_add, zm_divmod, zm_mul, zm_sub)
 from schinzelpoly.textform import parse_poly
@@ -125,6 +128,87 @@ def test_zm_kernels_match_schoolbook(m):
                 assert ref_add(ref_mul(q, b, m), r, m) == a
     top = [m - 1] * 41
     assert zm_mul(top, top, m) == ref_mul(top, top, m)
+
+
+# ---------------------------------------------------------------------------
+# Byte-slot GF(p) kernels against the list loops, on both sides of the size
+# crossovers (_PACK_MIN_WORK, _PACK_MIN_LEN) and of the byte-slot bounds
+# (a product slot reaching 256; a division running more steps than its
+# slots take between reductions, e.g. 64 for p = 3 and 1 for p = 13)
+# ---------------------------------------------------------------------------
+
+SLOT_PRIMES = [2, 3, 5, 7, 13]
+
+
+def list_gcd(a, b, p):
+    """Euclid on zm_divmod, the list loop the byte-slot path replaces."""
+    while b:
+        a, b = b, zm_divmod(a, b, p)[1]
+    return rings.u_monic(a, GF(p))[1]
+
+
+def slot_lengths(p):
+    """Divisor and factor lengths around every crossover and bound for p."""
+    fit = 255 // (p - 1) ** 2  # the longest factor whose product slots fit a byte
+    lens = {1, 2, 4, rings._PACK_MIN_LEN - 1, rings._PACK_MIN_LEN, rings._PACK_MIN_LEN + 1,
+            fit, fit + 1, 70}
+    return sorted(n for n in lens if n >= 1)
+
+
+@pytest.mark.parametrize("p", SLOT_PRIMES)
+def test_byte_slot_product_matches_schoolbook(p):
+    rng = random.Random(300 + p)
+    for la in slot_lengths(p):
+        for lb in slot_lengths(p):
+            for a, b in [(rand_dense(rng, p, la - 1), rand_dense(rng, p, lb - 1)),
+                         ([p - 1] * la, [p - 1] * lb)]:
+                assert zm_mul(a, b, p) == ref_mul(a, b, p), (la, lb)
+
+
+@pytest.mark.parametrize("p", SLOT_PRIMES)
+def test_byte_slot_division_matches_the_list_loop(p):
+    rng = random.Random(400 + p)
+    K = GF(p)
+    room = (256 - p) // (p - 1) ** 2
+    for lb in slot_lengths(p):
+        for lq in (0, 1, 2, room, room + 1, room + 5):
+            la = lb + lq - 1
+            for a, b in [(rand_dense(rng, p, la - 1), rand_dense(rng, p, lb - 1)),
+                         ([p - 1] * max(la, 0), [p - 1] * lb)]:
+                want = zm_divmod(a, b, p)
+                assert u_divmod(a, b, K) == want, (la, lb)
+                assert rings.u_rem(a, b, K) == want[1], (la, lb)
+
+
+@pytest.mark.parametrize("p", SLOT_PRIMES)
+def test_byte_slot_gcd_matches_the_list_loop(p):
+    rng = random.Random(500 + p)
+    K = GF(p)
+    for lg in (1, 2, 3, rings._PACK_MIN_LEN, 9):
+        for la in slot_lengths(p):
+            for lb in (1, rings._PACK_MIN_LEN - 1, rings._PACK_MIN_LEN, 20):
+                # a common factor g makes most gcds nontrivial
+                g = rand_dense(rng, p, lg - 1)
+                a = zm_mul(g, rand_dense(rng, p, la - 1), p)
+                b = zm_mul(g, rand_dense(rng, p, lb - 1), p)
+                want = list_gcd(a, b, p)
+                assert rings.u_gcd(a, b, K) == want == rings.u_gcd(b, a, K), (lg, la, lb)
+                assert len(want) >= len(g)
+    assert rings.u_gcd([], [], K) == []
+
+
+@pytest.mark.parametrize("p", SLOT_PRIMES)
+def test_byte_slot_powmod_matches_the_list_loop(p):
+    rng = random.Random(600 + p)
+    K = GF(p)
+    fit = 255 // (p - 1) ** 2  # the longest modulus whose residue products fit a byte
+    for lm in sorted({2, rings._PACK_MIN_LEN - 1, rings._PACK_MIN_LEN, fit, fit + 1, 30}):
+        m = rand_dense(rng, p, lm - 1)
+        for a in (rand_dense(rng, p, lm - 2), rand_dense(rng, p, lm + 2), [p - 1] * (lm - 1)):
+            want = [1]
+            for e in range(1, 10):
+                want = zm_divmod(ref_mul(want, a, p), m, p)[1]
+                assert rings.u_powmod(a, e, m, K) == want, (lm, e)
 
 
 def odd_prime_for(f):
@@ -499,6 +583,69 @@ def test_substitute_dense_over_z_and_q_edges(ring):
         img = MultiPoly(QQ, xv, {(1,): Fraction(1, 3), (0,): Fraction(1, 5)})
         assert S.substitute("y", img) == MultiPoly(QQ, xv, {(1,): Fraction(1, 6),
                                                              (0,): Fraction(13, 30)})
+
+
+SPEC_RINGS = [ZZ, QQ, GF(2), GF(3), GF(13), GF(10007)]
+
+
+def spec_poly(rng, ring, vars, deg, nterms):
+    if ring is QQ:
+        return rand_rational_poly(rng, vars, deg, nterms)
+    return rand_poly(rng, ring, vars, deg, nterms)
+
+
+@pytest.mark.parametrize("ring", SPEC_RINGS, ids=str)
+@pytest.mark.parametrize("nleft", [1, 2, 3])
+def test_specializer_matches_dict_horner(ring, nleft):
+    # y in every position among 1-3 variables left; one Specializer per P
+    # across values of growing degree (its strides grow), and values over
+    # only the first variable left, as a multi-y search passes them
+    rng = random.Random(f"{ring}/{nleft}")
+    names = [f"x{j}" for j in range(1, nleft + 1)]
+    for ypos in range(nleft + 1):
+        vars = VarSet(names[:ypos] + ["y"] + names[ypos:])
+        left = vars.without("y")
+        first = VarSet(left.names[:1])
+        for _ in range(5):
+            P = spec_poly(rng, ring, vars, 3, rng.randrange(1, 7))
+            spec = Specializer(P, "y")
+            for deg in (0, 1, 2, 3, 1):
+                M = spec_poly(rng, ring, left, deg, rng.randrange(0, 6))
+                assert spec(M) == sparse_horner(P, "y", M) == P.substitute("y", M), (P, M)
+                M = spec_poly(rng, ring, first, deg, rng.randrange(0, 4))
+                assert spec(M) == sparse_horner(P, "y", M.embed(left)), (P, M)
+                if nleft == 1:
+                    c, den = spec.dense(M)
+                    assert MultiPoly(ring, left, {(e,): Fraction(v, den) if ring is QQ else v
+                                                  for e, v in enumerate(c) if v}) == spec(M)
+
+
+@pytest.mark.parametrize("ring", SPEC_RINGS, ids=str)
+def test_specializer_zero_image_degree_drop_and_dense_values(ring):
+    V3 = VarSet(("x1", "y", "x2", "x3"))
+    left = V3.without("y")
+    xy = parse_poly("x1*x2", ring, left)
+    # the image cancels to zero, and the image drops far below the bounds
+    assert Specializer(parse_poly("y - x1*x2", ring, V3), "y")(xy).is_zero()
+    P = parse_poly("y^3*x3 - x1^3*x2^3*x3 + y + x1", ring, V3)
+    assert Specializer(P, "y")(xy) == parse_poly("x1*x2 + x1", ring, left)
+    # a value with 64 terms: over GF(3) its product slots can pass 255, so
+    # the Horner runs on the list kernels
+    M = MultiPoly.from_terms(ring, left, {e: ring.from_int(2)
+                                          for e in itertools.product(range(4), repeat=3)})
+    Q = parse_poly("y^2 + x2*y + x3 + 1", ring, V3)
+    assert Specializer(Q, "y")(M) == sparse_horner(Q, "y", M)
+
+
+@pytest.mark.parametrize("vars", [("x1", "y"), ("x1", "x2", "y")], ids=["one-left", "two-left"])
+def test_specializer_refuses_an_image_past_the_degree_cap(vars):
+    # refused before any list or row of that length is built
+    V = VarSet(vars)
+    P = parse_poly("y^2 + x1", GF(2), V)
+    left = V.without("y")
+    big = MultiPoly(GF(2), left, {(DEGREE_CAP // 2 + 1,) + (0,) * (len(left) - 1): 1})
+    with pytest.raises(BudgetExceededError, match="Kronecker image degree"):
+        Specializer(P, "y")(big)
 
 
 # ---------------------------------------------------------------------------
