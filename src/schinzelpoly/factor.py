@@ -173,12 +173,7 @@ def _gf2_mod(a, m):
 
 def _gf2_gcd(a, b):
     while b:
-        db = b.bit_length()
-        s = a.bit_length() - db
-        while s >= 0:
-            a ^= b << s
-            s = a.bit_length() - db
-        a, b = b, a
+        a, b = b, _gf2_mod(a, b)
     return a
 
 

@@ -325,21 +325,14 @@ class MultiPoly:
         """Substitute a polynomial for one variable; the variable disappears.
         Over Z, Q and GF(p) a Specializer computes it, otherwise a Horner
         pass on MultiPolys."""
-        i = self.vars.index(name)
+        self.vars.index(name)  # an unknown name raises here
         if value_poly.ring != self.ring:
             raise RingMismatchError("substitution value lives in a different ring")
         if isinstance(self.ring, (IntegerRing, RationalField, PrimeField)):
             return Specializer(self, name)(value_poly)
         new_vars = self.vars.without(name)
         g = value_poly if value_poly.vars == new_vars else value_poly.embed(new_vars)
-        coeffs = []
-        for c in self.coeffs_in(name):
-            coeffs.append(MultiPoly(self.ring, new_vars,
-                                    {e[:i] + e[i + 1:]: v for e, v in c.terms.items()}))
-        acc = MultiPoly.zero(self.ring, new_vars)
-        for c in reversed(coeffs):
-            acc = acc * g + c
-        return acc
+        return horner_substitute(self, name, g)
 
     # -- content / normalization ---------------------------------------------------
 
@@ -516,6 +509,12 @@ class MultiPoly:
 # Dense substitution: one P, many values for one of its variables.
 # ---------------------------------------------------------------------------
 
+# a Specializer substitutes a value by the sparse Horner when its dense
+# image would have more than this many times the terms the image can have;
+# over Z the dense pass measured about as fast as the sparse one there
+_DENSE_SLACK = 16
+
+
 class Specializer:
     """y -> g in a polynomial P over Z, Q or GF(p), on dense images.
 
@@ -525,12 +524,17 @@ class Specializer:
     a dense list in which variable j stands for x^(s_j): s_0 = 1 and
     s_(j+1) = s_j * (b_j + 1), where b_j = deg_j P + D * deg_j g, with D
     the degree of P in y (at least 1), bounds the degree in variable j of
-    every Horner step, so no product wraps (von zur Gathen & Gerhard, Modern Computer
-    Algebra, §8.4).  The bounds only grow, and the rows are rebuilt when a
-    stride does; with one variable left the image is the coefficient list
-    itself.  MultiPoly.substitute takes this path over these rings, and
-    the witness searches keep one Specializer per P across their
+    every Horner step, so no product wraps (von zur Gathen & Gerhard,
+    Modern Computer Algebra, §8.4).  The strides grow to cover every value
+    so far while that stays within DEGREE_CAP, and the rows are rebuilt
+    when they change; with one variable left the image is the coefficient
+    list itself.  MultiPoly.substitute takes this path over these rings,
+    and the witness searches keep one Specializer per P across their
     candidates.
+
+    The image has prod_j (b_j + 1) slots however sparse P and g are, so a
+    value whose image would pass DEGREE_CAP, or _DENSE_SLACK times the
+    terms P(g) can have, is substituted by horner_substitute instead.
 
     Over GF(p) with p in SLOT_MOD the rows are also packed ints, one byte
     slot per coefficient, and a step acc * g + row runs on them whenever
@@ -540,13 +544,13 @@ class Specializer:
     P(g) = sum_k c_k h^k b^(D-k) / (a b^D).
     """
 
-    __slots__ = ("ring", "left", "row_terms", "top", "den", "p", "span", "radices", "strides",
-                 "rows", "packed")
+    __slots__ = ("P", "name", "ring", "left", "row_terms", "top", "den", "p", "span",
+                 "radices", "strides", "cap", "size", "rows", "packed")
 
     def __init__(self, P, name):
         K = P.ring
         i = P.vars.index(name)
-        self.ring = K
+        self.P, self.name, self.ring = P, name, K
         self.left = P.vars.without(name)
         terms = P.terms
         self.den = 1
@@ -561,37 +565,49 @@ class Specializer:
         self.top = top[:i] + top[i + 1:]
         self.p = K.p if isinstance(K, PrimeField) else 0
         self.span = max(top[i], 1)  # >= 1: the image of g itself fits when P has no y
-        self.radices = self.strides = None
-        self._cover((0,) * len(self.top))
+        # the layout and rows, built by dense
+        self.radices = self.strides = self.cap = self.size = self.rows = self.packed = None
 
     def _cover(self, gdeg):
         """Fit the strides to a value of degree vector gdeg, rebuilding the
-        rows when one grows; returns the length of the value's image."""
-        D, old, strides = self.span, self.radices, self.strides
-        grow = old is None or (old and any(t + D * d >= r for t, d, r in zip(self.top, gdeg, old)))
-        if grow:
-            radices = [t + D * d + 1 for t, d in zip(self.top[:-1], gdeg)]
-            if old is not None:
-                radices = list(map(max, radices, old))
-            strides = list(itertools.accumulate([1] + radices, mul))[:len(self.top)]
-        size = sum(map(mul, self.top, strides)) + 1
-        n = size + D * sum(map(mul, gdeg, strides))
-        check_degree(n - 1, "Kronecker image degree")
-        if grow:
-            self.radices, self.strides, self.rows = radices, strides, []
-            for row in self.row_terms:
-                c = [0] * size
-                for e, v in row.items():
-                    c[sum(map(mul, e, strides))] = v
-                self.rows.append(dense_trim(c))
-            self.packed = [pack_slots(c) for c in self.rows] if self.p in SLOT_MOD else None
-        return n
+        rows when they change; returns the length of the value's image.  New
+        strides cover every earlier value too unless that passes
+        DEGREE_CAP."""
+        D = self.span
+        if self.radices is not None and not any(map(gt, gdeg, self.cap)):
+            n = self.size + D * sum(map(mul, gdeg, self.strides))
+            if n - 1 <= DEGREE_CAP:
+                return n
+        radices = [t + D * d + 1 for t, d in zip(self.top[:-1], gdeg)]
+        if self.radices is not None:
+            union = list(map(max, radices, self.radices))
+            if self._length(union, gdeg) - 1 <= DEGREE_CAP:
+                radices = union
+        check_degree(self._length(radices, gdeg) - 1, "Kronecker image degree")
+        self.radices, self.rows = radices, []
+        self.strides = strides = list(itertools.accumulate([1] + radices, mul))[:len(self.top)]
+        # the largest degree of a value in each variable but the last
+        self.cap = [(r - 1 - t) // D for r, t in zip(radices, self.top)]
+        self.size = 1 + sum(map(mul, self.top, strides))  # of a row
+        for row in self.row_terms:
+            c = [0] * self.size
+            for e, v in row.items():
+                c[sum(map(mul, e, strides))] = v
+            self.rows.append(dense_trim(c))
+        self.packed = [pack_slots(c) for c in self.rows] if self.p in SLOT_MOD else None
+        return self.size + D * sum(map(mul, gdeg, strides))
 
-    def dense(self, g):
+    def _length(self, radices, gdeg):
+        """A bound on the image length of a value of degree vector gdeg in
+        the strides of radices, exact for the strides of gdeg alone."""
+        return math.prod(radices) * (self.top[-1] + self.span * gdeg[-1] + 1) if self.top else 1
+
+    def dense(self, g, gdeg=None):
         """(c, den) with P(g) = c / den, for g over P's ring in the variables
         left or some of them: c is the image as a dense int list (the
         coefficient list when one variable is left), reduced mod p over
-        GF(p), and den = 1 except over Q."""
+        GF(p), and den = 1 except over Q.  gdeg, when given, is the degree
+        vector of g in the variables left."""
         if g.vars.names != self.left.names:
             g = g.embed(self.left)
         gterms, b = g.terms, 1
@@ -599,16 +615,20 @@ class Specializer:
             b = math.lcm(*(v.denominator for v in gterms.values()))
             gterms = {e: v.numerator * (b // v.denominator) for e, v in gterms.items()}
         if len(self.top) == 1:
+            # the exponent is the slot: a third of a call faster than
+            # degree_vector and the dot products below
             deg = max(gterms)[0] if gterms else 0
             n = self._cover((deg,))
             h = [0] * (deg + 1)
             for (e,), v in gterms.items():
                 h[e] = v
         else:
-            n = self._cover(g.degree_vector())
-            h = [0] * n
+            gdeg = gdeg or g.degree_vector()
+            n = self._cover(gdeg)
+            strides = self.strides
+            h = [0] * (1 + sum(map(mul, gdeg, strides)))  # up to the slot of g's degree vector
             for e, v in gterms.items():
-                h[sum(map(mul, e, self.strides))] = v
+                h[sum(map(mul, e, strides))] = v
         h = dense_trim(h)
         p = self.p
         if self.packed is not None and len(gterms) * (p - 1) ** 2 + p - 1 < 256:
@@ -625,9 +645,23 @@ class Specializer:
             w *= b
         return acc, self.den * b ** (len(self.rows) - 1)
 
+    def _terms_bound(self, t):
+        """A bound on the terms of P(g) for g of t terms: the row of y^d
+        times g^d, which has at most C(t + d - 1, d) terms."""
+        D = len(self.row_terms) - 1
+        return sum(len(row) * (math.comb(t + D - k - 1, D - k) if k < D else 1)
+                   for k, row in enumerate(self.row_terms))
+
     def __call__(self, g):
         """P(g) as a MultiPoly in the variables left."""
-        c, den = self.dense(g)
+        if g.vars.names != self.left.names:
+            g = g.embed(self.left)
+        gdeg = g.degree_vector()
+        n = math.prod(t + self.span * d + 1 for t, d in zip(self.top, gdeg))  # in g's own strides
+        if n - 1 > DEGREE_CAP or (n > _DENSE_SLACK
+                                  and n > _DENSE_SLACK * self._terms_bound(len(g.terms))):
+            return horner_substitute(self.P, self.name, g)
+        c, den = self.dense(g, gdeg)
         K, strides = self.ring, self.strides[::-1]
         rational = isinstance(K, RationalField)
         terms = {}
@@ -639,6 +673,19 @@ class Specializer:
                     e.append(x)
                 terms[tuple(e[::-1])] = Fraction(v, den) if rational else v
         return MultiPoly(K, self.left, terms)
+
+
+def horner_substitute(P, name, g):
+    """P with g substituted for name, for g over P.vars.without(name): a
+    Horner pass on sparse MultiPolys."""
+    i = P.vars.index(name)
+    coeffs = []
+    for c in P.coeffs_in(name):
+        coeffs.append(MultiPoly(P.ring, g.vars, {e[:i] + e[i + 1:]: v for e, v in c.terms.items()}))
+    acc = MultiPoly.zero(P.ring, g.vars)
+    for c in reversed(coeffs):
+        acc = acc * g + c
+    return acc
 
 
 # ---------------------------------------------------------------------------

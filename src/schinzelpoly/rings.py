@@ -43,14 +43,13 @@ from .errors import ParseError, RingMismatchError, ZeroInputError
 #
 # u_* work in K[x] for a field ring K: zm_* with m = p over a PrimeField,
 # one ring method call per coefficient otherwise.  Over GF(p) with
-# p in SLOT_MOD, division, the Euclid loop of u_gcd and the squarings of
-# u_powmod run on packed ints once the divisor has _PACK_MIN_LEN
-# coefficients: each division step eliminates one quotient coefficient by
-# one big-int multiply-add (XOR for p = 2), and the slots are reduced only
-# before one could pass 255.  They
-# implement GF(p^k) and k[u] element arithmetic here and carry the
-# finite-field factorizer; u_ddf is its one distinct-degree loop, which
-# u_is_irreducible also runs.
+# p in _SLOT_DIV_PRIMES, division, the Euclid loop of u_gcd and the
+# squarings of u_powmod run on packed ints once the divisor has
+# _PACK_MIN_LEN coefficients: each division step eliminates one quotient
+# coefficient by one big-int multiply-add (XOR for p = 2), and the slots
+# are reduced only before one could pass 255.  They implement GF(p^k)
+# and k[u] element arithmetic here and carry the finite-field factorizer;
+# u_ddf is its one distinct-degree loop, which u_is_irreducible also runs.
 # Over GF(p) with p <= ROOT_SCAN_LIMIT, zm_roots finds the roots by
 # evaluating at every element, which decides degrees 2 and 3 outright and
 # splits the linear part of a distinct-degree split.
@@ -63,6 +62,11 @@ _SLOT_CODES = {2: "H", 4: "I", 8: "Q"}
 _PACK_MIN_WORK = 24
 # below this many divisor coefficients the list loops beat packed division
 _PACK_MIN_LEN = 6
+# the primes whose division runs on byte slots: a step there adds up to
+# (p-1)^2 to a slot, so the slots take (256 - p) // (p-1)^2 >= 6 steps
+# between reductions.  For 11 and 13 that is 2 and 1 steps, and the list
+# loop measured as fast up to about 10 divisor coefficients.
+_SLOT_DIV_PRIMES = (2, 3, 5, 7)
 # bytes.translate table reducing every byte slot mod m; the byte-slot
 # kernels run for these m, where (m-1) + (m-1)^2 < 256
 SLOT_MOD = {m: (bytes(range(m)) * (256 // m + 1))[:256] for m in range(2, 17)}
@@ -232,9 +236,9 @@ def u_mul(a, b, K):
 
 
 def _slot_divmod(r, b, p, want_q):
-    """(q, r mod b) over GF(p), p in SLOT_MOD, on packed ints with reduced
-    slots and b nonzero; q is the quotient's coefficient list when want_q,
-    else None, and the remainder is packed and reduced."""
+    """(q, r mod b) over GF(p), p in _SLOT_DIV_PRIMES, on packed ints with
+    reduced slots and b nonzero; q is the quotient's coefficient list when
+    want_q, else None, and the remainder is packed and reduced."""
     db = (b.bit_length() - 1) >> 3
     d = ((r.bit_length() - 1) >> 3) - db
     q = [0] * max(d + 1, 0) if want_q else None
@@ -284,7 +288,7 @@ def u_divmod(a, b, K):
     if not b:
         raise ZeroDivisionError("univariate division by zero polynomial")
     if isinstance(K, PrimeField):
-        if len(b) >= _PACK_MIN_LEN and K.p in SLOT_MOD:
+        if _slot_div(len(b), K):
             q, r = _slot_divmod(pack_slots(a), pack_slots(b), K.p, True)
             return q, _slot_list(r)
         return zm_divmod(a, b, K.p)
@@ -304,8 +308,13 @@ def u_divmod(a, b, K):
     return u_trim(q, K), r
 
 
+def _slot_div(n, K):
+    """Whether a division by n coefficients over K runs on byte slots."""
+    return n >= _PACK_MIN_LEN and isinstance(K, PrimeField) and K.p in _SLOT_DIV_PRIMES
+
+
 def u_rem(a, b, K):
-    if len(b) >= _PACK_MIN_LEN and isinstance(K, PrimeField) and K.p in SLOT_MOD:
+    if _slot_div(len(b), K):
         return _slot_list(_slot_divmod(pack_slots(a), pack_slots(b), K.p, False)[1])
     return u_divmod(a, b, K)[1]
 
@@ -322,8 +331,7 @@ def u_monic(a, K):
 
 def u_gcd(a, b, K):
     """Monic gcd in K[x] (zero for gcd(0,0))."""
-    if (len(a) >= _PACK_MIN_LEN and len(b) >= _PACK_MIN_LEN and isinstance(K, PrimeField)
-            and K.p in SLOT_MOD):
+    if _slot_div(min(len(a), len(b)), K):
         # both remainders stay packed through the whole loop
         a, b = pack_slots(a), pack_slots(b)
         while b:
@@ -365,8 +373,7 @@ def u_powmod(a, e, m, K):
         # x^e for a small e (x^q of a Frobenius step): one division
         return u_rem([K.zero] * e + [K.one], m, K)
     base = u_rem(a, m, K) if len(a) >= len(m) else list(a)
-    if (len(m) >= _PACK_MIN_LEN and isinstance(K, PrimeField) and K.p in SLOT_MOD
-            and len(m) * (K.p - 1) ** 2 < 256):
+    if _slot_div(len(m), K) and len(m) * (K.p - 1) ** 2 < 256:
         # every residue and product stays packed: a product of two residues
         # has fewer than len(m) terms per slot
         M, B = pack_slots(m), pack_slots(base)

@@ -18,7 +18,7 @@ from schinzelpoly import rings
 from schinzelpoly.errors import BudgetExceededError
 from schinzelpoly.factor import brute_force_factor, brute_force_irreducible, factor_multivariate
 from schinzelpoly.multipoly import (DEGREE_CAP, MultiPoly, Specializer, VarSet, format_poly,
-                                   grlex_key)
+                                   grlex_key, substitute_y)
 from schinzelpoly.rings import (GF, QQ, ZZ, ExtField, PolyRing, u_add, u_deriv, u_divmod,
                                 u_mul, u_sub, zm_add, zm_divmod, zm_mul, zm_sub)
 from schinzelpoly.textform import parse_poly
@@ -638,14 +638,55 @@ def test_specializer_zero_image_degree_drop_and_dense_values(ring):
 
 
 @pytest.mark.parametrize("vars", [("x1", "y"), ("x1", "x2", "y")], ids=["one-left", "two-left"])
-def test_specializer_refuses_an_image_past_the_degree_cap(vars):
-    # refused before any list or row of that length is built
+def test_specializer_past_the_degree_cap(vars):
+    # the dense image is refused before any list or row of that length is
+    # built, and the MultiPoly image comes from the dict Horner
     V = VarSet(vars)
     P = parse_poly("y^2 + x1", GF(2), V)
     left = V.without("y")
     big = MultiPoly(GF(2), left, {(DEGREE_CAP // 2 + 1,) + (0,) * (len(left) - 1): 1})
+    spec = Specializer(P, "y")
     with pytest.raises(BudgetExceededError, match="Kronecker image degree"):
-        Specializer(P, "y")(big)
+        spec.dense(big)
+    assert spec(big) == P.substitute("y", big) == sparse_horner(P, "y", big)
+    assert spec.rows is None
+
+
+def test_specializer_drops_earlier_strides_that_would_pass_the_cap():
+    # x1^2048 and then x2^1024: strides covering both would give an image of
+    # about 2^21 slots, the second value's own strides 2 * 1025
+    V = VarSet(("x1", "x2", "y"))
+    left = V.without("y")
+    P = parse_poly("y + x1", GF(3), V)
+    spec = Specializer(P, "y")
+    for g in ("x1^2048 + 1", "x2^1024 + x1", "x1 + x2"):
+        M = parse_poly(g, GF(3), left)
+        assert spec.dense(M) == Specializer(P, "y").dense(M)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3)], ids=str)
+@pytest.mark.parametrize("nleft", [2, 3, 4, 5])
+def test_sparse_values_take_the_dict_horner(ring, nleft, monkeypatch):
+    # y^8 + (x1...xn)^8 at y = x1...xn has 9^n slots in its dense image and
+    # one term; it is substituted without a dense image however many
+    # variables are left, and with a few more terms the image is dense again
+    names = [f"x{j}" for j in range(1, nleft + 1)]
+    V = VarSet(names + ["y"])
+    left = V.without("y")
+    mono8 = "*".join(f"{x}^8" for x in names)
+    P = parse_poly(f"y^8 + {mono8}", ring, V)
+    M = parse_poly("*".join(names), ring, left)
+    want = parse_poly(f"2*{mono8}", ring, left)
+    spec = Specializer(P, "y")
+    with monkeypatch.context() as m:
+        m.setattr(Specializer, "dense", None)  # any dense image fails
+        assert spec(M) == P.substitute("y", M) == substitute_y(P, M) == want
+    assert spec.rows is None
+    Q = parse_poly("y^2 + x1*y + x2", ring, V)
+    M = parse_poly("x1 + x2 + 1", ring, left)
+    spec = Specializer(Q, "y")
+    assert spec(M) == sparse_horner(Q, "y", M)
+    assert spec.rows is not None
 
 
 # ---------------------------------------------------------------------------
