@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
 )
 from .factor import factor_multivariate, is_irreducible
-from .multipoly import MultiPoly, VarSet, format_poly
+from .multipoly import MultiPoly, Specializer, VarSet, format_poly
 from .rings import PolyRing, parse_ring
 from .schinzel import (
     SchinzelProblem,
@@ -37,7 +37,6 @@ from .schinzel import (
     iter_candidates,
     schinzel_search,
     schinzel_search_multi,
-    specializers,
 )
 from .constructions import (
     SpectrumSpec,
@@ -413,13 +412,13 @@ def swan_scan(P: MultiPoly, xname: str, yname: str, max_deg: int,
             raise BudgetExceededError(f"enumeration of {q}^{max_deg + 1} candidates "
                                       f"exceeds the cap of {enumeration_cap}")
     support = [(i,) for i in range(max_deg + 1)]
-    spec = specializers([P], yname)[0]
+    spec = Specializer(P, yname)
     irreducible = 0
     witnesses = []
     count = 0
     for M, _ in iter_candidates(ring, VarSet((xname,)), support, SearchConstraints()):
         count += 1
-        if image_irreducibility(P, yname, M, spec)[0]:
+        if image_irreducibility(spec, M)[0]:
             irreducible += 1
             if len(witnesses) < 5:
                 witnesses.append(format_poly(M))

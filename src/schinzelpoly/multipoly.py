@@ -323,16 +323,11 @@ class MultiPoly:
 
     def substitute(self, name, value_poly):
         """Substitute a polynomial for one variable; the variable disappears.
-        Over Z, Q and GF(p) a Specializer computes it, otherwise a Horner
-        pass on MultiPolys."""
-        self.vars.index(name)  # an unknown name raises here
+        A Specializer of self computes it."""
+        spec = Specializer(self, name)  # an unknown name raises here
         if value_poly.ring != self.ring:
             raise RingMismatchError("substitution value lives in a different ring")
-        if isinstance(self.ring, (IntegerRing, RationalField, PrimeField)):
-            return Specializer(self, name)(value_poly)
-        new_vars = self.vars.without(name)
-        g = value_poly if value_poly.vars == new_vars else value_poly.embed(new_vars)
-        return horner_substitute(self, name, g)
+        return spec(value_poly)
 
     # -- content / normalization ---------------------------------------------------
 
@@ -394,115 +389,97 @@ class MultiPoly:
         the leading term of g (including coefficient divisibility over a
         non-field ring).
         """
-        self._check(g)
-        if g.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        ring = self.ring
-        g_exps, g_lc = g.leading_term()
-        q = {}
-        r = {}
-        work = dict(self.terms)
-        while work:
-            exps = max(work, key=grlex_key)
-            v = work.pop(exps)
-            diff = tuple(a - b for a, b in zip(exps, g_exps))
-            c = ring.try_divexact(v, g_lc) if all(d >= 0 for d in diff) else None
-            if c is None:
-                r[exps] = v
-                continue
-            if diff in q:
-                s = ring.add(q[diff], c)
-                if ring.is_zero(s):
-                    del q[diff]
-                else:
-                    q[diff] = s
-            else:
-                q[diff] = c
-            for e2, v2 in g.terms.items():
-                if e2 == g_exps:
-                    continue  # leading term cancels exactly
-                ee = tuple(a + b for a, b in zip(diff, e2))
-                s = ring.sub(work.get(ee, ring.zero), ring.mul(c, v2))
-                if ring.is_zero(s):
-                    work.pop(ee, None)
-                else:
-                    work[ee] = s
-        return (MultiPoly(ring, self.vars, q), MultiPoly(ring, self.vars, r))
+        return self._divide(g, exact=False)
 
     def try_divexact(self, g):
-        """self / g when g divides exactly in R[vars], else None.
+        """self / g when g divides exactly in R[vars], else None."""
+        return self._divide(g, exact=True)
 
-        The remainder lives in one dict updated in place, keyed by packed
-        exponents: an exponent vector e becomes the integer
-        sum(e)*B^n + sum(e_i * B^(n-1-i)), whose order is graded lex while
-        every e_i < B, and which adds up when monomials multiply.  A heap
-        of these keys yields the leading term of the remainder (Monagan and
-        Pearce 2007); entries whose term has cancelled are skipped on pop.
+    def _divide(self, g, exact):
+        """(q, r) as divmod_single returns them or, in exact mode, q, and
+        None at the first term that would go to r or when g = 0.
+
+        The part of self not yet reduced lives in one dict updated in
+        place, keyed by packed exponents: an exponent vector e becomes the
+        integer sum(e)*B^n + sum(e_i * B^(n-1-i)), whose order is graded
+        lex while every e_i < B, and which adds up when monomials
+        multiply.  A heap of these keys yields its leading term (Monagan
+        and Pearce 2007); entries whose term has cancelled are skipped on
+        pop.  A term that LT(g) does not divide, by exponent or by
+        coefficient, moves to r.
         """
         self._check(g)
         if g.is_zero():
-            return None
+            if exact:
+                return None
+            raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
-            return self
-        ring = self.ring
-        n = len(self.vars)
+            return self if exact else (self, self)
+        ring, vars = self.ring, self.vars
+        n = len(vars)
         g_exps, g_lc = g.leading_term()
+        # every term left has total degree <= that of self, so B bounds
+        # each of its exponents
+        B = self.total_degree() + 1
+        if exact and sum(g_exps) >= B:
+            return None
+        q, r = {}, {}
         if len(g.terms) == 1:
             # a monomial divides term by term (most divisors the Kronecker
             # route and the gcd contents pass in)
-            q = {}
             for e, v in self.terms.items():
                 diff = tuple(a - b for a, b in zip(e, g_exps))
                 c = None if any(d < 0 for d in diff) else ring.try_divexact(v, g_lc)
-                if c is None:
+                if c is not None:
+                    q[diff] = c
+                elif exact:
                     return None
-                q[diff] = c
-            return MultiPoly(ring, self.vars, q)
-        # every remainder term has total degree <= that of self, so B bounds
-        # each of its exponents
-        B = self.total_degree() + 1
-        if sum(g_exps) >= B:
-            return None
-        weights = [B ** (n - 1 - k) for k in range(n)]
-        top = B ** n
-        # pack(e) = sum(e)*top + sum(e_i*weights_i), one product per exponent
-        coef = [top + w for w in weights]
-        rem = {sum(map(mul, e, coef)): v for e, v in self.terms.items()}
-        heap = [-k for k in rem]
-        heapq.heapify(heap)
-        g_key = sum(map(mul, g_exps, coef))
-        g_rest = [(sum(map(mul, e, coef)) - g_key, v)
-                  for e, v in g.terms.items() if e != g_exps]
-        q = {}
-        while heap:
-            k = -heapq.heappop(heap)
-            v = rem.pop(k, None)
-            if v is None:
-                continue
-            low = k % top
-            diff = []
-            for w, ge in zip(weights, g_exps):
-                x, low = divmod(low, w)
-                if x < ge:
-                    return None
-                diff.append(x - ge)
-            c = ring.try_divexact(v, g_lc)
-            if c is None:
-                return None
-            q[tuple(diff)] = c
-            for dk, v2 in g_rest:
-                t = k + dk
-                old = rem.get(t)
-                if old is None:
-                    rem[t] = ring.neg(ring.mul(c, v2))
-                    heapq.heappush(heap, -t)
                 else:
-                    s = ring.sub(old, ring.mul(c, v2))
-                    if ring.is_zero(s):
-                        del rem[t]
+                    r[e] = v
+        else:
+            weights = [B ** (n - 1 - k) for k in range(n)]
+            top = B ** n
+            # pack(e) = sum(e)*top + sum(e_i*weights_i), one product per exponent
+            coef = [top + w for w in weights]
+            rem = {sum(map(mul, e, coef)): v for e, v in self.terms.items()}
+            heap = [-k for k in rem]
+            heapq.heapify(heap)
+            g_key = sum(map(mul, g_exps, coef))
+            g_rest = [(sum(map(mul, e, coef)) - g_key, v)
+                      for e, v in g.terms.items() if e != g_exps]
+            while heap:
+                k = -heapq.heappop(heap)
+                v = rem.pop(k, None)
+                if v is None:
+                    continue
+                low = k % top
+                diff = []
+                for w, ge in zip(weights, g_exps):
+                    x, low = divmod(low, w)
+                    if x < ge:
+                        break
+                    diff.append(x - ge)
+                c = ring.try_divexact(v, g_lc) if len(diff) == n else None
+                if c is None:
+                    if exact:
+                        return None
+                    r[tuple(k % top // w % B for w in weights)] = v
+                    continue
+                q[tuple(diff)] = c
+                for dk, v2 in g_rest:
+                    t = k + dk
+                    old = rem.get(t)
+                    if old is None:
+                        rem[t] = ring.neg(ring.mul(c, v2))
+                        heapq.heappush(heap, -t)
                     else:
-                        rem[t] = s
-        return MultiPoly(ring, self.vars, q)
+                        s = ring.sub(old, ring.mul(c, v2))
+                        if ring.is_zero(s):
+                            del rem[t]
+                        else:
+                            rem[t] = s
+        quotient = MultiPoly(ring, vars, q)
+        return quotient if exact else (quotient, MultiPoly(ring, vars, r))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +493,8 @@ _DENSE_SLACK = 16
 
 
 class Specializer:
-    """y -> g in a polynomial P over Z, Q or GF(p), on dense images.
+    """y -> g in a polynomial P over any ring: over GF(p^k) and k[u] by
+    horner_substitute, over Z, Q and GF(p) on dense images.
 
     The rows of P in y (its coefficients, polynomials in the variables
     left) are built once, so each value g costs one Horner pass over them.
@@ -528,9 +506,8 @@ class Specializer:
     Modern Computer Algebra, §8.4).  The strides grow to cover every value
     so far while that stays within DEGREE_CAP, and the rows are rebuilt
     when they change; with one variable left the image is the coefficient
-    list itself.  MultiPoly.substitute takes this path over these rings,
-    and the witness searches keep one Specializer per P across their
-    candidates.
+    list itself.  MultiPoly.substitute builds one per call, and the witness
+    searches keep one per P across their candidates.
 
     The image has prod_j (b_j + 1) slots however sparse P and g are, so a
     value whose image would pass DEGREE_CAP, or _DENSE_SLACK times the
@@ -544,14 +521,19 @@ class Specializer:
     P(g) = sum_k c_k h^k b^(D-k) / (a b^D).
     """
 
-    __slots__ = ("P", "name", "ring", "left", "row_terms", "top", "den", "p", "span",
-                 "radices", "strides", "cap", "size", "rows", "packed")
+    __slots__ = ("P", "name", "ring", "left", "dense_ok", "row_terms", "top", "den", "p",
+                 "span", "radices", "strides", "cap", "size", "rows", "packed")
 
     def __init__(self, P, name):
         K = P.ring
         i = P.vars.index(name)
         self.P, self.name, self.ring = P, name, K
         self.left = P.vars.without(name)
+        # the layout and rows, built by dense
+        self.radices = self.strides = self.cap = self.size = self.rows = self.packed = None
+        self.dense_ok = isinstance(K, (IntegerRing, RationalField, PrimeField))
+        if not self.dense_ok:
+            return
         terms = P.terms
         self.den = 1
         if isinstance(K, RationalField):
@@ -565,8 +547,6 @@ class Specializer:
         self.top = top[:i] + top[i + 1:]
         self.p = K.p if isinstance(K, PrimeField) else 0
         self.span = max(top[i], 1)  # >= 1: the image of g itself fits when P has no y
-        # the layout and rows, built by dense
-        self.radices = self.strides = self.cap = self.size = self.rows = self.packed = None
 
     def _cover(self, gdeg):
         """Fit the strides to a value of degree vector gdeg, rebuilding the
@@ -603,8 +583,8 @@ class Specializer:
         return math.prod(radices) * (self.top[-1] + self.span * gdeg[-1] + 1) if self.top else 1
 
     def dense(self, g, gdeg=None):
-        """(c, den) with P(g) = c / den, for g over P's ring in the variables
-        left or some of them: c is the image as a dense int list (the
+        """(c, den) with P(g) = c / den, for g over P's ring (Z, Q or GF(p))
+        in the variables left or some of them: c is the image as a dense int list (the
         coefficient list when one variable is left), reduced mod p over
         GF(p), and den = 1 except over Q.  gdeg, when given, is the degree
         vector of g in the variables left."""
@@ -656,6 +636,8 @@ class Specializer:
         """P(g) as a MultiPoly in the variables left."""
         if g.vars.names != self.left.names:
             g = g.embed(self.left)
+        if not self.dense_ok:
+            return horner_substitute(self.P, self.name, g)
         gdeg = g.degree_vector()
         n = math.prod(t + self.span * d + 1 for t, d in zip(self.top, gdeg))  # in g's own strides
         if n - 1 > DEGREE_CAP or (n > _DENSE_SLACK

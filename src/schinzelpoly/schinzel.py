@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from .errors import UnsupportedRingError, ZeroInputError
 from .factor import dense_is_irreducible, is_irreducible
 from .multipoly import MultiPoly, Specializer, VarSet, poly_gcd
-from .rings import IntegerRing, PolyRing, PrimeField, RationalField, Ring
+from .rings import IntegerRing, PolyRing, RationalField, Ring
 
 
 # ---------------------------------------------------------------------------
@@ -255,23 +255,14 @@ def _check_side_constraints(problem, M, tup):
     return None
 
 
-def specializers(polys, yname):
-    """One Specializer per P in polys over Z, Q or GF(p), else None for
-    every P (such images come from MultiPoly.substitute).  A search builds
-    them once for all its candidates."""
-    if polys and isinstance(polys[0].ring, (IntegerRing, RationalField, PrimeField)):
-        return [Specializer(P, yname) for P in polys]
-    return [None] * len(polys)
-
-
-def image_irreducibility(P, yname, M, spec=None):
-    """(irreducible, reason, method) of P(yname = M), as is_irreducible
-    reports them, with the zero image "unit/constant".  With P's
-    Specializer and one variable left the image stays a dense list and
-    dense_is_irreducible decides it."""
-    if spec is not None and len(spec.left) == 1:
-        return dense_is_irreducible(spec.dense(M)[0], P.ring)
-    F = P.substitute(yname, M) if spec is None else spec(M)
+def image_irreducibility(spec, M):
+    """(irreducible, reason, method) of P(y = M) for the Specializer spec
+    of P and y, as is_irreducible reports them, with the zero image
+    "unit/constant".  Over Z, Q and GF(p) with one variable left the image
+    stays a dense list and dense_is_irreducible decides it."""
+    if spec.dense_ok and len(spec.left) == 1:
+        return dense_is_irreducible(spec.dense(M)[0], spec.ring)
+    F = spec(M)
     if F.is_zero():
         return False, "unit/constant", "degree"
     cert = is_irreducible(F)
@@ -282,20 +273,17 @@ def verify_candidate(problem: SchinzelProblem, M: MultiPoly, tup=(), polys=None,
                      yname=None, specs=None):
     """Return (is_witness, reason, certificates) for substituting M for
     yname (default: the first y variable) in polys (default: the P_i).
-    specs are the polys' specializers (see specializers), built here when
-    the caller does not keep them across candidates."""
+    specs, when given, are the Specializers of polys for yname, which a
+    search keeps across its candidates."""
     side = _check_side_constraints(problem, M, tup)
     if side is not None:
         return False, side, []
-    if polys is None:
-        polys = problem.P
-    if yname is None:
-        yname = problem.yvars.names[0]
     if specs is None:
-        specs = specializers(polys, yname)
+        yname = yname or problem.yvars.names[0]
+        specs = [Specializer(P, yname) for P in (problem.P if polys is None else polys)]
     certs = []
-    for P, spec in zip(polys, specs):
-        ok, reason, method = image_irreducibility(P, yname, M, spec)
+    for spec in specs:
+        ok, reason, method = image_irreducibility(spec, M)
         if not ok:
             return False, _reason_of(reason), []
         certs.append(method)
@@ -384,19 +372,18 @@ def _search(problem, cons, keep=True):
     tested = found = 0
     stopped = False
 
-    def check(polys, depth, M, tup, specs):
-        """M for y_depth: (reason, _) when rejected, else (None, the
-        certificates at depth m or the polynomials for the next depth).
-        specs are the specializers of polys for y_depth."""
-        yname = ynames[depth - 1]
+    def check(specs, depth, M, tup):
+        """M for y_depth, with specs the Specializers of the polynomials
+        for y_depth: (reason, _) when rejected, else (None, the
+        certificates at depth m or the polynomials for the next depth)."""
         if depth == m:
-            ok, reason, certs = verify_candidate(problem, M, tup, polys, yname, specs)
+            ok, reason, certs = verify_candidate(problem, M, tup, specs=specs)
             return (None if ok else reason), certs
         reason = _check_side_constraints(problem, M, tup)
-        if reason is None:
-            polys = [P.substitute(yname, M) if s is None else s(M) for P, s in zip(polys, specs)]
-            reason = _intermediate_reason(polys, ynames[depth:])
-        return reason, polys
+        if reason is not None:
+            return reason, None
+        polys = [spec(M) for spec in specs]
+        return _intermediate_reason(polys, ynames[depth:]), polys
 
     def out_of_budget():
         return (tested >= cons.budget
@@ -411,14 +398,14 @@ def _search(problem, cons, keep=True):
     def walk(polys, chosen, depth):
         nonlocal tested, stopped
         weight = per_level ** (m - depth)
-        specs = specializers(polys, ynames[depth - 1])
+        specs = [Specializer(P, ynames[depth - 1]) for P in polys]
         for M, tup in iter_candidates(problem.ring, problem.xvars, support, cons):
             # stopping here leaves this candidate untested
             if stopped or out_of_budget():
                 stopped = True
                 return
             tested += 1
-            reason, out = check(polys, depth, M, tup, specs)
+            reason, out = check(specs, depth, M, tup)
             if reason is not None:
                 rejected[reason] = rejected.get(reason, 0) + weight
             elif depth == m:
@@ -432,14 +419,14 @@ def _search(problem, cons, keep=True):
         draws = iter_candidates(problem.ring, problem.xvars, support,
                                 replace(cons, budget=cons.budget * m))
         # every draw specializes y_1 in the P_i themselves
-        first = specializers(problem.P, ynames[0])
+        first = [Specializer(P, ynames[0]) for P in problem.P]
         while not out_of_budget():
             drawn = [next(draws) for _ in range(m)]
             tested += 1
             out = problem.P
             for depth, (M, tup) in enumerate(drawn, 1):
-                specs = first if depth == 1 else specializers(out, ynames[depth - 1])
-                reason, out = check(out, depth, M, tup, specs)
+                specs = first if depth == 1 else [Specializer(P, ynames[depth - 1]) for P in out]
+                reason, out = check(specs, depth, M, tup)
                 if reason is not None:
                     rejected[reason] = rejected.get(reason, 0) + 1
                     break
@@ -504,7 +491,7 @@ def check_fixed_divisor(ring, xvars, yvars, P_list, d,
         raise ZeroInputError("empty polynomial set")
     support = support_monomials(tuple(d))
     yname = yvars.names[0]
-    spec = specializers([Pi], yname)[0]
+    spec = Specializer(Pi, yname)
     acc = None
     tested = 0
     exhausted = True
@@ -513,7 +500,7 @@ def check_fixed_divisor(ring, xvars, yvars, P_list, d,
             exhausted = False
             break
         tested += 1
-        val = Pi.substitute(yname, M) if spec is None else spec(M)
+        val = spec(M)
         if val.is_zero():
             continue
         acc = val if acc is None else poly_gcd(acc, val)

@@ -5,10 +5,12 @@ Grammar (whitespace-insensitive):
     poly   := [sign] term (sign term)*
     term   := factor ('*'? factor)*
     factor := NUMBER ['/' NUMBER] | IDENT ['^' NUMBER] | '(' coeff ')' ['^' NUMBER]
+    coeff  := poly, with no variable
 
 Identifiers resolve to variables of the supplied VarSet, or to the ring's
-coefficient symbol (u for k[u], t for GF(p^k)).  Parenthesized expressions
-must be pure coefficient expressions.  Printing (the inverse) lives in
+coefficient symbol (u for k[u], t for GF(p^k)).  One sum/product walk
+reads both a polynomial and a parenthesized coefficient, whose sum
+collapses to one raw value.  Printing (the inverse) lives in
 multipoly.format_poly and is canonical: graded-lex descending, no zero
 terms, unary minus folded into the separator.
 """
@@ -113,139 +115,88 @@ class _Parser:
             return e
         return 1
 
-    def parse_coeff_expr(self):
-        """Sum of coefficient terms inside parentheses; returns a raw value."""
+    # -- sums and products -------------------------------------------------------
+
+    def parse_sum(self, coeff=False):
+        """poly, or with coeff the raw value of the sum inside parentheses,
+        which ends at any token but a sign."""
         ring = self.ring
-        total = ring.zero
+        terms = {}
         sign = 1
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
+        if kind is None and not coeff:
+            raise ParseError("empty polynomial", position=0)
         if kind == "op" and val in "+-":
             self.next()
             sign = -1 if val == "-" else 1
         while True:
-            value = self.parse_coeff_term()
+            exps, c = self.parse_product(coeff)
             if sign < 0:
-                value = ring.neg(value)
-            total = ring.add(total, value)
+                c = ring.neg(c)
+            if exps in terms:
+                c = ring.add(terms[exps], c)
+            if ring.is_zero(c):
+                terms.pop(exps, None)
+            else:
+                terms[exps] = c
             kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
                 sign = -1 if val == "-" else 1
-                continue
-            return total
+            elif coeff:
+                return terms.get((), ring.zero)
+            elif kind is None:
+                return MultiPoly(ring, self.vars, terms)
+            else:
+                raise ParseError(f"unexpected token {val!r}", position=pos)
 
-    def parse_coeff_term(self):
+    def parse_product(self, coeff):
+        """(exponent vector, coefficient) of a term; with coeff no variable
+        may occur and the exponent vector is ()."""
         ring = self.ring
         value = ring.one
+        exps = [0] * (0 if coeff else len(self.vars))
         first = True
         while True:
             kind, val, pos = self.peek()
             if kind == "num":
                 value = ring.mul(value, self.parse_number())
             elif kind == "ident":
-                sym = _symbol_value(ring, val)
-                if sym is None:
-                    raise ParseError(f"variable {val!r} not allowed inside a coefficient", position=pos)
+                name = self.aliases.get(val, val)
+                var = not coeff and name in self.vars
+                sym = None if var else _symbol_value(ring, val)
+                if not var and sym is None:
+                    raise ParseError(f"variable {val!r} not allowed inside a coefficient" if coeff
+                                     else f"unknown variable {val!r}", position=pos)
                 self.next()
                 e = self.parse_exponent_suffix()
-                value = ring.mul(value, ring.pow(sym, e))
+                if var:
+                    exps[self.vars.index(name)] += e
+                else:
+                    value = ring.mul(value, ring.pow(sym, e))
             elif kind == "op" and val == "(":
                 self.next()
-                inner = self.parse_coeff_expr()
+                inner = self.parse_sum(coeff=True)
                 self.expect_op(")")
-                e = self.parse_exponent_suffix()
-                value = ring.mul(value, ring.pow(inner, e))
+                value = ring.mul(value, ring.pow(inner, self.parse_exponent_suffix()))
+            elif first:
+                raise ParseError("expected a coefficient" if coeff else "expected a term",
+                                 position=pos)
             else:
-                if first:
-                    raise ParseError("expected a coefficient", position=pos)
-                return value
+                return tuple(exps), value  # a trailing '*' ends the term
             first = False
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-            elif kind in ("num", "ident") or (kind == "op" and val == "("):
-                continue  # implicit multiplication
-            else:
-                return value
-
-    # -- terms / polynomial -----------------------------------------------------
-
-    def parse_term(self):
-        ring = self.ring
-        coeff = ring.one
-        exps = [0] * len(self.vars)
-        saw_factor = False
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "num":
-                coeff = ring.mul(coeff, self.parse_number())
-            elif kind == "ident":
-                name = self.aliases.get(val, val)
-                if name in self.vars:
-                    self.next()
-                    e = self.parse_exponent_suffix()
-                    exps[self.vars.index(name)] += e
-                else:
-                    sym = _symbol_value(ring, val)
-                    if sym is None:
-                        raise ParseError(f"unknown variable {val!r}", position=pos)
-                    self.next()
-                    e = self.parse_exponent_suffix()
-                    coeff = ring.mul(coeff, ring.pow(sym, e))
-            elif kind == "op" and val == "(":
-                self.next()
-                inner = self.parse_coeff_expr()
-                self.expect_op(")")
-                e = self.parse_exponent_suffix()
-                coeff = ring.mul(coeff, ring.pow(inner, e))
-            else:
-                if not saw_factor:
-                    raise ParseError("expected a term", position=pos)
-                return tuple(exps), coeff
-            saw_factor = True
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-            elif kind in ("num", "ident") or (kind == "op" and val == "("):
-                continue
-            else:
-                return tuple(exps), coeff
-
-    def parse(self):
-        ring = self.ring
-        terms = {}
-        sign = 1
-        kind, val, pos = self.peek()
-        if kind is None:
-            raise ParseError("empty polynomial", position=0)
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1 if val == "-" else 1
-        while True:
-            exps, coeff = self.parse_term()
-            if sign < 0:
-                coeff = ring.neg(coeff)
-            if exps in terms:
-                coeff = ring.add(terms[exps], coeff)
-            if ring.is_zero(coeff):
-                terms.pop(exps, None)
-            else:
-                terms[exps] = coeff
-            kind, val, pos = self.peek()
-            if kind is None:
-                return MultiPoly(ring, self.vars, terms)
-            if kind == "op" and val in "+-":
-                self.next()
-                sign = -1 if val == "-" else 1
-                continue
-            raise ParseError(f"unexpected token {val!r}", position=pos)
+            elif kind not in ("num", "ident") and not (kind == "op" and val == "("):
+                return tuple(exps), value
 
 
 def parse_poly(text, ring, vars, aliases=None) -> MultiPoly:
     """Parse a polynomial in the package grammar over the given ring/vars."""
     if isinstance(vars, (list, tuple)):
         vars = VarSet(vars)
-    return _Parser(text, ring, vars, aliases=aliases).parse()
+    return _Parser(text, ring, vars, aliases=aliases).parse_sum()
 
 
 def infer_vars(text, extra=()):

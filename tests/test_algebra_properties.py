@@ -1,0 +1,85 @@
+"""Property tests of division with remainder and of the text form: the
+remainder of a single-divisor division is reduced and exact division
+agrees with it, and parsing a printed polynomial gives it back.
+Skipped when hypothesis is not installed."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from schinzelpoly.multipoly import MultiPoly, VarSet, format_poly  # noqa: E402
+from schinzelpoly.rings import GF, QQ, ZZ, PolyRing, u_trim  # noqa: E402
+from schinzelpoly.textform import parse_poly  # noqa: E402
+
+SETTINGS = hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                               database=None)
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+def poly_ring_values(K, base_values, max_deg):
+    """Values of K[u]: lists of base values, low to high, stripped."""
+    return st.lists(base_values, max_size=max_deg + 1).map(
+        lambda c: tuple(u_trim(c, K.base)))
+
+
+F4 = GF(2, 2)
+RINGS = {
+    "Z": (ZZ, st.integers(-9, 9)),
+    "Q": (QQ, rationals),
+    "GF(3)": (GF(3), st.integers(0, 2)),
+    "GF(5)": (GF(5), st.integers(0, 4)),
+    "GF(2^2)": (F4, st.sampled_from(F4.element_box())),
+    "GF(2)[u]": (PolyRing(GF(2)), poly_ring_values(PolyRing(GF(2)), st.integers(0, 1), 2)),
+    "GF(3)[u]": (PolyRing(GF(3)), poly_ring_values(PolyRing(GF(3)), st.integers(0, 2), 2)),
+    "Q[u]": (PolyRing(QQ), poly_ring_values(PolyRing(QQ), rationals, 2)),
+    "GF(2^2)[u]": (PolyRing(F4), poly_ring_values(PolyRing(F4),
+                                                   st.sampled_from(F4.element_box()), 2)),
+}
+NAMES = ("x1", "x2", "x3")
+
+
+def polys(ring, values, vars, max_deg, max_terms):
+    exps = st.tuples(*[st.integers(0, max_deg) for _ in vars.names])
+    return st.dictionaries(exps, values, max_size=max_terms).map(
+        lambda terms: MultiPoly.from_terms(ring, vars, terms))
+
+
+@SETTINGS
+@hypothesis.given(st.sampled_from(["Z", "Q", "GF(3)", "GF(2^2)", "GF(2)[u]"]),
+                  st.integers(1, 3), st.booleans(), st.data())
+def test_division_remainder_is_reduced_and_exact_division_agrees(ring_name, n, multiple,
+                                                                  data):
+    ring, values = RINGS[ring_name]
+    vars = VarSet(NAMES[:n])
+    g = data.draw(polys(ring, values, vars, 2, 4))
+    hypothesis.assume(not g.is_zero())
+    f = data.draw(polys(ring, values, vars, 3, 6))
+    if multiple:
+        f = f * g
+    q, r = f.divmod_single(g)
+    assert q * g + r == f
+    g_exps, g_lc = g.leading_term()
+    for e, v in r.terms.items():
+        # over a field every coefficient divides; over Z and k[u] a term
+        # whose exponent LT(g) divides stays only when its coefficient
+        # does not divide
+        assert not (all(a >= b for a, b in zip(e, g_exps))
+                    and ring.try_divexact(v, g_lc) is not None), (f, g, e)
+    exact = f.try_divexact(g)
+    assert exact == (q if r.is_zero() else None)
+    if multiple:
+        assert r.is_zero()
+
+
+@SETTINGS
+@hypothesis.given(st.sampled_from(["Z", "Q", "GF(5)", "GF(2^2)", "GF(3)[u]", "Q[u]",
+                                   "GF(2^2)[u]"]), st.data())
+def test_parse_of_format_is_the_identity(ring_name, data):
+    ring, values = RINGS[ring_name]
+    vars = VarSet(("x1", "y"))
+    f = data.draw(polys(ring, values, vars, 3, 6))
+    assert parse_poly(format_poly(f), ring, vars) == f

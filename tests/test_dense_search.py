@@ -13,8 +13,9 @@ import pytest
 from schinzelpoly import factor as factor_mod
 from schinzelpoly.factor import dense_is_irreducible, is_irreducible
 from schinzelpoly.multipoly import MultiPoly, Specializer, VarSet, dense_in_var
-from schinzelpoly.rings import GF, QQ, ROOT_SCAN_LIMIT, ZZ, PrimeField
-from schinzelpoly.schinzel import image_irreducibility, specializers
+from schinzelpoly.rings import GF, QQ, ROOT_SCAN_LIMIT, ZZ, PolyRing, PrimeField
+from schinzelpoly.schinzel import image_irreducibility
+from test_fastpaths import sparse_horner
 
 X = VarSet(("x",))
 XY = VarSet(("x", "y"))
@@ -105,7 +106,7 @@ def test_one_specializer_serves_every_candidate(ring, values, vars):
     for _ in range(6):
         P = random_poly(rng, ring, vars, 4, values)
         spec = Specializer(P, "y")
-        assert specializers([P], "y") != [None]
+        assert spec.dense_ok
         for _ in range(25):
             M = random_poly(rng, ring, X, rng.randrange(0, 4), values + [0])
             c, den = spec.dense(M)
@@ -113,24 +114,43 @@ def test_one_specializer_serves_every_candidate(ring, values, vars):
             got = MultiPoly(ring, X, {(e,): Fraction(v, den) if ring is QQ else v
                                       for e, v in enumerate(c) if v})
             assert got == want == spec(M) == P.substitute("y", M), (P, M)
-            dense = image_irreducibility(P, "y", M, spec)
+            dense = image_irreducibility(spec, M)
             if want.is_zero():
                 assert dense == (False, "unit/constant", "degree")
             else:
                 cert = is_irreducible(want)
                 assert dense == (cert.irreducible, cert.reason, cert.method), (P, M)
-            assert image_irreducibility(P, "y", M) == dense
+            assert image_irreducibility(Specializer(P, "y"), M) == dense
 
 
-def test_specializers_over_z_q_and_gf_p_for_any_variables_left():
-    Z3 = VarSet(("x1", "x2", "y"))
-    P2 = MultiPoly(GF(3), XY, {(1, 0): 1, (0, 1): 1})
-    P3 = MultiPoly(GF(3), Z3, {(1, 0, 0): 1, (0, 0, 1): 1})
-    specs = specializers([P2, P3], "y")
-    assert [type(s) for s in specs] == [Specializer, Specializer]
-    assert [s.left for s in specs] == [X, V2]
-    P4 = MultiPoly(GF(2, 2), XY, {(1, 0): (1,), (0, 1): (0, 1)})
-    assert specializers([P4], "y") == [None]
+@pytest.mark.parametrize("ring", [GF(3), GF(2, 2), PolyRing(GF(2))], ids=str)
+@pytest.mark.parametrize("vars", [XY, VarSet(("x1", "x2", "y")), VarSet(("y", "x1", "x2"))],
+                         ids=["one-left", "two-left", "y-first"])
+def test_specializer_over_every_ring_for_any_variables_left(ring, vars):
+    # dense images over GF(p); over GF(p^k) and k[u] every image comes from
+    # the dict Horner, and image_irreducibility decides it as
+    # is_irreducible does
+    rng = random.Random(f"{ring}/{vars.names}")
+    left = vars.without("y")
+    values = ring.element_box(deg_bound=1)[1:] if isinstance(ring, PolyRing) \
+        else ring.element_box()[1:]
+    for _ in range(4):
+        P = random_poly(rng, ring, vars, 3, values)
+        spec = Specializer(P, "y")
+        assert spec.left == left
+        assert spec.dense_ok == isinstance(ring, PrimeField)
+        for _ in range(6):
+            M = random_poly(rng, ring, left, rng.randrange(0, 3), values)
+            image = spec(M)
+            assert image == sparse_horner(P, "y", M) == P.substitute("y", M), (P, M)
+            if image.is_zero():
+                want = (False, "unit/constant", "degree")
+            else:
+                cert = is_irreducible(image)
+                want = (cert.irreducible, cert.reason, cert.method)
+            assert image_irreducibility(spec, M) == want, (P, M)
+        if not spec.dense_ok:
+            assert spec.rows is None  # no dense row was built
 
 
 # ---------------------------------------------------------------------------
