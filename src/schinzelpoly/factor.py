@@ -18,14 +18,14 @@ factor found.  Monomial content x_i^k is split off before the fold.  Both
 recombinations count every subset they enumerate against one cap
 (RECOMBINATION_SUBSET_CAP), reported when exceeded.
 
-is_irreducible(method="auto") tries sound shortcuts before factoring: a
-univariate input is decided on its dense list by dense_is_irreducible,
-which the witness searches call directly; otherwise the
-degree-1-in-a-variable rule; then, for a bivariate input that no variable
-divides, the Newton-polygon certificate (an integrally indecomposable
-polygon proves irreducibility; Gao 2001, Gao-Lauder 2001); then the
-content and specialization certificates, over GF(p) at points of GF(p^k)
-too.  method="kronecker" skips them all and stays an independent oracle.
+is_irreducible(method="auto") tries sound shortcuts before factoring, on
+a univariate input's dense list (dense_is_irreducible) and a bivariate
+one's dense rows (bivariate_is_irreducible), which the witness searches
+call directly: the degree-1-in-a-variable rule; then, for a bivariate
+input that no variable divides, the Newton-polygon certificate (an
+integrally indecomposable polygon proves irreducibility; Gao 2001,
+Gao-Lauder 2001); then the content and specialization certificates, over
+GF(p) at points of GF(p^k) too.  method="kronecker" skips them all.
 
 k[u] takes the dispatch Z takes: its content is split off first and
 factored as a k[u] element, so no u-only factor can survive, and the
@@ -36,6 +36,7 @@ same lifted form, so every shortcut applies.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -44,7 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, UnsupportedRingError, ZeroInputError
-from .multipoly import MultiPoly, VarSet, dense_in_var, list_content, poly_from_dense, poly_gcd
+from .multipoly import (MultiPoly, VarSet, dense_in_var, lift_u, list_content, poly_from_dense,
+                        poly_gcd)
 from .rings import (
     EXT_TABLE_LIMIT,
     ExtField,
@@ -55,6 +57,7 @@ from .rings import (
     RationalField,
     RingElement,
     ZZ,
+    dense_trim,
     factor_int,
     is_perfect_power,
     is_prime,
@@ -63,6 +66,7 @@ from .rings import (
     u_deg,
     u_deriv,
     u_divmod,
+    u_eval,
     u_gcd,
     u_is_irreducible,
     u_monic,
@@ -78,6 +82,7 @@ from .rings import (
     zm_roots,
     zm_sub,
     zx_deriv,
+    zx_eval,
     zx_gcd,
     zx_mul,
     zx_primitive,
@@ -582,7 +587,7 @@ def _factor_primitive(pp: MultiPoly, seed):
         # canonical factors is canonical, like pp, so the units dropped by
         # normalizing the unlifted factors multiply to 1.
         out = []
-        for g, mult in factor_multivariate(_lift_u(pp), seed).factors:
+        for g, mult in factor_multivariate(lift_u(pp), seed).factors:
             back = _unlift_u(g, ring, pp.vars)
             if back.is_constant():
                 raise ArithmeticError("u-only factor survived content splitting")
@@ -821,19 +826,6 @@ def _expand(f: MultiPoly, vars: VarSet):
 # k[u] coefficients: fold u in with the x variables over the base field.
 # ---------------------------------------------------------------------------
 
-def _lift_u(f: MultiPoly):
-    ring: PolyRing = f.ring
-    base = ring.base
-    lifted_vars = VarSet(f.vars.names + ("u",))
-    terms = {}
-    for e, uval in f.terms.items():
-        for j, c in enumerate(uval):
-            if base.is_zero(c):
-                continue
-            terms[e + (j,)] = c
-    return MultiPoly(base, lifted_vars, terms)
-
-
 def _unlift_u(g: MultiPoly, ring: PolyRing, vars: VarSet):
     base = ring.base
     buckets = {}
@@ -925,7 +917,7 @@ def is_irreducible(f: MultiPoly, method: str = "auto", seed: int = 0,
     if method == "kronecker":
         return _is_irreducible_via_factor(f, seed)
     if isinstance(ring, PolyRing):
-        cert = _is_irreducible_auto(_lift_u(f), seed, need_witness)
+        cert = _is_irreducible_auto(lift_u(f), seed, need_witness)
         if cert.witness is not None:
             cert.witness = _unlift_u(cert.witness, ring, f.vars).monic_normalize()[1]
         return cert
@@ -943,6 +935,12 @@ def _is_irreducible_auto(f, seed, need_witness):
         ok, reason, method = dense_is_irreducible(dense_in_var(f, var), ring)
         witness = _first_witness(f, seed) if need_witness and not ok else None
         return IrreducibilityCertificate(ok, reason, witness, method)
+    if len(effective) == 2:
+        cert = bivariate_is_irreducible(_rows_of(f, effective), ring, VarSet(tuple(effective)),
+                                        seed, need_witness)
+        if cert.witness is not None:
+            cert.witness = _expand(cert.witness, f.vars)
+        return cert
 
     # Degree-1-in-a-variable rule: exact, both directions.
     for v in effective:
@@ -954,13 +952,29 @@ def _is_irreducible_auto(f, seed, need_witness):
             return IrreducibilityCertificate(False, "reducible",
                                              g if need_witness else None, "linear-variable")
 
-    if len(effective) == 2 and _newton_indecomposable(f, effective):
-        return IrreducibilityCertificate(True, "irreducible", None, "newton-polytope")
+    main = max(effective, key=f.degree_in)
+    others = [v for v in effective if v != main]
+    idx = [f.vars.index(v) for v in others]
 
-    cert = _try_specialization_certificate(f, effective)
-    if cert is not None:
-        return cert
-    return _is_irreducible_via_factor(f, seed)
+    def content(v):
+        acc = list_content(f.coeffs_in(v))
+        if acc.is_constant() and ring.is_unit(acc.constant_value()):
+            return None
+        return IrreducibilityCertificate(False, "reducible", acc.monic_normalize()[1], "content")
+
+    def value(line, E, point):
+        out = E.zero
+        for e, v in line.terms.items():
+            if E is not ring:
+                v = E.from_int(v)
+            for j, x in zip(idx, point):
+                if e[j]:
+                    v = E.mul(v, E.pow(x, e[j]))
+            out = E.add(out, v)
+        return out
+
+    cert = _try_specialization_certificate(ring, main, others, content, f.coeffs_in(main), value)
+    return _is_irreducible_via_factor(f, seed) if cert is None else cert
 
 
 def dense_is_irreducible(c, K):
@@ -975,7 +989,7 @@ def dense_is_irreducible(c, K):
     primitive integer image) decides, reported as "univariate-ff" over
     GF(q) and "kronecker" over Z and Q, the names envelopes and route
     counts use.  Over Q, c may be any positive integer multiple of the
-    polynomial, as Specializer returns it.
+    polynomial, as Specializer and bivariate_is_irreducible pass it.
     """
     if len(c) < 2:
         return False, "unit/constant", "degree"
@@ -993,6 +1007,85 @@ def dense_is_irreducible(c, K):
         ok = _zx_is_irreducible(_integer_image(c) if isinstance(K, RationalField) else c)
         method = "kronecker"
     return ok, "irreducible" if ok else "reducible", method
+
+
+def _rows_of(f, names):
+    """The rows of f in its two effective variables names, as
+    bivariate_is_irreducible takes them."""
+    rows = [dense_in_var(c, names[0]) for c in f.coeffs_in(names[1])]
+    if isinstance(f.ring, RationalField):
+        lcm = math.lcm(*(v.denominator for v in f.terms.values()))
+        rows = [[int(v * lcm) for v in row] for row in rows]
+    return rows
+
+
+def _from_rows(rows, ring, vars):
+    """The MultiPoly over the two variables vars with the given rows."""
+    q = isinstance(ring, RationalField)
+    return MultiPoly(ring, vars, {(i, j): Fraction(v) if q else v
+                                  for j, row in enumerate(rows) for i, v in enumerate(row) if v})
+
+
+def bivariate_is_irreducible(rows, K, vars, seed=0, need_witness=False, in_ku=False):
+    """is_irreducible of F in the two variables vars = (a, b), from its rows:
+    rows[j] is the coefficient list in a of b^j, trimmed, the last nonzero;
+    over Z and Q of integers, over Q of a multiple of F.  F in at most one
+    variable goes to dense_is_irreducible.  With in_ku, F is the lifted form
+    of a k[u] polynomial in one x, (a, b) = (x, u), decided as over k[u].
+    Then is_irreducible's rules in its order: degree 1 in a variable, the
+    Newton polygon, _try_specialization_certificate, and Kronecker.
+    Witnesses are over vars."""
+    zero = K.zero if K.is_finite else 0
+    cols = [dense_trim([row[i] if i < len(row) else zero for row in rows])
+            for i in range(max(map(len, rows), default=0))]
+    lines = (cols, rows)  # lines[k]: the coefficients of F in its k-th variable
+    gcd = functools.partial(u_gcd, K=K) if K.is_finite else zx_gcd
+
+    def witness(g, k):  # g a list in the k-th variable
+        if need_witness:
+            return _from_rows([g] if k == 0 else [[v] for v in g], K, vars).monic_normalize()[1]
+        return None
+
+    def content(k):  # the certificate of a nonunit content in the k-th variable
+        g = []
+        for c in lines[k]:
+            if c:
+                g = gcd(g, c)
+                if len(g) == 1:
+                    return None
+        return IrreducibilityCertificate(False, "reducible", witness(g, 1 - k), "content")
+
+    def value(line, E, point):
+        if not E.is_finite:
+            return zx_eval(line, point[0])
+        return u_eval(line if E is K else [E.from_int(v) for v in line], point[0], E)
+
+    if in_ku:
+        if len(cols) < 2:
+            return IrreducibilityCertificate(False, "unit/constant", None, "degree")
+        if content(0) is not None:
+            return IrreducibilityCertificate(False, "content", None, "content")
+    if len(rows) < 2 or len(cols) < 2:
+        ok, reason, method = dense_is_irreducible(rows[0] if len(rows) == 1 else
+                                                  cols[0] if cols else [], K)
+        return IrreducibilityCertificate(ok, reason, None, method)
+    if isinstance(K, IntegerRing) and math.gcd(*itertools.chain(*rows)) != 1:
+        return IrreducibilityCertificate(False, "content", None, "content")
+    for k in (0, 1):  # degree 1 in a variable: exact, both directions
+        if len(lines[k]) == 2:
+            g = gcd(*lines[k])
+            if len(g) == 1:
+                return IrreducibilityCertificate(True, "irreducible", None, "linear-variable")
+            return IrreducibilityCertificate(False, "reducible", witness(g, 1 - k),
+                                             "linear-variable")
+    if _newton_indecomposable({(i, j) for j, row in enumerate(rows)
+                               for i, v in enumerate(row) if v}):
+        return IrreducibilityCertificate(True, "irreducible", None, "newton-polytope")
+    main = 0 if len(cols) >= len(rows) else 1
+    cert = _try_specialization_certificate(K, main, [1 - main], content, lines[main], value)
+    if cert is None:
+        cert = _is_irreducible_via_factor(_from_rows(rows, K, vars), seed)
+    return cert
 
 
 def _is_irreducible_via_factor(f, seed):
@@ -1026,11 +1119,12 @@ def _convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def _newton_indecomposable(f, effective):
-    """Sound one-sided test: whether the Newton polygon of a bivariate f that
-    no variable divides is integrally indecomposable, which proves f
-    irreducible (Gao 2001, Ostrowski: Newt(gh) = Newt(g) + Newt(h), and a
-    nonconstant factor of f is no monomial, so its polygon is no point).
+def _newton_indecomposable(points):
+    """Sound one-sided test on the support points of a bivariate f in both
+    its variables: whether f, which no variable may divide, has an
+    integrally indecomposable Newton polygon, which proves f irreducible
+    (Gao 2001, Ostrowski: Newt(gh) = Newt(g) + Newt(h), and a nonconstant
+    factor of f is no monomial, so its polygon is no point).
 
     The hull's edges, in cyclic order, are n_i * v_i with v_i primitive.
     The polygon decomposes exactly when some 0 <= m_i <= n_i, neither all 0
@@ -1039,8 +1133,6 @@ def _newton_indecomposable(f, effective):
     either walk a summand's vertices, so they stay in the bounding box of
     the polygon shifted by its first vertex.
     """
-    i, j = (f.vars.index(v) for v in effective)
-    points = {(e[i], e[j]) for e in f.terms}
     xs, ys = [p[0] for p in points], [p[1] for p in points]
     if min(xs) or min(ys):
         return False
@@ -1067,87 +1159,64 @@ def _newton_indecomposable(f, effective):
     return True
 
 
-def _try_specialization_certificate(f, effective):
-    """Sound certificates for f with two or more effective variables, tried
-    before Kronecker; None when none applies.
+def _try_specialization_certificate(K, main, others, content, lines, value):
+    """Sound certificates for f over K, tried before Kronecker; None when
+    none applies.  content(v) certifies a nonunit content of f in v, else
+    is None; lines are the coefficients of f in main, and value(line, E,
+    point) is one at a point over E.
 
-    Content (over a field): a nonconstant content of f in an effective
-    variable v is a proper factor, since f divided by it keeps its degree in
-    v, so f is reducible.  It is the witness, with method "content".  The
-    contents in the other variables than main are only computed once the
-    base-ring points fail, since a certifying image proves them units.
+    Content: a nonconstant content of f in its main variable (over a field,
+    in any effective variable v) is a proper factor, since f divided by it
+    keeps its degree in v, so f is reducible.  It is the witness, with
+    method "content".  The contents in the other variables than main are
+    only computed once the base-ring points fail, since a certifying image
+    proves them units.
 
     Specialization: when the content of f in its main variable (of largest
     degree) is a unit, one image f(main, a) at a point a of the other
     variables that keeps the main degree and is irreducible proves f
-    irreducible over the fraction field.  A factorization f = g*h with both
-    factors of positive main degree would keep both degrees in the image,
-    and a factor of degree 0 in main divides the content.  The first
-    _SPECIALIZE_ATTEMPTS points of the base ring are tried; over GF(p),
-    which may have too few points, then as many points of GF(p^k) outside
-    GF(p) for p^k <= EXT_TABLE_LIMIT, k = 2, 3, ..., the image being
-    decided over GF(p^k) (Bernardin & Monagan 1997; von zur Gathen &
-    Gerhard, Modern Computer Algebra, §14).  The method is
+    irreducible over the fraction field.
+    A factorization f = g*h with both factors of positive main degree would
+    keep both degrees in the image, and a factor of degree 0 in main
+    divides the content.  The first _SPECIALIZE_ATTEMPTS points of the base
+    ring are tried; over GF(p), which may have too few points, then as many
+    points of GF(p^k) outside GF(p) for p^k <= EXT_TABLE_LIMIT, k = 2, 3,
+    ..., the image being decided over GF(p^k) (Bernardin & Monagan 1997; von
+    zur Gathen & Gerhard, Modern Computer Algebra, §14).  The method is
     "specialization".
     """
-    ring = f.ring
-    main = max(effective, key=f.degree_in)
-    others = [v for v in effective if v != main]
-    content = _nonunit_content(f, main)
-    if content is not None:
-        return _content_certificate(content) if ring.is_field else None
-    if ring.is_finite:
-        pool = ring.element_box()
-    else:
-        pool = [ring.from_int(n) for n in (1, -1, 2, -2, 3, 0, -3, 4)]
-    points = ((ring, pt) for pt in itertools.product(pool, repeat=len(others)))
-    if _irreducible_image(f, main, others, itertools.islice(points, _SPECIALIZE_ATTEMPTS)):
+    cert = content(main)
+    if cert is not None:
+        return cert
+    pool = K.element_box() if K.is_finite else [1, -1, 2, -2, 3, 0, -3, 4]
+    points = ((K, pt) for pt in itertools.product(pool, repeat=len(others)))
+    if _irreducible_image(lines, value, itertools.islice(points, _SPECIALIZE_ATTEMPTS)):
         return IrreducibilityCertificate(True, "irreducible", None, "specialization")
-    if not ring.is_field:
+    if not K.is_field:
         return None
     for v in others:
-        content = _nonunit_content(f, v)
-        if content is not None:
-            return _content_certificate(content)
-    if isinstance(ring, PrimeField):
-        points = itertools.islice(_extension_points(ring.p, len(others)), _SPECIALIZE_ATTEMPTS)
-        if _irreducible_image(f, main, others, points):
+        cert = content(v)
+        if cert is not None:
+            return cert
+    if isinstance(K, PrimeField):
+        points = itertools.islice(_extension_points(K.p, len(others)), _SPECIALIZE_ATTEMPTS)
+        if _irreducible_image(lines, value, points):
             return IrreducibilityCertificate(True, "irreducible", None, "specialization")
     return None
 
 
-def _nonunit_content(f, v):
-    """The content of f in v (a polynomial in the other variables) when it
-    is no unit, else None."""
-    acc = list_content(f.coeffs_in(v))
-    return None if acc.is_constant() and f.ring.is_unit(acc.constant_value()) else acc
-
-
-def _content_certificate(content):
-    return IrreducibilityCertificate(False, "reducible", content.monic_normalize()[1], "content")
-
-
-def _irreducible_image(f, main, others, points):
-    """Whether f at one of the points, pairs (K, a point over K) with K the
-    ring of f or an extension of its prime field, has an image in main that
-    keeps the main degree and is irreducible over K."""
-    i = f.vars.index(main)
-    idx = [f.vars.index(v) for v in others]
-    deg_main = f.degree_in(main)
-    for K, point in points:
-        c = [K.zero] * (deg_main + 1)
-        for e, v in f.terms.items():
-            if K is not f.ring:
-                v = K.from_int(v)
-            for j, x in zip(idx, point):
-                if e[j]:
-                    v = K.mul(v, K.pow(x, e[j]))
-            c[e[i]] = K.add(c[e[i]], v)
+def _irreducible_image(lines, value, points):
+    """Whether at one of the points, pairs (E, a point over E) with E the
+    ring of f or an extension of its prime field, the image of f in main,
+    value(line, E, point) for each of its coefficients lines, keeps the
+    main degree and is irreducible over E."""
+    for E, point in points:
+        c = [value(line, E, point) for line in lines]
         if not c[-1]:
             continue  # the main degree dropped
-        if not K.is_field:
+        if not E.is_field:
             c = zx_primitive(c)[1]
-        if dense_is_irreducible(c, K)[0]:
+        if dense_is_irreducible(c, E)[0]:
             return True
     return False
 

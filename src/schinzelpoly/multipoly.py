@@ -25,6 +25,7 @@ from .errors import (
 )
 from .rings import (
     IntegerRing,
+    PolyRing,
     PrimeField,
     RationalField,
     Ring,
@@ -519,10 +520,11 @@ class Specializer:
     Q the Horner runs on integers: with P = sum_k c_k y^k / a for integral
     c_k and g = h / b for integral h,
     P(g) = sum_k c_k h^k b^(D-k) / (a b^D).
+    Over GF(p)[u] and Q[u] with one variable x left, lifted is lift_u(P)'s.
     """
 
-    __slots__ = ("P", "name", "ring", "left", "dense_ok", "row_terms", "top", "den", "p",
-                 "span", "radices", "strides", "cap", "size", "rows", "packed")
+    __slots__ = ("P", "name", "ring", "left", "dense_ok", "lifted", "row_terms", "top", "den",
+                 "p", "span", "radices", "strides", "cap", "size", "rows", "packed")
 
     def __init__(self, P, name):
         K = P.ring
@@ -531,8 +533,12 @@ class Specializer:
         self.left = P.vars.without(name)
         # the layout and rows, built by dense
         self.radices = self.strides = self.cap = self.size = self.rows = self.packed = None
+        self.lifted = None
         self.dense_ok = isinstance(K, (IntegerRing, RationalField, PrimeField))
         if not self.dense_ok:
+            if isinstance(K, PolyRing) and len(self.left) == 1:
+                lifted = Specializer(lift_u(P), name)
+                self.lifted = lifted if lifted.dense_ok else None
             return
         terms = P.terms
         self.den = 1
@@ -632,6 +638,23 @@ class Specializer:
         return sum(len(row) * (math.comb(t + D - k - 1, D - k) if k < D else 1)
                    for k, row in enumerate(self.row_terms))
 
+    def _dense_pays(self, g, gdeg):
+        """Whether P(g) is taken as a dense image rather than by horner_substitute."""
+        n = math.prod(t + self.span * d + 1 for t, d in zip(self.top, gdeg))  # in g's own strides
+        return n - 1 <= DEGREE_CAP and (n <= _DENSE_SLACK
+                                        or n <= _DENSE_SLACK * self._terms_bound(len(g.terms)))
+
+    def dense_rows(self, g):
+        """P(g) in two variables left (a, b), over Q a multiple, as its rows
+        (rows[j] in a at b^j); None where __call__ takes horner_substitute."""
+        if g.vars.names != self.left.names:
+            g = g.embed(self.left)
+        gdeg = g.degree_vector()
+        if not self._dense_pays(g, gdeg):
+            return None
+        c, s = self.dense(g, gdeg)[0], self.strides[1]
+        return [dense_trim(c[k:k + s]) for k in range(0, len(c), s)]
+
     def __call__(self, g):
         """P(g) as a MultiPoly in the variables left."""
         if g.vars.names != self.left.names:
@@ -639,9 +662,7 @@ class Specializer:
         if not self.dense_ok:
             return horner_substitute(self.P, self.name, g)
         gdeg = g.degree_vector()
-        n = math.prod(t + self.span * d + 1 for t, d in zip(self.top, gdeg))  # in g's own strides
-        if n - 1 > DEGREE_CAP or (n > _DENSE_SLACK
-                                  and n > _DENSE_SLACK * self._terms_bound(len(g.terms))):
+        if not self._dense_pays(g, gdeg):
             return horner_substitute(self.P, self.name, g)
         c, den = self.dense(g, gdeg)
         K, strides = self.ring, self.strides[::-1]
@@ -655,6 +676,17 @@ class Specializer:
                     e.append(x)
                 terms[tuple(e[::-1])] = Fraction(v, den) if rational else v
         return MultiPoly(K, self.left, terms)
+
+
+def lift_u(f: MultiPoly):
+    """f over k[u] as a polynomial over k, with u one more variable, last."""
+    base = f.ring.base
+    terms = {}
+    for e, uval in f.terms.items():
+        for j, c in enumerate(uval):
+            if not base.is_zero(c):
+                terms[e + (j,)] = c
+    return MultiPoly(base, VarSet(f.vars.names + ("u",)), terms)
 
 
 def horner_substitute(P, name, g):

@@ -52,7 +52,8 @@ from .errors import ParseError, RingMismatchError, ZeroInputError
 # u_ddf is its one distinct-degree loop, which u_is_irreducible also runs.
 # Over GF(p) with p <= ROOT_SCAN_LIMIT, zm_roots finds the roots by
 # evaluating at every element, which decides degrees 2 and 3 outright and
-# splits the linear part of a distinct-degree split.
+# splits the linear part of a distinct-degree split; u_is_irreducible
+# scans GF(p^k) of order <= ROOT_SCAN_LIMIT the same way, by u_eval.
 # zx_* below work in Z[x].
 # ---------------------------------------------------------------------------
 
@@ -428,12 +429,20 @@ def u_ddf(f, K):
             h = u_rem(h, f, K)
 
 
+def u_eval(c, x, K):
+    """c(x) by Horner in the field K, over GF(p) on residues."""
+    p, v = K.p if isinstance(K, PrimeField) else 0, K.zero
+    for a in reversed(c):
+        v = (v * x + a) % p if p else K.add(K.mul(v, x), a)
+    return v
+
+
 def u_is_irreducible(f, K):
     """Irreducibility in GF(q)[x]: f is squarefree and the first part of
     its distinct-degree split has the degree of f, so the test stops at the
     first factor of lower degree, which makes reducible inputs cheap.
 
-    Over GF(p) with p <= ROOT_SCAN_LIMIT the roots come first: a root is a
+    Over GF(q) with q <= ROOT_SCAN_LIMIT the roots come first: a root is a
     linear factor, so f of degree >= 2 with one is reducible, and f of
     degree 2 or 3 without one is irreducible, since a proper factor would
     be linear (von zur Gathen & Gerhard, Modern Computer Algebra, §14).
@@ -442,8 +451,10 @@ def u_is_irreducible(f, K):
     n = u_deg(f)
     if n <= 1:
         return n == 1
-    if isinstance(K, PrimeField) and K.p <= ROOT_SCAN_LIMIT:
-        if next(zm_roots(f, K.p), None) is not None:
+    if K.order <= ROOT_SCAN_LIMIT:
+        roots = zm_roots(f, K.p) if isinstance(K, PrimeField) else \
+            (a for a in K.element_box() if not u_eval(f, a, K))
+        if next(roots, None) is not None:
             return False
         if n <= 3:
             return True
@@ -537,7 +548,7 @@ def zx_deriv(a):
     return dense_trim([a[i] * i for i in range(1, len(a))])
 
 
-def _zx_eval(a, x):
+def zx_eval(a, x):
     v = 0
     for c in reversed(a):
         v = v * x + c
@@ -562,7 +573,7 @@ def _zx_heu_gcd(a, b):
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
     for _ in range(GCDHEU_TRIES):
         # a and b cannot both vanish at xi, which exceeds 1 + min(norms)
-        h = math.gcd(_zx_eval(a, xi), _zx_eval(b, xi))
+        h = math.gcd(zx_eval(a, xi), zx_eval(b, xi))
         g = zx_primitive(_zx_digits(h, xi))[1]
         if g[-1] < 0:
             g = [-c for c in g]
@@ -1235,6 +1246,8 @@ class ExtField(Ring):
         return a, []
 
     def element_box(self, coeff_bound=None, deg_bound=None):
+        if self._elems is not None:
+            return list(self._elems)
         return [self.from_index(i) for i in range(self.order)]
 
     def from_index(self, i):

@@ -26,8 +26,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 from .errors import UnsupportedRingError, ZeroInputError
-from .factor import dense_is_irreducible, is_irreducible
-from .multipoly import MultiPoly, Specializer, VarSet, poly_gcd
+from .factor import bivariate_is_irreducible, dense_is_irreducible, is_irreducible
+from .multipoly import MultiPoly, Specializer, VarSet, lift_u, poly_gcd
 from .rings import IntegerRing, PolyRing, RationalField, Ring
 
 
@@ -258,10 +258,18 @@ def _check_side_constraints(problem, M, tup):
 def image_irreducibility(spec, M):
     """(irreducible, reason, method) of P(y = M) for the Specializer spec
     of P and y, as is_irreducible reports them, with the zero image
-    "unit/constant".  Over Z, Q and GF(p) with one variable left the image
-    stays a dense list and dense_is_irreducible decides it."""
+    "unit/constant".  Over Z, Q and GF(p) the image stays dense: with one
+    variable left dense_is_irreducible decides its coefficient list, with
+    two bivariate_is_irreducible its rows, as for the lifted form in (x, u)
+    of an image over GF(p)[u] or Q[u] in one x (from spec.lifted)."""
     if spec.dense_ok and len(spec.left) == 1:
         return dense_is_irreducible(spec.dense(M)[0], spec.ring)
+    rows_spec = spec.lifted or (spec if spec.dense_ok and len(spec.left) == 2 else None)
+    rows = rows_spec and rows_spec.dense_rows(lift_u(M) if spec.lifted else M)
+    if rows is not None:
+        cert = bivariate_is_irreducible(rows, rows_spec.ring, rows_spec.left,
+                                        in_ku=rows_spec is not spec)
+        return cert.irreducible, cert.reason, cert.method
     F = spec(M)
     if F.is_zero():
         return False, "unit/constant", "degree"

@@ -156,8 +156,7 @@ class _Parser:
         ring = self.ring
         value = ring.one
         exps = [0] * (0 if coeff else len(self.vars))
-        first = True
-        while True:
+        while True:  # at a factor: the first, one after '*', or an implicit product's
             kind, val, pos = self.peek()
             if kind == "num":
                 value = ring.mul(value, self.parse_number())
@@ -179,12 +178,9 @@ class _Parser:
                 inner = self.parse_sum(coeff=True)
                 self.expect_op(")")
                 value = ring.mul(value, ring.pow(inner, self.parse_exponent_suffix()))
-            elif first:
+            else:
                 raise ParseError("expected a coefficient" if coeff else "expected a term",
                                  position=pos)
-            else:
-                return tuple(exps), value  # a trailing '*' ends the term
-            first = False
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.next()

@@ -1,9 +1,12 @@
 """The dense path of the witness searches: Specializer and
 dense_is_irreducible against MultiPoly.substitute, is_irreducible and the
-Kronecker oracle, and the content and GF(p^k) specialization certificates
-of bivariate finite-field inputs against the Kronecker oracle."""
+Kronecker oracle, the content and GF(p^k) specialization certificates of
+bivariate finite-field inputs against the Kronecker oracle, and
+bivariate_is_irreducible on dense rows against the MultiPoly rules, the
+Kronecker oracle and, on whole search boxes, is_irreducible."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,16 +14,20 @@ from fractions import Fraction
 import pytest
 
 from schinzelpoly import factor as factor_mod
-from schinzelpoly.factor import dense_is_irreducible, is_irreducible
-from schinzelpoly.multipoly import MultiPoly, Specializer, VarSet, dense_in_var
-from schinzelpoly.rings import GF, QQ, ROOT_SCAN_LIMIT, ZZ, PolyRing, PrimeField
-from schinzelpoly.schinzel import image_irreducibility
+from schinzelpoly.factor import bivariate_is_irreducible, dense_is_irreducible, is_irreducible
+from schinzelpoly.multipoly import (MultiPoly, Specializer, VarSet, dense_in_var, list_content,
+                                   poly_gcd)
+from schinzelpoly.rings import GF, QQ, ROOT_SCAN_LIMIT, ZZ, PolyRing, PrimeField, parse_ring
+from schinzelpoly.schinzel import (SearchConstraints, image_irreducibility, iter_candidates,
+                                   support_monomials)
+from schinzelpoly.textform import parse_poly
 from test_fastpaths import sparse_horner
 
 X = VarSet(("x",))
 XY = VarSet(("x", "y"))
 YX = VarSet(("y", "x"))
 V2 = VarSet(("x1", "x2"))
+X1 = VarSet(("x1",))
 
 # (ring, coefficient values, top degree): every polynomial of the box
 BOXES = [
@@ -240,3 +247,183 @@ def test_a_content_free_of_base_roots_is_caught_before_the_extension_points():
     assert (cert.irreducible, cert.reason, cert.method) == (False, "reducible", "content")
     assert cert.witness == MultiPoly(K, V2, {(0, 1): 1, (0, 0): 1})
     assert not is_irreducible(f, method="kronecker")
+
+
+# ---------------------------------------------------------------------------
+# Two-variable images on dense rows: bivariate_is_irreducible against the
+# MultiPoly rules and Kronecker, and the search images against is_irreducible
+# ---------------------------------------------------------------------------
+
+def rows_of(f):
+    """The rows of f over V2 built term by term; over Q of 6 * lcm * f."""
+    scale = 1
+    if f.ring is QQ:
+        scale = 6 * math.lcm(*(v.denominator for v in f.terms.values()))
+    rows = [[0 if f.ring is QQ else f.ring.zero] * (f.degree_in("x1") + 1)
+            for _ in range(f.degree_in("x2") + 1)]
+    for (i, j), v in f.terms.items():
+        rows[j][i] = int(v * scale) if f.ring is QQ else v
+    for row in rows:
+        while row and not row[-1]:
+            row.pop()
+    return rows
+
+
+def multipoly_route(f):
+    """(irreducible, method, witness) of a bivariate f by the rules on
+    MultiPolys that is_irreducible keeps for more variables: the degree-1
+    rule, the Newton polygon, then the content and specialization
+    certificates on the coefficients in the main variable, then Kronecker."""
+    K = f.ring
+    for v in V2.names:
+        if f.degree_in(v) == 1:
+            g = poly_gcd(*f.coeffs_in(v))
+            unit = g.is_constant() and K.is_unit(g.constant_value())
+            return unit, "linear-variable", None if unit else g
+    if factor_mod._newton_indecomposable(set(f.terms)):
+        return True, "newton-polytope", None
+    main = max(V2.names, key=f.degree_in)
+    others = [v for v in V2.names if v != main]
+    j = f.vars.index(others[0])
+
+    def content(v):
+        acc = list_content(f.coeffs_in(v))
+        unit = acc.is_constant() and K.is_unit(acc.constant_value())
+        return None if unit else factor_mod.IrreducibilityCertificate(
+            False, "reducible", acc.monic_normalize()[1], "content")
+
+    def value(line, E, point):
+        out = E.zero
+        for e, v in line.terms.items():
+            v = v if E is K else E.from_int(v)
+            out = E.add(out, E.mul(v, E.pow(point[0], e[j])))
+        return out
+
+    cert = factor_mod._try_specialization_certificate(K, main, others, content,
+                                                      f.coeffs_in(main), value)
+    if cert is None:
+        cert = is_irreducible(f, method="kronecker")
+    return cert.irreducible, cert.method, cert.witness
+
+
+def random_bivariate(K, values, count, seed):
+    """count bivariate inputs over K, half with random terms, half products."""
+    rng = random.Random(seed)
+
+    def rand(dx, dy):
+        terms = {(i, j): rng.choice(values) for i in range(dx + 1) for j in range(dy + 1)
+                 if rng.random() < 0.7}
+        return MultiPoly.from_terms(K, V2, terms)
+
+    out = []
+    while len(out) < count:
+        f = rand(1, 1) * rand(rng.randint(0, 2), 1) if len(out) % 2 else rand(3, 2)
+        if all(f.degree_in(v) > 0 for v in V2.names):
+            out.append(f)
+    return out
+
+
+BIVARIATE_SAMPLES = {
+    "GF(2)-every-(2,2)": lambda: [f for f in every_bivariate(GF(2), 2)
+                                  if f.degree_in("x1") and f.degree_in("x2")],
+    "GF(3)": lambda: [f for f in gf3_sample() if f.degree_in("x1") and f.degree_in("x2")],
+    "GF(4)": lambda: random_bivariate(GF(2, 2), GF(2, 2).element_box(), 120, 4),
+    "Z": lambda: random_bivariate(ZZ, [0, 1, -1, 2, -3, 4], 160, 5),
+    "Q": lambda: random_bivariate(QQ, [Fraction(v) for v in (0, 1, -1, 0.5, -0.75)], 120, 6),
+}
+
+
+@pytest.mark.parametrize("name", list(BIVARIATE_SAMPLES))
+def test_dense_rows_match_the_multipoly_rules_and_kronecker(name):
+    routes = Counter()
+    for f in BIVARIATE_SAMPLES[name]():
+        if f.ring is ZZ and f.content_value() != 1:
+            assert bivariate_is_irreducible(rows_of(f), ZZ, V2).method == "content", f
+            continue
+        cert = bivariate_is_irreducible(rows_of(f), f.ring, V2, need_witness=True)
+        assert (cert.irreducible, cert.method, cert.witness) == multipoly_route(f), f
+        assert cert.irreducible == is_irreducible(f, method="kronecker").irreducible, f
+        assert cert.reason == ("irreducible" if cert.irreducible else "reducible")
+        if not cert.irreducible:
+            w = cert.witness
+            assert w.vars == V2 and not w.is_constant() and f.try_divexact(w) is not None, f
+        assert is_irreducible(f, need_witness=True) == cert, f
+        routes[cert.method] += 1
+    want = {"linear-variable", "newton-polytope", "specialization", "kronecker"}
+    if f.ring.is_field:
+        want.add("content")
+    assert want <= set(routes), routes
+
+
+def test_dense_rows_of_lifted_ku_images_match_is_irreducible():
+    # every x-polynomial of degree <= 2 with GF(2)[u] coefficients of
+    # degree <= 2, on the rows of its lifted form in (x1, u)
+    R = PolyRing(GF(2))
+    routes = Counter()
+    for coeffs in itertools.product(R.element_box(deg_bound=2), repeat=3):
+        f = MultiPoly(R, X1, {(i,): c for i, c in enumerate(coeffs) if c})
+        rows = [[] for _ in range(max((len(c) for c in coeffs), default=0))]
+        for i, c in enumerate(coeffs):
+            for j, v in enumerate(c):
+                rows[j] += [0] * (i - len(rows[j])) + [v] if v else []
+        got = bivariate_is_irreducible(rows, GF(2), VarSet(("x1", "u")), in_ku=True)
+        if f.is_zero():
+            want = (False, "unit/constant", "degree")
+        else:
+            cert = is_irreducible(f)
+            want = (cert.irreducible, cert.reason, cert.method)
+            if not f.is_constant():
+                assert got.irreducible == is_irreducible(f, method="kronecker").irreducible, f
+        assert (got.irreducible, got.reason, got.method) == want, f
+        routes[got.method] += 1
+    assert set(routes) >= {"degree", "content", "linear-variable", "newton-polytope",
+                           "specialization", "univariate-ff"}, routes
+
+
+# the routes of each box's images
+BOX_ROUTES = {
+    "dirichlet-gf2": {"degree", "linear-variable", "univariate-ff", "newton-polytope", "content",
+                      "specialization", "kronecker"},
+    "dirichlet-gf3": {"degree", "linear-variable", "univariate-ff"},
+    "pair-gf2u": {"degree", "linear-variable", "univariate-ff", "newton-polytope", "content",
+                  "specialization", "kronecker"},
+    "square-z": {"linear-variable", "newton-polytope", "specialization", "kronecker"},
+}
+SEARCH_BOXES = {
+    "dirichlet-gf2": ("GF(2)", ["x1 + x2*y", "y"], (2, 2), None, None, 512),
+    "dirichlet-gf3": ("GF(3)", ["x1 + x2*y", "y"], (1, 2), None, None, 729),
+    "pair-gf2u": ("GF(2)[u]", ["y", "y+x1"], (2,), 2, None, 512),
+    "square-z": ("Z", ["y^2+x1"], (1, 1), None, 1, 81),
+}
+
+
+@pytest.mark.parametrize("name", list(SEARCH_BOXES))
+@pytest.mark.parametrize("reverse", [False, True], ids=["x-then-y", "y-then-reversed-x"])
+def test_search_images_match_is_irreducible_on_whole_boxes(name, reverse):
+    # image_irreducibility on the Specializer's dense rows against
+    # is_irreducible on the MultiPoly image, for every candidate of the box
+    spec_text, texts, d, deg_u, bound, size = SEARCH_BOXES[name]
+    ring = parse_ring(spec_text)
+    xnames = [f"x{i}" for i in range(1, len(d) + 1)]
+    names = ["y"] + xnames[::-1] if reverse else xnames + ["y"]
+    specs = [Specializer(parse_poly(t, ring, VarSet(names)), "y") for t in texts]
+    xvars = specs[0].left
+    d = tuple(d[xnames.index(n)] for n in xvars.names)
+    cons = SearchConstraints(deg_u_bound=deg_u, coeff_bound=bound)
+    routes = Counter()
+    count = 0
+    for M, _ in iter_candidates(ring, xvars, support_monomials(d), cons):
+        count += 1
+        for spec in specs:
+            F = spec(M)
+            if F.is_zero():
+                want = (False, "unit/constant", "degree")
+            else:
+                cert = is_irreducible(F)
+                want = (cert.irreducible, cert.reason, cert.method)
+            assert image_irreducibility(spec, M) == want, (spec.P, M)
+            routes[want[2]] += 1
+    assert count == size
+    # over Z the content in the main variable is the one tried, and with
+    # equal degrees the variable order picks main
+    assert BOX_ROUTES[name] <= set(routes) <= BOX_ROUTES[name] | {"content"}, routes

@@ -466,6 +466,33 @@ def test_u_is_irreducible_matches_brute_force_over_extensions(p, k, top, count):
         assert rings.u_is_irreducible(f, K) == brute_force_irreducible(g), f
 
 
+@pytest.mark.parametrize("p, k, top", [(2, 2, 4), (2, 3, 3), (3, 2, 3)],
+                         ids=["GF(4)", "GF(8)", "GF(9)"])
+def test_root_scan_over_extensions_matches_the_distinct_degree_split(monkeypatch, p, k, top):
+    # every polynomial of degree 2..top over GF(p^k), a field small enough
+    # for the root scan: its answer against squarefreeness and the first
+    # part of the distinct-degree split, which degree 2 and 3 never reach
+    K = GF(p, k)
+    assert K.order <= rings.ROOT_SCAN_LIMIT
+    ddf = rings.u_ddf
+    reached = []
+    monkeypatch.setattr(rings, "u_ddf", lambda f, K: reached.append(len(f) - 1) or ddf(f, K))
+    seen = Counter()
+    for coeffs in itertools.product(K.element_box(), repeat=top + 1):
+        f = rings.u_trim(list(coeffs), K)
+        n = len(f) - 1
+        if n < 2:
+            continue
+        fp = u_deriv(f, K)
+        monic = rings.u_monic(f, K)[1]
+        want = bool(fp) and len(rings.u_gcd(f, fp, K)) == 1 and next(ddf(monic, K))[1] == n
+        got = rings.u_is_irreducible(f, K)
+        assert got == want, f
+        seen[n, got] += 1
+    assert all(seen[n, True] and seen[n, False] for n in range(2, top + 1)), seen
+    assert all(n >= 4 for n in reached)
+
+
 # ---------------------------------------------------------------------------
 # substitute: the dense path against a sum of MultiPoly powers
 # ---------------------------------------------------------------------------

@@ -38,6 +38,10 @@ V = VarSet(("x1", "y"))
     ("x9 + 1", ZZ, "unknown variable 'x9'", 0),
     ("(1 + 1", ZZ, "expected ')'", 6),
     ("x1 + $", ZZ, "unexpected character '$'", 4),
+    # a dangling '*' needs a factor after it
+    ("x1*", ZZ, "expected a term", 3),
+    ("x1 * + 1", ZZ, "expected a term", 5),
+    ("(2*)*y", ZZ, "expected a coefficient", 3),
 ])
 def test_parse_error_message_and_position(text, ring, message, position):
     with pytest.raises(ParseError) as ei:
