@@ -28,7 +28,7 @@ from .errors import (
 )
 from .factor import factor_multivariate, is_irreducible
 from .multipoly import MultiPoly, Specializer, VarSet, format_poly
-from .rings import PolyRing, parse_ring
+from .rings import parse_ring
 from .schinzel import (
     SchinzelProblem,
     SearchConstraints,
@@ -51,6 +51,9 @@ EXIT_NONE = 2
 EXIT_BUDGET = 3
 
 _RING_ENV = "SCHINZELPOLY_RING"
+
+# the most candidates a swan-scan enumerates
+SWAN_SCAN_CAP = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +87,10 @@ def note(msg):
     print(msg, file=sys.stderr)
 
 
-def _vars_for(args, text_polys, extra=()):
+def _vars_for(args, text_polys):
     if args.vars is not None:
-        names = tuple(f"x{i}" for i in range(1, args.vars + 1))
-        return VarSet(names + tuple(extra))
-    return infer_vars(" ".join(text_polys), extra=extra)
+        return VarSet(tuple(f"x{i}" for i in range(1, args.vars + 1)))
+    return infer_vars(" ".join(text_polys))
 
 
 def _aliases(vars: VarSet):
@@ -111,22 +113,6 @@ def _parse_value(text, ring):
 # factor / irred
 # ---------------------------------------------------------------------------
 
-def _method_trace(f: MultiPoly):
-    effective = [n for n in f.vars.names if f.degree_in(n) > 0]
-    ring = f.ring
-    if isinstance(ring, PolyRing):
-        degs = [f.degree_in(n) for n in effective]
-        ud = max((ring.deg_u(v) for v in f.terms.values()), default=0)
-        D = 1 + max(degs + [ud]) if degs else 1 + ud
-        return f"u-fold + kronecker-fold D={D}"
-    if len(effective) >= 2:
-        D = 1 + max(f.degree_in(n) for n in effective)
-        return f"kronecker-fold D={D}"
-    if ring.is_field and ring.is_finite:
-        return "univariate cantor-zassenhaus"
-    return "univariate zassenhaus"
-
-
 def cmd_factor(args):
     ring = parse_ring(args.ring)
     vars = _vars_for(args, [args.poly])
@@ -138,7 +124,7 @@ def cmd_factor(args):
     result = {
         "unit": str(fac.unit),
         "factors": [{"poly": format_poly(g), "multiplicity": m} for g, m in fac.factors],
-        "method": _method_trace(f),
+        "method": fac.method,
     }
     env = make_envelope("factor", ring,
                         {"poly": format_poly(f), "vars": list(vars.names)},
@@ -146,9 +132,9 @@ def cmd_factor(args):
                         verification="passed" if ok else "failed",
                         timing_ms=dt if args.timings else None)
     emit(env, args.out)
-    note(f"factor: {format_poly(f)} = {str(fac.unit)} * " +
-         " * ".join(f"({format_poly(g)})^{m}" if m > 1 else f"({format_poly(g)})"
-                    for g, m in fac.factors))
+    note(f"factor: {format_poly(f)} = " +
+         " * ".join([str(fac.unit)] + [f"({format_poly(g)})^{m}" if m > 1 else f"({format_poly(g)})"
+                                       for g, m in fac.factors]))
     return EXIT_OK if ok else EXIT_USAGE
 
 
@@ -395,8 +381,7 @@ def cmd_spectrum(args):
 # swan-scan
 # ---------------------------------------------------------------------------
 
-def swan_scan(P: MultiPoly, xname: str, yname: str, max_deg: int,
-              enumeration_cap: int = 1 << 22):
+def swan_scan(P: MultiPoly, xname: str, yname: str, max_deg: int):
     """Exhaustive scan of all M with deg(M) <= max_deg over a finite field:
     counts how many make P(x, M(x)) irreducible.  Each image is decided as
     a witness search decides it: over GF(p), P's dense rows in y are built
@@ -408,9 +393,9 @@ def swan_scan(P: MultiPoly, xname: str, yname: str, max_deg: int,
     total = 1
     for _ in range(max_deg + 1):
         total *= q  # q^(max_deg + 1) itself can have millions of digits
-        if total > enumeration_cap:
+        if total > SWAN_SCAN_CAP:
             raise BudgetExceededError(f"enumeration of {q}^{max_deg + 1} candidates "
-                                      f"exceeds the cap of {enumeration_cap}")
+                                      f"exceeds the cap of {SWAN_SCAN_CAP}")
     support = [(i,) for i in range(max_deg + 1)]
     spec = Specializer(P, yname)
     irreducible = 0

@@ -39,7 +39,7 @@ _BEZOUT_STEP_CAP = 200
 # Bezout identities and CRT in k[vars].
 # ---------------------------------------------------------------------------
 
-def bezout_pair(f: MultiPoly, g: MultiPoly, max_steps=_BEZOUT_STEP_CAP):
+def bezout_pair(f: MultiPoly, g: MultiPoly):
     """(s, t) with s*f + t*g = 1, or None if the division-based Euclidean
     walk cannot reach a constant (comaximality in general is a
     Groebner-complete question, out of scope here)."""
@@ -53,7 +53,7 @@ def bezout_pair(f: MultiPoly, g: MultiPoly, max_steps=_BEZOUT_STEP_CAP):
     stalls = 0
     while not r1.is_zero():
         steps += 1
-        if steps > max_steps:
+        if steps > _BEZOUT_STEP_CAP:
             return None
         q, r = r0.divmod_single(r1)
         if q.is_zero():

@@ -8,15 +8,18 @@ squarefree decomposition, factorization mod a good prime, quadratic
 Hensel lifting to a Landau-Mignotte-style bound, and subset recombination
 with trailing-coefficient pruning.  Multivariate: Kronecker substitution
 x_i -> x^(D^(i-1)) with D = 1 + max partial degree, the dense image
-factored by _factor_dense, and recombination of sub-multisets of its
-factors (equal factors enumerated once per count) on dense coefficient
-lists, with shared prefix products.  A sub-multiset is pruned by the
-base-D digits of its leading and trailing exponents, then accepted exactly
-when the unfolds of its product G and of the cofactor F/G have partial
-degrees adding up to the input's; the multivariate division runs once per
-factor found.  Monomial content x_i^k is split off before the fold.  Both
-recombinations count every subset they enumerate against one cap
-(RECOMBINATION_SUBSET_CAP), reported when exceeded.
+(multipoly.dense_encode with strides D^(i-1)) factored by _factor_dense,
+and recombination of sub-multisets of its factors (equal factors
+enumerated once per count) on dense coefficient lists, with shared prefix
+products.  A sub-multiset is pruned by the base-D digits of its leading
+and trailing exponents, then accepted exactly when the unfolds of its
+product G and of the cofactor F/G have partial degrees adding up to the
+input's; the factor is decoded (multipoly.dense_decode, radix D) and the
+multivariate division runs once per factor found.  Monomial content x_i^k
+is split off before the fold.  Both recombinations count every subset
+they enumerate against one cap (RECOMBINATION_SUBSET_CAP), reported when
+exceeded.  A Factorization names the route that ran in its method, which
+the factor envelope reports.
 
 is_irreducible(method="auto") tries sound shortcuts before factoring, on
 a univariate input's dense list (dense_is_irreducible) and a bivariate
@@ -41,12 +44,12 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetExceededError, UnsupportedRingError, ZeroInputError
-from .multipoly import (MultiPoly, VarSet, dense_in_var, lift_u, list_content, poly_from_dense,
-                        poly_gcd)
+from .multipoly import (MultiPoly, VarSet, dense_decode, dense_encode, dense_in_var, lift_u,
+                        list_content, poly_from_rows, poly_gcd, rows_of)
 from .rings import (
     EXT_TABLE_LIMIT,
     ExtField,
@@ -109,14 +112,17 @@ class Factorization:
 
     Factors are canonical-unit-normalized and sorted by (total degree,
     term order).  Constant factors appear when the content of the input
-    is a nonunit (its irreducible ring elements, one per prime).
+    is a nonunit (its irreducible ring elements, one per prime).  method
+    names the route that factored the primitive part, as the factor
+    envelope reports it, and takes no part in equality.
     """
 
     unit: RingElement
     factors: list
+    method: str = field(compare=False)
 
     @classmethod
-    def build(cls, ring, vars, unit_value, pairs):
+    def build(cls, ring, vars, unit_value, pairs, method):
         merged = {}
         order = []
         for f, m in pairs:
@@ -126,7 +132,7 @@ class Factorization:
             else:
                 merged[k] = (f, m)
         items = sorted(merged.values(), key=lambda fm: _factor_sort_key(fm[0]))
-        return cls(RingElement(ring, unit_value), list(items))
+        return cls(RingElement(ring, unit_value), list(items), method)
 
     def recompose_over(self, vars: VarSet) -> MultiPoly:
         ring = self.unit.ring
@@ -145,14 +151,8 @@ def kronecker_fold(f: MultiPoly, D: int, target: str = "x") -> MultiPoly:
     degs = f.degree_vector()
     if any(d >= D for d in degs):
         raise ValueError(f"Kronecker bound D={D} is not above the partial degrees {degs}")
-    tvars = VarSet((target,))
-    out = {}
-    for e, v in f.terms.items():
-        E = 0
-        for i, ei in enumerate(e):
-            E += ei * D ** i
-        out[(E,)] = v
-    return MultiPoly(f.ring, tvars, out)
+    c, den = dense_encode(f.ring, f.terms, [D ** i for i in range(len(degs))])
+    return dense_decode(f.ring, VarSet((target,)), c, (), den)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +554,9 @@ def _zx_hensel_factors(f):
 # ---------------------------------------------------------------------------
 
 def factor_multivariate(f: MultiPoly, seed: int = 0) -> Factorization:
-    """Complete factorization in R[vars] for R in {Z, Q, GF(q), k[u]}."""
+    """Complete factorization in R[vars] for R in {Z, Q, GF(q), k[u]}.  Its
+    method is "content" when the primitive part is constant, else the
+    route _factor_primitive took."""
     ring, vars = f.ring, f.vars
     if f.is_zero():
         raise ZeroInputError("cannot factor the zero polynomial")
@@ -573,31 +575,39 @@ def factor_multivariate(f: MultiPoly, seed: int = 0) -> Factorization:
         sign, pp = pp.monic_normalize()
         unit_value = ring.mul(cunit, sign)
 
+    method = "content"
     if not pp.is_constant():
-        pairs.extend(_factor_primitive(pp, seed))
-    return Factorization.build(ring, vars, unit_value, pairs)
+        found, method = _factor_primitive(pp, seed)
+        pairs.extend(found)
+    return Factorization.build(ring, vars, unit_value, pairs, method)
 
 
 def _factor_primitive(pp: MultiPoly, seed):
     """Factor a canonical primitive nonconstant polynomial over Z, Q, GF(q)
-    or k[u]; the factors are canonical, and their product is pp."""
+    or k[u]: (pairs, method).  The factors are canonical, and their product
+    is pp.  method names the route that ran: "u-fold + " and the lifted
+    form's route over k[u], "univariate cantor-zassenhaus" over GF(q) and
+    "univariate zassenhaus" over Z and Q in one variable, else
+    _factor_kronecker's."""
     ring = pp.ring
     if isinstance(ring, PolyRing):
         # Factor the lifted form over the base field.  A product of
         # canonical factors is canonical, like pp, so the units dropped by
         # normalizing the unlifted factors multiply to 1.
+        lifted = factor_multivariate(lift_u(pp), seed)
         out = []
-        for g, mult in factor_multivariate(lift_u(pp), seed).factors:
+        for g, mult in lifted.factors:
             back = _unlift_u(g, ring, pp.vars)
             if back.is_constant():
                 raise ArithmeticError("u-only factor survived content splitting")
             out.append((back.monic_normalize()[1], mult))
-        return out
+        return out, "u-fold + " + lifted.method
     effective = [n for n in pp.vars.names if pp.degree_in(n) > 0]
     if len(effective) == 1:
         var = effective[0]
-        return [(poly_from_dense(ring, pp.vars, var, fac), mult)
-                for fac, mult in _factor_dense(dense_in_var(pp, var), ring, seed)]
+        method = "univariate cantor-zassenhaus" if ring.is_finite else "univariate zassenhaus"
+        return [(dense_decode(ring, VarSet((var,)), fac, ()).embed(pp.vars), mult)
+                for fac, mult in _factor_dense(dense_in_var(pp, var), ring, seed)], method
     return _factor_kronecker(pp, effective, seed)
 
 
@@ -659,7 +669,9 @@ def _normalize_candidate(cand: MultiPoly):
 
 def _factor_kronecker(pp: MultiPoly, effective, seed):
     """Fold to one variable, factor, and recombine sub-multisets of the
-    image's factors on their dense coefficient lists."""
+    image's factors on their dense coefficient lists: (pairs, method), as
+    _factor_primitive returns them, with method "kronecker-fold D=<D>", or
+    "monomial" and the route of the rest after a monomial content."""
     ring, vars = pp.ring, pp.vars
     # Monomial content x_i^k is split off first: folded, it would add k
     # copies of x to the image and so to every subset enumeration.
@@ -669,14 +681,18 @@ def _factor_kronecker(pp: MultiPoly, effective, seed):
                for name, k in zip(vars.names, lows) if k]
         rest = MultiPoly(ring, vars, {tuple(a - b for a, b in zip(e, lows)): v
                                       for e, v in pp.terms.items()})
-        if not rest.is_constant():
-            out.extend(_factor_primitive(rest, seed))
-        return out
+        if rest.is_constant():
+            return out, "monomial"
+        found, method = _factor_primitive(rest, seed)
+        return out + found, "monomial + " + method
     sub_vars = VarSet(tuple(effective))
     collapsed = pp.embed(vars) if vars.names == sub_vars.names else _restrict(pp, sub_vars)
     D = 1 + max(collapsed.degree_in(v) for v in sub_vars.names)
-    var = sub_vars.names[0]
-    whole = _dense_image(kronecker_fold(collapsed, D, target=var), var)
+    radices = [D] * (len(sub_vars) - 1)
+    # the image over Z, Q (scaled to a primitive integer list) or GF(q)
+    whole = dense_encode(ring, collapsed.terms, [D ** i for i in range(len(sub_vars))])[0]
+    if isinstance(ring, RationalField):
+        whole = zx_primitive(whole)[1]
     if ring.is_finite:
         def mul(a, b):
             return u_mul(a, b, ring)
@@ -743,7 +759,7 @@ def _factor_kronecker(pp: MultiPoly, effective, seed):
             if rest is None:
                 break
             prod, cofactor, mult = power, rest, mult + 1
-        cand = _normalize_candidate(_unfold_dense(prefix[-1], ring, sub_vars, digits))
+        cand = _normalize_candidate(dense_decode(ring, sub_vars, prefix[-1], radices))
         quotient = collapsed.try_divexact(cand ** mult)
         if quotient is None:
             raise ArithmeticError("Kronecker degree test accepted a non-factor")
@@ -755,19 +771,13 @@ def _factor_kronecker(pp: MultiPoly, effective, seed):
         collapsed, whole = quotient, cofactor
         target = list(collapsed.degree_vector())
         last, prefix = (), []
+    method = f"kronecker-fold D={D}"
     if not out:
         # No proper subset divides: pp is irreducible.
-        return [(pp, 1)]
+        return [(pp, 1)], method
     if not collapsed.is_constant():
         out.append((_expand(_normalize_candidate(collapsed), vars), 1))
-    return out
-
-
-def _dense_image(f: MultiPoly, var):
-    """Dense coefficients of f in var, its only variable; over Q scaled by
-    a positive rational to a primitive integer list."""
-    c = dense_in_var(f, var)
-    return _integer_image(c) if isinstance(f.ring, RationalField) else c
+    return out, method
 
 
 def _integer_image(c):
@@ -803,13 +813,6 @@ def _kronecker_split(prod, whole, target, digits, div):
     if all(a + b == t for a, b, t in zip(degs, _unfolded_degrees(cofactor, digits), target)):
         return cofactor
     return None
-
-
-def _unfold_dense(c, ring, vars: VarSet, digits):
-    if isinstance(ring, RationalField):
-        c = [Fraction(v) for v in c]
-    return MultiPoly(ring, vars, {tuple(dig[E] for dig in digits): v
-                                  for E, v in enumerate(c) if v})
 
 
 def _restrict(f: MultiPoly, sub_vars: VarSet):
@@ -936,7 +939,7 @@ def _is_irreducible_auto(f, seed, need_witness):
         witness = _first_witness(f, seed) if need_witness and not ok else None
         return IrreducibilityCertificate(ok, reason, witness, method)
     if len(effective) == 2:
-        cert = bivariate_is_irreducible(_rows_of(f, effective), ring, VarSet(tuple(effective)),
+        cert = bivariate_is_irreducible(rows_of(f, *effective), ring, VarSet(tuple(effective)),
                                         seed, need_witness)
         if cert.witness is not None:
             cert.witness = _expand(cert.witness, f.vars)
@@ -1009,23 +1012,6 @@ def dense_is_irreducible(c, K):
     return ok, "irreducible" if ok else "reducible", method
 
 
-def _rows_of(f, names):
-    """The rows of f in its two effective variables names, as
-    bivariate_is_irreducible takes them."""
-    rows = [dense_in_var(c, names[0]) for c in f.coeffs_in(names[1])]
-    if isinstance(f.ring, RationalField):
-        lcm = math.lcm(*(v.denominator for v in f.terms.values()))
-        rows = [[int(v * lcm) for v in row] for row in rows]
-    return rows
-
-
-def _from_rows(rows, ring, vars):
-    """The MultiPoly over the two variables vars with the given rows."""
-    q = isinstance(ring, RationalField)
-    return MultiPoly(ring, vars, {(i, j): Fraction(v) if q else v
-                                  for j, row in enumerate(rows) for i, v in enumerate(row) if v})
-
-
 def bivariate_is_irreducible(rows, K, vars, seed=0, need_witness=False, in_ku=False):
     """is_irreducible of F in the two variables vars = (a, b), from its rows:
     rows[j] is the coefficient list in a of b^j, trimmed, the last nonzero;
@@ -1043,7 +1029,7 @@ def bivariate_is_irreducible(rows, K, vars, seed=0, need_witness=False, in_ku=Fa
 
     def witness(g, k):  # g a list in the k-th variable
         if need_witness:
-            return _from_rows([g] if k == 0 else [[v] for v in g], K, vars).monic_normalize()[1]
+            return poly_from_rows(K, vars, [g] if k == 0 else [[v] for v in g]).monic_normalize()[1]
         return None
 
     def content(k):  # the certificate of a nonunit content in the k-th variable
@@ -1084,7 +1070,7 @@ def bivariate_is_irreducible(rows, K, vars, seed=0, need_witness=False, in_ku=Fa
     main = 0 if len(cols) >= len(rows) else 1
     cert = _try_specialization_certificate(K, main, [1 - main], content, lines[main], value)
     if cert is None:
-        cert = _is_irreducible_via_factor(_from_rows(rows, K, vars), seed)
+        cert = _is_irreducible_via_factor(poly_from_rows(K, vars, rows), seed)
     return cert
 
 
@@ -1308,7 +1294,7 @@ def brute_force_factor(f: MultiPoly, budget: int = 1 << 20) -> Factorization:
         u2, rest = rest.monic_normalize()
         unit = ring.mul(unit, u2)
         pairs.append((hit, mult))
-    return Factorization.build(ring, vars, unit, pairs)
+    return Factorization.build(ring, vars, unit, pairs, "brute-force")
 
 
 # ---------------------------------------------------------------------------

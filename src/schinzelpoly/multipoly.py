@@ -15,7 +15,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from operator import gt, mul
+from operator import mul
 
 from .errors import (
     BudgetExceededError,
@@ -34,7 +34,6 @@ from .rings import (
     dense_trim,
     pack_slots,
     u_gcd,
-    u_trim,
     zm_add,
     zm_mul,
     zx_add,
@@ -484,6 +483,96 @@ class MultiPoly:
 
 
 # ---------------------------------------------------------------------------
+# Dense layouts: the one encoder and the one decoder between MultiPoly
+# terms and dense lists.
+# ---------------------------------------------------------------------------
+
+def dense_encode(ring, terms, strides):
+    """(c, den): the dense list holding each term x^e of terms at slot
+    sum(e_j * strides[j]), zeros elsewhere, trimmed, and den = 1.  Over Q, c
+    holds integers and den is the lcm of the denominators, so the terms are
+    c / den.  The strides must keep the slots of distinct terms apart: in a
+    Kronecker image (von zur Gathen & Gerhard, Modern Computer Algebra,
+    §8.4) the stride of each variable is the product of the radices of the
+    variables before it, each radix above that variable's degree."""
+    den, zero = 1, ring.zero
+    if isinstance(ring, RationalField):
+        den, zero = math.lcm(*(v.denominator for v in terms.values())), 0
+        terms = {e: v.numerator * (den // v.denominator) for e, v in terms.items()}
+    # one and two variables, the searches' images, skip the generic dot
+    # product, which measured about 40% of encoding a small value
+    if len(strides) == 1:
+        s = strides[0]
+        top = max(terms)[0] * s if terms else -1
+        check_degree(top, "dense image degree")
+        c = [zero] * (top + 1)
+        for (e,), v in terms.items():
+            c[e * s] = v
+        return c, den
+    if len(strides) == 2:
+        s0, s1 = strides
+        slots = [a * s0 + b * s1 for a, b in terms]
+    else:
+        slots = [sum(map(mul, e, strides)) for e in terms]
+    top = max(slots, default=-1)
+    check_degree(top, "dense image degree")
+    c = [zero] * (top + 1)
+    for k, v in zip(slots, terms.values()):
+        c[k] = v
+    return c, den
+
+
+def dense_decode(ring, vars, c, radices, den=1):
+    """The MultiPoly over vars with c[k] (over Q, c[k] / den) at x^e, where
+    e_j is the j-th digit of k in the mixed radix radices, one radix per
+    variable but the last, whose exponent takes what is left: the inverse
+    of dense_encode for the strides of radices."""
+    strides = list(itertools.accumulate(radices, mul, initial=1))[:len(vars)][::-1]
+    rational = isinstance(ring, RationalField)
+    terms = {}
+    for k, v in enumerate(c):
+        if v:
+            e = []
+            for s in strides:
+                x, k = divmod(k, s)
+                e.append(x)
+            terms[tuple(e[::-1])] = Fraction(v, den) if rational else v
+    return MultiPoly(ring, vars, terms)
+
+
+def _split_rows(c, width):
+    """The dense list c cut into trimmed rows of width slots: the rows in
+    the last variable of an image whose other variables have radix width."""
+    return [dense_trim(c[k:k + width]) for k in range(0, len(c), width)]
+
+
+def dense_in_var(f: MultiPoly, var):
+    """Coefficients of f in var, low to high; f may involve no other
+    variable.  Over Q they are integers, a positive multiple of f's."""
+    d = f.degree_in(var)
+    check_degree(0 if d == NEG_INF else d, f"degree in {var}")
+    return dense_encode(f.ring, f.terms, [int(n == var) for n in f.vars.names])[0]
+
+
+def rows_of(f: MultiPoly, a, b):
+    """The rows of f, which involves no variable but a and b: rows[j] is
+    the trimmed coefficient list in a of b^j, over Q of integers, a
+    positive multiple of f's."""
+    width = f.degree_in(a) + 1
+    strides = [1 if n == a else width if n == b else 0 for n in f.vars.names]
+    return _split_rows(dense_encode(f.ring, f.terms, strides)[0], width)
+
+
+def poly_from_rows(ring, vars, rows):
+    """The MultiPoly over the two variables vars whose rows are rows."""
+    width = max(map(len, rows))
+    c = []
+    for row in rows:
+        c += row + [0] * (width - len(row))
+    return dense_decode(ring, vars, c, [width])
+
+
+# ---------------------------------------------------------------------------
 # Dense substitution: one P, many values for one of its variables.
 # ---------------------------------------------------------------------------
 
@@ -497,22 +586,25 @@ class Specializer:
     """y -> g in a polynomial P over any ring: over GF(p^k) and k[u] by
     horner_substitute, over Z, Q and GF(p) on dense images.
 
-    The rows of P in y (its coefficients, polynomials in the variables
-    left) are built once, so each value g costs one Horner pass over them.
-    A polynomial in the variables left is handled as its Kronecker image,
-    a dense list in which variable j stands for x^(s_j): s_0 = 1 and
+    A polynomial in the variables left is handled as its Kronecker image
+    (dense_encode), in which variable j has stride s_j: s_0 = 1 and
     s_(j+1) = s_j * (b_j + 1), where b_j = deg_j P + D * deg_j g, with D
     the degree of P in y (at least 1), bounds the degree in variable j of
     every Horner step, so no product wraps (von zur Gathen & Gerhard,
-    Modern Computer Algebra, §8.4).  The strides grow to cover every value
-    so far while that stays within DEGREE_CAP, and the rows are rebuilt
-    when they change; with one variable left the image is the coefficient
-    list itself.  MultiPoly.substitute builds one per call, and the witness
+    Modern Computer Algebra, §8.4).  The strides depend only on the degrees
+    of g in the variables left but the last, so one layout serves each such
+    shape of value: built on first use and cached by that shape, it holds
+    the strides and the rows of P in y (its coefficients, row_terms, as
+    images), and each value g of the shape costs one Horner pass over
+    them.  With one variable left the image is the coefficient list
+    itself.  An image depends only on P and g, never on earlier values.
+    MultiPoly.substitute builds one Specializer per call, and the witness
     searches keep one per P across their candidates.
 
     The image has prod_j (b_j + 1) slots however sparse P and g are, so a
     value whose image would pass DEGREE_CAP, or _DENSE_SLACK times the
-    terms P(g) can have, is substituted by horner_substitute instead.
+    terms P(g) can have, is substituted by horner_substitute instead; dense
+    refuses a value past DEGREE_CAP before any layout is built.
 
     Over GF(p) with p in SLOT_MOD the rows are also packed ints, one byte
     slot per coefficient, and a step acc * g + row runs on them whenever
@@ -524,15 +616,14 @@ class Specializer:
     """
 
     __slots__ = ("P", "name", "ring", "left", "dense_ok", "lifted", "row_terms", "top", "den",
-                 "p", "span", "radices", "strides", "cap", "size", "rows", "packed")
+                 "p", "span", "layouts")
 
     def __init__(self, P, name):
         K = P.ring
         i = P.vars.index(name)
         self.P, self.name, self.ring = P, name, K
         self.left = P.vars.without(name)
-        # the layout and rows, built by dense
-        self.radices = self.strides = self.cap = self.size = self.rows = self.packed = None
+        self.layouts = {}  # by the degrees of a value but the last, built by dense
         self.lifted = None
         self.dense_ok = isinstance(K, (IntegerRing, RationalField, PrimeField))
         if not self.dense_ok:
@@ -554,82 +645,56 @@ class Specializer:
         self.p = K.p if isinstance(K, PrimeField) else 0
         self.span = max(top[i], 1)  # >= 1: the image of g itself fits when P has no y
 
-    def _cover(self, gdeg):
-        """Fit the strides to a value of degree vector gdeg, rebuilding the
-        rows when they change; returns the length of the value's image.  New
-        strides cover every earlier value too unless that passes
-        DEGREE_CAP."""
-        D = self.span
-        if self.radices is not None and not any(map(gt, gdeg, self.cap)):
-            n = self.size + D * sum(map(mul, gdeg, self.strides))
-            if n - 1 <= DEGREE_CAP:
-                return n
-        radices = [t + D * d + 1 for t, d in zip(self.top[:-1], gdeg)]
-        if self.radices is not None:
-            union = list(map(max, radices, self.radices))
-            if self._length(union, gdeg) - 1 <= DEGREE_CAP:
-                radices = union
-        check_degree(self._length(radices, gdeg) - 1, "Kronecker image degree")
-        self.radices, self.rows = radices, []
-        self.strides = strides = list(itertools.accumulate([1] + radices, mul))[:len(self.top)]
-        # the largest degree of a value in each variable but the last
-        self.cap = [(r - 1 - t) // D for r, t in zip(radices, self.top)]
-        self.size = 1 + sum(map(mul, self.top, strides))  # of a row
-        for row in self.row_terms:
-            c = [0] * self.size
-            for e, v in row.items():
-                c[sum(map(mul, e, strides))] = v
-            self.rows.append(dense_trim(c))
-        self.packed = [pack_slots(c) for c in self.rows] if self.p in SLOT_MOD else None
-        return self.size + D * sum(map(mul, gdeg, strides))
-
-    def _length(self, radices, gdeg):
-        """A bound on the image length of a value of degree vector gdeg in
-        the strides of radices, exact for the strides of gdeg alone."""
-        return math.prod(radices) * (self.top[-1] + self.span * gdeg[-1] + 1) if self.top else 1
-
     def dense(self, g, gdeg=None):
         """(c, den) with P(g) = c / den, for g over P's ring (Z, Q or GF(p))
-        in the variables left or some of them: c is the image as a dense int list (the
-        coefficient list when one variable is left), reduced mod p over
-        GF(p), and den = 1 except over Q.  gdeg, when given, is the degree
-        vector of g in the variables left."""
+        in the variables left or some of them: c is the image as a dense int
+        list (the coefficient list when one variable is left), reduced mod p
+        over GF(p), and den = 1 except over Q.  gdeg, when given, is the
+        degree vector of g in the variables left.
+
+        The layout of g's shape, gdeg[:-1], is (radices, strides, size,
+        rows, packed): the images of row_terms, each at most size slots
+        long, and the same rows as byte-slot ints (None unless p is in
+        SLOT_MOD).  It is built on first use, after the length n of g's
+        image is checked against DEGREE_CAP."""
         if g.vars.names != self.left.names:
             g = g.embed(self.left)
-        gterms, b = g.terms, 1
-        if isinstance(self.ring, RationalField):
-            b = math.lcm(*(v.denominator for v in gterms.values()))
-            gterms = {e: v.numerator * (b // v.denominator) for e, v in gterms.items()}
         if len(self.top) == 1:
-            # the exponent is the slot: a third of a call faster than
-            # degree_vector and the dot products below
-            deg = max(gterms)[0] if gterms else 0
-            n = self._cover((deg,))
-            h = [0] * (deg + 1)
-            for (e,), v in gterms.items():
-                h[e] = v
+            # a third of a call faster than degree_vector
+            gdeg = (max(g.terms)[0] if g.terms else 0,)
         else:
             gdeg = gdeg or g.degree_vector()
-            n = self._cover(gdeg)
-            strides = self.strides
-            h = [0] * (1 + sum(map(mul, gdeg, strides)))  # up to the slot of g's degree vector
-            for e, v in gterms.items():
-                h[sum(map(mul, e, strides))] = v
-        h = dense_trim(h)
+        D = self.span
+        key = gdeg[:-1]
+        layout = self.layouts.get(key)
+        if layout is None:
+            radices = [t + D * d + 1 for t, d in zip(self.top, key)]
+            strides = list(itertools.accumulate(radices, mul, initial=1))[:len(self.top)]
+            size = 1 + sum(map(mul, self.top, strides))
+            rows = packed = None
+        else:
+            radices, strides, size, rows, packed = layout
+        n = size + D * sum(map(mul, gdeg, strides))
+        check_degree(n - 1, "Kronecker image degree")
+        if rows is None:
+            rows = [dense_encode(self.ring, row, strides)[0] for row in self.row_terms]
+            packed = [pack_slots(r) for r in rows] if self.p in SLOT_MOD else None
+            self.layouts[key] = (radices, strides, size, rows, packed)
+        h, b = dense_encode(self.ring, g.terms, strides)
         p = self.p
-        if self.packed is not None and len(gterms) * (p - 1) ** 2 + p - 1 < 256:
+        if packed is not None and len(g.terms) * (p - 1) ** 2 + p - 1 < 256:
             table, G, acc = SLOT_MOD[p], pack_slots(h), b""
-            for row in self.packed:
+            for row in packed:
                 acc = (int.from_bytes(acc, "little") * G + row).to_bytes(n, "little").translate(table)
             return list(acc.rstrip(b"\0")), 1
         acc = []
         w = 1  # b^(D-k) at the row of y^k
-        for c in self.rows:
+        for c in rows:
             if w != 1:
                 c = [v * w for v in c]
             acc = zm_add(zm_mul(acc, h, p), c, p) if p else zx_add(zx_mul(acc, h), c)
             w *= b
-        return acc, self.den * b ** (len(self.rows) - 1)
+        return acc, self.den * b ** (len(rows) - 1)
 
     def _terms_bound(self, t):
         """A bound on the terms of P(g) for g of t terms: the row of y^d
@@ -652,8 +717,8 @@ class Specializer:
         gdeg = g.degree_vector()
         if not self._dense_pays(g, gdeg):
             return None
-        c, s = self.dense(g, gdeg)[0], self.strides[1]
-        return [dense_trim(c[k:k + s]) for k in range(0, len(c), s)]
+        c = self.dense(g, gdeg)[0]
+        return _split_rows(c, self.layouts[gdeg[:-1]][0][0])
 
     def __call__(self, g):
         """P(g) as a MultiPoly in the variables left."""
@@ -665,17 +730,7 @@ class Specializer:
         if not self._dense_pays(g, gdeg):
             return horner_substitute(self.P, self.name, g)
         c, den = self.dense(g, gdeg)
-        K, strides = self.ring, self.strides[::-1]
-        rational = isinstance(K, RationalField)
-        terms = {}
-        for k, v in enumerate(c):
-            if v:
-                e = []
-                for s in strides:
-                    x, k = divmod(k, s)
-                    e.append(x)
-                terms[tuple(e[::-1])] = Fraction(v, den) if rational else v
-        return MultiPoly(K, self.left, terms)
+        return dense_decode(self.ring, self.left, c, self.layouts[gdeg[:-1]][0], den)
 
 
 def lift_u(f: MultiPoly):
@@ -729,35 +784,6 @@ def degree_in(f, name):
 
 def degree_vector(f):
     return f.degree_vector()
-
-
-# ---------------------------------------------------------------------------
-# Conversions between MultiPoly and dense lists in one variable.
-# ---------------------------------------------------------------------------
-
-def dense_in_var(f: MultiPoly, var):
-    """Coefficients of f in var, low to high; f may involve no other variable."""
-    i = f.vars.index(var)
-    d = f.degree_in(var)
-    d = 0 if d == NEG_INF else int(d)
-    check_degree(d, f"degree in {var}")
-    out = [f.ring.zero] * (d + 1)
-    for e, v in f.terms.items():
-        out[e[i]] = v
-    return u_trim(out, f.ring)
-
-
-def poly_from_dense(ring, vars: VarSet, var, dense):
-    i = vars.index(var)
-    zero = (0,) * len(vars)
-    terms = {}
-    for power, v in enumerate(dense):
-        if ring.is_zero(v):
-            continue
-        e = list(zero)
-        e[i] = power
-        terms[tuple(e)] = v
-    return MultiPoly(ring, vars, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +844,7 @@ def _dense_gcd(f, g, var):
     ring = f.ring
     a, b = dense_in_var(f, var), dense_in_var(g, var)
     d = u_gcd(a, b, ring) if isinstance(ring, PrimeField) else zx_gcd(a, b)
-    return poly_from_dense(ring, f.vars, var, d)
+    return dense_decode(ring, VarSet((var,)), d, ()).embed(f.vars)
 
 
 def poly_gcd(f, g):

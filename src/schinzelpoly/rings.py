@@ -1078,7 +1078,7 @@ class ExtField(Ring):
     """GF(p^k) as GF(p)[t] / (modulus), k >= 2.
 
     Elements are tuples of residues (coefficients of t, low to high,
-    trailing zeros stripped).  The default modulus is the lexicographically
+    trailing zeros stripped).  The modulus is the lexicographically
     smallest monic irreducible of degree k, coefficient vectors compared
     low to high, which pins the field down without Conway tables.
 
@@ -1092,7 +1092,7 @@ class ExtField(Ring):
     is_finite = True
     generator_symbol = "t"
 
-    def __init__(self, p, k, modulus=None):
+    def __init__(self, p, k):
         if k < 2:
             raise ValueError("extension degree must be >= 2; use PrimeField for k=1")
         self.p = p
@@ -1100,15 +1100,7 @@ class ExtField(Ring):
         self.base = PrimeField(p)
         self.order = p ** k
         self.characteristic = p
-        if modulus is None:
-            modulus = self._default_modulus(self.base, k)
-        else:
-            modulus = list(modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree k")
-            if not u_is_irreducible(modulus, self.base):
-                raise ValueError("modulus is reducible over GF(p)")
-        self.modulus = modulus
+        self.modulus = modulus = self._default_modulus(self.base, k)
         self.zero = ()
         self.one = (1,)
         self._pw = self._log = self._index = self._elems = self._zech = None

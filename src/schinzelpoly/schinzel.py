@@ -277,18 +277,13 @@ def image_irreducibility(spec, M):
     return cert.irreducible, cert.reason, cert.method
 
 
-def verify_candidate(problem: SchinzelProblem, M: MultiPoly, tup=(), polys=None,
-                     yname=None, specs=None):
-    """Return (is_witness, reason, certificates) for substituting M for
-    yname (default: the first y variable) in polys (default: the P_i).
-    specs, when given, are the Specializers of polys for yname, which a
-    search keeps across its candidates."""
+def verify_candidate(problem: SchinzelProblem, M: MultiPoly, tup, specs):
+    """Return (is_witness, reason, certificates) for substituting M, drawn
+    as the coefficient tuple tup, in the polynomials whose Specializers for
+    one y are specs, which a search keeps across its candidates."""
     side = _check_side_constraints(problem, M, tup)
     if side is not None:
         return False, side, []
-    if specs is None:
-        yname = yname or problem.yvars.names[0]
-        specs = [Specializer(P, yname) for P in (problem.P if polys is None else polys)]
     certs = []
     for spec in specs:
         ok, reason, method = image_irreducibility(spec, M)
@@ -385,7 +380,7 @@ def _search(problem, cons, keep=True):
         for y_depth: (reason, _) when rejected, else (None, the
         certificates at depth m or the polynomials for the next depth)."""
         if depth == m:
-            ok, reason, certs = verify_candidate(problem, M, tup, specs=specs)
+            ok, reason, certs = verify_candidate(problem, M, tup, specs)
             return (None if ok else reason), certs
         reason = _check_side_constraints(problem, M, tup)
         if reason is not None:

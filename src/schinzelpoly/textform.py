@@ -195,14 +195,13 @@ def parse_poly(text, ring, vars, aliases=None) -> MultiPoly:
     return _Parser(text, ring, vars, aliases=aliases).parse_sum()
 
 
-def infer_vars(text, extra=()):
+def infer_vars(text):
     """Guess a VarSet from the identifiers appearing in a polynomial string.
 
     x/x1..xn sort before y/y1..ym; the bare names x and y are kept as
     given.  Coefficient symbols u and t are never variables.
     """
     names = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
-    names |= set(extra)
     names.discard("u")
     names.discard("t")
 

@@ -1,7 +1,9 @@
-"""Property tests of division with remainder and of the text form: the
-remainder of a single-divisor division is reduced and exact division
-agrees with it, and parsing a printed polynomial gives it back.
-Skipped when hypothesis is not installed."""
+"""Property tests of division with remainder, gcds, factoring, the dense
+layout and the text form: the remainder of a single-divisor division is
+reduced and exact division agrees with it, a gcd divides both inputs and
+is divided by every common factor, a factorization recomposes to its
+input, decoding an encoded polynomial gives it back, and so does parsing a
+printed one.  Skipped when hypothesis is not installed."""
 
 from fractions import Fraction
 
@@ -10,7 +12,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from schinzelpoly.multipoly import MultiPoly, VarSet, format_poly  # noqa: E402
+from schinzelpoly.factor import factor_multivariate  # noqa: E402
+from schinzelpoly.multipoly import (MultiPoly, VarSet, dense_decode, dense_encode,  # noqa: E402
+                                   format_poly, poly_gcd)
 from schinzelpoly.rings import GF, QQ, ZZ, PolyRing, u_trim  # noqa: E402
 from schinzelpoly.textform import parse_poly  # noqa: E402
 
@@ -83,3 +87,54 @@ def test_parse_of_format_is_the_identity(ring_name, data):
     vars = VarSet(("x1", "y"))
     f = data.draw(polys(ring, values, vars, 3, 6))
     assert parse_poly(format_poly(f), ring, vars) == f
+
+
+PROPERTY_RINGS = ["Z", "Q", "GF(3)", "GF(2^2)", "GF(2)[u]"]
+
+
+@hypothesis.settings(SETTINGS, max_examples=80)
+@hypothesis.given(st.sampled_from(PROPERTY_RINGS), st.integers(1, 3), st.booleans(), st.data())
+def test_gcd_divides_both_inputs_and_takes_every_common_factor(ring_name, n, one_var, data):
+    # one_var keeps both inputs in x1 alone, the dense univariate path over
+    # Z and GF(p); otherwise the primitive PRS runs.  Partial degrees <= 2.
+    ring, values = RINGS[ring_name]
+    vars = VarSet(NAMES[:n])
+    draw_vars = VarSet(NAMES[:1]) if one_var else vars
+    a, b, c = (data.draw(polys(ring, values, draw_vars, 1, 3)).embed(vars) for _ in range(3))
+    f, g = a * c, b * c
+    hypothesis.assume(not (f.is_zero() and g.is_zero()))
+    h = poly_gcd(f, g)
+    assert h.monic_normalize()[1] == h
+    assert f.try_divexact(h) is not None and g.try_divexact(h) is not None, (f, g, h)
+    assert h.try_divexact(c) is not None, (f, g, h, c)
+
+
+@hypothesis.settings(SETTINGS, max_examples=60)
+@hypothesis.given(st.sampled_from(PROPERTY_RINGS), st.integers(1, 3), st.data())
+def test_factorization_recomposes_to_its_input(ring_name, n, data):
+    ring, values = RINGS[ring_name]
+    vars = VarSet(NAMES[:n])
+    a, b = (data.draw(polys(ring, values, vars, 1, 3)) for _ in range(2))
+    f = a * b
+    hypothesis.assume(not f.is_zero())
+    fac = factor_multivariate(f)
+    assert fac.recompose_over(vars) == f
+    for g, m in fac.factors:
+        assert m >= 1 and g.monic_normalize()[1] == g, (f, g)
+
+
+@SETTINGS
+@hypothesis.given(st.sampled_from(PROPERTY_RINGS), st.integers(1, 3), st.data())
+def test_decode_of_encode_is_the_identity(ring_name, n, data):
+    # any radix above a variable's degree gives an injective layout; the
+    # last variable has none
+    ring, values = RINGS[ring_name]
+    vars = VarSet(NAMES[:n])
+    f = data.draw(polys(ring, values, vars, 3, 6))
+    radices = [d + 1 + data.draw(st.integers(0, 2)) for d in f.degree_vector()[:-1]]
+    strides = [1]
+    for r in radices:
+        strides.append(strides[-1] * r)
+    c, den = dense_encode(ring, f.terms, strides)
+    assert c[-1] if c else f.is_zero()  # trimmed: the last slot holds a term
+    assert dense_decode(ring, vars, c, radices, den) == f

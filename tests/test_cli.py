@@ -460,6 +460,25 @@ def test_irred_reducible_univariate_envelope_is_pinned(capsys, poly, ring, witne
     assert capsys.readouterr().out == IRRED_REDUCIBLE_ENVELOPE % (poly, witness, ring)
 
 
+@pytest.mark.parametrize("poly, ring, method, summary", [
+    # the u-content is split off first, and the lifted x1 is univariate
+    ("(u^3+u)*x1", "GF(3)[u]", "u-fold + univariate cantor-zassenhaus",
+     "(u^3 + u)*x1 = 1 * ((u)) * ((u^2 + 1)) * (x1)"),
+    # pure monomial content: nothing is folded
+    ("x1*x2", "Z", "monomial", "x1*x2 = 1 * (x2) * (x1)"),
+    # x1*x2 is split off, and the fold of x1^2 + x2^2 has D = 3
+    ("x1^3*x2 + x1*x2^3", "Z", "monomial + kronecker-fold D=3",
+     "x1^3*x2 + x1*x2^3 = 1 * (x2) * (x1) * (x1^2 + x2^2)"),
+    ("1", "Z", "content", "1 = 1"),
+])
+def test_factor_method_names_the_route_that_ran(capsys, poly, ring, method, summary):
+    assert main(["factor", poly, "--ring", ring]) == 0
+    captured = capsys.readouterr()
+    env = json.loads(captured.out)
+    assert (env["result"]["method"], env["verification"]) == (method, "passed")
+    assert captured.err == f"factor: {summary}\n"
+
+
 def test_envelope_timing_null_by_default(capsys, tmp_path):
     rc, env = run_cli(["irred", "x^2+1", "--ring", "Z"], capsys, tmp_path)
     assert env["timing_ms"] is None

@@ -1,6 +1,8 @@
 """Dead-code guard: every top-level function and class in the package, and
 every method of a top-level class that is not a dunder, is referenced
-somewhere in the package other than its own body."""
+somewhere in the package other than its own body; and every defaulted
+parameter of a function or method that __init__ does not export is passed
+by some call in the package."""
 
 import ast
 import pathlib
@@ -10,6 +12,11 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "schinzelpoly"
 
 # test oracles kept in the package although only the tests call them
 ALLOWED_UNREFERENCED = {"brute_force_factor"}
+
+# (module, function, parameter) of defaulted parameters that no call in the
+# package passes: the console entry reads sys.argv, and the tests give the
+# brute-force oracle its budget
+ALLOWED_UNPASSED = {("cli.py", "main", "argv"), ("factor.py", "brute_force_factor", "budget")}
 
 
 def _references(node):
@@ -82,3 +89,119 @@ def test_guard_sees_methods_but_not_dunders(tmp_path):
         "\n"
         "A().used()\n", encoding="utf-8")
     assert unreferenced_definitions(tmp_path) == [("mod.py", "A.unused")]
+
+
+def _exported(src):
+    """The names __init__ imports."""
+    tree = ast.parse((src / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _callables(tree, exported):
+    """(name a call uses, label, node, bound) of each top-level function and
+    method of a top-level class that __init__ does not export, directly or
+    through its class; __init__ is called by the class name.  bound is
+    whether a call passes the first parameter implicitly (self or cls)."""
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS) and node.name not in exported:
+            yield node.name, node.name, node, False
+        if isinstance(node, ast.ClassDef) and node.name not in exported:
+            for sub in node.body:
+                if isinstance(sub, FUNCTIONS):
+                    decorators = {d.id for d in sub.decorator_list if isinstance(d, ast.Name)}
+                    name = node.name if sub.name == "__init__" else sub.name
+                    yield name, f"{node.name}.{sub.name}", sub, "staticmethod" not in decorators
+
+
+def _defaulted(node, bound):
+    """(position, name) of each defaulted parameter of a function node, the
+    position counted among the arguments a call writes, None when the
+    parameter is keyword-only."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _calls(trees):
+    """For each name called in trees (a plain name or an attribute), what
+    its calls pass: (number of plain positional arguments, whether a * is
+    passed, the keywords, whether a ** is passed) per call."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            plain = sum(not isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords if k.arg is not None}
+            double = any(k.arg is None for k in node.keywords)
+            calls.setdefault(name, []).append((plain, starred, keywords, double))
+    return calls
+
+
+def unpassed_defaults(src=SRC):
+    """(module, label, parameter) of each defaulted parameter, of a function
+    or method that __init__ does not export, that no call in src passes by
+    position, keyword, * or **.  A call counts for every callable of its
+    name, whatever the receiver."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    exported = _exported(src)
+    calls = _calls(trees)
+    found = []
+    for module, tree in trees.items():
+        for name, label, node, bound in _callables(tree, exported):
+            for pos, param in _defaulted(node, bound):
+                if not any((pos is not None and (pos < plain or starred))
+                           or param in keywords or double
+                           for plain, starred, keywords, double in calls.get(name, ())):
+                    found.append((module, label, param))
+    return found
+
+
+def test_every_defaulted_parameter_is_passed():
+    found = [(m, label, p) for m, label, p in unpassed_defaults()
+             if (m, label, p) not in ALLOWED_UNPASSED]
+    assert found == []
+
+
+def test_unpassed_allow_list_names_only_unpassed_parameters():
+    # an allowed parameter that a call starts passing must leave the list
+    assert set(unpassed_defaults()) >= ALLOWED_UNPASSED
+
+
+def test_guard_sees_every_way_a_call_passes_a_default(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import api\n", encoding="utf-8")
+    (tmp_path / "mod.py").write_text(
+        "def api(a=1):\n"
+        "    return a\n"
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    return a\n"
+        "def g(a=1, b=2):\n"
+        "    return a\n"
+        "def h(a=1):\n"
+        "    return a\n"
+        "class C:\n"
+        "    def __init__(self, a=1, b=2):\n"
+        "        self.a = a\n"
+        "    def m(self, a=1):\n"
+        "        return a\n"
+        "    @staticmethod\n"
+        "    def s(a=1):\n"
+        "        return a\n"
+        "f(0, 1, d=2)\n"
+        "g(*[1])\n"
+        "h(**{})\n"
+        "C(1).m()\n"
+        "C.s(1)\n", encoding="utf-8")
+    assert unpassed_defaults(tmp_path) == [("mod.py", "f", "c"), ("mod.py", "f", "e"),
+                                           ("mod.py", "C.__init__", "b"), ("mod.py", "C.m", "a")]

@@ -15,7 +15,7 @@ from schinzelpoly import factor as factor_mod
 from schinzelpoly import rings
 from schinzelpoly.errors import BudgetExceededError
 from schinzelpoly.factor import factor_multivariate
-from schinzelpoly.multipoly import MultiPoly, VarSet, poly_gcd
+from schinzelpoly.multipoly import MultiPoly, VarSet, dense_in_var, poly_gcd
 from schinzelpoly.rings import GF, QQ, ZZ, PrimeField, u_is_irreducible, zx_gcd
 
 V1 = VarSet(("x",))
@@ -397,7 +397,7 @@ def test_zx_is_irreducible_over_q_through_the_dense_image():
         den = rng.choice([1, 2, 3, 6, 35])
         scale = Fraction(rng.choice([1, -1, 3, -5]), rng.choice([1, 2, 7]))
         F = poly(QQ, V2, [Fraction(c, den) * scale for c in f])
-        image = factor_mod._dense_image(F, "x")
+        image = factor_mod._integer_image(dense_in_var(F, "x"))
         assert image in (f, [-c for c in f])
         assert factor_mod._zx_is_irreducible(image) == single_irreducible(factor_multivariate(F)), f
 

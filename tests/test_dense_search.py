@@ -157,7 +157,7 @@ def test_specializer_over_every_ring_for_any_variables_left(ring, vars):
                 want = (cert.irreducible, cert.reason, cert.method)
             assert image_irreducibility(spec, M) == want, (P, M)
         if not spec.dense_ok:
-            assert spec.rows is None  # no dense row was built
+            assert spec.layouts == {}  # no dense row was built
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 from schinzelpoly.errors import BudgetExceededError, ZeroInputError
 from schinzelpoly.factor import (
     _factor_dense,
-    _unfold_dense,
     brute_force_factor,
     brute_force_irreducible,
     capelli_check,
@@ -22,7 +21,7 @@ from schinzelpoly.factor import (
     is_irreducible,
     kronecker_fold,
 )
-from schinzelpoly.multipoly import MultiPoly, VarSet, dense_in_var
+from schinzelpoly.multipoly import MultiPoly, VarSet, dense_decode, dense_encode, dense_in_var
 from schinzelpoly.rings import GF, QQ, ZZ, PolyRing, u_trim
 from schinzelpoly.textform import parse_poly
 
@@ -53,9 +52,8 @@ def test_kronecker_fold_examples():
 
 def unfold(g, D, vars):
     """The unfold the Kronecker route uses, on the dense image of g."""
-    c = dense_in_var(g, "x")
-    digits = [[E // D ** i % D for E in range(len(c))] for i in range(len(vars))]
-    return _unfold_dense(c, g.ring, vars, digits)
+    c, den = dense_encode(g.ring, g.terms, [1])
+    return dense_decode(g.ring, vars, c, [D] * (len(vars) - 1), den)
 
 
 def test_kronecker_unfold_examples():

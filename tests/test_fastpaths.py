@@ -676,7 +676,7 @@ def test_specializer_past_the_degree_cap(vars):
     with pytest.raises(BudgetExceededError, match="Kronecker image degree"):
         spec.dense(big)
     assert spec(big) == P.substitute("y", big) == sparse_horner(P, "y", big)
-    assert spec.rows is None
+    assert spec.layouts == {}
 
 
 def test_specializer_drops_earlier_strides_that_would_pass_the_cap():
@@ -689,6 +689,42 @@ def test_specializer_drops_earlier_strides_that_would_pass_the_cap():
     for g in ("x1^2048 + 1", "x2^1024 + x1", "x1 + x2"):
         M = parse_poly(g, GF(3), left)
         assert spec.dense(M) == Specializer(P, "y").dense(M)
+
+
+def test_specializer_image_does_not_depend_on_earlier_values():
+    # after x1^3 a layout that also covered x1^3 gave dense(x1 + x2) as
+    # [0, 2, 0, 0, 0, 1]; its own layout gives [0, 2, 0, 1]
+    V = VarSet(("x1", "x2", "y"))
+    left = V.without("y")
+    spec = Specializer(parse_poly("y + x1", GF(3), V), "y")
+    spec.dense(parse_poly("x1^3", GF(3), left))
+    assert spec.dense(parse_poly("x1 + x2", GF(3), left)) == ([0, 2, 0, 1], 1)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3), GF(13)], ids=str)
+@pytest.mark.parametrize("nleft", [2, 3])
+def test_one_specializer_equals_a_fresh_one_on_values_of_mixed_shapes(ring, nleft):
+    # values of several degree vectors, fed to one Specializer in shuffled
+    # order: each of dense, dense_rows and __call__ equals what a fresh
+    # Specializer returns, and one layout is kept per shape
+    rng = random.Random(f"mixed/{ring}/{nleft}")
+    names = [f"x{j}" for j in range(1, nleft + 1)]
+    for ypos in (0, nleft):
+        vars = VarSet(names[:ypos] + ["y"] + names[ypos:])
+        left = vars.without("y")
+        for _ in range(3):
+            P = spec_poly(rng, ring, vars, 2, rng.randrange(2, 7))
+            values = [spec_poly(rng, ring, left, deg, rng.randrange(1, 5))
+                      for deg in (0, 1, 2, 3) for _ in range(3)]
+            rng.shuffle(values)
+            spec = Specializer(P, "y")
+            for M in values:
+                fresh = Specializer(P, "y")
+                assert spec.dense(M) == fresh.dense(M), (P, M)
+                if nleft == 2:
+                    assert spec.dense_rows(M) == Specializer(P, "y").dense_rows(M), (P, M)
+                assert spec(M) == Specializer(P, "y")(M) == sparse_horner(P, "y", M), (P, M)
+            assert len(spec.layouts) == len({M.degree_vector()[:-1] for M in values})
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3)], ids=str)
@@ -708,12 +744,12 @@ def test_sparse_values_take_the_dict_horner(ring, nleft, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(Specializer, "dense", None)  # any dense image fails
         assert spec(M) == P.substitute("y", M) == substitute_y(P, M) == want
-    assert spec.rows is None
+    assert spec.layouts == {}
     Q = parse_poly("y^2 + x1*y + x2", ring, V)
     M = parse_poly("x1 + x2 + 1", ring, left)
     spec = Specializer(Q, "y")
     assert spec(M) == sparse_horner(Q, "y", M)
-    assert spec.rows is not None
+    assert spec.layouts != {}
 
 
 # ---------------------------------------------------------------------------

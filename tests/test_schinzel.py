@@ -10,7 +10,7 @@ import pytest
 import schinzelpoly.schinzel as schinzel_mod
 from schinzelpoly.cli import main
 from schinzelpoly.factor import brute_force_irreducible, factor_univariate_integers, is_irreducible
-from schinzelpoly.multipoly import MultiPoly, VarSet
+from schinzelpoly.multipoly import MultiPoly, Specializer, VarSet
 from schinzelpoly.rings import GF, ZZ, PolyRing
 from schinzelpoly.schinzel import (
     SchinzelProblem,
@@ -233,7 +233,7 @@ def test_witness_certificates_match_a_fresh_verification(ring, ptexts, yvars, d,
         polys = prob.P
         for yname, M in zip(yvars, Ms[:-1]):
             polys = [P.substitute(yname, M) for P in polys]
-        fresh = verify_candidate(prob, Ms[-1], polys=polys, yname=yvars[-1])
+        fresh = verify_candidate(prob, Ms[-1], (), [Specializer(P, yvars[-1]) for P in polys])
         assert fresh == (True, "witness", w.certificates)
         assert len(w.certificates) == len(prob.P)
 
@@ -368,9 +368,9 @@ def test_multi_y_random_samples_are_whole_tuples_from_one_stream(capsys):
     for _ in range(50):
         (M1, tup1), (M2, tup2) = draw(), draw()
         mid = [P.substitute("y1", M1) for P in prob.P]
-        if (verify_candidate(prob, M1, tup1, prob.P, "y1")[0]
+        if (verify_candidate(prob, M1, tup1, [Specializer(P, "y1") for P in prob.P])[0]
                 and all(F.degree_in("y2") >= 1 for F in mid)):
-            hits += verify_candidate(prob, M2, tup2, mid, "y2")[0]
+            hits += verify_candidate(prob, M2, tup2, [Specializer(P, "y2") for P in mid])[0]
     assert main(["density", "--ring", "GF(2)", "--P", "y1*y2 + x1", "--deg", "1",
                  "--samples", "50", "--seed", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["witnesses"] == hits
