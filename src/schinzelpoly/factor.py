@@ -49,7 +49,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, UnsupportedRingError, ZeroInputError
 from .multipoly import (MultiPoly, VarSet, dense_decode, dense_encode, dense_in_var, lift_u,
-                        list_content, poly_from_rows, poly_gcd, rows_of)
+                        list_content, poly_from_rows, poly_gcd, rows_of, sparse_fold)
 from .rings import (
     EXT_TABLE_LIMIT,
     ExtField,
@@ -114,12 +114,12 @@ class Factorization:
     term order).  Constant factors appear when the content of the input
     is a nonunit (its irreducible ring elements, one per prime).  method
     names the route that factored the primitive part, as the factor
-    envelope reports it, and takes no part in equality.
+    envelope reports it ("" when not given), and takes no part in equality.
     """
 
     unit: RingElement
     factors: list
-    method: str = field(compare=False)
+    method: str = field(default="", compare=False)
 
     @classmethod
     def build(cls, ring, vars, unit_value, pairs, method):
@@ -151,8 +151,7 @@ def kronecker_fold(f: MultiPoly, D: int, target: str = "x") -> MultiPoly:
     degs = f.degree_vector()
     if any(d >= D for d in degs):
         raise ValueError(f"Kronecker bound D={D} is not above the partial degrees {degs}")
-    c, den = dense_encode(f.ring, f.terms, [D ** i for i in range(len(degs))])
-    return dense_decode(f.ring, VarSet((target,)), c, (), den)
+    return sparse_fold(f, [D ** i for i in range(len(degs))], target)
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +689,8 @@ def _factor_kronecker(pp: MultiPoly, effective, seed):
     D = 1 + max(collapsed.degree_in(v) for v in sub_vars.names)
     radices = [D] * (len(sub_vars) - 1)
     # the image over Z, Q (scaled to a primitive integer list) or GF(q)
-    whole = dense_encode(ring, collapsed.terms, [D ** i for i in range(len(sub_vars))])[0]
+    whole = dense_encode(ring, collapsed.terms, [D ** i for i in range(len(sub_vars))],
+                         f"degree in {sub_vars.names[0]}")[0]
     if isinstance(ring, RationalField):
         whole = zx_primitive(whole)[1]
     if ring.is_finite:

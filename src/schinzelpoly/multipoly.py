@@ -487,39 +487,53 @@ class MultiPoly:
 # terms and dense lists.
 # ---------------------------------------------------------------------------
 
-def dense_encode(ring, terms, strides):
+def dense_encode(ring, terms, strides, what="dense image degree"):
     """(c, den): the dense list holding each term x^e of terms at slot
     sum(e_j * strides[j]), zeros elsewhere, trimmed, and den = 1.  Over Q, c
     holds integers and den is the lcm of the denominators, so the terms are
     c / den.  The strides must keep the slots of distinct terms apart: in a
     Kronecker image (von zur Gathen & Gerhard, Modern Computer Algebra,
     §8.4) the stride of each variable is the product of the radices of the
-    variables before it, each radix above that variable's degree."""
+    variables before it, each radix above that variable's degree.  A list
+    longer than DEGREE_CAP is refused, its top slot named by what."""
     den, zero = 1, ring.zero
     if isinstance(ring, RationalField):
-        den, zero = math.lcm(*(v.denominator for v in terms.values())), 0
-        terms = {e: v.numerator * (den // v.denominator) for e, v in terms.items()}
-    # one and two variables, the searches' images, skip the generic dot
-    # product, which measured about 40% of encoding a small value
+        (terms, den), zero = _integer_terms(terms), 0
     if len(strides) == 1:
+        # one variable, the searches' images: skip the dot product
         s = strides[0]
         top = max(terms)[0] * s if terms else -1
-        check_degree(top, "dense image degree")
+        check_degree(top, what)
         c = [zero] * (top + 1)
         for (e,), v in terms.items():
             c[e * s] = v
         return c, den
-    if len(strides) == 2:
-        s0, s1 = strides
-        slots = [a * s0 + b * s1 for a, b in terms]
-    else:
-        slots = [sum(map(mul, e, strides)) for e in terms]
+    slots = _slots(terms, strides)
     top = max(slots, default=-1)
-    check_degree(top, "dense image degree")
+    check_degree(top, what)
     c = [zero] * (top + 1)
     for k, v in zip(slots, terms.values()):
         c[k] = v
     return c, den
+
+
+def _integer_terms(terms):
+    """(terms * den, den) for rational terms, den the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in terms.values()))
+    return {e: v.numerator * (den // v.denominator) for e, v in terms.items()}, den
+
+
+def _slots(terms, strides):
+    """The slot sum(e_j * strides[j]) of each term x^e of terms, in order."""
+    return [sum(map(mul, e, strides)) for e in terms]
+
+
+def sparse_fold(f: MultiPoly, strides, var):
+    """f in the one variable var, x^e taken to var^k at the slot k of
+    dense_encode: its image kept sparse, so the cost follows the terms of f,
+    not the length of the image, and no cap applies."""
+    return MultiPoly(f.ring, VarSet((var,)),
+                     {(k,): v for k, v in zip(_slots(f.terms, strides), f.terms.values())})
 
 
 def dense_decode(ring, vars, c, radices, den=1):
@@ -549,27 +563,29 @@ def _split_rows(c, width):
 def dense_in_var(f: MultiPoly, var):
     """Coefficients of f in var, low to high; f may involve no other
     variable.  Over Q they are integers, a positive multiple of f's."""
-    d = f.degree_in(var)
-    check_degree(0 if d == NEG_INF else d, f"degree in {var}")
-    return dense_encode(f.ring, f.terms, [int(n == var) for n in f.vars.names])[0]
+    strides = [int(n == var) for n in f.vars.names]
+    return dense_encode(f.ring, f.terms, strides, f"degree in {var}")[0]
 
 
 def rows_of(f: MultiPoly, a, b):
     """The rows of f, which involves no variable but a and b: rows[j] is
     the trimmed coefficient list in a of b^j, over Q of integers, a
-    positive multiple of f's."""
-    width = f.degree_in(a) + 1
-    strides = [1 if n == a else width if n == b else 0 for n in f.vars.names]
-    return _split_rows(dense_encode(f.ring, f.terms, strides)[0], width)
+    positive multiple of f's.  Each row is encoded on its own, so the rows
+    take the room of their own lengths, not of a full degree box."""
+    i, j = f.vars.index(a), f.vars.index(b)
+    terms = _integer_terms(f.terms)[0] if isinstance(f.ring, RationalField) else f.terms
+    rows = [{} for _ in range(1 + max(e[j] for e in terms))]
+    for e, v in terms.items():
+        rows[e[j]][(e[i],)] = v
+    return [dense_encode(f.ring, row, [1], f"degree in {a}")[0] for row in rows]
 
 
 def poly_from_rows(ring, vars, rows):
-    """The MultiPoly over the two variables vars whose rows are rows."""
-    width = max(map(len, rows))
-    c = []
-    for row in rows:
-        c += row + [0] * (width - len(row))
-    return dense_decode(ring, vars, c, [width])
+    """The MultiPoly over the two variables vars whose rows are rows, each
+    decoded on its own."""
+    first = VarSet(vars.names[:1])
+    return MultiPoly(ring, vars, {(i, j): v for j, row in enumerate(rows)
+                                  for (i,), v in dense_decode(ring, first, row, ()).terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +650,7 @@ class Specializer:
         terms = P.terms
         self.den = 1
         if isinstance(K, RationalField):
-            self.den = math.lcm(*(v.denominator for v in terms.values()))
-            terms = {e: v.numerator * (self.den // v.denominator) for e, v in terms.items()}
+            terms, self.den = _integer_terms(terms)
         top = P.degree_vector()
         check_degree(top[i], f"degree in {name}")
         self.row_terms = [{} for _ in range(top[i] + 1)]  # by power of y, top first

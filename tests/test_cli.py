@@ -661,6 +661,16 @@ def test_huge_exponents_are_refused_with_the_cap(capsys, args):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("command", ["factor", "irred"])
+def test_kronecker_image_past_the_cap_names_the_first_variable(capsys, command):
+    # every exponent is below the cap; the fold's D = 41 puts x1^40*...*x4^40
+    # at 40 * (1 + 41 + 41^2 + 41^3) = 2825760
+    assert main([command, "x1^40*x2^40*x3^40*x4^40 + x1 + 1", "--ring", "GF(3)"]) == 3
+    captured = capsys.readouterr()
+    assert f"degree in x1 2825760 exceeds the degree cap of {DEGREE_CAP}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_verify_refuses_a_huge_exponent_with_the_cap(capsys, tmp_path):
     env = json.loads(emitted_envelope(tmp_path, ["factor", "x^2 + x", "--ring", "GF(2)"]))
     env["inputs"]["poly"] = f"x^{HUGE}"

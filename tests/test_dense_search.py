@@ -14,9 +14,10 @@ from fractions import Fraction
 import pytest
 
 from schinzelpoly import factor as factor_mod
+from schinzelpoly import multipoly
 from schinzelpoly.factor import bivariate_is_irreducible, dense_is_irreducible, is_irreducible
-from schinzelpoly.multipoly import (MultiPoly, Specializer, VarSet, dense_in_var, list_content,
-                                   poly_gcd)
+from schinzelpoly.multipoly import (DEGREE_CAP, MultiPoly, Specializer, VarSet, dense_in_var,
+                                   list_content, poly_gcd)
 from schinzelpoly.rings import GF, QQ, ROOT_SCAN_LIMIT, ZZ, PolyRing, PrimeField, parse_ring
 from schinzelpoly.schinzel import (SearchConstraints, image_irreducibility, iter_candidates,
                                    support_monomials)
@@ -267,6 +268,19 @@ def rows_of(f):
         while row and not row[-1]:
             row.pop()
     return rows
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=str)
+def test_rows_of_a_sparse_input_whose_box_passes_the_cap(ring):
+    # the full box of x1^1100*x2 + x2^1100 has 1101^2 slots, past
+    # DEGREE_CAP; each row is encoded and decoded on its own, so the input
+    # is decided on its rows, by its Newton polygon
+    f = parse_poly("x1^1100*x2 + x2^1100 + x1 + 1", ring, V2)
+    assert 1101 ** 2 > DEGREE_CAP
+    rows = multipoly.rows_of(f, "x1", "x2")
+    assert [len(r) for r in rows] == [2, 1101] + [0] * 1098 + [1]
+    assert multipoly.poly_from_rows(ring, V2, rows) == f
+    assert is_irreducible(f).method == "newton-polytope"
 
 
 def multipoly_route(f):

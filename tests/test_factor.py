@@ -9,6 +9,7 @@ import pytest
 
 from schinzelpoly.errors import BudgetExceededError, ZeroInputError
 from schinzelpoly.factor import (
+    Factorization,
     _factor_dense,
     brute_force_factor,
     brute_force_irreducible,
@@ -21,7 +22,7 @@ from schinzelpoly.factor import (
     is_irreducible,
     kronecker_fold,
 )
-from schinzelpoly.multipoly import MultiPoly, VarSet, dense_decode, dense_encode, dense_in_var
+from schinzelpoly.multipoly import DEGREE_CAP, MultiPoly, VarSet, dense_decode, dense_encode, dense_in_var
 from schinzelpoly.rings import GF, QQ, ZZ, PolyRing, u_trim
 from schinzelpoly.textform import parse_poly
 
@@ -94,6 +95,22 @@ def test_kronecker_multiplicative():
         D = 1 + max(prod.degree_vector() or (0,))
         D = max(D, 2)
         assert kronecker_fold(prod, D) == kronecker_fold(f, D) * kronecker_fold(g, D)
+
+
+def test_kronecker_fold_of_a_sparse_input_past_the_cap():
+    # D^4 slots would pass DEGREE_CAP; the fold maps the two terms alone
+    V4 = VarSet(("x1", "x2", "x3", "x4"))
+    f = MultiPoly(F3, V4, {(40, 40, 40, 40): 1, (1, 0, 0, 0): 2})
+    D = 41
+    top = 40 * (1 + D + D ** 2 + D ** 3)
+    assert top > DEGREE_CAP
+    assert kronecker_fold(f, D) == MultiPoly(F3, V1, {(top,): 1, (1,): 2})
+
+
+def test_factorization_built_without_a_method():
+    fac = factor_multivariate(parse_poly("x^2 + x", F2, V1))
+    bare = Factorization(fac.unit, fac.factors)
+    assert bare == fac and bare.method == ""
 
 
 def test_kronecker_bound_errors():
