@@ -17,7 +17,7 @@ degree-1 witness search for the correction M in U = U_0 + M prod(w_i).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BezoutUnavailableError,

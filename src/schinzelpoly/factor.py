@@ -4,22 +4,24 @@ Univariate factoring has one entry on dense coefficient lists,
 _factor_dense, for univariate inputs, Kronecker images and k[u] elements.
 Over GF(q): squarefree decomposition (with p-th-root descent),
 distinct-degree, then seeded equal-degree splitting.  Over Z/Q: Yun
-squarefree decomposition, factorization mod a good prime, quadratic
-Hensel lifting to a Landau-Mignotte-style bound, and subset recombination
-with trailing-coefficient pruning.  Multivariate: Kronecker substitution
-x_i -> x^(D^(i-1)) with D = 1 + max partial degree, the dense image
-(multipoly.dense_encode with strides D^(i-1)) factored by _factor_dense,
-and recombination of sub-multisets of its factors (equal factors
-enumerated once per count) on dense coefficient lists, with shared prefix
-products.  A sub-multiset is pruned by the base-D digits of its leading
-and trailing exponents, then accepted exactly when the unfolds of its
-product G and of the cofactor F/G have partial degrees adding up to the
-input's; the factor is decoded (multipoly.dense_decode, radix D) and the
-multivariate division runs once per factor found.  Monomial content x_i^k
-is split off before the fold.  Both recombinations count every subset
-they enumerate against one cap (RECOMBINATION_SUBSET_CAP), reported when
-exceeded.  A Factorization names the route that ran in its method, which
-the factor envelope reports.
+squarefree decomposition, factorization mod a good prime, lifting to a
+Landau-Mignotte-style bound (p-adic Newton iteration on the roots when
+every modular factor is linear, quadratic Hensel steps on the factor tree
+otherwise), and subset recombination with trailing-coefficient pruning.
+Multivariate: Kronecker substitution x_i -> x^(D^(i-1)) with D = 1 + max
+partial degree, the dense image (multipoly.dense_encode with strides
+D^(i-1)) factored by _factor_dense, and recombination of sub-multisets of
+its factors (equal factors enumerated once per count) on dense
+coefficient lists, with shared prefix products.  A sub-multiset is pruned
+by the base-D digits of its leading and trailing exponents, then accepted
+exactly when the unfolds of its product G and of the cofactor F/G have
+partial degrees adding up to the input's; the factor is decoded
+(multipoly.dense_decode, radix D) and the multivariate division runs once
+per factor found.  Monomial content x_i^k is split off before the fold.
+Both recombinations count every subset they enumerate against one cap
+(RECOMBINATION_SUBSET_CAP), reported when exceeded.  A Factorization
+names the route that ran in its method, which the factor envelope
+reports.
 
 is_irreducible(method="auto") tries sound shortcuts before factoring, on
 a univariate input's dense list (dense_is_irreducible) and a bivariate
@@ -60,7 +62,6 @@ from .rings import (
     RationalField,
     RingElement,
     ZZ,
-    dense_trim,
     factor_int,
     is_perfect_power,
     is_prime,
@@ -373,6 +374,27 @@ def _hensel_lift(p, f, f_list, l):
     return _hensel_lift(p, g, f_list[:k], l) + _hensel_lift(p, h, f_list[k:], l)
 
 
+def _newton_lift_roots(p, f, roots, l):
+    """Lift simple roots a of f mod p to the roots A = a (mod p) of f mod
+    p^l by Newton iteration, A <- A - f(A)/f'(A) mod p^e with e doubling up
+    to l (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).
+    f'(A) is a unit mod p because the root is simple.  Horner gives f(A)
+    and f'(A) in one pass."""
+    out = []
+    for a in roots:
+        e = 1
+        while e < l:
+            e = min(2 * e, l)
+            m = p ** e
+            v = d = 0
+            for c in reversed(f):
+                d = (d * a + v) % m
+                v = (v * a + c) % m
+            a = (a - v * pow(d, -1, m)) % m
+        out.append(a)
+    return out
+
+
 def _subsets(n, size):
     """Index subsets of range(n) of one size, in lexicographic order.
 
@@ -480,7 +502,10 @@ def _zx_is_irreducible(f):
 def _zx_hensel_factors(f):
     """Irreducible factors of a primitive squarefree f with lc > 0, deg >= 2,
     by lifting its factorization modulo the Hensel prime, the first good
-    prime modulo which f stays squarefree, and recombining the lifts."""
+    prime modulo which f stays squarefree, and recombining the lifts.  A
+    factorization into linear factors x - a lifts by Newton iteration on
+    the roots a, any other by the factor tree of _hensel_lift; Hensel lifts
+    are unique, so both give the same monic factors mod p^l."""
     n = u_deg(f)
     lc = f[-1]
     for p in _odd_primes():
@@ -500,8 +525,12 @@ def _zx_hensel_factors(f):
     l = 1
     while p ** l <= 2 * B:
         l += 1
-    items = _hensel_lift(p, list(f), modular, l)
     P = p ** l
+    if all(len(g) == 2 for g in modular):  # all x - a: lift the roots a
+        roots = _newton_lift_roots(p, f, [-g[0] % p for g in modular], l)
+        items = [[-a % P, 1] for a in roots]
+    else:
+        items = _hensel_lift(p, list(f), modular, l)
 
     result = []
     g = list(f)
@@ -1022,8 +1051,14 @@ def bivariate_is_irreducible(rows, K, vars, seed=0, need_witness=False, in_ku=Fa
     Newton polygon, _try_specialization_certificate, and Kronecker.
     Witnesses are over vars."""
     zero = K.zero if K.is_finite else 0
-    cols = [dense_trim([row[i] if i < len(row) else zero for row in rows])
-            for i in range(max(map(len, rows), default=0))]
+    cols = [[] for _ in range(max(map(len, rows), default=0))]
+    for j, row in enumerate(rows):  # from the nonzero entries, so sparse F costs its terms
+        for i, v in enumerate(row):
+            if v:
+                col = cols[i]
+                if len(col) < j:
+                    col += [zero] * (j - len(col))
+                col.append(v)
     lines = (cols, rows)  # lines[k]: the coefficients of F in its k-th variable
     gcd = functools.partial(u_gcd, K=K) if K.is_finite else zx_gcd
 

@@ -3,7 +3,9 @@ layout and the text form: the remainder of a single-divisor division is
 reduced and exact division agrees with it, a gcd divides both inputs and
 is divided by every common factor, a factorization recomposes to its
 input, decoding an encoded polynomial gives it back, and so does parsing a
-printed one.  Skipped when hypothesis is not installed."""
+printed one; the polynomial CRT meets every residue below the degree of
+the product of its moduli, and the Capelli test agrees with deciding
+b*y^rho + a directly.  Skipped when hypothesis is not installed."""
 
 from fractions import Fraction
 
@@ -12,7 +14,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from schinzelpoly.factor import factor_multivariate  # noqa: E402
+from schinzelpoly.constructions import poly_crt, poly_mod  # noqa: E402
+from schinzelpoly.factor import capelli_check, factor_multivariate, is_irreducible  # noqa: E402
 from schinzelpoly.multipoly import (MultiPoly, VarSet, dense_decode, dense_encode,  # noqa: E402
                                    format_poly, poly_gcd)
 from schinzelpoly.rings import GF, QQ, ZZ, PolyRing, u_trim  # noqa: E402
@@ -138,3 +141,49 @@ def test_decode_of_encode_is_the_identity(ring_name, n, data):
     c, den = dense_encode(ring, f.terms, strides)
     assert c[-1] if c else f.is_zero()  # trimmed: the last slot holds a term
     assert dense_decode(ring, vars, c, radices, den) == f
+
+
+def coprime(f, g):
+    h = poly_gcd(f, g)
+    return h.is_constant() and h.ring.is_unit(h.constant_value())
+
+
+@hypothesis.settings(SETTINGS, max_examples=60)
+@hypothesis.given(st.sampled_from(["Q", "GF(3)", "GF(2^2)"]), st.integers(1, 3), st.data())
+def test_crt_meets_every_residue_below_the_degree_of_the_modulus(ring_name, count, data):
+    ring, values = RINGS[ring_name]
+    vars = VarSet(NAMES[:1])
+    moduli = []
+    for _ in range(8):  # draws until count nonconstant, pairwise coprime moduli
+        m = data.draw(polys(ring, values, vars, 2, 3))
+        if m.total_degree() >= 1 and all(coprime(m, n) for n in moduli):
+            moduli.append(m)
+            if len(moduli) == count:
+                break
+    hypothesis.assume(len(moduli) == count)
+    targets = [data.draw(polys(ring, values, vars, 3, 4)) for _ in moduli]
+    r = poly_crt(list(zip(targets, moduli)))
+    for t, m in zip(targets, moduli):
+        assert poly_mod(r - t, m).is_zero(), (targets, moduli, r)
+    assert r.is_zero() or r.total_degree() < sum(m.total_degree() for m in moduli)
+
+
+@hypothesis.settings(SETTINGS, max_examples=60)
+@hypothesis.given(st.sampled_from(["Z", "Q", "GF(3)", "GF(2^2)"]), st.integers(1, 4),
+                  st.integers(1, 4), st.data())
+def test_capelli_check_agrees_with_deciding_the_binomial(ring_name, rho, power, data):
+    # with a, b coprime, b*y^rho + a is primitive in y, so by Gauss's lemma
+    # it is irreducible in K[x1, y] exactly when it is over K(x1).  When the
+    # drawn power divides rho, -a/b is drawn as a power of that order, the
+    # reducible side of the test.
+    ring, values = RINGS[ring_name]
+    vars, both = VarSet(("x1",)), VarSet(("x1", "y"))
+    if power > 1 and rho % power == 0:
+        g, h = (data.draw(polys(ring, values, vars, 1, 2)) for _ in range(2))
+        a, b = -(g ** power), h ** power
+    else:
+        a, b = (data.draw(polys(ring, values, vars, 2, 3)) for _ in range(2))
+    hypothesis.assume(not a.is_zero() and not b.is_zero() and coprime(a, b))
+    y = MultiPoly.from_terms(ring, both, {(0, 1): ring.one})
+    binomial = b.embed(both) * y ** rho + a.embed(both)
+    assert capelli_check(a, b, rho) == bool(is_irreducible(binomial)), (a, b, rho)

@@ -460,6 +460,15 @@ def test_irred_reducible_univariate_envelope_is_pinned(capsys, poly, ring, witne
     assert capsys.readouterr().out == IRRED_REDUCIBLE_ENVELOPE % (poly, witness, ring)
 
 
+@pytest.mark.parametrize("ring", ["GF(3)", "Z"])
+def test_irred_of_a_sparse_bivariate_input_costs_its_terms_not_its_box(capsys, ring):
+    # both degrees are 10^6, a box of 10^12 slots: the columns are built from
+    # the nonzero entries of the rows, and the Newton polygon decides
+    rc, env = run_cli(["irred", "x1^1000000*x2 + x2^1000000 + x1", "--ring", ring], capsys)
+    assert rc == 0
+    assert (env["result"]["irreducible"], env["result"]["method"]) == (True, "newton-polytope")
+
+
 @pytest.mark.parametrize("poly, ring, method, summary", [
     # the u-content is split off first, and the lifted x1 is univariate
     ("(u^3+u)*x1", "GF(3)[u]", "u-fold + univariate cantor-zassenhaus",

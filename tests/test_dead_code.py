@@ -1,8 +1,9 @@
 """Dead-code guard: every top-level function and class in the package, and
 every method of a top-level class that is not a dunder, is referenced
-somewhere in the package other than its own body; and every defaulted
+somewhere in the package other than its own body; every defaulted
 parameter of a function or method that __init__ does not export is passed
-by some call in the package."""
+by some call in the package; and every name a module imports is read in
+that module (__init__ re-exports and __future__ imports aside)."""
 
 import ast
 import pathlib
@@ -205,3 +206,45 @@ def test_guard_sees_every_way_a_call_passes_a_default(tmp_path):
         "C.s(1)\n", encoding="utf-8")
     assert unpassed_defaults(tmp_path) == [("mod.py", "f", "c"), ("mod.py", "f", "e"),
                                            ("mod.py", "C.__init__", "b"), ("mod.py", "C.m", "a")]
+
+
+def _imported(tree):
+    """(name bound, line) of each import in a module tree, __future__ aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def unread_imports(src=SRC):
+    """(module, name, line) of each name a module other than __init__
+    imports and never reads."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        found += [(path.name, name, line) for name, line in _imported(tree) if name not in read]
+    return found
+
+
+def test_every_imported_name_is_read():
+    assert unread_imports() == []
+
+
+def test_guard_sees_unread_imports_but_not_reexports(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import api\n", encoding="utf-8")
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import sys as system\n"
+        "from math import gcd, lcm as least\n"
+        "def api():\n"
+        "    import json\n"
+        "    return os.path.sep, gcd\n", encoding="utf-8")
+    assert unread_imports(tmp_path) == [("mod.py", "system", 3), ("mod.py", "least", 4),
+                                        ("mod.py", "json", 6)]

@@ -17,8 +17,8 @@ from schinzelpoly import factor as factor_mod
 from schinzelpoly import rings
 from schinzelpoly.errors import BudgetExceededError
 from schinzelpoly.factor import brute_force_factor, brute_force_irreducible, factor_multivariate
-from schinzelpoly.multipoly import (DEGREE_CAP, MultiPoly, Specializer, VarSet, format_poly,
-                                   grlex_key, substitute_y)
+from schinzelpoly.multipoly import (DEGREE_CAP, MultiPoly, Specializer, VarSet, dense_in_var,
+                                   format_poly, grlex_key, substitute_y)
 from schinzelpoly.rings import (GF, QQ, ZZ, ExtField, PolyRing, u_add, u_deriv, u_divmod,
                                 u_mul, u_sub, zm_add, zm_divmod, zm_mul, zm_sub)
 from schinzelpoly.textform import parse_poly
@@ -245,6 +245,59 @@ def test_hensel_lift_postcondition():
             for g in lifted:
                 prod = ref_mul(prod, g, P)
             assert prod == [c % P for c in f]
+
+
+def split_products(seed, count):
+    """(f, forms) for primitive squarefree f, the product of 2-6 distinct
+    primitive forms a*x + b with a > 0 drawn from products of 2 and 3, so
+    that the leading coefficients share small primes and push the Hensel
+    prime past them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.randint(2, 6)
+        forms = set()
+        while len(forms) < size:
+            a = rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 18])
+            b = rng.randint(-40, 40)
+            if math.gcd(a, b) == 1:
+                forms.add((b, a))
+        f = [1]
+        for form in forms:
+            f = rings.zx_mul(f, list(form))
+        yield f, sorted(list(form) for form in forms)
+
+
+def test_newton_root_lift_equals_the_factor_tree():
+    sizes = set()
+    for f, forms in split_products(seed=43, count=60):
+        p = odd_prime_for(f)
+        K = GF(p)
+        modular = sorted(factor_mod._ff_factor_monic_squarefree(
+            rings.u_monic([c % p for c in f], K)[1], K, random.Random(0)))
+        assert len(modular) == len(forms) and all(len(g) == 2 for g in modular)
+        sizes.add(len(forms))
+        roots = [-g[0] % p for g in modular]
+        for l in (1, 2, 5, 9):
+            P = p ** l
+            lifted = factor_mod._newton_lift_roots(p, f, roots, l)
+            assert [[-a % P, 1] for a in lifted] == factor_mod._hensel_lift(p, f, modular, l)
+            assert all(rings.zx_eval(f, a) % P == 0 for a in lifted)
+    assert sizes == {2, 3, 4, 5, 6}
+
+
+def test_completely_split_inputs_never_reach_the_factor_tree(monkeypatch):
+    def no_tree(*args):
+        raise AssertionError("a completely split factorization reached _hensel_lift")
+
+    monkeypatch.setattr(factor_mod, "_hensel_lift", no_tree)
+    for f, forms in split_products(seed=47, count=40):
+        assert sorted(factor_mod._zx_factor_squarefree(f)) == forms
+        F = MultiPoly.from_terms(ZZ, V1, {(i,): c for i, c in enumerate(f) if c})
+        fac = factor_multivariate(F)
+        assert sorted(dense_in_var(g, "x") for g, _ in fac.factors) == forms
+    with pytest.raises(AssertionError, match="reached _hensel_lift"):
+        # x^2 + 1 is irreducible mod 3, the Hensel prime of (x^2 - 7)(x^2 + 1)
+        factor_mod._zx_factor_squarefree(rings.zx_mul([-7, 0, 1], [1, 0, 1]))
 
 
 # ---------------------------------------------------------------------------
