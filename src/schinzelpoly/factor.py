@@ -4,7 +4,9 @@ Univariate factoring has one entry on dense coefficient lists,
 _factor_dense, for univariate inputs, Kronecker images and k[u] elements.
 Over GF(q): squarefree decomposition (with p-th-root descent),
 distinct-degree, then seeded equal-degree splitting.  Over Z/Q: Yun
-squarefree decomposition, factorization mod a good prime, lifting to a
+squarefree decomposition, a screen modulo six good primes, factorization
+mod a good prime (for degree 2 and 3 the screen's roots there, with no
+second prime search or modular factoring), lifting to a
 Landau-Mignotte-style bound (p-adic Newton iteration on the roots when
 every modular factor is linear, quadratic Hensel steps on the factor tree
 otherwise), and subset recombination with trailing-coefficient pruning.
@@ -453,32 +455,70 @@ def _digits_fit(part, whole, D):
 
 
 def _zx_screen(f):
-    """Whether the reduction of a primitive f with lc > 0 and deg >= 2 is
-    irreducible modulo one of the first ZX_SCREEN_PRIMES good primes (those
-    not dividing lc, so the degree is kept).  That proves f irreducible, and
-    so squarefree, in Z[x].  The screen primes are 3 to 17 unless lc has
-    small prime factors, all below ROOT_SCAN_LIMIT, so u_is_irreducible
-    decides a reduction of degree 2 or 3 by its roots alone, and rejects
-    any reduction with a root before a gcd."""
-    lc = f[-1]
-    screened = 0
+    """Reduce a primitive f with lc > 0 and deg >= 2 modulo the first
+    ZX_SCREEN_PRIMES good primes (those not dividing lc, so the degree is
+    kept).  True when a reduction is irreducible, which proves f
+    irreducible, and so squarefree, in Z[x].  The screen primes are 3 to 17
+    unless lc has small prime factors, which can push them past
+    ROOT_SCAN_LIMIT.
+
+    Of degree 2 or 3, a reduction factors by its roots alone: none means
+    irreducible, and simple roots a give the factors x - a and, for a cubic
+    with one root, the irreducible quadratic cofactor.  So the screen hands
+    its work on: unless it returns True, it returns the Hensel start (p,
+    modular) at the first screened prime p where f mod p is squarefree, with
+    the sorted monic factors there, or None when no screened reduction is
+    squarefree.  Of degree >= 4 u_is_irreducible decides each reduction,
+    and the screen returns True or None."""
+    lc, n = f[-1], u_deg(f)
+    screened, start = 0, None
     for p in _odd_primes():
         if lc % p == 0:
             continue
-        K = PrimeField(p)
-        if u_is_irreducible(u_trim([c % p for c in f], K), K):
+        fbar = [c % p for c in f]
+        if n > 3:
+            if u_is_irreducible(fbar, PrimeField(p)):
+                return True
+        elif start is None:
+            roots = list(zm_roots(fbar, p))
+            if not roots:
+                return True
+            start = _split_by_roots(fbar, roots, p)
+        elif next(zm_roots(fbar, p), None) is None:
             return True
         screened += 1
         if screened == ZX_SCREEN_PRIMES:
-            return False
+            return start
+
+
+def _split_by_roots(fbar, roots, p):
+    """(p, the sorted monic factors of fbar mod p) for fbar of degree 2 or 3
+    with the given roots, or None when a root is repeated, so that fbar is
+    not squarefree.  These are the factors _ff_factor_monic_squarefree
+    finds: x - a for each root a, and for a cubic with one root the
+    quadratic cofactor, which has no root and so is irreducible."""
+    for a in roots:
+        v = d = 0
+        for c in reversed(fbar):
+            d = (d * a + v) % p
+            v = (v * a + c) % p
+        if d == 0:  # f'(a) = 0: a repeated root
+            return None
+    modular = [[-a % p, 1] for a in roots]
+    if len(roots) < u_deg(fbar):
+        q = zm_divmod(fbar, modular[0], p)[0]
+        inv = pow(q[-1], -1, p)
+        modular.append([c * inv % p for c in q])
+    return p, sorted(modular)
 
 
 def _zx_factor_squarefree(f):
     """Irreducible factors of a primitive squarefree f with lc > 0, deg >= 1:
-    the screen, then _zx_hensel_factors."""
-    if u_deg(f) == 1 or _zx_screen(f):
+    the screen, then _zx_hensel_factors from the screen's Hensel start."""
+    if u_deg(f) == 1:
         return [list(f)]
-    return _zx_hensel_factors(f)
+    start = _zx_screen(f)
+    return [list(f)] if start is True else _zx_hensel_factors(f, start)
 
 
 def _zx_is_irreducible(f):
@@ -488,36 +528,45 @@ def _zx_is_irreducible(f):
     The screen runs first, since an irreducible reduction proves f
     squarefree too.  Only when it fails does the squarefree test run (a
     nontrivial gcd(f, f') means reducible), and only then the Hensel-prime
-    search, lifting and recombination.
+    search, lifting and recombination.  A Hensel start from the screen
+    skips the squarefree test: f squarefree modulo a prime not dividing
+    lc(f) is squarefree in Z[x].
     """
     if f[-1] < 0:
         f = [-c for c in f]
-    if u_deg(f) == 1 or _zx_screen(f):
+    if u_deg(f) == 1:
         return True
-    if len(zx_gcd(f, zx_deriv(f))) > 1:
+    start = _zx_screen(f)
+    if start is True:
+        return True
+    if start is None and len(zx_gcd(f, zx_deriv(f))) > 1:
         return False
-    return len(_zx_hensel_factors(f)) == 1
+    return len(_zx_hensel_factors(f, start)) == 1
 
 
-def _zx_hensel_factors(f):
+def _zx_hensel_factors(f, start):
     """Irreducible factors of a primitive squarefree f with lc > 0, deg >= 2,
     by lifting its factorization modulo the Hensel prime, the first good
-    prime modulo which f stays squarefree, and recombining the lifts.  A
-    factorization into linear factors x - a lifts by Newton iteration on
-    the roots a, any other by the factor tree of _hensel_lift; Hensel lifts
-    are unique, so both give the same monic factors mod p^l."""
+    prime modulo which f stays squarefree, and recombining the lifts.  The
+    screen's Hensel start (p, sorted monic factors mod p) gives both for
+    degree 2 and 3; without one (start None) the prime is searched and f
+    is factored modulo it here.  A factorization into linear factors x - a
+    lifts by Newton iteration on the roots a, any other by the factor tree
+    of _hensel_lift; Hensel lifts are unique, so both give the same monic
+    factors mod p^l."""
     n = u_deg(f)
     lc = f[-1]
-    for p in _odd_primes():
-        if lc % p == 0:
-            continue
-        K = PrimeField(p)
-        fbar = u_trim([c % p for c in f], K)
-        if u_deg(u_gcd(fbar, u_deriv(fbar, K), K)) == 0:
-            break
-    _, fmonic = u_monic(fbar, K)
-    rng = random.Random(0)
-    modular = sorted(_ff_factor_monic_squarefree(fmonic, K, rng))
+    if start is None:
+        for p in _odd_primes():
+            if lc % p == 0:
+                continue
+            K = PrimeField(p)
+            fbar = u_trim([c % p for c in f], K)
+            if u_deg(u_gcd(fbar, u_deriv(fbar, K), K)) == 0:
+                break
+        _, fmonic = u_monic(fbar, K)
+        start = p, sorted(_ff_factor_monic_squarefree(fmonic, K, random.Random(0)))
+    p, modular = start
     if len(modular) == 1:
         return [list(f)]
     maxnorm = max(abs(c) for c in f)

@@ -570,14 +570,16 @@ def dense_in_var(f: MultiPoly, var):
 def rows_of(f: MultiPoly, a, b):
     """The rows of f, which involves no variable but a and b: rows[j] is
     the trimmed coefficient list in a of b^j, over Q of integers, a
-    positive multiple of f's.  Each row is encoded on its own, so the rows
-    take the room of their own lengths, not of a full degree box."""
+    positive multiple of f's.  Each nonempty row is encoded on its own and
+    an empty one is [] with no encoding, so the rows take the room of their
+    own lengths, not of a full degree box."""
     i, j = f.vars.index(a), f.vars.index(b)
     terms = _integer_terms(f.terms)[0] if isinstance(f.ring, RationalField) else f.terms
     rows = [{} for _ in range(1 + max(e[j] for e in terms))]
     for e, v in terms.items():
         rows[e[j]][(e[i],)] = v
-    return [dense_encode(f.ring, row, [1], f"degree in {a}")[0] for row in rows]
+    return [dense_encode(f.ring, row, [1], f"degree in {a}")[0] if row else []
+            for row in rows]
 
 
 def poly_from_rows(ring, vars, rows):

@@ -1,5 +1,6 @@
 """Dense univariate gcd and Yun over Z and GF(p), the GCDHEU fallback, and
-the multi-prime irreducibility screen in front of Hensel lifting.
+the multi-prime irreducibility screen in front of Hensel lifting, with the
+Hensel start it hands over for degree 2 and 3.
 
 The differential tests compare against sympy, which is a test-only
 dependency; they are skipped when it is not installed.
@@ -426,3 +427,125 @@ def test_screened_input_skips_the_squarefree_test(monkeypatch):
     monkeypatch.setattr(factor_mod, "_zx_hensel_factors", no_gcd)
     assert factor_mod._zx_is_irreducible([-7, 0, 1]) is True     # irreducible mod 5
     assert factor_mod._zx_is_irreducible([3, 0, -1]) is True     # -x^2 + 3
+
+
+# ---------------------------------------------------------------------------
+# The screen's Hensel start: degree 2 and 3 lift from the roots it found.
+# ---------------------------------------------------------------------------
+
+def first_squarefree_prime(f):
+    """The Hensel prime and its sorted monic factors, found as the search
+    without a start finds them: the first odd prime not dividing lc modulo
+    which f is squarefree, factored by _ff_factor_monic_squarefree."""
+    for p in range(3, 1000, 2):
+        if not rings.is_prime(p) or f[-1] % p == 0:
+            continue
+        K = PrimeField(p)
+        fbar = [c % p for c in f]
+        if rings.u_deg(rings.u_gcd(fbar, rings.u_deriv(fbar, K), K)) == 0:
+            monic = rings.u_monic(fbar, K)[1]
+            return p, sorted(factor_mod._ff_factor_monic_squarefree(monic, K, random.Random(0)))
+
+
+def watch_the_lift(monkeypatch):
+    """Record (p, modular factors) of every lift call, the first one the
+    lift of the whole input; fail on any modular factoring or Z[x] gcd."""
+    lifts = []
+    newton, tree = factor_mod._newton_lift_roots, factor_mod._hensel_lift
+
+    def by_roots(p, f, roots, l):
+        lifts.append((p, [[-a % p, 1] for a in roots]))
+        return newton(p, f, roots, l)
+
+    def by_tree(p, f, f_list, l):
+        lifts.append((p, [list(g) for g in f_list]))
+        return tree(p, f, f_list, l)
+
+    def refuse(*args):
+        raise AssertionError("the screen's Hensel start was not used")
+
+    monkeypatch.setattr(factor_mod, "_newton_lift_roots", by_roots)
+    monkeypatch.setattr(factor_mod, "_hensel_lift", by_tree)
+    monkeypatch.setattr(factor_mod, "_ff_factor_monic_squarefree", refuse)
+    monkeypatch.setattr(factor_mod, "zx_gcd", refuse)
+    return lifts
+
+
+HANDED_OVER = {
+    # name: (f, its irreducible factors, the Hensel prime)
+    "lc-15-quadratic": (zx_mul([1, 3], [2, 5]), [[1, 3], [2, 5]], 7),
+    "lc-15-cubic": (zx_mul(zx_mul([1, 3], [-1, 5]), [2, 1]), [[-1, 5], [1, 3], [2, 1]], 7),
+    "double-root-mod-3": (zx_mul([-1, 1], [-4, 1]), [[-4, 1], [-1, 1]], 5),
+    "triple-root-mod-3": (zx_mul(zx_mul([-1, 1], [-4, 1]), [-7, 1]),
+                          [[-7, 1], [-4, 1], [-1, 1]], 5),
+    "linear-times-quadratic-mod-3": ([0, 1, 0, 1], [[0, 1], [1, 0, 1]], 3),
+    "irreducible-with-roots-mod-3-to-17": ([-1114, 0, 1], [[-1114, 0, 1]], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HANDED_OVER))
+def test_screen_hands_its_factorization_to_hensel(monkeypatch, name):
+    f, want, p = HANDED_OVER[name]
+    start = first_squarefree_prime(f)
+    assert start[0] == p
+    assert factor_mod._zx_screen(f) == start
+    lifts = watch_the_lift(monkeypatch)
+    assert sorted(factor_mod._zx_factor_squarefree(f)) == want
+    assert lifts[0] == start
+    # split ones lift by Newton in one call, a quadratic factor mod p by
+    # the tree, which calls itself on the halves
+    assert (len(lifts) > 1) == any(len(g) > 2 for g in start[1])
+    for g in (f, [-c for c in f]):
+        del lifts[:]
+        assert factor_mod._zx_is_irreducible(g) == (len(want) == 1)
+        assert lifts[0] == start
+
+
+def test_negative_leading_coefficient_lifts_from_the_screen(monkeypatch):
+    f = zx_mul([1, -2], [-3, 1])  # (1 - 2x)(x - 3): lc -2
+    start = first_squarefree_prime([-c for c in f])
+    lifts = watch_the_lift(monkeypatch)
+    assert factor_mod._zx_is_irreducible(f) is False
+    assert lifts == [start] and start[0] == 3
+
+
+@pytest.mark.parametrize("f", [zx_mul(zx_mul([1, 1], [1, 1]), [3, 1]),   # (x + 1)^2 (x + 3)
+                               zx_mul(zx_mul([1, 2], [1, 2]), [1, 2])],  # (2x + 1)^3
+                         ids=["(x+1)^2(x+3)", "(2x+1)^3"])
+def test_nonsquarefree_cubic_still_reaches_the_gcd(monkeypatch, f):
+    # a repeated root modulo every prime: no start, so the Z[x] gcd decides
+    assert factor_mod._zx_screen(f) is None
+    gcds = []
+    gcd = factor_mod.zx_gcd
+    monkeypatch.setattr(factor_mod, "zx_gcd", lambda a, b: gcds.append(a) or gcd(a, b))
+    monkeypatch.setattr(factor_mod, "_zx_hensel_factors", lambda *args: pytest.fail("lifted"))
+    assert factor_mod._zx_is_irreducible(f) is False
+    assert gcds == [f]
+
+
+def test_screen_start_equals_the_search_on_random_quadratics_and_cubics():
+    rng = random.Random(43)
+    seen = set()
+    # x(x - 3*5*7*11*13*17) has a double root modulo every screened prime,
+    # so its Hensel prime, 19, is searched for
+    fixed = [zx_mul([0, 1], [-255255, 1])]
+    assert first_squarefree_prime(fixed[0])[0] == 19
+    for i in range(400):
+        f = fixed[i] if i < len(fixed) else \
+            [rng.randint(-30, 30) for _ in range(rng.choice([2, 3]))] + \
+            [rng.choice([1, 2, 3, 5, 15, 105, 3 * 5 * 7 * 11 * 13 * 17 * 19])]
+        f = rings.zx_primitive(f)[1]
+        start = factor_mod._zx_screen(f)
+        if start is True:
+            continue
+        if len(zx_gcd(f, rings.zx_deriv(f))) > 1:
+            assert start is None
+            continue
+        seen.add(start is None)
+        if start is not None:
+            assert start == first_squarefree_prime(f), f
+        prod = [1]
+        for g in factor_mod._zx_factor_squarefree(f):
+            prod = zx_mul(prod, g)
+        assert prod == f
+    assert seen == {False, True}

@@ -283,6 +283,21 @@ def test_rows_of_a_sparse_input_whose_box_passes_the_cap(ring):
     assert is_irreducible(f).method == "newton-polytope"
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=str)
+def test_rows_of_encodes_only_the_nonempty_rows(monkeypatch, ring):
+    # 1001 rows of which 3 hold a term: the empty ones cost no encode
+    f = parse_poly("x1^1000*x2 + x2^1000 + x1", ring, V2)
+    encoded = []
+    encode = multipoly.dense_encode
+    monkeypatch.setattr(multipoly, "dense_encode",
+                        lambda ring, terms, *rest: encoded.append(dict(terms))
+                        or encode(ring, terms, *rest))
+    rows = multipoly.rows_of(f, "x1", "x2")
+    assert len(rows) == 1001 and sum(1 for r in rows if r) == 3
+    assert len(encoded) == 3 and sorted(e for terms in encoded for (e,) in terms) == [0, 1, 1000]
+    assert multipoly.poly_from_rows(ring, V2, rows) == f
+
+
 def multipoly_route(f):
     """(irreducible, method, witness) of a bivariate f by the rules on
     MultiPolys that is_irreducible keeps for more variables: the degree-1

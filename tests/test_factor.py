@@ -190,7 +190,10 @@ V3 = VarSet(("x1", "x2", "x3"))
 
 
 # x^(q^k) - x is the product of the monic irreducibles of degree dividing
-# k, each once; Artin-Schreier x^p - x - a (a != 0) is irreducible over GF(p)
+# k, each once; Artin-Schreier x^p - x - a (a != 0) is irreducible over GF(p);
+# a cube over GF(9) with the generator t (index 3) among its coefficients
+# makes the p-th root descent invert Frobenius off GF(3): x^2 + t*x + 1
+# splits over GF(9), so its cube has two linear factors of multiplicity 3
 @pytest.mark.parametrize("K, vars, build, shape", [
     (F3, V1, lambda x, c: x ** 9 - x, {(1, 1): 3, (2, 1): 3}),
     (F3, V1, lambda x, c: x ** 27 - x, {(1, 1): 3, (3, 1): 8}),
@@ -199,8 +202,11 @@ V3 = VarSet(("x1", "x2", "x3"))
     (F5, V1, lambda x, c: x ** 5 - x - c(2), {(5, 1): 1}),
     (GF(3, 2), V2, lambda x1, x2, c: (x1 + x2) ** 9, {(1, 9): 1}),
     (F2, V3, lambda x1, x2, x3, c: (x1 ** 2 + x2 * x3 + c(1)) ** 4, {(2, 4): 1}),
+    (GF(3, 2), V1, lambda x, c: (x ** 2 + x.scale(x.ring.from_index(3)) + c(1)) ** 3,
+     {(1, 3): 2}),
 ], ids=["x^9-x/GF(3)", "x^27-x/GF(3)", "x^64-x/GF(2)", "artin-schreier/GF(7)",
-        "artin-schreier/GF(5)", "(x1+x2)^9/GF(9)", "(x1^2+x2*x3+1)^4/GF(2)"])
+        "artin-schreier/GF(5)", "(x1+x2)^9/GF(9)", "(x1^2+x2*x3+1)^4/GF(2)",
+        "(x^2+t*x+1)^3/GF(9)"])
 def test_adversarial_finite_field_families(K, vars, build, shape):
     f = _field_poly(K, vars, build)
     fac = factor_multivariate(f)

@@ -3,10 +3,11 @@
 Kronecker loop, and the one subset-count cap both loops share.
 
 A pruning test may only skip subsets that cannot be factors, so the
-factorizations are checked against sympy `factor_list` over Z (a test-only
-dependency, skipped when it is not installed), and over GF(2) and GF(3),
-where sympy has no multivariate factoring, against the same recombination
-with the digit test switched off and against brute-force irreducibility.
+factorizations are checked against sympy `factor_list` over Z and Q (a
+test-only dependency, skipped when it is not installed), and over GF(2)
+and GF(3), where sympy has no multivariate factoring, against the same
+recombination with the digit test switched off and against brute-force
+irreducibility.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import math
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +25,7 @@ from schinzelpoly.cli import EXIT_BUDGET, main
 from schinzelpoly.errors import BudgetExceededError
 from schinzelpoly.factor import brute_force_irreducible, factor_multivariate, kronecker_fold
 from schinzelpoly.multipoly import MultiPoly, VarSet
-from schinzelpoly.rings import GF, ZZ
+from schinzelpoly.rings import GF, QQ, ZZ
 from schinzelpoly.textform import parse_poly
 from test_dense_gcd import single_irreducible, swinnerton_dyer
 
@@ -153,6 +155,37 @@ def test_multivariate_z_products_match_sympy(vars):
     max_deg = 2 if len(vars) == 2 else 1
     for f in random_products(rng, ZZ, vars, 25, max_deg, [1, -1, 2, -3, 5]):
         assert our_factors(sympy, f) == sympy_factors(sympy, f), f
+
+
+def monic_factors(sympy, pairs, gens):
+    """Nonconstant factors as {the monic sympy Poly's terms: mult} over Q."""
+    out = Counter()
+    for q, m in pairs:
+        p = sympy.Poly(q, *gens, domain="QQ")
+        if p.total_degree() > 0:
+            out[tuple(sorted((e, str(c)) for e, c in p.monic().terms()))] += m
+    return out
+
+
+@pytest.mark.parametrize("vars", [V2, V3], ids=["bivariate", "trivariate"])
+def test_multivariate_q_products_match_sympy(vars):
+    # sympy factors multivariate polynomials over Q but not over GF(p)
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(10 + len(vars))
+    gens = sympy.symbols(vars.names)
+    max_deg = 2 if len(vars) == 2 else 1
+    coeffs = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+
+    def expr(g):
+        return sum(sympy.Rational(c.numerator, c.denominator)
+                   * math.prod(s ** k for s, k in zip(gens, e)) for e, c in g.terms.items())
+
+    for f in random_products(rng, QQ, vars, 15, max_deg, coeffs):
+        fac = factor_multivariate(f)
+        assert fac.recompose_over(f.vars) == f
+        got = monic_factors(sympy, [(expr(g), m) for g, m in fac.factors], gens)
+        want = monic_factors(sympy, sympy.factor_list(expr(f), *gens, domain="QQ")[1], gens)
+        assert got == want, f
 
 
 def test_monomial_times_factor_matches_sympy():
