@@ -5,8 +5,17 @@ verify.  Machine-readable JSON goes to stdout (or --out FILE); a short
 human summary goes to stderr.  Exit codes: 0 success-with-result,
 2 exhaustively-none, 3 budget-exhausted, 1 usage or parse error.
 
+Every command but verify parses its inputs and hands a computation to
+_run, the one runner: it times the computation, builds the envelope, emits
+it and writes the summary.  goldbach's ExhaustiveNoneError and
+BudgetExceededError, and spectrum's BudgetExceededError, still get an
+envelope from it, {"status", "tested"} with exit 2 or 3; any other error
+reaches main, which writes one stderr line and no envelope.
+
 Envelopes are byte-deterministic given flags and seed: keys are sorted and
-timing is emitted as null unless --timings is passed.  `verify` re-checks
+timing is emitted as null unless --timings is passed.  timing_ms covers
+the computation, its self-check and the building of the result, not the
+parsing of the inputs or the writing of the envelope.  `verify` re-checks
 any envelope this tool emits and reports pass/fail per invariant.
 """
 
@@ -87,10 +96,36 @@ def note(msg):
     print(msg, file=sys.stderr)
 
 
-def _vars_for(args, text_polys):
+def _run(args, ring, inputs, compute, failures=()):
+    """Time compute(), which returns (result, verification, exit code,
+    summary), emit its envelope and write the summary to stderr.  An error
+    of a type in failures still gets an envelope: status exhausted-none
+    (exit 2) or budget-exhausted (exit 3) with the candidates tested."""
+    t0 = time.perf_counter()
+    try:
+        result, verification, code, summary = compute()
+    except failures as e:
+        none = isinstance(e, ExhaustiveNoneError)
+        result = {"status": "exhausted-none" if none else "budget-exhausted",
+                  "tested": e.tested}
+        verification, code = "passed", EXIT_NONE if none else EXIT_BUDGET
+        summary = f"{args.command}: {'exhaustively none' if none else 'budget exhausted'} ({e})"
+    dt = (time.perf_counter() - t0) * 1000
+    emit(make_envelope(args.command, ring, inputs, result, verification,
+                       timing_ms=dt if args.timings else None), args.out)
+    note(summary)
+    return code
+
+
+def _one_poly(args, text):
+    """The ring, variables and polynomial of factor, irred and goldbach:
+    --vars n names x1..xn, and without it the variables are read off text."""
+    ring = parse_ring(args.ring)
     if args.vars is not None:
-        return VarSet(tuple(f"x{i}" for i in range(1, args.vars + 1)))
-    return infer_vars(" ".join(text_polys))
+        vars = VarSet(tuple(f"x{i}" for i in range(1, args.vars + 1)))
+    else:
+        vars = infer_vars(text)
+    return ring, vars, parse_poly(text, ring, vars, aliases=_aliases(vars))
 
 
 def _aliases(vars: VarSet):
@@ -114,50 +149,37 @@ def _parse_value(text, ring):
 # ---------------------------------------------------------------------------
 
 def cmd_factor(args):
-    ring = parse_ring(args.ring)
-    vars = _vars_for(args, [args.poly])
-    f = parse_poly(args.poly, ring, vars, aliases=_aliases(vars))
-    t0 = time.perf_counter()
-    fac = factor_multivariate(f, seed=args.seed)
-    dt = (time.perf_counter() - t0) * 1000
-    ok = fac.recompose_over(vars) == f
-    result = {
-        "unit": str(fac.unit),
-        "factors": [{"poly": format_poly(g), "multiplicity": m} for g, m in fac.factors],
-        "method": fac.method,
-    }
-    env = make_envelope("factor", ring,
-                        {"poly": format_poly(f), "vars": list(vars.names)},
-                        result,
-                        verification="passed" if ok else "failed",
-                        timing_ms=dt if args.timings else None)
-    emit(env, args.out)
-    note(f"factor: {format_poly(f)} = " +
-         " * ".join([str(fac.unit)] + [f"({format_poly(g)})^{m}" if m > 1 else f"({format_poly(g)})"
-                                       for g, m in fac.factors]))
-    return EXIT_OK if ok else EXIT_USAGE
+    ring, vars, f = _one_poly(args, args.poly)
+
+    def compute():
+        fac = factor_multivariate(f, seed=args.seed)
+        ok = fac.recompose_over(vars) == f
+        result = {
+            "unit": str(fac.unit),
+            "factors": [{"poly": format_poly(g), "multiplicity": m} for g, m in fac.factors],
+            "method": fac.method,
+        }
+        parts = [f"({format_poly(g)})^{m}" if m > 1 else f"({format_poly(g)})"
+                 for g, m in fac.factors]
+        summary = f"factor: {format_poly(f)} = " + " * ".join([str(fac.unit)] + parts)
+        return result, "passed" if ok else "failed", EXIT_OK if ok else EXIT_USAGE, summary
+    return _run(args, ring, {"poly": format_poly(f), "vars": list(vars.names)}, compute)
 
 
 def cmd_irred(args):
-    ring = parse_ring(args.ring)
-    vars = _vars_for(args, [args.poly])
-    f = parse_poly(args.poly, ring, vars, aliases=_aliases(vars))
-    t0 = time.perf_counter()
-    cert = is_irreducible(f, need_witness=True)
-    dt = (time.perf_counter() - t0) * 1000
-    result = {
-        "irreducible": bool(cert),
-        "reason": cert.reason,
-        "witness_factor": format_poly(cert.witness) if cert.witness is not None else None,
-        "method": cert.method,
-    }
-    env = make_envelope("irred", ring,
-                        {"poly": format_poly(f), "vars": list(vars.names)},
-                        result,
-                        timing_ms=dt if args.timings else None)
-    emit(env, args.out)
-    note(f"irred: {format_poly(f)} -> {bool(cert)} ({cert.reason})")
-    return EXIT_OK
+    ring, vars, f = _one_poly(args, args.poly)
+
+    def compute():
+        cert = is_irreducible(f, need_witness=True)
+        result = {
+            "irreducible": bool(cert),
+            "reason": cert.reason,
+            "witness_factor": format_poly(cert.witness) if cert.witness is not None else None,
+            "method": cert.method,
+        }
+        summary = f"irred: {format_poly(f)} -> {bool(cert)} ({cert.reason})"
+        return result, "passed", EXIT_OK, summary
+    return _run(args, ring, {"poly": format_poly(f), "vars": list(vars.names)}, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +203,8 @@ _CONSTRAINT_INPUTS = (
 
 
 def _build_problem(args):
+    """The ring, the SchinzelProblem and the envelope inputs of a schinzel
+    or density command."""
     ring = parse_ring(args.ring)
     d = tuple(int(t) for t in args.deg.split(","))
     n = len(d)
@@ -200,7 +224,11 @@ def _build_problem(args):
     cons = SearchConstraints(**{field: getattr(args, key, None)
                                 for key, field in _CONSTRAINT_INPUTS})
     problem = SchinzelProblem(ring, VarSet(xnames), VarSet(ynames), P, d, cons)
-    return ring, problem
+    inputs = {"P": [format_poly(g) for g in P], "deg": list(d),
+              "xvars": list(xnames), "yvars": list(ynames)}
+    for key, field in _CONSTRAINT_INPUTS:
+        inputs[key] = getattr(cons, field)
+    return ring, problem, inputs
 
 
 def _witness_payload(w):
@@ -212,71 +240,53 @@ def _witness_payload(w):
 def cmd_schinzel(args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ring, problem = _build_problem(args)
-        t0 = time.perf_counter()
-        if len(problem.yvars) == 1:
-            report = schinzel_search(problem)
-        else:
-            report = schinzel_search_multi(problem)
-        dt = (time.perf_counter() - t0) * 1000
-    result = {
-        "status": report.status(),
-        "witnesses": [_witness_payload(w) for w in report.witnesses],
-        "tested": report.tested,
-        "rejected": report.rejected,
-        "budget": report.budget,
-        "budget_consumed": report.budget_consumed,
-        "seed": report.seed,
-        "strategy": report.strategy,
-        "complete": report.complete,
-        "box_size": report.box_size,
-        "degree_bound_warning": report.degree_bound_warning,
-    }
-    env = make_envelope("schinzel", ring, _schinzel_inputs(args, problem), result,
-                        timing_ms=dt if args.timings else None)
-    emit(env, args.out)
-    for w in caught:
-        note(f"warning: {w.message}")
-    note(f"schinzel: {report.status()}, {len(report.witnesses)} witness(es), "
-         f"{report.tested} tested")
-    if report.found:
-        return EXIT_OK
-    return EXIT_NONE if report.complete else EXIT_BUDGET
+        ring, problem, inputs = _build_problem(args)
 
-
-def _schinzel_inputs(args, problem):
-    inputs = {
-        "P": [format_poly(P) for P in problem.P],
-        "deg": list(problem.d),
-        "xvars": list(problem.xvars.names),
-        "yvars": list(problem.yvars.names),
-    }
-    for key, field in _CONSTRAINT_INPUTS:
-        inputs[key] = getattr(problem.constraints, field)
-    return inputs
+        def compute():
+            if len(problem.yvars) == 1:
+                report = schinzel_search(problem)
+            else:
+                report = schinzel_search_multi(problem)
+            result = {
+                "status": report.status(),
+                "witnesses": [_witness_payload(w) for w in report.witnesses],
+                "tested": report.tested,
+                "rejected": report.rejected,
+                "budget": report.budget,
+                "budget_consumed": report.budget_consumed,
+                "seed": report.seed,
+                "strategy": report.strategy,
+                "complete": report.complete,
+                "box_size": report.box_size,
+                "degree_bound_warning": report.degree_bound_warning,
+            }
+            code = EXIT_OK if report.found else EXIT_NONE if report.complete else EXIT_BUDGET
+            summary = "\n".join([f"warning: {w.message}" for w in caught] + [
+                f"schinzel: {report.status()}, {len(report.witnesses)} witness(es), "
+                f"{report.tested} tested"])
+            return result, "passed", code, summary
+        return _run(args, ring, inputs, compute)
 
 
 def cmd_density(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ring, problem = _build_problem(args)
-        t0 = time.perf_counter()
-        report = density_probe(problem, args.samples)
-        dt = (time.perf_counter() - t0) * 1000
-    result = {
-        "fraction": report.fraction,
-        "ci95_low": report.ci_low,
-        "ci95_high": report.ci_high,
-        "samples": report.samples,
-        "witnesses": report.witnesses,
-        "seed": report.seed,
-    }
-    env = make_envelope("density", ring, _schinzel_inputs(args, problem), result,
-                        timing_ms=dt if args.timings else None)
-    emit(env, args.out)
-    note(f"density: {report.fraction:.4f} in [{report.ci_low:.4f}, {report.ci_high:.4f}] "
-         f"({report.witnesses}/{report.samples})")
-    return EXIT_OK
+        ring, problem, inputs = _build_problem(args)
+
+        def compute():
+            report = density_probe(problem, args.samples)
+            result = {
+                "fraction": report.fraction,
+                "ci95_low": report.ci_low,
+                "ci95_high": report.ci_high,
+                "samples": report.samples,
+                "witnesses": report.witnesses,
+                "seed": report.seed,
+            }
+            summary = (f"density: {report.fraction:.4f} in [{report.ci_low:.4f}, "
+                       f"{report.ci_high:.4f}] ({report.witnesses}/{report.samples})")
+            return result, "passed", EXIT_OK, summary
+        return _run(args, ring, inputs, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -284,41 +294,27 @@ def cmd_density(args):
 # ---------------------------------------------------------------------------
 
 def cmd_goldbach(args):
-    ring = parse_ring(args.ring)
-    vars = _vars_for(args, [args.Q])
-    Q = parse_poly(args.Q, ring, vars, aliases=_aliases(vars))
+    ring, vars, Q = _one_poly(args, args.Q)
     relaxed_var = vars.names[0] if args.relaxed_degx else None
     inputs = {"Q": format_poly(Q), "vars": list(vars.names),
               "relaxed_degx": bool(args.relaxed_degx), "budget": args.budget}
-    t0 = time.perf_counter()
-    try:
+
+    def compute():
         dec = goldbach_decompose(Q, relaxed_var=relaxed_var, budget=args.budget)
-    except (ExhaustiveNoneError, BudgetExceededError) as e:
-        none = isinstance(e, ExhaustiveNoneError)
-        dt = (time.perf_counter() - t0) * 1000
-        env = make_envelope("goldbach", ring, inputs,
-                            {"status": "exhausted-none" if none else "budget-exhausted",
-                             "tested": e.tested},
-                            timing_ms=dt if args.timings else None)
-        emit(env, args.out)
-        note(f"goldbach: {'exhaustively none' if none else 'budget exhausted'} ({e})")
-        return EXIT_NONE if none else EXIT_BUDGET
-    dt = (time.perf_counter() - t0) * 1000 if args.timings else None
-    ok = dec.verify()
-    result = {
-        "status": "found",
-        "F": format_poly(dec.F),
-        "G": format_poly(dec.G),
-        "case": dec.case,
-        "binomial": dec.binomial,
-        "F_exponents": list(dec.F_exponents) if dec.F_exponents else None,
-        "tested": dec.tested,
-    }
-    env = make_envelope("goldbach", ring, inputs, result,
-                        verification="passed" if ok else "failed", timing_ms=dt)
-    emit(env, args.out)
-    note(f"goldbach: {format_poly(Q)} = ({format_poly(dec.F)}) + ({format_poly(dec.G)})")
-    return EXIT_OK if ok else EXIT_USAGE
+        ok = dec.verify()
+        result = {
+            "status": "found",
+            "F": format_poly(dec.F),
+            "G": format_poly(dec.G),
+            "case": dec.case,
+            "binomial": dec.binomial,
+            "F_exponents": list(dec.F_exponents) if dec.F_exponents else None,
+            "tested": dec.tested,
+        }
+        summary = f"goldbach: {format_poly(Q)} = ({format_poly(dec.F)}) + ({format_poly(dec.G)})"
+        return result, "passed" if ok else "failed", EXIT_OK if ok else EXIT_USAGE, summary
+    return _run(args, ring, inputs, compute,
+                failures=(ExhaustiveNoneError, BudgetExceededError))
 
 
 # ---------------------------------------------------------------------------
@@ -348,33 +344,22 @@ def cmd_spectrum(args):
         "seed": args.seed,
         "coeff_bound": args.coeff_bound,
     }
-    t0 = time.perf_counter()
-    try:
+
+    def compute():
         res = spectrum_construct(spec, budget=args.budget, seed=args.seed,
                                  coeff_bound=args.coeff_bound)
-    except BudgetExceededError as e:
-        dt = (time.perf_counter() - t0) * 1000
-        env = make_envelope("spectrum", ring, inputs,
-                            {"status": "budget-exhausted", "tested": e.tested},
-                            timing_ms=dt if args.timings else None)
-        emit(env, args.out)
-        note(f"spectrum: budget exhausted ({e})")
-        return EXIT_BUDGET
-    dt = (time.perf_counter() - t0) * 1000
-    result = {
-        "status": "found",
-        "U": format_poly(res.U),
-        "U0": format_poly(res.U0),
-        "M": format_poly(res.M),
-        "H": [format_poly(h) for h in res.H],
-        "cofactors": [format_poly(p) for p in res.cofactors],
-        "tested": res.tested,
-    }
-    env = make_envelope("spectrum", ring, inputs, result,
-                        timing_ms=dt if args.timings else None)
-    emit(env, args.out)
-    note(f"spectrum: found U with partial degrees {list(d)} after {res.tested} samples")
-    return EXIT_OK
+        result = {
+            "status": "found",
+            "U": format_poly(res.U),
+            "U0": format_poly(res.U0),
+            "M": format_poly(res.M),
+            "H": [format_poly(h) for h in res.H],
+            "cofactors": [format_poly(p) for p in res.cofactors],
+            "tested": res.tested,
+        }
+        summary = f"spectrum: found U with partial degrees {list(d)} after {res.tested} samples"
+        return result, "passed", EXIT_OK, summary
+    return _run(args, ring, inputs, compute, failures=(BudgetExceededError,))
 
 
 # ---------------------------------------------------------------------------
@@ -414,37 +399,39 @@ def swan_scan(P: MultiPoly, xname: str, yname: str, max_deg: int):
 
 def cmd_swan_scan(args):
     ring = parse_ring(args.ring)
-    vars = VarSet(("x1", "y1"))
-    P = parse_poly(args.P, ring, vars, aliases={"x": "x1", "y": "y1"})
-    t0 = time.perf_counter()
-    scan = swan_scan(P, "x1", "y1", args.max_deg)
-    dt = (time.perf_counter() - t0) * 1000
-    env = make_envelope("swan-scan", ring,
-                        {"P": format_poly(P), "max_deg": args.max_deg},
-                        scan,
-                        timing_ms=dt if args.timings else None)
-    emit(env, args.out)
-    note(f"swan-scan: {scan['irreducible']} of {scan['candidates']} candidates "
-         f"give an irreducible specialization")
-    return EXIT_OK if scan["irreducible"] > 0 else EXIT_NONE
+    P = parse_poly(args.P, ring, VarSet(("x1", "y1")), aliases={"x": "x1", "y": "y1"})
+
+    def compute():
+        scan = swan_scan(P, "x1", "y1", args.max_deg)
+        summary = (f"swan-scan: {scan['irreducible']} of {scan['candidates']} candidates "
+                   f"give an irreducible specialization")
+        return scan, "passed", EXIT_OK if scan["irreducible"] > 0 else EXIT_NONE, summary
+    return _run(args, ring, {"P": format_poly(P), "max_deg": args.max_deg}, compute)
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_factor(env):
+def _reader(env, names):
+    """The envelope's ring, the VarSet of names and a parser of polynomial
+    text over both."""
     ring = parse_ring(env["ring"])
-    vars = VarSet(tuple(env["inputs"]["vars"]))
-    f = parse_poly(env["inputs"]["poly"], ring, vars)
-    unit = parse_poly(env["result"]["unit"], ring, vars)
+    vars = VarSet(tuple(names))
+    return ring, vars, lambda text: parse_poly(text, ring, vars)
+
+
+def _verify_factor(env):
+    ring, vars, read = _reader(env, env["inputs"]["vars"])
+    f = read(env["inputs"]["poly"])
+    unit = read(env["result"]["unit"])
     # Divide the factors out of the input instead of multiplying them up,
     # so that the work stays bounded by the input, whatever the multiplicity.
     if f.is_zero():
         return False, "the input is zero"
     rest = f
     for item in env["result"]["factors"]:
-        g = parse_poly(item["poly"], ring, vars)
+        g = read(item["poly"])
         if (item["multiplicity"] < 1 or g.is_zero()
                 or (g.is_constant() and ring.is_unit(g.constant_value()))):
             return False, f"factor {item['poly']} is zero, a unit or not raised to a power >= 1"
@@ -460,32 +447,27 @@ def _verify_factor(env):
 
 
 def _verify_irred(env):
-    ring = parse_ring(env["ring"])
-    vars = VarSet(tuple(env["inputs"]["vars"]))
-    f = parse_poly(env["inputs"]["poly"], ring, vars)
+    _, _, read = _reader(env, env["inputs"]["vars"])
+    f = read(env["inputs"]["poly"])
     cert = is_irreducible(f)
     if bool(cert) != env["result"]["irreducible"]:
         return False, "verdict mismatch"
     w = env["result"].get("witness_factor")
     if w:
-        g = parse_poly(w, ring, vars)
-        if f.try_divexact(g) is None:
+        if f.try_divexact(read(w)) is None:
             return False, "witness factor does not divide"
     return True, "ok"
 
 
 def _verify_schinzel(env):
-    ring = parse_ring(env["ring"])
     ins = env["inputs"]
-    vars = VarSet(tuple(ins["xvars"]) + tuple(ins["yvars"]))
+    ring, _, read = _reader(env, tuple(ins["xvars"]) + tuple(ins["yvars"]))
     xvars = VarSet(tuple(ins["xvars"]))
-    P = [parse_poly(t, ring, vars) for t in ins["P"]]
-    ynames = tuple(ins["yvars"])
+    P = [read(t) for t in ins["P"]]
     for item in env["result"]["witnesses"]:
         Ms = item["M"] if isinstance(item["M"], list) else [item["M"]]
-        Ms = [parse_poly(t, ring, xvars) for t in Ms]
         final = P
-        for yname, M in zip(ynames, Ms):
+        for yname, M in zip(ins["yvars"], [parse_poly(t, ring, xvars) for t in Ms]):
             final = [Pi.substitute(yname, M) for Pi in final]
         for Fi in final:
             if Fi.is_zero() or not is_irreducible(Fi):
@@ -499,10 +481,9 @@ def _verify_schinzel(env):
 
 
 def _verify_goldbach(env):
-    ring = parse_ring(env["ring"])
     ins = env["inputs"]
-    vars = VarSet(tuple(ins["vars"]))
-    Q = parse_poly(ins["Q"], ring, vars)
+    _, vars, read = _reader(env, ins["vars"])
+    Q = read(ins["Q"])
     res = env["result"]
     if res["status"] != "found":
         relaxed = vars.names[0] if ins["relaxed_degx"] else None
@@ -513,8 +494,7 @@ def _verify_goldbach(env):
         except BudgetExceededError:
             return (res["status"] == "budget-exhausted"), "re-ran search"
         return False, "a decomposition exists after all"
-    F = parse_poly(res["F"], ring, vars)
-    G = parse_poly(res["G"], ring, vars)
+    F, G = read(res["F"]), read(res["G"])
     if F + G != Q:
         return False, "F + G != Q"
     if not (is_irreducible(F) and is_irreducible(G)):
@@ -529,13 +509,11 @@ def _verify_goldbach(env):
 
 
 def _verify_spectrum(env):
-    ring = parse_ring(env["ring"])
     ins = env["inputs"]
+    ring, vars, read = _reader(env, [f"x{i}" for i in range(1, len(ins["deg"]) + 1)])
     a0_ring = parse_ring(ins["a0_field"])
-    n = len(ins["deg"])
-    vars = VarSet(tuple(f"x{i}" for i in range(1, n + 1)))
-    V = parse_poly(ins["V"], ring, vars)
-    w = [parse_poly(t, ring, vars) for t in ins["w"]]
+    V = read(ins["V"])
+    w = [read(t) for t in ins["w"]]
     S = [_parse_value(t, ring) for t in ins["S"]]
     a0 = _parse_value(ins["a0"], a0_ring)
     res = env["result"]
@@ -545,7 +523,7 @@ def _verify_spectrum(env):
     from .constructions import _embed_poly, _embedding
 
     kp, emb = _embedding(spec)
-    U = parse_poly(res["U"], ring, vars)
+    U = read(res["U"])
     H = [parse_poly(t, kp, vars) for t in res["H"]]
     Up, Vp = _embed_poly(U, kp, emb), _embed_poly(V, kp, emb)
     # (a): U - a_i V = w_i H_i with H_i irreducible, H_i not dividing w_i
@@ -573,10 +551,8 @@ def _verify_spectrum(env):
 
 
 def _verify_swan(env):
-    ring = parse_ring(env["ring"])
-    vars = VarSet(("x1", "y1"))
-    P = parse_poly(env["inputs"]["P"], ring, vars)
-    scan = swan_scan(P, "x1", "y1", env["inputs"]["max_deg"])
+    _, _, read = _reader(env, ("x1", "y1"))
+    scan = swan_scan(read(env["inputs"]["P"]), "x1", "y1", env["inputs"]["max_deg"])
     res = env["result"]
     same = (scan["candidates"] == res["candidates"]
             and scan["irreducible"] == res["irreducible"])
@@ -586,9 +562,8 @@ def _verify_swan(env):
 def _verify_density(env):
     # Deterministic given seed: re-run and compare.
     ins = env["inputs"]
-    ring = parse_ring(env["ring"])
-    vars = VarSet(tuple(ins["xvars"]) + tuple(ins["yvars"]))
-    P = [parse_poly(t, ring, vars) for t in ins["P"]]
+    ring, _, read = _reader(env, tuple(ins["xvars"]) + tuple(ins["yvars"]))
+    P = [read(t) for t in ins["P"]]
     cons = SearchConstraints(**{field: ins[key] for key, field in _CONSTRAINT_INPUTS})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -702,6 +677,27 @@ def _add_common(sp, ring=True, budget=False, seed=True):
                          "(off by default so reruns are byte-identical)")
 
 
+def _add_vars(sp, help=None):
+    sp.add_argument("--vars", type=_at_least_floor("vars"), default=None, help=help)
+
+
+def _add_box(sp, option, **spec):
+    """The options schinzel and density share: the polynomials P, the degree
+    box and its bounds, with the command's own option given by option and
+    spec between --vars and the bounds."""
+    sp.add_argument("--P", action="append", required=True,
+                    help="a polynomial in x1..xn and y (repeatable)")
+    sp.add_argument("--deg", required=True, help="d1,...,dn")
+    _add_vars(sp, help="n; must match the length of --deg")
+    sp.add_argument(option, **spec)
+    sp.add_argument("--coeff-bound", type=_at_least_floor("coeff_bound"), default=None)
+    sp.add_argument("--deg-u", type=_at_least_floor("deg_u"), default=None,
+                    help="degree-in-u bound for k[u] coefficient boxes")
+    sp.add_argument("--deg-u-target", type=_at_least_floor("deg_u_target"), default=None)
+    sp.add_argument("--exact-degrees", action="store_true")
+    sp.add_argument("--paper-mode", action="store_true")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="schinzelpoly",
@@ -711,51 +707,31 @@ def build_parser():
 
     sp = sub.add_parser("factor", help="factor a polynomial")
     sp.add_argument("poly")
-    sp.add_argument("--vars", type=_at_least_floor("vars"), default=None)
+    _add_vars(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_factor)
 
     sp = sub.add_parser("irred", help="test irreducibility")
     sp.add_argument("poly")
-    sp.add_argument("--vars", type=_at_least_floor("vars"), default=None)
+    _add_vars(sp)
     _add_common(sp, seed=False)
     sp.set_defaults(func=cmd_irred)
 
     sp = sub.add_parser("schinzel", help="search for witnesses M")
-    sp.add_argument("--P", action="append", required=True,
-                    help="a polynomial in x1..xn and y (repeatable)")
-    sp.add_argument("--deg", required=True, help="d1,...,dn")
-    sp.add_argument("--vars", type=_at_least_floor("vars"), default=None,
-                    help="n; must match the length of --deg")
-    sp.add_argument("--strategy", choices=("exhaustive", "random"),
-                    default="exhaustive")
-    sp.add_argument("--coeff-bound", type=_at_least_floor("coeff_bound"), default=None)
-    sp.add_argument("--deg-u", type=_at_least_floor("deg_u"), default=None,
-                    help="degree-in-u bound for k[u] coefficient boxes")
-    sp.add_argument("--deg-u-target", type=_at_least_floor("deg_u_target"), default=None)
-    sp.add_argument("--exact-degrees", action="store_true")
-    sp.add_argument("--paper-mode", action="store_true")
+    _add_box(sp, "--strategy", choices=("exhaustive", "random"), default="exhaustive")
     sp.add_argument("--max-witnesses", type=_at_least_floor("max_witnesses"), default=None)
     _add_common(sp, budget=True)
     sp.set_defaults(func=cmd_schinzel)
 
     sp = sub.add_parser("density", help="witness-fraction probe")
-    sp.add_argument("--P", action="append", required=True)
-    sp.add_argument("--deg", required=True)
-    sp.add_argument("--vars", type=_at_least_floor("vars"), default=None)
-    sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--coeff-bound", type=_at_least_floor("coeff_bound"), default=None)
-    sp.add_argument("--deg-u", type=_at_least_floor("deg_u"), default=None)
-    sp.add_argument("--deg-u-target", type=_at_least_floor("deg_u_target"), default=None)
-    sp.add_argument("--exact-degrees", action="store_true")
-    sp.add_argument("--paper-mode", action="store_true")
+    _add_box(sp, "--samples", type=int, default=1000)
     sp.add_argument("--strategy", default="random", choices=("random",))
     _add_common(sp, budget=True)
     sp.set_defaults(func=cmd_density)
 
     sp = sub.add_parser("goldbach", help="decompose Q into two irreducibles")
     sp.add_argument("--Q", required=True)
-    sp.add_argument("--vars", type=_at_least_floor("vars"), default=None)
+    _add_vars(sp)
     sp.add_argument("--relaxed-degx", action="store_true",
                     help="per-variable degree clause deg_x1(F) <= deg_x1(Q) "
                          "(finite fields, n >= 2)")

@@ -198,32 +198,15 @@ def _infinite_element_stream(ring):
     return ring.element_stream()
 
 
-def _pairs_by_shell(stream_factory):
-    """(a_i, b_j) pairs of stream elements graded by max(i, j)."""
-    cache = []
-
-    def get(k):
-        while len(cache) <= k:
-            cache.append(next(stream))
-        return cache[k]
-
-    stream = stream_factory()
-    shell = 0
-    while True:
-        try:
-            get(shell)
-        except StopIteration:
-            # finite stream: emit the remaining square and stop
-            for i in range(len(cache)):
-                for j in range(len(cache)):
-                    if max(i, j) >= shell:
-                        yield cache[i], cache[j]
-            return
-        for j in range(shell + 1):
-            yield get(shell), get(j)
-        for i in range(shell):
-            yield get(i), get(shell)
-        shell += 1
+def _pairs_by_shell(stream):
+    """(a_i, a_j) pairs of an infinite stream's elements graded by max(i, j)."""
+    seen = []
+    for a in stream:
+        seen.append(a)
+        for b in seen:
+            yield a, b
+        for b in seen[:-1]:
+            yield b, a
 
 
 def _goldbach_congruence_search(Q: MultiPoly, budget):
@@ -250,7 +233,7 @@ def _goldbach_congruence_search(Q: MultiPoly, budget):
     base = ring.sub(ring.one, q0)
 
     tested = 0
-    for t, s in _pairs_by_shell(lambda: _infinite_element_stream(ring)):
+    for t, s in _pairs_by_shell(_infinite_element_stream(ring)):
         if tested >= budget:
             raise BudgetExceededError(
                 f"no Goldbach decomposition within {budget} candidates", tested=tested)
@@ -269,7 +252,6 @@ def _goldbach_congruence_search(Q: MultiPoly, budget):
             continue
         return GoldbachDecomposition(Q, -M, G, "congruence-search", True,
                                      None, tested, Q1_exps)
-    raise BudgetExceededError("candidate stream exhausted", tested=tested)
 
 
 def _goldbach_finite_field(Q: MultiPoly, relaxed_var, budget):

@@ -468,8 +468,10 @@ def _zx_screen(f):
     its work on: unless it returns True, it returns the Hensel start (p,
     modular) at the first screened prime p where f mod p is squarefree, with
     the sorted monic factors there, or None when no screened reduction is
-    squarefree.  Of degree >= 4 u_is_irreducible decides each reduction,
-    and the screen returns True or None."""
+    squarefree.  The factors are built only once every screened reduction
+    has a root, since a later prime often proves f irreducible.  Of degree
+    >= 4 u_is_irreducible decides each reduction, and the screen returns
+    True or None."""
     lc, n = f[-1], u_deg(f)
     screened, start = 0, None
     for p in _odd_primes():
@@ -483,27 +485,34 @@ def _zx_screen(f):
             roots = list(zm_roots(fbar, p))
             if not roots:
                 return True
-            start = _split_by_roots(fbar, roots, p)
+            if _roots_are_simple(fbar, roots, p):
+                start = fbar, roots, p
         elif next(zm_roots(fbar, p), None) is None:
             return True
         screened += 1
         if screened == ZX_SCREEN_PRIMES:
-            return start
+            return _split_by_roots(*start) if start else None
 
 
-def _split_by_roots(fbar, roots, p):
-    """(p, the sorted monic factors of fbar mod p) for fbar of degree 2 or 3
-    with the given roots, or None when a root is repeated, so that fbar is
-    not squarefree.  These are the factors _ff_factor_monic_squarefree
-    finds: x - a for each root a, and for a cubic with one root the
-    quadratic cofactor, which has no root and so is irreducible."""
+def _roots_are_simple(fbar, roots, p):
+    """Whether f'(a) != 0 mod p at every root a of fbar, so that fbar is
+    squarefree when it has degree 2 or 3."""
     for a in roots:
         v = d = 0
         for c in reversed(fbar):
             d = (d * a + v) % p
             v = (v * a + c) % p
-        if d == 0:  # f'(a) = 0: a repeated root
-            return None
+        if d == 0:
+            return False
+    return True
+
+
+def _split_by_roots(fbar, roots, p):
+    """(p, the sorted monic factors of fbar mod p) for a squarefree fbar of
+    degree 2 or 3 with the given roots.  These are the factors
+    _ff_factor_monic_squarefree finds: x - a for each root a, and for a
+    cubic with one root the quadratic cofactor, which has no root and so is
+    irreducible."""
     modular = [[-a % p, 1] for a in roots]
     if len(roots) < u_deg(fbar):
         q = zm_divmod(fbar, modular[0], p)[0]

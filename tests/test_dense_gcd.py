@@ -549,3 +549,22 @@ def test_screen_start_equals_the_search_on_random_quadratics_and_cubics():
             prod = zx_mul(prod, g)
         assert prod == f
     assert seen == {False, True}
+
+
+def test_screen_builds_the_hensel_start_only_for_a_hand_over(monkeypatch):
+    builds, handed = [], []
+    split, lift = factor_mod._split_by_roots, factor_mod._zx_hensel_factors
+    monkeypatch.setattr(factor_mod, "_split_by_roots",
+                        lambda *args: builds.append(args) or split(*args))
+    monkeypatch.setattr(factor_mod, "_zx_hensel_factors",
+                        lambda f, start: handed.append(start is not None) or lift(f, start))
+    # x^2 - 7 has the simple roots 1 and 2 mod 3, and 7 is no square mod 5
+    assert factor_mod._zx_is_irreducible([-7, 0, 1]) is True
+    assert builds == [] and handed == []
+    rng = random.Random(47)
+    for _ in range(300):
+        f = [rng.randint(-30, 30) for _ in range(rng.choice([2, 3]))] + [rng.choice([1, 2, 15])]
+        f = rings.zx_primitive(f)[1]
+        if len(zx_gcd(f, rings.zx_deriv(f))) == 1:
+            factor_mod._zx_is_irreducible(f)
+    assert 0 < len(builds) <= sum(handed)
