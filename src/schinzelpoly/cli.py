@@ -152,7 +152,7 @@ def cmd_factor(args):
     ring, vars, f = _one_poly(args, args.poly)
 
     def compute():
-        fac = factor_multivariate(f, seed=args.seed)
+        fac = factor_multivariate(f)
         ok = fac.recompose_over(vars) == f
         result = {
             "unit": str(fac.unit),
@@ -643,7 +643,7 @@ def cmd_verify(args):
 # exit 1 (by the parser, and for the list --deg by the command), and verify
 # fails an envelope whose inputs record it
 _FLOORS = {"budget": 1, "coeff_bound": 0, "deg": 0, "deg_u": 0, "deg_u_target": 0,
-           "max_deg": 0, "max_witnesses": 1, "threads": 1, "vars": 1}
+           "max_deg": 0, "max_witnesses": 1, "samples": 1, "threads": 1, "vars": 1}
 
 
 def _at_least_floor(key):
@@ -724,7 +724,7 @@ def build_parser():
     sp.set_defaults(func=cmd_schinzel)
 
     sp = sub.add_parser("density", help="witness-fraction probe")
-    _add_box(sp, "--samples", type=int, default=1000)
+    _add_box(sp, "--samples", type=_at_least_floor("samples"), default=1000)
     sp.add_argument("--strategy", default="random", choices=("random",))
     _add_common(sp, budget=True)
     sp.set_defaults(func=cmd_density)
@@ -779,9 +779,6 @@ def main(argv=None):
     except BudgetExceededError as e:
         note(f"budget exhausted: {e}")
         return EXIT_BUDGET
-    except ExhaustiveNoneError as e:
-        note(f"exhaustively none: {e}")
-        return EXIT_NONE
     except AlgebraError as e:
         note(f"error: {e}")
         return EXIT_USAGE

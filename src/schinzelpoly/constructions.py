@@ -185,19 +185,6 @@ def _goldbach_linear_table(Q: MultiPoly):
     return F, G, case
 
 
-def _infinite_element_stream(ring):
-    if isinstance(ring, PolyRing) and not ring.base.is_finite:
-        # interleave degree and coefficient growth for Q[u]
-        def gen():
-            b = 1
-            while True:
-                for v in ring.element_box(coeff_bound=b, deg_bound=b):
-                    yield v
-                b += 1
-        return gen()
-    return ring.element_stream()
-
-
 def _pairs_by_shell(stream):
     """(a_i, a_j) pairs of an infinite stream's elements graded by max(i, j)."""
     seen = []
@@ -233,7 +220,7 @@ def _goldbach_congruence_search(Q: MultiPoly, budget):
     base = ring.sub(ring.one, q0)
 
     tested = 0
-    for t, s in _pairs_by_shell(_infinite_element_stream(ring)):
+    for t, s in _pairs_by_shell(ring.element_stream()):
         if tested >= budget:
             raise BudgetExceededError(
                 f"no Goldbach decomposition within {budget} candidates", tested=tested)

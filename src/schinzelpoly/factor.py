@@ -3,7 +3,7 @@
 Univariate factoring has one entry on dense coefficient lists,
 _factor_dense, for univariate inputs, Kronecker images and k[u] elements.
 Over GF(q): squarefree decomposition (with p-th-root descent),
-distinct-degree, then seeded equal-degree splitting.  Over Z/Q: Yun
+distinct-degree, then equal-degree splitting.  Over Z/Q: Yun
 squarefree decomposition, a screen modulo six good primes, factorization
 mod a good prime (for degree 2 and 3 the screen's roots there, with no
 second prime search or modular factoring), lifting to a
@@ -306,12 +306,14 @@ def _ff_factor_monic_squarefree(f, K, rng):
     return out
 
 
-def _ff_factor_dense(f, K, seed=0):
-    """Full factorization over GF(q): (lc, [(monic dense factor, mult)])."""
+def _ff_factor_dense(f, K):
+    """Full factorization over GF(q): (lc, [(monic dense factor, mult)]).
+    The factors are sorted by the caller, so the fixed stream of the random
+    splitting draws can change no result."""
     lc, monic = u_monic(f, K)
     if u_deg(monic) == 0:
         return lc, []
-    rng = random.Random(seed)
+    rng = random.Random(0)
     out = []
     for part, mult in _ff_sff(monic, K):
         for fac in _ff_factor_monic_squarefree(part, K, rng):
@@ -639,7 +641,7 @@ def _zx_hensel_factors(f, start):
 # The main factorization dispatch.
 # ---------------------------------------------------------------------------
 
-def factor_multivariate(f: MultiPoly, seed: int = 0) -> Factorization:
+def factor_multivariate(f: MultiPoly) -> Factorization:
     """Complete factorization in R[vars] for R in {Z, Q, GF(q), k[u]}.  Its
     method is "content" when the primitive part is constant, else the
     route _factor_primitive took."""
@@ -663,12 +665,12 @@ def factor_multivariate(f: MultiPoly, seed: int = 0) -> Factorization:
 
     method = "content"
     if not pp.is_constant():
-        found, method = _factor_primitive(pp, seed)
+        found, method = _factor_primitive(pp)
         pairs.extend(found)
     return Factorization.build(ring, vars, unit_value, pairs, method)
 
 
-def _factor_primitive(pp: MultiPoly, seed):
+def _factor_primitive(pp: MultiPoly):
     """Factor a canonical primitive nonconstant polynomial over Z, Q, GF(q)
     or k[u]: (pairs, method).  The factors are canonical, and their product
     is pp.  method names the route that ran: "u-fold + " and the lifted
@@ -680,7 +682,7 @@ def _factor_primitive(pp: MultiPoly, seed):
         # Factor the lifted form over the base field.  A product of
         # canonical factors is canonical, like pp, so the units dropped by
         # normalizing the unlifted factors multiply to 1.
-        lifted = factor_multivariate(lift_u(pp), seed)
+        lifted = factor_multivariate(lift_u(pp))
         out = []
         for g, mult in lifted.factors:
             back = _unlift_u(g, ring, pp.vars)
@@ -693,11 +695,11 @@ def _factor_primitive(pp: MultiPoly, seed):
         var = effective[0]
         method = "univariate cantor-zassenhaus" if ring.is_finite else "univariate zassenhaus"
         return [(dense_decode(ring, VarSet((var,)), fac, ()).embed(pp.vars), mult)
-                for fac, mult in _factor_dense(dense_in_var(pp, var), ring, seed)], method
-    return _factor_kronecker(pp, effective, seed)
+                for fac, mult in _factor_dense(dense_in_var(pp, var), ring)], method
+    return _factor_kronecker(pp, effective)
 
 
-def _factor_dense(c, K, seed=0):
+def _factor_dense(c, K):
     """The univariate factorization of a dense list c over GF(q), Z or Q:
     [(irreducible factor, mult)], monic over GF(q) and Q, primitive with
     lc > 0 over Z.  Over Z and Q the factors are those of c's primitive
@@ -707,7 +709,7 @@ def _factor_dense(c, K, seed=0):
     if len(c) < 2:
         return []
     if K.is_finite:
-        out = _ff_factor_dense(c, K, seed)[1]
+        out = _ff_factor_dense(c, K)[1]
     else:
         f = _integer_image(c)
         if f[-1] < 0:
@@ -753,7 +755,7 @@ def _normalize_candidate(cand: MultiPoly):
     return cand.monic_normalize()[1]
 
 
-def _factor_kronecker(pp: MultiPoly, effective, seed):
+def _factor_kronecker(pp: MultiPoly, effective):
     """Fold to one variable, factor, and recombine sub-multisets of the
     image's factors on their dense coefficient lists: (pairs, method), as
     _factor_primitive returns them, with method "kronecker-fold D=<D>", or
@@ -769,7 +771,7 @@ def _factor_kronecker(pp: MultiPoly, effective, seed):
                                       for e, v in pp.terms.items()})
         if rest.is_constant():
             return out, "monomial"
-        found, method = _factor_primitive(rest, seed)
+        found, method = _factor_primitive(rest)
         return out + found, "monomial + " + method
     sub_vars = VarSet(tuple(effective))
     collapsed = pp.embed(vars) if vars.names == sub_vars.names else _restrict(pp, sub_vars)
@@ -790,7 +792,7 @@ def _factor_kronecker(pp: MultiPoly, effective, seed):
         mul, div = zx_mul, zx_try_div
     # The image keeps its unit: _factor_dense drops it, and every cofactor
     # whole / prod carries it, so no test below depends on it.
-    types = _factor_dense(whole, ring if ring.is_finite else ZZ, seed)
+    types = _factor_dense(whole, ring if ring.is_finite else ZZ)
     polys = [f for f, _ in types]
     counts = [m for _, m in types]
     target = list(collapsed.degree_vector())
@@ -942,11 +944,11 @@ def factor_poly_ring_value(ring: PolyRing, a):
 # Public univariate entry points.
 # ---------------------------------------------------------------------------
 
-def factor_univariate_finite_field(f: MultiPoly, seed: int = 0) -> Factorization:
+def factor_univariate_finite_field(f: MultiPoly) -> Factorization:
     """Complete univariate factorization over GF(q)."""
     if not isinstance(f.ring, (PrimeField, ExtField)):
         raise UnsupportedRingError(f"{f.ring} is not a finite field")
-    return factor_multivariate(f, seed=seed)
+    return factor_multivariate(f)
 
 
 def factor_univariate_integers(f: MultiPoly) -> Factorization:
@@ -974,14 +976,7 @@ class IrreducibilityCertificate:
 _SPECIALIZE_ATTEMPTS = 8
 
 
-def _first_witness(f, seed):
-    fac = factor_multivariate(f, seed=seed)
-    for g, _ in fac.factors:
-        return g
-    return None
-
-
-def is_irreducible(f: MultiPoly, method: str = "auto", seed: int = 0,
+def is_irreducible(f: MultiPoly, method: str = "auto",
                    need_witness: bool = False) -> IrreducibilityCertificate:
     """Decide irreducibility in R[vars]; over a UFD this includes primitivity.
 
@@ -1005,16 +1000,16 @@ def is_irreducible(f: MultiPoly, method: str = "auto", seed: int = 0,
             return IrreducibilityCertificate(False, "content", witness, "content")
 
     if method == "kronecker":
-        return _is_irreducible_via_factor(f, seed)
+        return _is_irreducible_via_factor(f)
     if isinstance(ring, PolyRing):
-        cert = _is_irreducible_auto(lift_u(f), seed, need_witness)
+        cert = _is_irreducible_auto(lift_u(f), need_witness)
         if cert.witness is not None:
             cert.witness = _unlift_u(cert.witness, ring, f.vars).monic_normalize()[1]
         return cert
-    return _is_irreducible_auto(f, seed, need_witness)
+    return _is_irreducible_auto(f, need_witness)
 
 
-def _is_irreducible_auto(f, seed, need_witness):
+def _is_irreducible_auto(f, need_witness):
     """The shortcut routes, then factoring, for a nonconstant f over Z, Q or
     GF(q) whose content is a unit."""
     ring = f.ring
@@ -1023,11 +1018,11 @@ def _is_irreducible_auto(f, seed, need_witness):
     if len(effective) == 1:
         var = effective[0]
         ok, reason, method = dense_is_irreducible(dense_in_var(f, var), ring)
-        witness = _first_witness(f, seed) if need_witness and not ok else None
+        witness = _is_irreducible_via_factor(f).witness if need_witness and not ok else None
         return IrreducibilityCertificate(ok, reason, witness, method)
     if len(effective) == 2:
         cert = bivariate_is_irreducible(rows_of(f, *effective), ring, VarSet(tuple(effective)),
-                                        seed, need_witness)
+                                        need_witness)
         if cert.witness is not None:
             cert.witness = _expand(cert.witness, f.vars)
         return cert
@@ -1064,7 +1059,7 @@ def _is_irreducible_auto(f, seed, need_witness):
         return out
 
     cert = _try_specialization_certificate(ring, main, others, content, f.coeffs_in(main), value)
-    return _is_irreducible_via_factor(f, seed) if cert is None else cert
+    return _is_irreducible_via_factor(f) if cert is None else cert
 
 
 def dense_is_irreducible(c, K):
@@ -1099,7 +1094,7 @@ def dense_is_irreducible(c, K):
     return ok, "irreducible" if ok else "reducible", method
 
 
-def bivariate_is_irreducible(rows, K, vars, seed=0, need_witness=False, in_ku=False):
+def bivariate_is_irreducible(rows, K, vars, need_witness=False, in_ku=False):
     """is_irreducible of F in the two variables vars = (a, b), from its rows:
     rows[j] is the coefficient list in a of b^j, trimmed, the last nonzero;
     over Z and Q of integers, over Q of a multiple of F.  F in at most one
@@ -1163,12 +1158,12 @@ def bivariate_is_irreducible(rows, K, vars, seed=0, need_witness=False, in_ku=Fa
     main = 0 if len(cols) >= len(rows) else 1
     cert = _try_specialization_certificate(K, main, [1 - main], content, lines[main], value)
     if cert is None:
-        cert = _is_irreducible_via_factor(poly_from_rows(K, vars, rows), seed)
+        cert = _is_irreducible_via_factor(poly_from_rows(K, vars, rows))
     return cert
 
 
-def _is_irreducible_via_factor(f, seed):
-    fac = factor_multivariate(f, seed=seed)
+def _is_irreducible_via_factor(f):
+    fac = factor_multivariate(f)
     nontrivial = fac.factors
     if len(nontrivial) == 1 and nontrivial[0][1] == 1 and not nontrivial[0][0].is_constant():
         return IrreducibilityCertificate(True, "irreducible", None, "kronecker")
@@ -1394,7 +1389,7 @@ def brute_force_factor(f: MultiPoly, budget: int = 1 << 20) -> Factorization:
 # Capelli condition for b*y^rho + a.
 # ---------------------------------------------------------------------------
 
-def _fraction_field_profile(a: MultiPoly, b: MultiPoly, seed):
+def _fraction_field_profile(a: MultiPoly, b: MultiPoly):
     """Factor -a/b in K(vars): returns (num, den, {factor key: exponent}).
 
     num/den are ring values collecting the constant (unit-in-K) part;
@@ -1404,7 +1399,7 @@ def _fraction_field_profile(a: MultiPoly, b: MultiPoly, seed):
     exps = {}
 
     def absorb(f, sign):
-        fac = factor_multivariate(f, seed=seed)
+        fac = factor_multivariate(f)
         const = fac.unit.value
         for g, m in fac.factors:
             if g.is_constant():
@@ -1450,7 +1445,7 @@ def _constant_is_power(num, den, ring, ell):
     raise UnsupportedRingError(f"power test over {ring} not supported")
 
 
-def capelli_check(a: MultiPoly, b: MultiPoly, rho: int, seed: int = 0) -> bool:
+def capelli_check(a: MultiPoly, b: MultiPoly, rho: int) -> bool:
     """True iff b*y^rho + a is irreducible over K(vars) by the Capelli test:
     -a/b is no ell-th power for any prime ell dividing rho, and
     -a/b is not in -4*K(vars)^4 when 4 divides rho."""
@@ -1464,7 +1459,7 @@ def capelli_check(a: MultiPoly, b: MultiPoly, rho: int, seed: int = 0) -> bool:
     if rho == 1:
         return True
     ring = a.ring
-    num, den, exps = _fraction_field_profile(a, b, seed)
+    num, den, exps = _fraction_field_profile(a, b)
     neg_num = ring.neg(num)  # the constant part of -a/b
     for ell, _ in factor_int(rho):
         if all(m % ell == 0 for m in exps.values()):

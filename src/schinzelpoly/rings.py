@@ -14,6 +14,12 @@ objects:
 Canonical units: over Z the canonical representative of an associate class
 is nonnegative, over fields it is 1, over k[u] it is monic.  All gcds are
 returned canonically normalized, so factorization outputs compare exactly.
+Q, GF(p) and GF(p^k) share these field rules through one Field base.
+
+Every ring lists a finite box of its elements, element_box(coeff_bound,
+deg_bound); Ring.element_stream walks the boxes for growing bounds and
+yields each element once, which is how the infinite rings Z, Q and k[u]
+are searched.
 """
 
 from __future__ import annotations
@@ -723,14 +729,12 @@ def is_perfect_power(n, k):
     return r ** k == n
 
 
-def _spiral(bound=None):
-    """0, 1, -1, 2, -2, ...  (capped at |bound| when given)."""
+def _spiral(bound):
+    """0, 1, -1, 2, -2, ..., bound, -bound."""
     yield 0
-    n = 1
-    while bound is None or n <= bound:
+    for n in range(1, bound + 1):
         yield n
         yield -n
-        n += 1
 
 
 # ---------------------------------------------------------------------------
@@ -814,6 +818,42 @@ class Ring:
         """Finite, deterministically ordered list of candidate values."""
         raise NotImplementedError
 
+    def element_stream(self):
+        """Every element of an infinite ring once: those of
+        element_box(coeff_bound=b, deg_bound=b) for b = 0, 1, 2, ..., each
+        where a box first holds it, in box order."""
+        seen = set()
+        for b in itertools.count():
+            for v in self.element_box(coeff_bound=b, deg_bound=b):
+                if v not in seen:
+                    seen.add(v)
+                    yield v
+
+
+class Field(Ring):
+    """A field: every nonzero element is a unit and its own canonical
+    associate is one, so gcds are 0 or 1 and a factorization is its unit."""
+
+    is_field = True
+
+    def canonical_split(self, a):
+        if a == self.zero:
+            return self.one, self.zero
+        return a, self.one
+
+    def gcd(self, a, b):
+        if a == self.zero and b == self.zero:
+            return self.zero
+        return self.one
+
+    def is_unit(self, a):
+        return a != self.zero
+
+    def factor_value(self, a):
+        if a == self.zero:
+            raise ZeroInputError("cannot factor 0")
+        return a, []
+
 
 class IntegerRing(Ring):
     """The rational integers."""
@@ -876,14 +916,9 @@ class IntegerRing(Ring):
             raise ValueError("Z needs a coefficient bound to define a finite box")
         return list(_spiral(coeff_bound))
 
-    def element_stream(self):
-        return _spiral()
 
-
-class RationalField(Ring):
+class RationalField(Field):
     """The rational numbers."""
-
-    is_field = True
 
     def __init__(self):
         self.zero = Fraction(0)
@@ -906,19 +941,6 @@ class RationalField(Ring):
             return None
         return a / b
 
-    def canonical_split(self, a):
-        if a == 0:
-            return Fraction(1), Fraction(0)
-        return a, Fraction(1)
-
-    def gcd(self, a, b):
-        if a == 0 and b == 0:
-            return Fraction(0)
-        return Fraction(1)
-
-    def is_unit(self, a):
-        return a != 0
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("0 is not invertible")
@@ -933,24 +955,15 @@ class RationalField(Ring):
     def format_needs_parens(self, a):
         return "/" in str(a)
 
-    def factor_value(self, a):
-        if a == 0:
-            raise ZeroInputError("cannot factor 0")
-        return a, []
-
     def element_box(self, coeff_bound=None, deg_bound=None):
         if coeff_bound is None:
             raise ValueError("Q needs a coefficient bound to define a finite box")
         return [Fraction(n) for n in _spiral(coeff_bound)]
 
-    def element_stream(self):
-        return (Fraction(n) for n in _spiral())
 
-
-class PrimeField(Ring):
+class PrimeField(Field):
     """GF(p), residues stored in [0, p)."""
 
-    is_field = True
     is_finite = True
 
     def __init__(self, p):
@@ -979,19 +992,6 @@ class PrimeField(Ring):
             return None
         return a * pow(b, -1, self.p) % self.p
 
-    def canonical_split(self, a):
-        if a == 0:
-            return 1 % self.p, 0
-        return a, 1 % self.p
-
-    def gcd(self, a, b):
-        if a == 0 and b == 0:
-            return 0
-        return 1 % self.p
-
-    def is_unit(self, a):
-        return a != 0
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("0 is not invertible")
@@ -1005,11 +1005,6 @@ class PrimeField(Ring):
 
     def format_needs_parens(self, a):
         return False
-
-    def factor_value(self, a):
-        if a == 0:
-            raise ZeroInputError("cannot factor 0")
-        return a, []
 
     def element_box(self, coeff_bound=None, deg_bound=None):
         return list(range(self.p))
@@ -1074,7 +1069,7 @@ def _ext_tables(p, k, modulus):
     return tables
 
 
-class ExtField(Ring):
+class ExtField(Field):
     """GF(p^k) as GF(p)[t] / (modulus), k >= 2.
 
     Elements are tuples of residues (coefficients of t, low to high,
@@ -1088,7 +1083,6 @@ class ExtField(Ring):
     Larger fields reduce polynomial products by the modulus.
     """
 
-    is_field = True
     is_finite = True
     generator_symbol = "t"
 
@@ -1183,19 +1177,6 @@ class ExtField(Ring):
             return ()
         return self._pw[self._log[a] - self._log[b] + self._n]
 
-    def canonical_split(self, a):
-        if not a:
-            return self.one, self.zero
-        return a, self.one
-
-    def gcd(self, a, b):
-        if not a and not b:
-            return self.zero
-        return self.one
-
-    def is_unit(self, a):
-        return bool(a)
-
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("0 is not invertible")
@@ -1231,11 +1212,6 @@ class ExtField(Ring):
     def format_needs_parens(self, a):
         s = self.format(a)
         return any(ch in s for ch in "+-*^ ") or s == "t"
-
-    def factor_value(self, a):
-        if not a:
-            raise ZeroInputError("cannot factor 0")
-        return a, []
 
     def element_box(self, coeff_bound=None, deg_bound=None):
         if self._elems is not None:
@@ -1367,17 +1343,6 @@ class PolyRing(Ring):
                 for lower in itertools.product(base_box, repeat=d):
                     out.append(tuple(lower) + (lead,))
         return out
-
-    def element_stream(self):
-        base_box = self.base.element_box()
-        nonzero = [v for v in base_box if not self.base.is_zero(v)]
-        yield ()
-        d = 0
-        while True:
-            for lead in nonzero:
-                for lower in itertools.product(base_box, repeat=d):
-                    yield tuple(lower) + (lead,)
-            d += 1
 
 
 ZZ = IntegerRing()

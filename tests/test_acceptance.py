@@ -272,7 +272,7 @@ def test_criterion_09_factorization_roundtrip(capsys):
             f = MultiPoly.one(ring, V1)
             for g, m in parts.values():
                 f = f * g ** m
-            fac = factor_multivariate(f, seed=5)
+            fac = factor_multivariate(f)
             if fac.recompose_over(V1) != f:
                 ok, detail = False, f" (recomposition failed over {ring}: {f})"
                 break

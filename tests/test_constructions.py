@@ -201,6 +201,18 @@ def test_goldbach_congruence_over_q():
     assert is_irreducible(d.F) and is_irreducible(d.G)
 
 
+@pytest.mark.parametrize("base, text, F, G, tested", [
+    (QQ, "x1^2 + u", "-x1 + (u - 1)", "x1^2 + x1 + 1", 1),
+    (F2, "x1^2 + x1", "x1 + (u + 1)", "x1^2 + (u + 1)", 2),
+], ids=["Q[u]", "GF(2)[u]"])
+def test_goldbach_congruence_over_k_u(base, text, F, G, tested):
+    # the parameters come from the ring's element_stream
+    Q = parse_poly(text, PolyRing(base), V1)
+    d = goldbach_decompose(Q)
+    assert (d.case, str(d.F), str(d.G), d.tested) == ("congruence-search", F, G, tested)
+    assert d.verify()
+
+
 def test_goldbach_rejects_constant():
     with pytest.raises(ZeroInputError):
         goldbach_decompose(parse_poly("5", ZZ, V1))

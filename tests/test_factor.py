@@ -1,12 +1,15 @@
 """Factorization, Kronecker substitution, irreducibility, Capelli checks."""
 
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from schinzelpoly import factor as factor_mod
+from schinzelpoly.cli import main
 from schinzelpoly.errors import BudgetExceededError, ZeroInputError
 from schinzelpoly.factor import (
     Factorization,
@@ -173,7 +176,7 @@ def test_ff_random_recomposition():
             f = MultiPoly(K, V1, terms)
             if f.is_zero() or f.is_constant():
                 continue
-            fac = factor_univariate_finite_field(f, seed=7)
+            fac = factor_univariate_finite_field(f)
             assert fac.recompose_over(V1) == f
             for g, _ in fac.factors:
                 assert is_irreducible(g)
@@ -365,9 +368,25 @@ def test_ku_factoring_with_nontrivial_units(base):
         assert fac.recompose_over(Vx) == f, f
         for g, _ in fac.factors:
             assert g.monic_normalize()[0] == ring.one, g
-        for seed in range(1, 4):
-            again = factor_multivariate(f, seed=seed)
-            assert again.unit == fac.unit and fstrs(again) == fstrs(fac), (f, seed)
+
+
+def test_factor_seed_changes_no_envelope(capsys, monkeypatch):
+    # x^6 + x^4 + x^2 + 1 = (x^2 + 1)(x^2 + x + 2)(x^2 + 2x + 2) over GF(3):
+    # the distinct-degree split leaves one degree-2 block that only random
+    # equal-degree splitting separates, and the result is the same for any seed
+    splits = []
+    edf = factor_mod._ff_edf
+    monkeypatch.setattr(factor_mod, "_ff_edf",
+                        lambda g, d, K, rng: splits.append(d) or edf(g, d, K, rng))
+    argv = ["factor", "x^6 + x^4 + x^2 + 1", "--ring", "GF(3)"]
+    outputs = []
+    for seed in ("0", "987654321"):
+        assert main(argv + ["--seed", seed]) == 0
+        outputs.append(capsys.readouterr())
+    assert 2 in splits
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0].out)["result"]["factors"] == [
+        {"multiplicity": 1, "poly": g} for g in ("x^2 + 1", "x^2 + x + 2", "x^2 + 2*x + 2")]
 
 
 @pytest.mark.parametrize("base", [F3, F5, QQ], ids=str)

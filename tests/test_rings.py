@@ -1,6 +1,8 @@
 """Ring arithmetic, canonical units, gcds and element factorization."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +11,11 @@ from schinzelpoly.rings import (
     GF,
     QQ,
     ZZ,
+    ExtField,
+    Field,
     PolyRing,
+    PrimeField,
+    RationalField,
     RingElement,
     factor_int,
     parse_ring,
@@ -179,6 +185,56 @@ def test_element_boxes_deterministic():
     box = R2u.element_box(deg_bound=1)
     assert box == [(), (1,), (0, 1), (1, 1)]
     assert len(F4.element_box()) == 4
+
+
+def _spiral_order(n):
+    """The first n of 0, 1, -1, 2, -2, ..."""
+    signed = itertools.chain.from_iterable((k, -k) for k in itertools.count(1))
+    return [0] + list(itertools.islice(signed, n - 1))
+
+
+def _degree_blocks_order(base, n):
+    """The first n elements of k[u] for a finite k: zero, then degree 0, 1,
+    2, ..., each degree block by leading coefficient, then lower
+    coefficients in product order."""
+    box = base.element_box()
+    nonzero = [v for v in box if v != base.zero]
+    blocks = (tuple(lower) + (lead,) for d in itertools.count()
+              for lead in nonzero for lower in itertools.product(box, repeat=d))
+    return [()] + list(itertools.islice(blocks, n - 1))
+
+
+@pytest.mark.parametrize("ring, expected", [
+    (ZZ, _spiral_order(50)),
+    (QQ, [Fraction(v) for v in _spiral_order(50)]),
+    (R2u, _degree_blocks_order(F2, 50)),
+    (R3u, _degree_blocks_order(F3, 50)),
+], ids=str)
+def test_element_stream_order_is_pinned(ring, expected):
+    assert list(itertools.islice(ring.element_stream(), 50)) == expected
+
+
+def test_element_stream_of_q_u_repeats_nothing():
+    first = list(itertools.islice(PolyRing(QQ).element_stream(), 500))
+    assert len(set(first)) == 500
+    # each box adds its new elements in box order: box 1 after box 0 = [()]
+    assert first[:4] == [(), (Fraction(1),), (Fraction(-1),), (Fraction(0), Fraction(1))]
+
+
+def test_fields_share_one_copy_of_the_field_rules():
+    rules = ("canonical_split", "gcd", "is_unit", "factor_value")
+    for cls in (RationalField, PrimeField, ExtField):
+        assert issubclass(cls, Field) and cls.is_field
+        assert [name for name in rules if name in vars(cls)] == []
+    for K in (QQ, F5, F4):
+        a = K.from_int(3)
+        assert K.canonical_split(a) == (a, K.one)
+        assert K.canonical_split(K.zero) == (K.one, K.zero)
+        assert K.gcd(a, K.zero) == K.one and K.gcd(K.zero, K.zero) == K.zero
+        assert K.is_unit(a) and not K.is_unit(K.zero)
+        assert K.factor_value(a) == (a, [])
+        with pytest.raises(ZeroInputError):
+            K.factor_value(K.zero)
 
 
 def test_poly_ring_canonical_split():
