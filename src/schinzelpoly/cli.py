@@ -44,6 +44,7 @@ from .schinzel import (
     density_probe,
     image_irreducibility,
     iter_candidates,
+    root_sieve,
     schinzel_search,
     schinzel_search_multi,
 )
@@ -368,9 +369,11 @@ def cmd_spectrum(args):
 
 def swan_scan(P: MultiPoly, xname: str, yname: str, max_deg: int):
     """Exhaustive scan of all M with deg(M) <= max_deg over a finite field:
-    counts how many make P(x, M(x)) irreducible.  Each image is decided as
-    a witness search decides it: over GF(p), P's dense rows in y are built
-    once and every M costs one Horner pass and one dense decision."""
+    counts how many make P(x, M(x)) irreducible.  A candidate whose image
+    root_sieve proves reducible, by a root in the field read off M's values,
+    is counted without its image being built; every other image is decided
+    as a witness search decides it: over GF(p), P's dense rows in y are
+    built once and every M costs one Horner pass and one dense decision."""
     ring = P.ring
     if not ring.is_finite:
         raise AlgebraError("swan-scan needs a finite field")
@@ -383,12 +386,13 @@ def swan_scan(P: MultiPoly, xname: str, yname: str, max_deg: int):
                                       f"exceeds the cap of {SWAN_SCAN_CAP}")
     support = [(i,) for i in range(max_deg + 1)]
     spec = Specializer(P, yname)
+    sieve = root_sieve(P, xname, yname)
     irreducible = 0
     witnesses = []
     count = 0
     for M, _ in iter_candidates(ring, VarSet((xname,)), support, SearchConstraints()):
         count += 1
-        if image_irreducibility(spec, M)[0]:
+        if not sieve(M) and image_irreducibility(spec, M)[0]:
             irreducible += 1
             if len(witnesses) < 5:
                 witnesses.append(format_poly(M))
@@ -576,10 +580,14 @@ def _verify_density(env):
     return same, "re-ran probe"
 
 
-def _refused_input(inputs):
+def _refused_input(env):
     """Why an envelope's inputs could not have come from the parser, or None:
     a bound below its floor describes an empty or meaningless box, and
-    nothing proved over it holds."""
+    nothing proved over it holds.  density records its --samples only in
+    its result, which _verify_density re-runs with."""
+    inputs = env["inputs"]
+    if env["command"] == "density":
+        inputs = {**inputs, "samples": env["result"]["samples"]}
     for key, low in _FLOORS.items():
         if key == "vars":
             continue  # envelopes record the variable names, not the count
@@ -620,7 +628,7 @@ def cmd_verify(args):
         note(f"verify: no checker for command {command!r}")
         return EXIT_USAGE
     try:
-        refused = _refused_input(env["inputs"])
+        refused = _refused_input(env)
         ok, detail = (False, refused) if refused else checker(env)
     except (KeyError, IndexError, TypeError, AttributeError) as e:
         # a missing field, or a field of the wrong shape

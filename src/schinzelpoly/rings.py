@@ -59,7 +59,9 @@ from .errors import ParseError, RingMismatchError, ZeroInputError
 # Over GF(p) with p <= ROOT_SCAN_LIMIT, zm_roots finds the roots by
 # evaluating at every element, which decides degrees 2 and 3 outright and
 # splits the linear part of a distinct-degree split; u_is_irreducible
-# scans GF(p^k) of order <= ROOT_SCAN_LIMIT the same way, by u_eval.
+# scans GF(p^k) of order <= ROOT_SCAN_LIMIT the same way, by u_eval.  Over
+# GF(q) with q odd its squarefree test is u_discriminant, whose value
+# proves reducibility by Stickelberger's parity before u_ddf runs.
 # zx_* below work in Z[x].
 # ---------------------------------------------------------------------------
 
@@ -443,6 +445,50 @@ def u_eval(c, x, K):
     return v
 
 
+def u_discriminant(f, K):
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f) for f of degree n >= 1
+    over a field K, with f' taken at its formal degree n - 1; zero exactly
+    when f is not squarefree.
+
+    Res(f, f') comes from the Euclidean remainder sequence of f and f',
+    the loop u_gcd runs: for r = a mod b, Res(a, b) = (-1)^(deg a deg b)
+    lc(b)^(deg a - deg r) Res(b, r), and Res(a, c) = c^(deg a) for a
+    nonzero constant c (von zur Gathen & Gerhard, Modern Computer Algebra,
+    §6.10).  Below the formal degree, f' contributes lc(f)^(n - 1 - deg f').
+    Over GF(p) with p in _SLOT_DIV_PRIMES the sequence stays packed as in
+    u_gcd: a remainder's degree is read off its bit length and its leading
+    coefficient off its top slot."""
+    n = u_deg(f)
+    fp = u_deriv(f, K)
+    if not fp:
+        return K.zero
+    steps = []  # (degree, leading coefficient) of f' and each nonzero remainder
+    if _slot_div(len(fp), K):
+        a, b = pack_slots(f), pack_slots(fp)
+        while b:
+            db = (b.bit_length() - 1) >> 3
+            steps.append((db, b >> (db << 3)))
+            a, b = b, _slot_divmod(a, b, K.p, False)[1]
+    else:
+        a, b = f, fp
+        while b:
+            steps.append((u_deg(b), b[-1]))
+            a, b = b, u_rem(a, b, K)
+    if steps[-1][0]:
+        return K.zero  # gcd(f, f') is the last remainder, of positive degree
+    res = K.pow(f[-1], n - 1 - steps[0][0])
+    da = n
+    # the last step is Res(a, c) = c^(deg a): a remainder "of degree 0" after it
+    for (db, lc), dr in zip(steps, [d for d, _ in steps[1:]] + [0]):
+        res = K.mul(res, K.pow(lc, da - dr))
+        if da * db & 1:
+            res = K.neg(res)
+        da = db
+    if n * (n - 1) // 2 & 1:
+        res = K.neg(res)
+    return K.mul(res, K.inv(f[-1]))
+
+
 def u_is_irreducible(f, K):
     """Irreducibility in GF(q)[x]: f is squarefree and the first part of
     its distinct-degree split has the degree of f, so the test stops at the
@@ -452,7 +498,15 @@ def u_is_irreducible(f, K):
     linear factor, so f of degree >= 2 with one is reducible, and f of
     degree 2 or 3 without one is irreducible, since a proper factor would
     be linear (von zur Gathen & Gerhard, Modern Computer Algebra, §14).
-    Only degree >= 4 without a root goes on to the gcds and powers.
+    Only degree >= 4 without a root goes on to the squarefree test and
+    the powers.
+
+    For odd q the squarefree test is u_discriminant, and its value is a
+    second certificate: a squarefree f of degree n with r irreducible
+    factors has a square discriminant exactly when n - r is even
+    (Stickelberger; Swan 1962, Pacific J. Math. 12).  An irreducible f has
+    r = 1, so disc(f) a square for even n, or a nonsquare for odd n,
+    proves f reducible before the distinct-degree split.
     """
     n = u_deg(f)
     if n <= 1:
@@ -464,9 +518,16 @@ def u_is_irreducible(f, K):
             return False
         if n <= 3:
             return True
-    fp = u_deriv(f, K)
-    if not fp or u_deg(u_gcd(f, fp, K)) > 0:
-        return False  # a p-th power, or not squarefree
+    if K.order & 1:
+        disc = u_discriminant(f, K)
+        if K.is_zero(disc):
+            return False  # a p-th power, or not squarefree
+        if (K.pow(disc, (K.order - 1) // 2) == K.one) != (n & 1 == 1):
+            return False  # Stickelberger: n - r is odd, so r != 1
+    else:
+        fp = u_deriv(f, K)
+        if not fp or u_deg(u_gcd(f, fp, K)) > 0:
+            return False  # a p-th power, or not squarefree
     return next(u_ddf(f, K))[1] == n
 
 
@@ -772,6 +833,7 @@ class Ring:
         return a == self.zero
 
     def pow(self, a, e):
+        """a^e for an int e >= 0."""
         result = self.one
         base = a
         while e > 0:
@@ -986,6 +1048,9 @@ class PrimeField(Field):
 
     def mul(self, a, b):
         return (a * b) % self.p
+
+    def pow(self, a, e):
+        return pow(a, e, self.p)
 
     def try_divexact(self, a, b):
         if b == 0:

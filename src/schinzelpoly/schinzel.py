@@ -15,6 +15,10 @@ witness list is a proof of non-existence inside the box.
 Enumeration order over Z boxes follows a balanced spiral per coefficient
 (0, 1, -1, 2, -2, ...) graded by max-norm, so small witnesses surface
 first and reruns are reproducible byte for byte.
+
+root_sieve serves the one-x scan of swan-scan over a small finite field:
+from M's values at every point of the field and a memo of the zeros of P,
+it proves an image reducible by a root, before the image is built.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from .errors import UnsupportedRingError, ZeroInputError
 from .factor import bivariate_is_irreducible, dense_is_irreducible, is_irreducible
 from .multipoly import MultiPoly, Specializer, VarSet, lift_u, poly_gcd
-from .rings import IntegerRing, PolyRing, RationalField, Ring
+from .rings import ROOT_SCAN_LIMIT, IntegerRing, PolyRing, RationalField, Ring, u_eval
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +279,65 @@ def image_irreducibility(spec, M):
         return False, "unit/constant", "degree"
     cert = is_irreducible(F)
     return cert.irreducible, cert.reason, cert.method
+
+
+def root_sieve(P, xname, yname):
+    """A test of candidates M in xname alone for P in (xname, yname) over
+    a finite field K: True when the image P(x, M(x)) has degree >= 2 and a
+    root in K, which proves it reducible without building it; False when
+    the sieve proves nothing, and image_irreducibility decides.
+
+    The image has the root a exactly when P(a, M(a)) = 0: M is evaluated
+    at every point a of K, and whether P(a, v) = 0 is memoized for each
+    pair (a, v) the candidates reach.  The image's degree is known without
+    building it when P has a single term x^i y^j of top weighted degree
+    i + j deg M: then it is that weight, since the top coefficient is that
+    term's times lc(M)^j.  M = 0 gives the image P(x, 0), whose degree is
+    the largest i of a term x^i.  Fields of order above ROOT_SCAN_LIMIT,
+    where a rootless candidate would cost one evaluation per element, are
+    not sieved; neither is P in other variables, where a zero at a point
+    proves nothing, nor P = 0, whose images are all zero."""
+    K = P.ring
+    if K.order > ROOT_SCAN_LIMIT or len(P.vars) != 2 or P.is_zero():
+        return lambda M: False
+    xi, yi = P.vars.index(xname), P.vars.index(yname)
+    terms = [(e[xi], e[yi], c) for e, c in P.terms.items()]
+    points = K.element_box()
+    degrees = {}  # deg M -> the image's degree when a single term is on top, else None
+    zero_at = {}  # (a, v) -> whether P(a, v) = 0
+
+    def image_degree(m):
+        if m < 0:
+            return max((i for i, j, _ in terms if j == 0), default=None)
+        weights = sorted(i + j * m for i, j, _ in terms)
+        return weights[-1] if len(weights) == 1 or weights[-2] < weights[-1] else None
+
+    def is_zero_at(a, v):
+        s = K.zero
+        for i, j, c in terms:
+            s = K.add(s, K.mul(c, K.mul(K.pow(a, i), K.pow(v, j))))
+        return K.is_zero(s)
+
+    def certifies_reducible(M):
+        m = max(M.terms)[0] if M.terms else -1
+        if m not in degrees:
+            degrees[m] = image_degree(m)
+        n = degrees[m]
+        if n is None or n < 2:
+            return False
+        c = [K.zero] * (m + 1)
+        for (e,), v in M.terms.items():
+            c[e] = v
+        for a in points:
+            v = u_eval(c, a, K)
+            hit = zero_at.get((a, v))
+            if hit is None:
+                hit = zero_at[a, v] = is_zero_at(a, v)
+            if hit:
+                return True
+        return False
+
+    return certifies_reducible
 
 
 def verify_candidate(problem: SchinzelProblem, M: MultiPoly, tup, specs):

@@ -10,11 +10,14 @@ import time
 
 import pytest
 
+from schinzelpoly import cli
 from schinzelpoly.cli import main, swan_scan
 from schinzelpoly.errors import BudgetExceededError, ParseError
 from schinzelpoly.factor import factor_multivariate
-from schinzelpoly.multipoly import DEGREE_CAP, MultiPoly, VarSet, format_poly
+from schinzelpoly.multipoly import DEGREE_CAP, MultiPoly, Specializer, VarSet, format_poly
 from schinzelpoly.rings import GF, QQ, ZZ, PolyRing
+from schinzelpoly.schinzel import (SearchConstraints, image_irreducibility, iter_candidates,
+                                   root_sieve)
 from schinzelpoly.textform import infer_vars, parse_poly
 
 F2 = GF(2)
@@ -150,6 +153,48 @@ def test_swan_scan_f3_quadratic():
     scan = swan_scan(P, "x1", "y1", 2)
     assert scan["candidates"] == 27
     assert scan["irreducible"] > 0
+
+
+@pytest.mark.parametrize("ring, text, max_deg", [
+    (F2, "y^8 + x^3", 8),                  # one term on top for every deg M
+    (F2, "y^2 + x*y + x^2 + x + 1", 7),    # the three top terms tie at deg M = 1
+    (F2, "y^2 + x^2 + x", 4),              # a tie that cancels: x + c^2 for M = x + c
+    (F3, "y^3 + x^2 + 1", 5),
+    (F3, "y^2 + x^2*y + x^4 + 2", 5),      # all three terms tie at deg M = 2
+    (F3, "y + x", 2),                      # images of degree 1 have a root
+    (F3, "y^3 + x^2*y + y", 4),            # P(x, 0) = 0
+    (F4, "y^3 + x*y + t*x^2", 3),
+    (F4, "y^2 + x^3*y + t*y", 3),          # P(x, 0) = 0
+], ids=lambda v: str(v).replace(" ", ""))
+def test_swan_scan_root_sieve_changes_no_count(monkeypatch, ring, text, max_deg):
+    # every image the sieve certifies is reducible, and the whole box scans
+    # the same with the sieve patched off
+    P = parse_poly(text, ring, VarSet(("x1", "y1")), aliases={"x": "x1", "y": "y1"})
+    sieve, spec = root_sieve(P, "x1", "y1"), Specializer(P, "y1")
+    support = [(i,) for i in range(max_deg + 1)]
+    sieved = 0
+    for M, _ in iter_candidates(ring, VarSet(("x1",)), support, SearchConstraints()):
+        if sieve(M):
+            sieved += 1
+            assert not image_irreducibility(spec, M)[0], format_poly(M)
+    assert sieved > 0
+    scan = swan_scan(P, "x1", "y1", max_deg)
+    monkeypatch.setattr(cli, "root_sieve", lambda *args: lambda M: False)
+    assert swan_scan(P, "x1", "y1", max_deg) == scan
+
+
+@pytest.mark.parametrize("text", ["0", "1"])
+def test_swan_scan_of_a_constant_counts_every_image_reducible(text):
+    P = parse_poly(text, F3, VarSet(("x1", "y1")))
+    scan = swan_scan(P, "x1", "y1", 2)
+    assert (scan["candidates"], scan["irreducible"]) == (27, 0)
+
+
+def test_swan_scan_over_an_infinite_ring_is_refused(capsys):
+    assert main(["swan-scan", "--ring", "Z", "--P", "y + x", "--max-deg", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: swan-scan needs a finite field\n"
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +641,21 @@ def test_verify_refuses_an_envelope_with_a_bound_below_its_floor(capsys, tmp_pat
     capsys.readouterr()
     assert main(["verify", str(bad)]) == 1
     assert f"input {key} = {value} is below" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_density_envelope_with_samples_below_one(capsys, tmp_path):
+    # density records --samples only in its result, which verify re-runs with
+    env = json.loads(emitted_envelope(tmp_path, ["density", "--ring", "Z", "--P", "y",
+                                                 "--deg", "1", "--coeff-bound", "2",
+                                                 "--samples", "10"]))
+    env["result"]["samples"] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(env))
+    capsys.readouterr()
+    assert main(["verify", str(bad), "--out", str(tmp_path / "verdict.json")]) == 1
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    assert verdict["result"] == {"passed": False, "detail": "input samples = 0 is below 1"}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 VARS_COMMANDS = [

@@ -1,6 +1,7 @@
 """The GF(p) and Z/mZ integer kernels, the byte-slot GF(p) kernels against
 the list loops, Hensel lifting, the distinct-degree split, the GF(p) root
-scan and the decisions and splits built on it, dense substitution and the
+scan, the discriminant and Stickelberger's parity and the decisions and
+splits built on them, dense substitution and the
 Specializer against sparse Horner, heap-ordered exact division, GF(p^k) table
 arithmetic and dense Kronecker recombination, each checked against a plain
 reference or an independent oracle."""
@@ -544,6 +545,105 @@ def test_root_scan_over_extensions_matches_the_distinct_degree_split(monkeypatch
         seen[n, got] += 1
     assert all(seen[n, True] and seen[n, False] for n in range(2, top + 1)), seen
     assert all(n >= 4 for n in reached)
+
+
+def sylvester_discriminant(f, p):
+    """disc(f) over GF(p) from the determinant of the Sylvester matrix of
+    f and f' at its formal degree n - 1, by Gaussian elimination."""
+    n = len(f) - 1
+    fp = [f[i] * i % p for i in range(1, n + 1)]  # its top may be zero
+    size = 2 * n - 1
+    rows = [[0] * i + f[::-1] + [0] * (n - 2 - i) for i in range(n - 1)]
+    rows += [[0] * i + fp[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    det = 1
+    for i in range(size):
+        pivot = next((r for r in range(i, size) if rows[r][i] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            det = -det
+        det = det * rows[i][i] % p
+        inv = pow(rows[i][i], -1, p)
+        for r in range(i + 1, size):
+            c = rows[r][i] * inv % p
+            rows[r] = [(x - c * y) % p for x, y in zip(rows[r], rows[i])]
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    return sign * det * pow(f[-1], -1, p) % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_u_discriminant_matches_the_sylvester_determinant(p):
+    # degrees up to 19 reach the byte-slot Euclid loop for p <= 7; sparse
+    # inputs give f' a degree below n - 1 and common factors
+    K = GF(p)
+    rng = random.Random(40 + p)
+    for _ in range(300):
+        f = rand_dense(rng, p, rng.randint(1, 19))
+        if rng.random() < 0.3:
+            f = [c if rng.random() < 0.4 else 0 for c in f[:-1]] + f[-1:]
+        assert rings.u_discriminant(f, K) == sylvester_discriminant(f, p), f
+    assert rings.u_discriminant([2, 3, 1], K) == (9 - 8) % p      # b^2 - 4ac
+    assert rings.u_discriminant([1, 1, 0, 1], K) == -31 % p       # -4a^3 - 27b^2
+
+
+def parity_inputs(p, k, top, monic):
+    """Every monic polynomial of degree 2..top over GF(p^k), or 400 random
+    ones of degree 2..top with any leading coefficient, a third of them of
+    a degree divisible by p when top allows one."""
+    K = GF(p, k) if k > 1 else GF(p)
+    box = K.element_box()
+    if monic:
+        for n in range(2, top + 1):
+            for low in itertools.product(box, repeat=n):
+                yield list(low) + [K.one]
+        return
+    rng = random.Random(p)
+    multiples = range(p, top + 1, p)
+    for i in range(400):
+        n = rng.choice(multiples) if i % 3 == 0 and multiples else rng.randint(2, top)
+        yield [rng.choice(box) for _ in range(n)] + [rng.choice(box[1:])]
+
+
+@pytest.mark.parametrize("p, k, top, monic", [
+    (3, 1, 8, True), (5, 1, 6, True), (3, 2, 4, True),
+    (3, 1, 19, False), (5, 1, 19, False), (7, 1, 19, False), (11, 1, 19, False),
+    (101, 1, 19, False),
+], ids=["GF(3)-monic", "GF(5)-monic", "GF(9)-monic", "GF(3)", "GF(5)", "GF(7)", "GF(11)",
+        "GF(101)"])
+def test_stickelberger_parity_against_the_distinct_degree_split(monkeypatch, capsys,
+                                                                p, k, top, monic):
+    # For squarefree f of degree n with r irreducible factors, disc(f) is a
+    # square exactly when n - r is even; u_is_irreducible must agree with
+    # the split and stop before it for every squarefree f with r even.
+    K = GF(p, k) if k > 1 else GF(p)
+    ddf = rings.u_ddf
+    reached = []
+    monkeypatch.setattr(rings, "u_ddf", lambda f, K: reached.append(f) or ddf(f, K))
+    reducible = certified = 0
+    for f in parity_inputs(p, k, top, monic):
+        n = len(f) - 1
+        disc = rings.u_discriminant(f, K)
+        fp = u_deriv(f, K)
+        squarefree = bool(fp) and len(rings.u_gcd(f, fp, K)) == 1
+        assert K.is_zero(disc) != squarefree, f
+        r = 0
+        if squarefree:
+            r = sum((len(g) - 1) // d for g, d in ddf(f, K))
+            square = K.pow(disc, (K.order - 1) // 2) == K.one
+            assert square == ((n - r) % 2 == 0), f
+        reached.clear()
+        irreducible = rings.u_is_irreducible(f, K)
+        assert irreducible == (squarefree and r == 1), f
+        if not irreducible:
+            reducible += 1
+            if squarefree and r % 2 == 0:
+                certified += 1
+                assert not reached, f
+    assert certified > 0
+    with capsys.disabled():
+        print(f"\n{K}{' monic' if monic else ''} degree <= {top}: parity certifies "
+              f"{certified} of {reducible} reducible inputs ({certified / reducible:.0%})")
 
 
 # ---------------------------------------------------------------------------

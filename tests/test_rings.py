@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from schinzelpoly import rings
 from schinzelpoly.errors import RingMismatchError, ZeroInputError
 from schinzelpoly.rings import (
     GF,
@@ -153,6 +154,23 @@ def test_extension_field_inverse():
             assert K.mul(a, K.inv(a)) == K.one
 
 
+@pytest.mark.parametrize("K", [QQ, F5, F4], ids=str)
+def test_inv_of_zero_raises_zero_division(K):
+    with pytest.raises(ZeroDivisionError):
+        K.inv(K.zero)
+
+
+@pytest.mark.parametrize("K, a", [(ZZ, 2), (R2u, (0, 1))], ids=["Z", "GF(2)[u]"])
+def test_inv_of_a_nonunit_raises_arithmetic_error(K, a):
+    with pytest.raises(ArithmeticError):
+        K.inv(a)
+
+
+@pytest.mark.parametrize("K", [ZZ, QQ, F5, F4, R2u, PolyRing(QQ)], ids=str)
+def test_try_divexact_by_zero_is_none(K):
+    assert K.try_divexact(K.one, K.zero) is None
+
+
 def test_parse_ring():
     assert parse_ring("Z") is ZZ
     assert parse_ring("Q") is QQ
@@ -174,9 +192,21 @@ def test_parse_ring_errors():
         parse_ring("banana")
 
 
-def test_factor_int_pollard():
+def test_factor_int_pollard(monkeypatch):
+    # both factors are below _TRIAL_LIMIT, so trial division splits this one
     n = 1000003 * 1000033
     assert factor_int(n) == [(1000003, 1), (1000033, 1)]
+    # a semiprime past trial division reaches Pollard's rho
+    runs = []
+    rho = rings._pollard_rho
+
+    def counted_rho(m):
+        runs.append(m)
+        return rho(m)
+    monkeypatch.setattr(rings, "_pollard_rho", counted_rho)
+    p, q = 2**31 - 1, 2**61 - 1
+    assert factor_int(p * q) == [(p, 1), (q, 1)]
+    assert runs == [p * q]
 
 
 def test_element_boxes_deterministic():
