@@ -45,7 +45,6 @@ from .schinzel import (
     image_irreducibility,
     iter_candidates,
     root_sieve,
-    schinzel_search,
     schinzel_search_multi,
 )
 from .constructions import (
@@ -244,10 +243,7 @@ def cmd_schinzel(args):
         ring, problem, inputs = _build_problem(args)
 
         def compute():
-            if len(problem.yvars) == 1:
-                report = schinzel_search(problem)
-            else:
-                report = schinzel_search_multi(problem)
+            report = schinzel_search_multi(problem)
             result = {
                 "status": report.status(),
                 "witnesses": [_witness_payload(w) for w in report.witnesses],
@@ -426,7 +422,7 @@ def _reader(env, names):
 
 
 def _verify_factor(env):
-    ring, vars, read = _reader(env, env["inputs"]["vars"])
+    ring, _, read = _reader(env, env["inputs"]["vars"])
     f = read(env["inputs"]["poly"])
     unit = read(env["result"]["unit"])
     # Divide the factors out of the input instead of multiplying them up,

@@ -161,19 +161,16 @@ def _goldbach_linear_table(Q: MultiPoly):
         G = lin(ring.add(q1, one), one)
         case = "table-q1-ne-minus1"
     else:
-        # q1 = 1 = -1 (characteristic 2): need r outside {0, 1}
+        # q1 = 1 = -1 (characteristic 2): need r outside {0, 1}, which is u
+        # over k[u], else the first one a finite field has (GF(2) has none)
         r = None
         if isinstance(ring, PolyRing):
             r = ring.generator()
-        elif ring.is_finite:
+        else:
             for cand in ring.element_box():
                 if not ring.is_zero(cand) and cand != one:
                     r = cand
                     break
-        else:
-            r = ring.from_int(2)
-            if ring.is_zero(r) or r == one:
-                r = None
         if r is None:
             return None
         rq0 = ring.mul(r, q0)
@@ -306,8 +303,6 @@ def _goldbach_finite_field(Q: MultiPoly, relaxed_var, budget):
                 if not ring.is_zero(const):
                     Fterms[(0,) * len(vars)] = const
                 F = MultiPoly(ring, vars, Fterms)
-                if F.is_constant():
-                    continue
                 G = try_F(F)
                 if G is not None:
                     exps = _binomial_exponents(F)

@@ -125,9 +125,8 @@ class Factorization:
     method: str = field(default="", compare=False)
 
     @classmethod
-    def build(cls, ring, vars, unit_value, pairs, method):
+    def build(cls, ring, unit_value, pairs, method):
         merged = {}
-        order = []
         for f, m in pairs:
             k = f.key()
             if k in merged:
@@ -307,12 +306,10 @@ def _ff_factor_monic_squarefree(f, K, rng):
 
 
 def _ff_factor_dense(f, K):
-    """Full factorization over GF(q): (lc, [(monic dense factor, mult)]).
-    The factors are sorted by the caller, so the fixed stream of the random
-    splitting draws can change no result."""
+    """Full factorization over GF(q) of f of degree >= 1: (lc, [(monic dense
+    factor, mult)]).  The factors are sorted by the caller, so the fixed
+    stream of the random splitting draws can change no result."""
     lc, monic = u_monic(f, K)
-    if u_deg(monic) == 0:
-        return lc, []
     rng = random.Random(0)
     out = []
     for part, mult in _ff_sff(monic, K):
@@ -616,12 +613,9 @@ def _zx_hensel_factors(f, start):
             prod = [g[-1] % P]
             for i in combo:
                 prod = zm_mul(prod, items[i], P)
-            # the candidate is the symmetric lift of the product
+            # the candidate is the symmetric lift of the product: monic items
+            # give it degree >= 1, and its lc is lc(g), as 0 < lc(g) <= B < P/2
             cand = zx_primitive([c - P if c > P // 2 else c for c in prod])[1]
-            if cand and cand[-1] < 0:
-                cand = [-c for c in cand]
-            if not cand or u_deg(cand) < 1:
-                continue
             q = zx_try_div(g, cand)
             if q is not None:
                 result.append(cand)
@@ -667,7 +661,7 @@ def factor_multivariate(f: MultiPoly) -> Factorization:
     if not pp.is_constant():
         found, method = _factor_primitive(pp)
         pairs.extend(found)
-    return Factorization.build(ring, vars, unit_value, pairs, method)
+    return Factorization.build(ring, unit_value, pairs, method)
 
 
 def _factor_primitive(pp: MultiPoly):
@@ -1358,7 +1352,7 @@ def brute_force_irreducible(f: MultiPoly, budget: int = 1 << 20) -> bool:
 
 def brute_force_factor(f: MultiPoly, budget: int = 1 << 20) -> Factorization:
     """Full factorization over GF(q) by exhaustive trial division."""
-    ring, vars = f.ring, f.vars
+    ring = f.ring
     if f.is_zero():
         raise ZeroInputError("cannot factor the zero polynomial")
     unit, rest = f.monic_normalize()
@@ -1382,7 +1376,7 @@ def brute_force_factor(f: MultiPoly, budget: int = 1 << 20) -> Factorization:
         u2, rest = rest.monic_normalize()
         unit = ring.mul(unit, u2)
         pairs.append((hit, mult))
-    return Factorization.build(ring, vars, unit, pairs, "brute-force")
+    return Factorization.build(ring, unit, pairs, "brute-force")
 
 
 # ---------------------------------------------------------------------------
@@ -1415,11 +1409,10 @@ def _fraction_field_profile(a: MultiPoly, b: MultiPoly):
 
 
 def _constant_is_power(num, den, ring, ell):
-    """Is num/den an ell-th power in the fraction field of the constants?"""
+    """Is num/den, both nonzero, an ell-th power in the fraction field of
+    the constants?"""
     if isinstance(ring, IntegerRing) or isinstance(ring, RationalField):
         x = Fraction(num) / Fraction(den)
-        if x == 0:
-            return False
         if x < 0:
             if ell % 2 == 0:
                 return False
@@ -1440,8 +1433,7 @@ def _constant_is_power(num, den, ring, ell):
             table[v] = table.get(v, 0) - m
         if any(m % ell for m in table.values()):
             return False
-        return _constant_is_power(nu[0] if nu else ring.base.zero,
-                                  du[0], ring.base, ell)
+        return _constant_is_power(nu[0], du[0], ring.base, ell)
     raise UnsupportedRingError(f"power test over {ring} not supported")
 
 

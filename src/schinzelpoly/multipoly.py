@@ -664,7 +664,7 @@ class Specializer:
 
     def dense(self, g, gdeg=None):
         """(c, den) with P(g) = c / den, for g over P's ring (Z, Q or GF(p))
-        in the variables left or some of them: c is the image as a dense int
+        in the variables left: c is the image as a dense int
         list (the coefficient list when one variable is left), reduced mod p
         over GF(p), and den = 1 except over Q.  gdeg, when given, is the
         degree vector of g in the variables left.
@@ -674,8 +674,6 @@ class Specializer:
         long, and the same rows as byte-slot ints (None unless p is in
         SLOT_MOD).  It is built on first use, after the length n of g's
         image is checked against DEGREE_CAP."""
-        if g.vars.names != self.left.names:
-            g = g.embed(self.left)
         if len(self.top) == 1:
             # a third of a call faster than degree_vector
             gdeg = (max(g.terms)[0] if g.terms else 0,)

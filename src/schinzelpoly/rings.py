@@ -24,6 +24,7 @@ are searched.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -639,11 +640,10 @@ def _zx_heu_gcd(a, b):
     """GCDHEU on primitive a, b of degree >= 1: the gcd, or None."""
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
     for _ in range(GCDHEU_TRIES):
-        # a and b cannot both vanish at xi, which exceeds 1 + min(norms)
+        # a and b cannot both vanish at xi, which exceeds 1 + min(norms), so
+        # h > 0 and its top balanced digit, the lc of g, is positive
         h = math.gcd(zx_eval(a, xi), zx_eval(b, xi))
         g = zx_primitive(_zx_digits(h, xi))[1]
-        if g[-1] < 0:
-            g = [-c for c in g]
         if zx_try_div(a, g) is not None and zx_try_div(b, g) is not None:
             return g
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
@@ -723,8 +723,7 @@ def is_prime(n):
 
 
 def _pollard_rho(n):
-    if n % 2 == 0:
-        return 2
+    """A proper divisor of an odd composite n."""
     rng = random.Random(0xC0FFEE ^ n)
     while True:
         c = rng.randrange(1, n)
@@ -760,9 +759,7 @@ def factor_int(n):
     if n > 1:
         stack = [n]
         while stack:
-            m = stack.pop()
-            if m == 1:
-                continue
+            m = stack.pop()  # > 1: a proper divisor or its cofactor
             if is_prime(m):
                 out[m] = out.get(m, 0) + 1
                 continue
@@ -776,8 +773,6 @@ def _int_nth_root(n, k):
     """Floor k-th root of a nonnegative integer."""
     if n < 0:
         raise ValueError("negative radicand")
-    if n == 0:
-        return 0
     x = int(round(n ** (1.0 / k))) + 1
     while x ** k > n:
         x -= 1
@@ -833,7 +828,9 @@ class Ring:
         return a == self.zero
 
     def pow(self, a, e):
-        """a^e for an int e >= 0."""
+        """a^e for an int e >= 0; a negative e raises ValueError."""
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
         result = self.one
         base = a
         while e > 0:
@@ -870,7 +867,7 @@ class Ring:
 
     def format_needs_parens(self, a):
         """Whether format(a) must be parenthesized when juxtaposed with '*'."""
-        return any(ch in self.format(a) for ch in "+*^")
+        return False
 
     def factor_value(self, a):
         """Return (unit, [(irreducible value, multiplicity), ...])."""
@@ -964,9 +961,6 @@ class IntegerRing(Ring):
     def format(self, a):
         return str(a)
 
-    def format_needs_parens(self, a):
-        return False
-
     def factor_value(self, a):
         if a == 0:
             raise ZeroInputError("cannot factor 0")
@@ -1050,7 +1044,7 @@ class PrimeField(Field):
         return (a * b) % self.p
 
     def pow(self, a, e):
-        return pow(a, e, self.p)
+        return pow(a, e, self.p) if e >= 0 else super().pow(a, e)
 
     def try_divexact(self, a, b):
         if b == 0:
@@ -1068,9 +1062,6 @@ class PrimeField(Field):
     def format(self, a):
         return str(a)
 
-    def format_needs_parens(self, a):
-        return False
-
     def element_box(self, coeff_bound=None, deg_bound=None):
         return list(range(self.p))
 
@@ -1083,11 +1074,23 @@ class PrimeField(Field):
 # shared 2-core x86 machine their tables took at most about 3 ms to build
 # (GF(2^8)); at a limit of 2^10 the slowest took 10 ms, at 2^12 42 ms.
 EXT_TABLE_LIMIT = 1 << 8
-_EXT_TABLES = {}
 
 
-def _ext_tables(p, k, modulus):
-    """Tables of GF(p^k) = GF(p)[t]/(modulus), keyed by element tuples.
+@functools.cache
+def _ext_modulus(p, k):
+    """The modulus of GF(p^k) (see ExtField), searched once per (p, k)."""
+    base = PrimeField(p)
+    for coeffs in itertools.product(range(p), repeat=k):
+        cand = list(coeffs) + [1]
+        if u_is_irreducible(cand, base):
+            return tuple(cand)
+    raise RuntimeError("unreachable: irreducible polynomials of every degree exist")
+
+
+@functools.cache
+def _ext_tables(p, k):
+    """Tables of GF(p^k) = GF(p)[t]/(_ext_modulus(p, k)), keyed by element
+    tuples.
 
     Returns (pw, log, index, elems, zech).  pw[j] is g^j for a primitive
     element g, listed over 0 <= j < 2(q-1) so that a sum of two logs needs
@@ -1095,12 +1098,9 @@ def _ext_tables(p, k, modulus):
     element to sum c_i p^i and elems inverts it; for p = 2 the XOR of two
     indices is the index of the sum.  zech[m] is the log of 1 + g^m for
     odd p (-1 where that is zero).  Built on the polynomial path once per
-    field and cached.
+    (p, k) and cached.
     """
-    key = (p, k, tuple(modulus))
-    tables = _EXT_TABLES.get(key)
-    if tables is not None:
-        return tables
+    modulus = list(_ext_modulus(p, k))
     K = PrimeField(p)
     q = p ** k
     n = q - 1
@@ -1130,8 +1130,7 @@ def _ext_tables(p, k, modulus):
             i = index[a]
             s = elems[i - i % p + (i + 1) % p]
             zech[m] = log[s] if s else -1
-    tables = _EXT_TABLES[key] = (pw + pw, log, index, elems, zech)
-    return tables
+    return pw + pw, log, index, elems, zech
 
 
 class ExtField(Field):
@@ -1159,22 +1158,14 @@ class ExtField(Field):
         self.base = PrimeField(p)
         self.order = p ** k
         self.characteristic = p
-        self.modulus = modulus = self._default_modulus(self.base, k)
+        self.modulus = list(_ext_modulus(p, k))
         self.zero = ()
         self.one = (1,)
         self._pw = self._log = self._index = self._elems = self._zech = None
         if self.order <= EXT_TABLE_LIMIT:
-            self._pw, self._log, self._index, self._elems, self._zech = _ext_tables(p, k, modulus)
+            self._pw, self._log, self._index, self._elems, self._zech = _ext_tables(p, k)
             self._n = self.order - 1
             self._half = self._n // 2  # g^half = -1 for odd p
-
-    @staticmethod
-    def _default_modulus(base, k):
-        for coeffs in itertools.product(range(base.p), repeat=k):
-            cand = list(coeffs) + [1]
-            if u_is_irreducible(cand, base):
-                return cand
-        raise RuntimeError("unreachable: irreducible polynomials of every degree exist")
 
     def spec_string(self):
         return f"GF({self.p}^{self.k})"
@@ -1454,25 +1445,6 @@ class RingElement:
 
     ring: Ring
     value: object
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"elements of {self.ring} and {other.ring} do not mix")
-
-    def __add__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.mul(self.value, other.value))
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.neg(self.value))
 
     def is_zero(self):
         return self.ring.is_zero(self.value)

@@ -141,8 +141,6 @@ class SchinzelProblem:
 
     def _xdeg(self, P):
         idx = [P.vars.index(n) for n in self.xvars.names]
-        if P.is_zero():
-            return 0
         return max(sum(e[i] for i in idx) for e in P.terms)
 
     @property
@@ -184,7 +182,7 @@ def _iter_tuples_exhaustive(ring, box, N, constraints):
             yield tup
 
 
-def _iter_tuples_random(ring, box, N, constraints):
+def _iter_tuples_random(box, N, constraints):
     rng = random.Random(constraints.seed)
     for _ in range(constraints.budget):
         yield tuple(box[rng.randrange(len(box))] for _ in range(N))
@@ -197,7 +195,7 @@ def iter_candidates(ring, xvars, support, constraints):
     if constraints.strategy == "exhaustive":
         tuples = _iter_tuples_exhaustive(ring, box, N, constraints)
     else:
-        tuples = _iter_tuples_random(ring, box, N, constraints)
+        tuples = _iter_tuples_random(box, N, constraints)
     for tup in tuples:
         terms = {}
         for exps, value in zip(support, tup):
@@ -549,7 +547,6 @@ def check_fixed_divisor(ring, xvars, yvars, P_list, d,
     """gcd of Pi(x, M) products over the box; a nonunit gcd over an
     exhaustive finite box exhibits a fixed divisor."""
     cons = constraints or SearchConstraints()
-    full = VarSet(xvars.names + yvars.names)
     Pi = None
     for P in P_list:
         Pi = P if Pi is None else Pi * P
@@ -573,8 +570,6 @@ def check_fixed_divisor(ring, xvars, yvars, P_list, d,
         if acc.is_constant() and ring.is_unit(acc.constant_value()):
             return FixedDivisorReport(None, True, tested)
     exhaustive = exhausted and cons.strategy == "exhaustive"
-    if acc is not None and acc.is_constant() and ring.is_unit(acc.constant_value()):
-        return FixedDivisorReport(None, exhaustive, tested)
     if acc is None:
         return FixedDivisorReport(None, exhaustive, tested)
     return FixedDivisorReport(acc.monic_normalize()[1], exhaustive, tested)

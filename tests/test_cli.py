@@ -607,6 +607,13 @@ def test_bounds_below_their_floor_are_refused_by_the_parser(capsys, args, option
     assert captured.out == ""
 
 
+def test_a_bound_that_is_no_int_is_refused_by_the_parser(capsys):
+    assert main(["goldbach", "--Q", "x^2+1", "--budget", "ten"]) == 1
+    captured = capsys.readouterr()
+    assert "argument --budget: invalid int value: 'ten'" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("args", [
     ["swan-scan", "--ring", "GF(2)", "--P", "y+x", "--max-deg", "0"],
     ["schinzel", "--ring", "Z", "--P", "y", "--deg", "1", "--coeff-bound", "0"],
@@ -763,3 +770,25 @@ def test_readme_commands_run_with_their_stated_exit_codes(capsys, tmp_path, monk
     for argv, code in commands:
         assert main(argv) == code, argv
         assert "Traceback" not in capsys.readouterr().err
+
+
+def readme_quick_tour():
+    """(source, expected lines) of README's "Library quick tour" block: the
+    expected output of each print is the comment beside it or, when the
+    print has none, on the line below."""
+    text = README.read_text(encoding="utf-8")
+    source = re.search(r"^## Library quick tour\n+```python\n(.*?)^```", text,
+                       re.M | re.S).group(1)
+    expected, lines = [], source.splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("print("):
+            comment = line if "#" in line else lines[i + 1]
+            expected.append(comment.split("#", 1)[1].strip())
+    return source, expected
+
+
+def test_readme_library_quick_tour_prints_its_comments(capsys):
+    source, expected = readme_quick_tour()
+    assert len(expected) >= 3
+    exec(compile(source, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from schinzelpoly import constructions
 from schinzelpoly.constructions import (
     SpectrumSpec,
     bezout_pair,
@@ -13,6 +14,7 @@ from schinzelpoly.constructions import (
     spectrum_construct,
 )
 from schinzelpoly.errors import (
+    BudgetExceededError,
     ExhaustiveNoneError,
     NonCoprimeModuliError,
     UnsupportedRingError,
@@ -323,3 +325,64 @@ def test_spectrum_over_finite_field_with_extension_a0():
     kp, emb = _embedding(spec)
     H0 = _embed_poly(U, kp, emb) - _embed_poly(parse_poly("1", F2, V2), kp, emb).scale(t)
     assert is_irreducible(H0)
+
+
+@pytest.mark.parametrize("f, g, vars", [("x1", "x1^2", V1), ("x1", "x2", V2)],
+                         ids=["common-factor", "stuck"])
+def test_bezout_pair_without_an_identity(f, g, vars):
+    # x1 and x1^2 end at the nonunit x1; neither of x1 and x2 divides the other
+    assert bezout_pair(parse_poly(f, QQ, vars), parse_poly(g, QQ, vars)) is None
+
+
+def test_bezout_pair_stops_at_its_step_cap(monkeypatch):
+    f, g = parse_poly("x1 + 1", QQ, V1), parse_poly("x1", QQ, V1)
+    assert bezout_pair(f, g) is not None
+    monkeypatch.setattr(constructions, "_BEZOUT_STEP_CAP", 0)
+    assert bezout_pair(f, g) is None
+
+
+def test_goldbach_decomposition_verify_needs_the_sum():
+    d = goldbach_decompose(parse_poly("3*x1 + 5", ZZ, V1))
+    assert d.verify()
+    d.G = d.G + MultiPoly.one(ZZ, V1)
+    assert not d.verify()
+
+
+def test_goldbach_exhaustive_box_past_the_budget():
+    # the 2 binomials fit a budget of 3; the full box of 4 does not
+    with pytest.raises(BudgetExceededError, match="exhaustive box has 4 candidates, budget 3") as e:
+        goldbach_decompose(parse_poly("x1^2 + x1", F2, V1), budget=3)
+    assert e.value.tested == 2
+
+
+def test_goldbach_congruence_search_past_a_reducible_m():
+    # Q = x1*x2 + 2: Q1 = x1^2, and the first pair gives M = x1^2 - 1
+    Q = parse_poly("x1*x2 + 2", ZZ, V2)
+    d = goldbach_decompose(Q)
+    assert d.case == "congruence-search" and d.tested >= 2
+    assert d.verify()
+    with pytest.raises(BudgetExceededError, match="within 1 candidates") as e:
+        goldbach_decompose(Q, budget=1)
+    assert e.value.tested == 1
+
+
+@pytest.mark.parametrize("ring, S, a0, V, w, d", [
+    # no S and a0 = 0: U0 = 0 makes U0 - a0 V zero, so U0 is nudged by W = 1
+    (QQ, [], 0, "1", [], 2),
+    # some M give an H_1 dividing w_1 = x1 + 2
+    (F3, [0], 1, "1", ["x1 + 2"], 2),
+    # some M give U - V of degree below max(deg U, deg V) = 2
+    (F3, [0], 1, "x1^2 + 1", ["x1"], 2),
+], ids=["zero-p0", "H_1-divides-w_1", "degree-drop"])
+def test_spectrum_rejects_and_retries(ring, S, a0, V, w, d):
+    V, w = parse_poly(V, ring, V1), [parse_poly(t, ring, V1) for t in w]
+    S, a0 = [ring.from_int(a) for a in S], ring.from_int(a0)
+    res = spectrum_construct(SpectrumSpec(ring, V1, S, a0, V, w, (d,)), budget=200, seed=0)
+    U = res.U
+    for a, wi, Hi in zip(S, w, res.H[1:]):
+        assert U - V.scale(a) == wi * Hi and is_irreducible(Hi)
+        assert wi.try_divexact(Hi) is None
+    H0 = U - V.scale(a0)
+    assert H0 == res.H[0] and is_irreducible(H0)
+    assert H0.total_degree() == max(U.total_degree(), V.total_degree())
+    assert U.degree_in("x1") == d

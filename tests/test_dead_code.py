@@ -2,8 +2,10 @@
 every method of a top-level class that is not a dunder, is referenced
 somewhere in the package other than its own body; every defaulted
 parameter of a function or method that __init__ does not export is passed
-by some call in the package; and every name a module imports is read in
-that module (__init__ re-exports and __future__ imports aside)."""
+by some call in the package; every name a module imports is read in
+that module (__init__ re-exports and __future__ imports aside); and every
+local a function assigns, and every parameter it takes, is read (protocol
+methods that a related class also defines aside)."""
 
 import ast
 import pathlib
@@ -248,3 +250,140 @@ def test_guard_sees_unread_imports_but_not_reexports(tmp_path):
         "    return os.path.sep, gcd\n", encoding="utf-8")
     assert unread_imports(tmp_path) == [("mod.py", "system", 3), ("mod.py", "least", 4),
                                         ("mod.py", "json", 6)]
+
+
+def _scopes(tree):
+    """(label, node, related, method) of each function in a module tree,
+    nested ones included, labelled by their dotted path.  method is whether
+    it is a method of a top-level class, and related whether another
+    top-level class of the module on the same line of inheritance (a base
+    or a subclass) also defines its name: a protocol signature, whose
+    parameters an override may ignore."""
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    bases = {name: {b.id for b in node.bases if isinstance(b, ast.Name) and b.id in classes}
+             for name, node in classes.items()}
+    methods = {name: {sub.name for sub in node.body if isinstance(sub, FUNCTIONS)}
+               for name, node in classes.items()}
+
+    def ancestors(name):
+        return set().union(*({b} | ancestors(b) for b in bases[name]))
+
+    def walk(node, prefix, cls):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, FUNCTIONS):
+                related = cls is not None and any(
+                    sub.name in methods[other] for other in classes
+                    if other in ancestors(cls) or cls in ancestors(other))
+                yield prefix + sub.name, sub, related, cls is not None
+                yield from walk(sub, prefix + sub.name + ".", None)
+            elif isinstance(sub, ast.ClassDef):
+                top = classes.get(sub.name) is sub
+                yield from walk(sub, prefix + sub.name + ".", sub.name if top else None)
+            else:
+                yield from walk(sub, prefix, cls)
+
+    yield from walk(tree, "", None)
+
+
+def _own_stores(fn):
+    """(name, line) of each name fn's own body binds, nested functions,
+    lambdas, classes and comprehensions aside, and the names it declares
+    global or nonlocal."""
+    stores, declared = [], set()
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stores.append((node.id, node.lineno))
+        stack.extend(sub for sub in ast.iter_child_nodes(node)
+                     if not isinstance(sub, FUNCTIONS + (ast.Lambda, ast.ClassDef, ast.ListComp,
+                                                         ast.SetComp, ast.DictComp,
+                                                         ast.GeneratorExp)))
+    return stores, declared
+
+
+def _read_names(fn):
+    """Every name read anywhere in fn, nested functions included."""
+    return {sub.id for sub in ast.walk(fn)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+
+
+def unread_locals(src=SRC):
+    """(module, function, name, line) of each local a function assigns and
+    never reads; names starting with _ are meant to go unread."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for label, fn, _, _ in _scopes(tree):
+            stores, declared = _own_stores(fn)
+            read = _read_names(fn)
+            seen = set()
+            for name, line in sorted(stores, key=lambda s: s[1]):
+                if (name not in read and name not in declared and name not in seen
+                        and not name.startswith("_")):
+                    seen.add(name)
+                    found.append((path.name, label, name, line))
+    return found
+
+
+def unread_parameters(src=SRC):
+    """(module, function, parameter) of each parameter a function never
+    reads: the first parameter of a method (self or cls), names starting
+    with _, and methods whose name a related class also defines aside."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for label, fn, related, method in _scopes(tree):
+            if related:
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args
+            decorators = {d.id for d in fn.decorator_list if isinstance(d, ast.Name)}
+            if method and "staticmethod" not in decorators:
+                params = params[1:]
+            params = params + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+            read = _read_names(fn)
+            found += [(path.name, label, a.arg) for a in params
+                      if a.arg not in read and not a.arg.startswith("_")]
+    return found
+
+
+def test_every_local_is_read():
+    assert unread_locals() == []
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
+
+
+def test_guard_sees_unread_locals_and_parameters(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def f(a, b, _c, *args, d, **kw):\n"
+        "    x, y = a, 1\n"
+        "    total = 0\n"
+        "    total += 1\n"
+        "    for i in range(3):\n"
+        "        pass\n"
+        "    n = 0\n"
+        "    def inner():\n"
+        "        nonlocal n\n"
+        "        n = b\n"
+        "    _, z = [k for k in (1, 2)]\n"
+        "    return x, n, z, inner, args, kw\n"
+        "class Base:\n"
+        "    def proto(self, a):\n"
+        "        raise NotImplementedError\n"
+        "    def own(self, a):\n"
+        "        return 0\n"
+        "    @staticmethod\n"
+        "    def s(a):\n"
+        "        return 0\n"
+        "class Child(Base):\n"
+        "    def proto(self, a):\n"
+        "        return 0\n", encoding="utf-8")
+    assert unread_locals(tmp_path) == [("mod.py", "f", "y", 2), ("mod.py", "f", "total", 3),
+                                       ("mod.py", "f", "i", 5)]
+    assert unread_parameters(tmp_path) == [("mod.py", "f", "d"), ("mod.py", "Base.own", "a"),
+                                           ("mod.py", "Base.s", "a")]

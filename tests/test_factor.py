@@ -584,6 +584,28 @@ def test_capelli_minus4_fourth_power_clause():
     assert not capelli_check(a, one, 4)
 
 
+@pytest.mark.parametrize("ring, at, bt, irreducible", [
+    # odd characteristic, 4 | rho: -1 is no square in GF(3), but a/(4b) is
+    # a fourth power, so y^4 + 1 = (y^2 + y + 2)(y^2 + 2y + 2)
+    (F3, "1", "1", False),
+    (F3, "x1^4", "1", False),
+    (F3, "x1", "1", True),
+    (F5, "2", "1", True),
+    # a k[u] denominator with factors: -a/b = u^2/(u + 1)^2 is a square,
+    # -u/(u + 1) is not
+    (PolyRing(F3), "-u^2", "(u + 1)^2", False),
+    (PolyRing(F3), "u", "u + 1", True),
+    (PolyRing(F3), "2*u*x1^4", "u^2 + 1", True),
+], ids=["GF(3)-1", "GF(3)-x1^4", "GF(3)-x1", "GF(5)-2", "GF(3)[u]-square",
+        "GF(3)[u]-nonsquare", "GF(3)[u]-x1^4"])
+def test_capelli_fourth_power_clause_and_ku_denominators(ring, at, bt, irreducible):
+    Vx, Vxy = VarSet(("x1",)), VarSet(("x1", "y"))
+    rho = 4 if ring.is_finite else 2
+    a, b = parse_poly(at, ring, Vx), parse_poly(bt, ring, Vx)
+    P = parse_poly(bt, ring, Vxy) * parse_poly("y", ring, Vxy) ** rho + parse_poly(at, ring, Vxy)
+    assert capelli_check(a, b, rho) == bool(is_irreducible(P)) == irreducible
+
+
 def test_capelli_requires_coprime():
     Vx = VarSet(("x1",))
     with pytest.raises(ValueError):
@@ -625,3 +647,21 @@ def test_factors_sorted_and_merged():
     degs = [g.total_degree() for g, _ in factor_multivariate(
         parse_poly("x^8 + x^3", F2, V1)).factors]
     assert degs == sorted(degs)
+
+
+def test_hensel_prime_past_the_screen_primes():
+    # x^4 + M*x + 4*M with M = 3*5*7*11*13*17 is x^4 modulo every screen
+    # prime, so the screen proves nothing; the Hensel prime is 19, where f
+    # stays irreducible, so there is nothing to lift
+    M = 3 * 5 * 7 * 11 * 13 * 17
+    f = parse_poly(f"x^4 + {M}*x + {4 * M}", ZZ, V1)
+    fac = factor_multivariate(f)
+    assert fac.factors == [(f, 1)] and fac.method == "univariate zassenhaus"
+    assert is_irreducible(f)
+
+
+def test_factorization_build_merges_repeated_factors():
+    g, h = parse_poly("x + 1", F3, V1), parse_poly("x^2 + 1", F3, V1)
+    fac = Factorization.build(F3, 2, [(h, 1), (g, 1), (h, 2)], "test")
+    assert fac.factors == [(g, 1), (h, 3)]
+    assert fac.recompose_over(V1) == (g * h ** 3).scale(2)

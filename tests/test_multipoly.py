@@ -279,3 +279,15 @@ def test_canonical_printing():
     assert format_poly(MultiPoly.zero(ZZ, V1)) == "0"
     f = parse_poly("x2 + x1 + x1^2", QQ, V2)
     assert format_poly(f) == "x1^2 + x1 + x2"  # graded-lex descending
+
+
+def test_zero_and_naming_edges():
+    zero = MultiPoly.constant(F5, V1, 0)
+    assert zero.is_zero() and zero.primitive_part() is zero
+    assert zero.monic_normalize() == (1, zero)
+    assert MultiPoly.monomial(F5, V1, (2,), 0) == zero
+    assert hash(VarSet(("x1", "x2"))) == hash(V2)
+    assert repr(V2) == "VarSet('x1', 'x2')"
+    f = parse_poly("x1 + 2", F5, ("x1",))  # a tuple of names is taken as a VarSet
+    assert f.vars == V1
+    assert repr(f) == "MultiPoly(GF(5), 'x1 + 2')"

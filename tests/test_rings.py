@@ -19,10 +19,15 @@ from schinzelpoly.rings import (
     RationalField,
     RingElement,
     factor_int,
+    is_prime,
     parse_ring,
     ring_factor,
     ring_gcd,
     ring_is_unit,
+    u_scale,
+    u_xgcd,
+    zx_primitive,
+    zx_try_div,
 )
 
 F2 = GF(2)
@@ -67,6 +72,9 @@ def test_units():
     assert not ring_is_unit(el(ZZ, 2))
     assert ring_is_unit(el(R3u, (2,)))       # constants of k[u] are units
     assert not ring_is_unit(el(R3u, (0, 1)))  # u is not
+    assert el(R3u, (2,)).is_unit() and not el(R3u, (0, 1)).is_unit()
+    assert el(ZZ, 0).is_zero() and not el(F4, (1,)).is_zero()
+    assert str(el(R3u, (1, 2))) == "2*u + 1"
 
 
 def test_factor_integer():
@@ -171,6 +179,26 @@ def test_try_divexact_by_zero_is_none(K):
     assert K.try_divexact(K.one, K.zero) is None
 
 
+@pytest.mark.parametrize("K, a", [(ZZ, 2), (QQ, Fraction(2)), (F5, 2), (F4, (0, 1)),
+                                  (R2u, (0, 1)), (PolyRing(QQ), (Fraction(1), Fraction(1)))],
+                         ids=str)
+def test_negative_exponent_raises(K, a):
+    assert K.pow(a, 0) == K.one
+    assert K.pow(a, 2) == K.mul(a, a)
+    for e in (-1, -2):
+        with pytest.raises(ValueError, match="negative exponent"):
+            K.pow(a, e)
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 6)], ids=["tables", "polynomial"])
+def test_extension_field_modulus_is_searched_once(monkeypatch, p, k):
+    first = ExtField(p, k)
+    monkeypatch.setattr(rings, "u_is_irreducible", lambda *args: pytest.fail("searched again"))
+    again = ExtField(p, k)
+    assert again.modulus == first.modulus and again.modulus is not first.modulus
+    assert again._pw is first._pw
+
+
 def test_parse_ring():
     assert parse_ring("Z") is ZZ
     assert parse_ring("Q") is QQ
@@ -188,6 +216,8 @@ def test_parse_ring_errors():
         parse_ring("GF(6)")  # 6 not prime -> ValueError inside
     with pytest.raises(ParseError):
         parse_ring("Z[u]")
+    with pytest.raises(ParseError, match="1 is not prime"):
+        parse_ring("GF(1)")
     with pytest.raises(ParseError):
         parse_ring("banana")
 
@@ -272,3 +302,21 @@ def test_poly_ring_canonical_split():
     assert unit == (2,)
     assert monic == (2, 1)  # u + 2, monic
     assert R3u.mul(unit, monic) == (1, 2)
+
+
+def test_kernel_edges_at_zero():
+    assert u_scale([1, 2], 0, F3) == []
+    assert u_xgcd([], [], F3) == ([], [1], [])
+    assert zx_primitive([]) == (0, [])
+    assert zx_try_div([1, 1], []) is None
+    assert zx_try_div([], [1, 1]) == []
+    assert zx_try_div([1, 1], [1, 1, 1]) is None
+    assert not any(is_prime(n) for n in (-3, 0, 1))
+
+
+def test_ring_edges():
+    assert hash(parse_ring("GF(2^2)")) == hash(F4)
+    assert ZZ.inv(-1) == -1
+    assert R3u.inv((2,)) == (2,)
+    assert R3u.canonical_split(()) == ((1,), ())
+    assert R3u.format(()) == "0"

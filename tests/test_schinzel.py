@@ -299,6 +299,19 @@ def test_support_restriction():
         assert set(w.M.terms) <= {(0,), (2,)}
 
 
+def test_multi_exact_degrees_rejects_at_the_first_y():
+    # the constants 0 and 1 fall short of degree 1 at depth 1, each standing
+    # for the 4 tuples below it, and again at depth 2 below x1 + 1 (x1 makes
+    # x1*y2 + x1 reducible at depth 1)
+    prob = problem(F2, Vx, VarSet(("y1", "y2")), ["y1*y2 + x1"], (1,), exact_degrees=True)
+    rep = schinzel_search_multi(prob)
+    assert rep.rejected["degree_shortfall"] == 2 * 4 + 2
+    assert rep.rejected["intermediate_reducible"] == 4
+    assert all(M.degree_in("x1") == 1 for w in rep.witnesses for M in w.M)
+    assert [[str(M) for M in w.M] for w in rep.witnesses] == [["x1 + 1", "x1 + 1"]]
+    assert len(rep.witnesses) + sum(rep.rejected.values()) == rep.box_size == 16
+
+
 def test_support_must_contain_constant():
     with pytest.raises(ValueError):
         problem(ZZ, Vx, Vy, ["y"], (2,), coeff_bound=2, support=((1,), (2,)))
@@ -320,6 +333,20 @@ def test_fixed_divisor_none_over_z():
     rep = check_fixed_divisor(ZZ, Vx, Vy, P, (1,),
                               SearchConstraints(coeff_bound=2, budget=200))
     assert rep.divisor is None
+
+
+@pytest.mark.parametrize("texts, budget, divisor", [
+    # y(y + 1) vanishes at every point of GF(2): the gcd is x1(x1 + 1) after
+    # 3 of the 4 candidates
+    (("y", "y+1"), 3, "x1^2 + x1"),
+    # the first candidate, M = 0, gives the zero value and no gcd at all
+    (("y",), 1, None),
+], ids=["gcd-so-far", "no-value"])
+def test_fixed_divisor_stops_at_its_budget(texts, budget, divisor):
+    P = [parse_poly(t, F2, Vxy, aliases={"y": "y1"}) for t in texts]
+    rep = check_fixed_divisor(F2, Vx, Vy, P, (1,), SearchConstraints(budget=budget))
+    assert (rep.tested, rep.exhaustive) == (budget, False)
+    assert rep.divisor == (divisor and parse_poly(divisor, F2, Vx))
 
 
 def test_fixed_divisor_none_over_f3():
