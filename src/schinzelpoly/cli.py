@@ -45,7 +45,7 @@ from .schinzel import (
     image_irreducibility,
     iter_candidates,
     root_sieve,
-    schinzel_search_multi,
+    schinzel_search,
 )
 from .constructions import (
     SpectrumSpec,
@@ -243,7 +243,7 @@ def cmd_schinzel(args):
         ring, problem, inputs = _build_problem(args)
 
         def compute():
-            report = schinzel_search_multi(problem)
+            report = schinzel_search(problem)
             result = {
                 "status": report.status(),
                 "witnesses": [_witness_payload(w) for w in report.witnesses],
@@ -459,15 +459,38 @@ def _verify_irred(env):
     return True, "ok"
 
 
-def _verify_schinzel(env):
+def _rebuilt(construct):
+    """construct() and None, or None and why verify fails: the inputs break a
+    hypothesis that the command checks.  The degree cap still raises."""
+    try:
+        return construct(), None
+    except BudgetExceededError:
+        raise
+    except (ValueError, AlgebraError) as e:
+        return None, f"inputs break a hypothesis: {e}"
+
+
+def _rebuilt_problem(env):
+    """_rebuilt of a schinzel or density envelope's SchinzelProblem."""
     ins = env["inputs"]
     ring, _, read = _reader(env, tuple(ins["xvars"]) + tuple(ins["yvars"]))
-    xvars = VarSet(tuple(ins["xvars"]))
     P = [read(t) for t in ins["P"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return _rebuilt(lambda: SchinzelProblem(
+            ring, VarSet(tuple(ins["xvars"])), VarSet(tuple(ins["yvars"])), P, tuple(ins["deg"]),
+            SearchConstraints(**{field: ins[key] for key, field in _CONSTRAINT_INPUTS})))
+
+
+def _verify_schinzel(env):
+    problem, broken = _rebuilt_problem(env)
+    if broken:
+        return False, broken
     for item in env["result"]["witnesses"]:
         Ms = item["M"] if isinstance(item["M"], list) else [item["M"]]
-        final = P
-        for yname, M in zip(ins["yvars"], [parse_poly(t, ring, xvars) for t in Ms]):
+        final = problem.P
+        for yname, M in zip(problem.yvars.names,
+                            [parse_poly(t, problem.ring, problem.xvars) for t in Ms]):
             final = [Pi.substitute(yname, M) for Pi in final]
         for Fi in final:
             if Fi.is_zero() or not is_irreducible(Fi):
@@ -516,10 +539,13 @@ def _verify_spectrum(env):
     w = [read(t) for t in ins["w"]]
     S = [_parse_value(t, ring) for t in ins["S"]]
     a0 = _parse_value(ins["a0"], a0_ring)
+    spec, broken = _rebuilt(lambda: SpectrumSpec(ring, vars, S, a0, V, w, tuple(ins["deg"]),
+                                                 a0_field=a0_ring))
+    if broken:
+        return False, broken
     res = env["result"]
     if res["status"] != "found":
         return True, "nothing to re-verify"
-    spec = SpectrumSpec(ring, vars, S, a0, V, w, tuple(ins["deg"]), a0_field=a0_ring)
     from .constructions import _embed_poly, _embedding
 
     kp, emb = _embedding(spec)
@@ -561,16 +587,10 @@ def _verify_swan(env):
 
 def _verify_density(env):
     # Deterministic given seed: re-run and compare.
-    ins = env["inputs"]
-    ring, _, read = _reader(env, tuple(ins["xvars"]) + tuple(ins["yvars"]))
-    P = [read(t) for t in ins["P"]]
-    cons = SearchConstraints(**{field: ins[key] for key, field in _CONSTRAINT_INPUTS})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        problem = SchinzelProblem(ring, VarSet(tuple(ins["xvars"])),
-                                  VarSet(tuple(ins["yvars"])), P,
-                                  tuple(ins["deg"]), cons)
-        rep = density_probe(problem, env["result"]["samples"])
+    problem, broken = _rebuilt_problem(env)
+    if broken:
+        return False, broken
+    rep = density_probe(problem, env["result"]["samples"])
     same = (rep.witnesses == env["result"]["witnesses"]
             and abs(rep.fraction - env["result"]["fraction"]) < 1e-12)
     return same, "re-ran probe"

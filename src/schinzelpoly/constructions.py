@@ -2,10 +2,11 @@
 
 Goldbach: write a nonconstant Q as F + G with both parts irreducible and
 F a binomial of degree at most deg(Q).  Degree-1 inputs in one variable
-use a closed-form three-case table; other inputs over infinite rings run
-the two-parameter congruence search (lambda0 = 1 - q0 mod the leading
-coefficient, lambda1 = 1 mod lambda0); finite fields are searched
-exhaustively, so a failure there is a proof of non-existence.
+use a closed-form three-case table; every other search is one candidate
+loop over a stream of binomials: the congruence stream over infinite
+rings (lambda0 = 1 - q0 mod the leading coefficient, lambda1 = 1 mod
+lambda0), every a + b*x^e over finite fields.  A strict finite-field
+search then tries the whole degree box, so a failure proves non-existence.
 
 Spectra: given distinct a_1..a_t in a field k, prescribed factors w_i and
 a nonzero V, build U with U - a_i V = w_i H_i (H_i irreducible), U - a_0 V
@@ -28,9 +29,9 @@ from .errors import (
     ZeroInputError,
 )
 from .factor import is_irreducible
-from .multipoly import MultiPoly, VarSet, poly_gcd
+from .multipoly import MultiPoly, VarSet, grlex_key, poly_gcd
 from .rings import ExtField, PolyRing, PrimeField, Ring
-from .schinzel import SearchConstraints, iter_candidates
+from .schinzel import SearchConstraints, iter_candidates, support_monomials
 
 _BEZOUT_STEP_CAP = 200
 
@@ -127,21 +128,14 @@ class GoldbachDecomposition:
     F_exponents: tuple | None
 
     def verify(self):
-        if self.F + self.G != self.Q:
-            return False
-        return bool(is_irreducible(self.F)) and bool(is_irreducible(self.G))
-
-
-def _binomial_exponents(F: MultiPoly):
-    """Exponent vector of a + b*monomial shaped F (None if not that shape)."""
-    nonconst = [e for e in F.terms if sum(e) > 0]
-    if len(nonconst) == 1 and len(F.terms) <= 2:
-        return nonconst[0]
-    return None
+        return (self.F + self.G == self.Q
+                and bool(is_irreducible(self.F)) and bool(is_irreducible(self.G)))
 
 
 def _goldbach_linear_table(Q: MultiPoly):
-    """The closed-form table for n = 1, deg(Q) = 1: Q = q1*x + q0."""
+    """The closed-form table for n = 1, deg(Q) = 1: Q = q1*x + q0.  Each
+    part is a*x + b with a != 0 and gcd(a, b) a unit, so irreducible.  None
+    over GF(2), the one ring without an r outside {0, 1}."""
     ring = Q.ring
     vars = Q.vars
     x = MultiPoly.variable(ring, vars, vars.names[0])
@@ -163,23 +157,75 @@ def _goldbach_linear_table(Q: MultiPoly):
     else:
         # q1 = 1 = -1 (characteristic 2): need r outside {0, 1}, which is u
         # over k[u], else the first one a finite field has (GF(2) has none)
-        r = None
         if isinstance(ring, PolyRing):
             r = ring.generator()
         else:
-            for cand in ring.element_box():
-                if not ring.is_zero(cand) and cand != one:
-                    r = cand
-                    break
+            r = next((c for c in ring.element_box() if not ring.is_zero(c) and c != one),
+                     None)
         if r is None:
             return None
         rq0 = ring.mul(r, q0)
         F = lin(r, ring.add(rq0, one))
         G = lin(ring.add(r, one), ring.add(rq0, ring.add(q0, one)))
         case = "table-char2"
-    if not (is_irreducible(F) and is_irreducible(G)):
+    return GoldbachDecomposition(Q, F, G, case, True, None, 0, (1,))
+
+
+def _other_part(Q: MultiPoly, F: MultiPoly):
+    """G = Q - F when G is nonconstant and F, then G, is irreducible."""
+    G = Q - F
+    if G.is_constant() or not is_irreducible(F) or not is_irreducible(G):
         return None
-    return F, G, case
+    return G
+
+
+def _binomial_search(Q: MultiPoly, candidates, budget, exhausted, case, relaxed_var):
+    """The Goldbach candidate loop: count each (F, e) of the stream, with
+    F = a + b*x^e, against the budget (BudgetExceededError(exhausted) past
+    it) until Q - F is the other part.  Returns the decomposition, or None
+    when the stream runs out, and the count."""
+    tested = 0
+    for F, e in candidates:
+        if tested >= budget:
+            raise BudgetExceededError(exhausted, tested=tested)
+        tested += 1
+        G = _other_part(Q, F)
+        if G is not None:
+            return GoldbachDecomposition(Q, F, G, case, True, relaxed_var, tested, e), tested
+    return None, tested
+
+
+def _degree_box(n, deg):
+    """Exponent vectors in n variables of total degree 1..deg, ascending."""
+    return sorted(e for e in itertools.product(range(deg + 1), repeat=n)
+                  if 1 <= sum(e) <= deg)
+
+
+def _binomials(Q: MultiPoly, monomials):
+    """(a + b*x^e, e) over a finite field: e in monomials order, then b,
+    then a, both nonzero."""
+    ring = Q.ring
+    vars = Q.vars
+    nonzero = [v for v in ring.element_box() if not ring.is_zero(v)]
+    for e in monomials:
+        for b in nonzero:
+            for a in nonzero:
+                yield MultiPoly.from_terms(ring, vars, {(0,) * len(vars): a, e: b}), e
+
+
+def _relaxed_binomials(Q: MultiPoly, relaxed_var):
+    """The binomials of relaxed mode, deg_x(F) <= deg_x(Q) in the designated
+    variable x only: shell after shell of the degree bound in the others."""
+    n = len(Q.vars)
+    vi = Q.vars.index(relaxed_var)
+    dv = int(Q.degree_in(relaxed_var))
+    for other_bound in itertools.count(0):
+        bounds = [other_bound] * n
+        bounds[vi] = dv
+        yield from _binomials(Q, sorted(
+            e for e in itertools.product(*[range(b + 1) for b in bounds])
+            if sum(e) >= 1 and (other_bound == 0
+                                or max(e[j] for j in range(n) if j != vi) == other_bound)))
 
 
 def _pairs_by_shell(stream):
@@ -193,139 +239,56 @@ def _pairs_by_shell(stream):
             yield b, a
 
 
-def _goldbach_congruence_search(Q: MultiPoly, budget):
-    """The two-parameter search M = lambda0 + lambda1*Q1, F = -M, G = M + Q,
-    with lambda0 = 1 - q0 (mod q_inf) and lambda1 = 1 (mod lambda0)."""
+def _congruence_binomials(Q: MultiPoly):
+    """F = -(lambda0 + lambda1*Q1) with lambda0 = 1 - q0 (mod q_inf) and
+    lambda1 = 1 (mod lambda0), over pairs of the ring's element stream;
+    Q1 is the first monomial of the degree box below the leading one."""
     ring = Q.ring
     vars = Q.vars
     lead_exps, q_inf = Q.leading_term()
-    q0 = Q.constant_value()
-    deg = int(Q.total_degree())
-    Q1_exps = None
-    for total in range(deg, 0, -1):
-        cands = sorted((e for e in itertools.product(*[range(total + 1)] * len(vars))
-                        if sum(e) == total), reverse=True)
-        for e in cands:
-            if e != lead_exps:
-                Q1_exps = e
-                break
-        if Q1_exps is not None:
-            break
-    if Q1_exps is None:
-        raise ValueError("no second monomial available; use the linear table")
+    Q1_exps = next(e for e in sorted(_degree_box(len(vars), int(Q.total_degree())),
+                                     key=grlex_key, reverse=True) if e != lead_exps)
     Q1 = MultiPoly.monomial(ring, vars, Q1_exps)
-    base = ring.sub(ring.one, q0)
-
-    tested = 0
+    base = ring.sub(ring.one, Q.constant_value())
     for t, s in _pairs_by_shell(ring.element_stream()):
-        if tested >= budget:
-            raise BudgetExceededError(
-                f"no Goldbach decomposition within {budget} candidates", tested=tested)
         lam0 = ring.add(base, ring.mul(t, q_inf))
-        if ring.is_zero(lam0):
-            continue
         lam1 = ring.add(ring.one, ring.mul(s, lam0))
-        if ring.is_zero(lam1):
-            continue
-        tested += 1
-        M = MultiPoly.constant(ring, vars, lam0) + Q1.scale(lam1)
-        G = M + Q
-        if not is_irreducible(M):
-            continue
-        if not is_irreducible(G):
-            continue
-        return GoldbachDecomposition(Q, -M, G, "congruence-search", True,
-                                     None, tested, Q1_exps)
+        if not (ring.is_zero(lam0) or ring.is_zero(lam1)):
+            yield -(MultiPoly.constant(ring, vars, lam0) + Q1.scale(lam1)), Q1_exps
 
 
-def _goldbach_finite_field(Q: MultiPoly, relaxed_var, budget):
-    """Search over a finite field.  Strict mode enumerates every F with
+def _goldbach_finite_field(Q: MultiPoly, budget):
+    """Strict search over a finite field: the binomials, then every F with
     deg(F) <= deg(Q), so coming up empty proves non-existence."""
     ring = Q.ring
     vars = Q.vars
-    deg = int(Q.total_degree())
+    monomials = _degree_box(len(vars), int(Q.total_degree()))
+    # Binomials first: the shape the corollary promises.
+    found, tested = _binomial_search(Q, _binomials(Q, monomials), budget,
+                                     "Goldbach budget exhausted", "exhaustive-search", None)
+    if found is not None:
+        return found
+    # Full exhaustive pass: decides existence.
     box = ring.element_box()
-    nonzero = [v for v in box if not ring.is_zero(v)]
-    tested = 0
-
-    def try_F(F):
-        G = Q - F
-        if G.is_zero() or G.is_constant():
-            return None
-        if not is_irreducible(F):
-            return None
-        if not is_irreducible(G):
-            return None
-        return G
-
-    def binomial_pass(monomials, method):
-        """The first binomial F = a + b*x^e, e in monomials order, with F
-        and Q - F irreducible, or None."""
-        nonlocal tested
-        for e in monomials:
-            for b in nonzero:
-                for a in nonzero:
-                    if tested >= budget:
-                        raise BudgetExceededError("Goldbach budget exhausted", tested=tested)
-                    tested += 1
-                    F = MultiPoly.from_terms(ring, vars,
-                                             {(0,) * len(vars): a, e: b})
-                    G = try_F(F)
-                    if G is not None:
-                        return GoldbachDecomposition(Q, F, G, method,
-                                                     True, relaxed_var, tested, e)
-        return None
-
-    if relaxed_var is None:
-        monomials = sorted(
-            (e for e in itertools.product(*[range(deg + 1)] * len(vars))
-             if 1 <= sum(e) <= deg))
-        # Binomial pass first: matches the shape the corollary promises.
-        found = binomial_pass(monomials, "exhaustive-search")
-        if found is not None:
-            return found
-        # Full exhaustive pass: decides existence.
-        count = len(box) ** len(monomials)
-        if count > budget:
-            raise BudgetExceededError(
-                f"exhaustive box has {count} candidates, budget {budget}",
-                tested=tested)
-        for assign in itertools.product(box, repeat=len(monomials)):
-            tested += 1
-            terms = {}
-            for e, v in zip(monomials, assign):
-                if not ring.is_zero(v):
-                    terms[e] = v
-            if not terms:
-                continue
-            for const in box:
-                Fterms = dict(terms)
-                if not ring.is_zero(const):
-                    Fterms[(0,) * len(vars)] = const
-                F = MultiPoly(ring, vars, Fterms)
-                G = try_F(F)
-                if G is not None:
-                    exps = _binomial_exponents(F)
-                    return GoldbachDecomposition(Q, F, G, "exhaustive-search",
-                                                 exps is not None, None, tested, exps)
-        raise ExhaustiveNoneError(
-            f"no Goldbach decomposition of {Q} with deg(F) <= {deg} exists",
-            tested=tested)
-
-    # Relaxed mode: deg_{x}(F) <= deg_{x}(Q) in the designated variable only;
-    # grow the degree bound in the other variables round by round.
-    vi = vars.index(relaxed_var)
-    dv = int(Q.degree_in(relaxed_var))
-    for other_bound in itertools.count(0):
-        bounds = [other_bound] * len(vars)
-        bounds[vi] = dv
-        monomials = sorted(
-            e for e in itertools.product(*[range(b + 1) for b in bounds])
-            if sum(e) >= 1 and (other_bound == 0
-                                or max(e[j] for j in range(len(vars)) if j != vi) == other_bound))
-        found = binomial_pass(monomials, "relaxed-search")
-        if found is not None:
-            return found
+    count = len(box) ** len(monomials)
+    if count > budget:
+        raise BudgetExceededError(
+            f"exhaustive box has {count} candidates, budget {budget}", tested=tested)
+    for part, _ in iter_candidates(ring, vars, monomials, SearchConstraints()):
+        tested += 1
+        if part.is_zero():
+            continue
+        # F = part + const is a binomial when part is one term
+        exps = next(iter(part.terms)) if len(part.terms) == 1 else None
+        for const in box:
+            F = part + MultiPoly.constant(ring, vars, const)
+            G = _other_part(Q, F)
+            if G is not None:
+                return GoldbachDecomposition(Q, F, G, "exhaustive-search", exps is not None,
+                                             None, tested, exps)
+    raise ExhaustiveNoneError(
+        f"no Goldbach decomposition of {Q} with deg(F) <= {Q.total_degree()} exists",
+        tested=tested)
 
 
 def goldbach_decompose(Q: MultiPoly, relaxed_var=None, budget=100_000) -> GoldbachDecomposition:
@@ -349,21 +312,18 @@ def goldbach_decompose(Q: MultiPoly, relaxed_var=None, budget=100_000) -> Goldba
             # with none it would only try binomials, which proves nothing
             raise ValueError("the relaxed degree clause needs a second variable "
                              "besides the designated one")
-        return _goldbach_finite_field(Q, relaxed_var, budget)
+        return _binomial_search(Q, _relaxed_binomials(Q, relaxed_var), budget,
+                                "Goldbach budget exhausted", "relaxed-search", relaxed_var)[0]
 
     if len(Q.vars) == 1 and Q.total_degree() == 1:
-        hit = _goldbach_linear_table(Q)
-        if hit is not None:
-            F, G, case = hit
-            return GoldbachDecomposition(Q, F, G, case, len(F.terms) <= 2, None, 0,
-                                         _binomial_exponents(F))
-        if ring.is_finite:
-            return _goldbach_finite_field(Q, None, budget)
-        raise UnsupportedRingError(f"linear table inapplicable over {ring}")
-
+        found = _goldbach_linear_table(Q)
+        if found is not None:
+            return found
     if ring.is_finite:
-        return _goldbach_finite_field(Q, None, budget)
-    return _goldbach_congruence_search(Q, budget)
+        return _goldbach_finite_field(Q, budget)
+    return _binomial_search(Q, _congruence_binomials(Q), budget,
+                            f"no Goldbach decomposition within {budget} candidates",
+                            "congruence-search", None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +475,8 @@ def spectrum_construct(spec: SpectrumSpec, budget=20_000, seed=0,
             raise ValueError(f"cofactor {i} is not coprime to its complement: {g}")
 
     cons = SearchConstraints(strategy="random", seed=seed, budget=budget,
-                             coeff_bound=coeff_bound,
-                             deg_u_bound=None, exact_degrees=True)
-    support = sorted(itertools.product(*[range(dj + 1) for dj in delta]),
-                     key=lambda e: (sum(e), e), reverse=True)
+                             coeff_bound=coeff_bound)
+    support = support_monomials(delta)
     Vp = _embed_poly(spec.V, kp, emb)
     wps = [_embed_poly(w, kp, emb) for w in spec.w]
     tested = 0

@@ -511,15 +511,8 @@ def _search(problem, cons, keep=True):
 
 
 def schinzel_search(problem: SchinzelProblem) -> SearchReport:
-    """Single-y witness search over the problem's box."""
-    if len(problem.yvars) != 1:
-        raise ValueError("schinzel_search handles one y variable; "
-                         "use schinzel_search_multi for more")
-    return schinzel_search_multi(problem)
-
-
-def schinzel_search_multi(problem: SchinzelProblem) -> SearchReport:
-    """Sequential specialization of y_1, ..., y_m.
+    """Witness search over the problem's box, for any number of y:
+    sequential specialization of y_1, ..., y_m.
 
     Each y_j is replaced in turn by a candidate from the box; intermediate
     polynomials must keep positive degree in the remaining y variables and
@@ -529,6 +522,10 @@ def schinzel_search_multi(problem: SchinzelProblem) -> SearchReport:
     certificates from the one verification that accepted it.
     """
     return _search(problem, problem.constraints)[1]
+
+
+# the same function under the name it had when it alone took several y
+schinzel_search_multi = schinzel_search
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from schinzelpoly.errors import (
 )
 from schinzelpoly.factor import factor_multivariate, is_irreducible
 from schinzelpoly.multipoly import MultiPoly, VarSet
-from schinzelpoly.rings import GF, QQ, ZZ, PolyRing
+from schinzelpoly.rings import GF, QQ, ZZ, PolyRing, parse_ring
 from schinzelpoly.textform import parse_poly
 
 F2 = GF(2)
@@ -203,16 +203,83 @@ def test_goldbach_congruence_over_q():
     assert is_irreducible(d.F) and is_irreducible(d.G)
 
 
-@pytest.mark.parametrize("base, text, F, G, tested", [
-    (QQ, "x1^2 + u", "-x1 + (u - 1)", "x1^2 + x1 + 1", 1),
-    (F2, "x1^2 + x1", "x1 + (u + 1)", "x1^2 + (u + 1)", 2),
-], ids=["Q[u]", "GF(2)[u]"])
-def test_goldbach_congruence_over_k_u(base, text, F, G, tested):
+FOUND_ROWS = {
+    # ring, Q, variables, relaxed variable -> case, F, G, binomial, F_exponents, tested
+    "table-Z-row1": (("Z", "3*x1 + 5", 1, None),
+                     ("table-q1-ne-1", "x1 + 4", "2*x1 + 1", True, (1,), 0)),
+    "table-Z-row2": (("Z", "x1 + 7", 1, None),
+                     ("table-q1-ne-minus1", "-x1 + 6", "2*x1 + 1", True, (1,), 0)),
+    "table-GF(4)": (("GF(2^2)", "x1 + t", 1, None),
+                    ("table-char2", "(t)*x1 + (t)", "(t + 1)*x1", True, (1,), 0)),
+    "table-GF(2)[u]": (("GF(2)[u]", "x1 + u", 1, None),
+                       ("table-char2", "(u)*x1 + (u^2 + 1)", "(u + 1)*x1 + (u^2 + u + 1)",
+                        True, (1,), 0)),
+    "binomial-GF(3)": (("GF(3)", "x1^2 + 1", 1, None),
+                       ("exhaustive-search", "x1 + 2", "x1^2 + 2*x1 + 2", True, (1,), 2)),
+    "full-box-GF(2)": (("GF(2)", "x1^3 + x1^2", 1, None),
+                       ("exhaustive-search", "x1^3 + x1 + 1", "x1^2 + x1 + 1", False, None, 9)),
+    "relaxed-GF(2)": (("GF(2)", "x1^2 + x1", 2, "x1"),
+                      ("relaxed-search", "x2 + 1", "x1^2 + x1 + x2 + 1", True, (0, 1), 3)),
+    "congruence-Z": (("Z", "x1^2 + 1", 1, None),
+                     ("congruence-search", "-x1 - 1", "x1^2 + x1 + 2", True, (1,), 1)),
+    "congruence-Z-bivariate": (("Z", "x1^2*x2 + 3*x2 + 7", 2, None),
+                               ("congruence-search", "-x1^3 + 6", "x1^3 + x1^2*x2 + 3*x2 + 1",
+                                True, (3, 0), 1)),
+    "congruence-Z-quartic": (("Z", "x1^4 + 5*x1^3 - 3*x1 + 9", 1, None),
+                             ("congruence-search", "6*x1^3 + 7", "x1^4 - x1^3 - 3*x1 + 2",
+                              True, (3,), 3)),
+    "congruence-Q": (("Q", "x1^3 - x1 + 1", 1, None),
+                     ("congruence-search", "-2*x1^2 - 1", "x1^3 + 2*x1^2 - x1 + 2",
+                      True, (2,), 2)),
     # the parameters come from the ring's element_stream
-    Q = parse_poly(text, PolyRing(base), V1)
-    d = goldbach_decompose(Q)
-    assert (d.case, str(d.F), str(d.G), d.tested) == ("congruence-search", F, G, tested)
+    "Q[u]": (("Q[u]", "x1^2 + u", 1, None),
+             ("congruence-search", "-x1 + (u - 1)", "x1^2 + x1 + 1", True, (1,), 1)),
+    "GF(2)[u]": (("GF(2)[u]", "x1^2 + x1", 1, None),
+                 ("congruence-search", "x1 + (u + 1)", "x1^2 + (u + 1)", True, (1,), 2)),
+}
+
+
+def goldbach_input(spec, text, n):
+    ring = parse_ring(spec)
+    return parse_poly(text, ring, VarSet(tuple(f"x{i}" for i in range(1, n + 1))))
+
+
+@pytest.mark.parametrize("given, expected", FOUND_ROWS.values(), ids=FOUND_ROWS.keys())
+def test_goldbach_accounting_on_every_route(given, expected):
+    spec, text, n, relaxed = given
+    d = goldbach_decompose(goldbach_input(spec, text, n), relaxed_var=relaxed)
+    assert (d.case, str(d.F), str(d.G), d.binomial, d.F_exponents, d.tested) == expected
+    assert d.relaxed_var == relaxed
     assert d.verify()
+
+
+FAILED_ROWS = {
+    # ring, Q, variables, relaxed variable, budget -> error, message, tested
+    "table-GF(2)": (("GF(2)", "x1", 1, None, 100_000),
+                    (ExhaustiveNoneError,
+                     "no Goldbach decomposition of x1 with deg(F) <= 1 exists", 3)),
+    "none-GF(2)": (("GF(2)", "x1^2 + x1", 1, None, 100_000),
+                   (ExhaustiveNoneError,
+                    "no Goldbach decomposition of x1^2 + x1 with deg(F) <= 2 exists", 6)),
+    "congruence-budget": (("Z", "x1^4 + 5*x1^3 - 3*x1 + 9", 1, None, 2),
+                          (BudgetExceededError,
+                           "no Goldbach decomposition within 2 candidates", 2)),
+    "binomial-budget": (("GF(3)", "x1^3 + x1 + 2", 1, None, 2),
+                        (BudgetExceededError, "Goldbach budget exhausted", 2)),
+    "box-budget": (("GF(2)", "x1^3 + x1^2", 1, None, 3),
+                   (BudgetExceededError, "exhaustive box has 8 candidates, budget 3", 3)),
+    "relaxed-budget": (("GF(2)", "x1^2 + x1", 2, "x1", 1),
+                       (BudgetExceededError, "Goldbach budget exhausted", 1)),
+}
+
+
+@pytest.mark.parametrize("given, expected", FAILED_ROWS.values(), ids=FAILED_ROWS.keys())
+def test_goldbach_accounting_of_every_failure(given, expected):
+    spec, text, n, relaxed, budget = given
+    error, message, tested = expected
+    with pytest.raises(error) as e:
+        goldbach_decompose(goldbach_input(spec, text, n), relaxed_var=relaxed, budget=budget)
+    assert (str(e.value), e.value.tested) == (message, tested)
 
 
 def test_goldbach_rejects_constant():

@@ -1,6 +1,6 @@
 """Every rejection branch of `verify`, each reached by tampering one field
-of a real envelope; and the Goldbach routes that only a direct input
-reaches."""
+of a real envelope (inputs that the command itself refuses included); and
+the Goldbach routes that only a direct input reaches."""
 
 import json
 
@@ -74,6 +74,26 @@ def test_schinzel_accounting_mismatch(tmp_path, capsys):
     assert env["result"]["complete"]
     env["result"]["box_size"] += 1
     rejected(tmp_path, env, "completeness accounting mismatch")
+
+
+def test_schinzel_inputs_that_the_command_refuses(tmp_path, capsys):
+    # x1*y1 is reducible, so `schinzel --P x1*y` exits 1; the tampered
+    # envelope's witness and accounting are consistent with it all the same
+    env = envelope(tmp_path, ["schinzel", "--ring", "Z", "--P", "y", "--deg", "0",
+                              "--coeff-bound", "1"], code=2)
+    env["inputs"]["P"] = ["x1*y1"]
+    env["result"].update(witnesses=[{"M": "1", "certificates": []}],
+                         rejected={"unit_or_constant": 2}, status="found")
+    rejected(tmp_path, env, "inputs break a hypothesis: P = x1*y1 is not irreducible "
+                            "over Z[x,y] (reducible)")
+
+
+def test_density_inputs_that_the_command_refuses(tmp_path, capsys):
+    env = envelope(tmp_path, ["density", "--ring", "Z", "--P", "y", "--deg", "1",
+                              "--coeff-bound", "2", "--samples", "5"])
+    env["inputs"]["P"] = ["x1*y1"]
+    rejected(tmp_path, env, "inputs break a hypothesis: P = x1*y1 is not irreducible "
+                            "over Z[x,y] (reducible)")
 
 
 # ---------------------------------------------------------------------------
@@ -158,3 +178,14 @@ def test_spectrum_without_a_construction_has_nothing_to_verify(tmp_path, capsys)
     env = envelope(tmp_path, SPECTRUM)
     env["result"] = {"status": "budget-exhausted", "tested": 1}
     assert verify(tmp_path, env) == (0, True, "nothing to re-verify")
+
+
+@pytest.mark.parametrize("inputs, detail", [
+    ({"w": ["1"]}, "w_1 must be nonconstant"),
+    ({"a0": "0"}, "a0 must avoid the prescribed spectrum S"),
+], ids=["constant-w", "a0-in-S"])
+def test_spectrum_inputs_that_the_command_refuses(tmp_path, capsys, inputs, detail):
+    # the command refuses these inputs with exit 1 and no envelope
+    env = envelope(tmp_path, SPECTRUM)
+    env["inputs"].update(inputs)
+    rejected(tmp_path, env, f"inputs break a hypothesis: {detail}")
