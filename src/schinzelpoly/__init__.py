@@ -34,7 +34,6 @@ from .schinzel import (
     check_fixed_divisor,
     density_probe,
     schinzel_search,
-    schinzel_search_multi,
 )
 from .constructions import (
     GoldbachDecomposition,
@@ -56,7 +55,6 @@ __all__ = [
     "factor_univariate_integers", "is_irreducible", "kronecker_fold",
     "SchinzelProblem", "SearchConstraints", "SearchReport",
     "check_fixed_divisor", "density_probe", "schinzel_search",
-    "schinzel_search_multi",
     "GoldbachDecomposition", "SpectrumSpec", "SpectrumResult",
     "goldbach_decompose", "poly_crt", "spectrum_construct",
     "parse_poly",

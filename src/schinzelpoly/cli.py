@@ -36,19 +36,19 @@ from .errors import (
     ParseError,
 )
 from .factor import factor_multivariate, is_irreducible
-from .multipoly import MultiPoly, Specializer, VarSet, format_poly
+from .multipoly import MultiPoly, VarSet, format_poly
 from .rings import parse_ring
 from .schinzel import (
     SchinzelProblem,
+    SearchBox,
     SearchConstraints,
+    _search,
     density_probe,
-    image_irreducibility,
-    iter_candidates,
-    root_sieve,
     schinzel_search,
 )
 from .constructions import (
     SpectrumSpec,
+    check_goldbach_inputs,
     goldbach_decompose,
     spectrum_construct,
 )
@@ -365,11 +365,8 @@ def cmd_spectrum(args):
 
 def swan_scan(P: MultiPoly, xname: str, yname: str, max_deg: int):
     """Exhaustive scan of all M with deg(M) <= max_deg over a finite field:
-    counts how many make P(x, M(x)) irreducible.  A candidate whose image
-    root_sieve proves reducible, by a root in the field read off M's values,
-    is counted without its image being built; every other image is decided
-    as a witness search decides it: over GF(p), P's dense rows in y are
-    built once and every M costs one Horner pass and one dense decision."""
+    counts how many make P(x, M(x)) irreducible, by a witness search over
+    a SearchBox, which checks no hypothesis on P, keeping 5 witnesses."""
     ring = P.ring
     if not ring.is_finite:
         raise AlgebraError("swan-scan needs a finite field")
@@ -380,21 +377,12 @@ def swan_scan(P: MultiPoly, xname: str, yname: str, max_deg: int):
         if total > SWAN_SCAN_CAP:
             raise BudgetExceededError(f"enumeration of {q}^{max_deg + 1} candidates "
                                       f"exceeds the cap of {SWAN_SCAN_CAP}")
-    support = [(i,) for i in range(max_deg + 1)]
-    spec = Specializer(P, yname)
-    sieve = root_sieve(P, xname, yname)
-    irreducible = 0
-    witnesses = []
-    count = 0
-    for M, _ in iter_candidates(ring, VarSet((xname,)), support, SearchConstraints()):
-        count += 1
-        if not sieve(M) and image_irreducibility(spec, M)[0]:
-            irreducible += 1
-            if len(witnesses) < 5:
-                witnesses.append(format_poly(M))
-    return {"candidates": count, "irreducible": irreducible,
-            "reducible": count - irreducible, "max_deg": max_deg,
-            "witness_examples": witnesses}
+    cons = SearchConstraints(budget=total, support=[(i,) for i in range(max_deg + 1)])
+    box = SearchBox(ring, VarSet((xname,)), VarSet((yname,)), [P], (max_deg,), cons)
+    irreducible, report = _search(box, cons, keep=5)
+    return {"candidates": report.tested, "irreducible": irreducible,
+            "reducible": report.tested - irreducible, "max_deg": max_deg,
+            "witness_examples": [format_poly(w.M) for w in report.witnesses]}
 
 
 def cmd_swan_scan(args):
@@ -507,9 +495,12 @@ def _verify_goldbach(env):
     ins = env["inputs"]
     _, vars, read = _reader(env, ins["vars"])
     Q = read(ins["Q"])
+    relaxed = vars.names[0] if ins["relaxed_degx"] else None
+    _, broken = _rebuilt(lambda: check_goldbach_inputs(Q, relaxed))
+    if broken:
+        return False, broken
     res = env["result"]
     if res["status"] != "found":
-        relaxed = vars.names[0] if ins["relaxed_degx"] else None
         try:
             goldbach_decompose(Q, relaxed_var=relaxed, budget=ins["budget"])
         except ExhaustiveNoneError:
@@ -522,9 +513,8 @@ def _verify_goldbach(env):
         return False, "F + G != Q"
     if not (is_irreducible(F) and is_irreducible(G)):
         return False, "parts not both irreducible"
-    if ins["relaxed_degx"]:
-        v = vars.names[0]
-        if F.degree_in(v) > Q.degree_in(v):
+    if relaxed is not None:
+        if F.degree_in(relaxed) > Q.degree_in(relaxed):
             return False, "relaxed degree clause violated"
     elif F.total_degree() > Q.total_degree():
         return False, "degree clause violated"

@@ -1,18 +1,19 @@
 """Constructive corollaries: Goldbach decompositions and prescribed spectra.
 
-Goldbach: write a nonconstant Q as F + G with both parts irreducible and
-F a binomial of degree at most deg(Q).  Degree-1 inputs in one variable
-use a closed-form three-case table; every other search is one candidate
-loop over a stream of binomials: the congruence stream over infinite
-rings (lambda0 = 1 - q0 mod the leading coefficient, lambda1 = 1 mod
-lambda0), every a + b*x^e over finite fields.  A strict finite-field
-search then tries the whole degree box, so a failure proves non-existence.
+Every search here is one loop, _first_accepted, over a stream of
+candidates.  Goldbach: write a nonconstant Q as F + G with both parts
+irreducible and F a binomial of degree at most deg(Q).  Degree-1 inputs in
+one variable use a closed-form three-case table; every other search reads
+binomials: the congruence stream over infinite rings (lambda0 = 1 - q0
+mod the leading coefficient, lambda1 = 1 mod lambda0), every a + b*x^e
+over finite fields.  A strict finite-field search then reads the whole
+degree box, so a failure proves non-existence.
 
 Spectra: given distinct a_1..a_t in a field k, prescribed factors w_i and
 a nonzero V, build U with U - a_i V = w_i H_i (H_i irreducible), U - a_0 V
 irreducible of full degree, and exact partial degrees.  The pipeline is
-polynomial CRT for the seed U_0, a nonzero-cofactor adjustment, and a
-degree-1 witness search for the correction M in U = U_0 + M prod(w_i).
+polynomial CRT for the seed U_0, a nonzero-cofactor adjustment, and seeded
+random draws of the correction M in U = U_0 + M prod(w_i).
 """
 
 from __future__ import annotations
@@ -179,20 +180,31 @@ def _other_part(Q: MultiPoly, F: MultiPoly):
     return G
 
 
-def _binomial_search(Q: MultiPoly, candidates, budget, exhausted, case, relaxed_var):
-    """The Goldbach candidate loop: count each (F, e) of the stream, with
-    F = a + b*x^e, against the budget (BudgetExceededError(exhausted) past
-    it) until Q - F is the other part.  Returns the decomposition, or None
-    when the stream runs out, and the count."""
+def _first_accepted(candidates, accept, budget, exhausted):
+    """The first-accepted candidate loop: count each candidate of the
+    stream against the budget (BudgetExceededError(exhausted) past it)
+    until accept(candidate, count so far) is not None.  Returns what accept
+    returned, or None when the stream runs out, and the count."""
     tested = 0
-    for F, e in candidates:
+    for candidate in candidates:
         if tested >= budget:
             raise BudgetExceededError(exhausted, tested=tested)
         tested += 1
-        G = _other_part(Q, F)
-        if G is not None:
-            return GoldbachDecomposition(Q, F, G, case, True, relaxed_var, tested, e), tested
+        accepted = accept(candidate, tested)
+        if accepted is not None:
+            return accepted, tested
     return None, tested
+
+
+def _binomial_search(Q: MultiPoly, candidates, budget, exhausted, case, relaxed_var):
+    """_first_accepted over a stream of (F, e) with F = a + b*x^e: the
+    decomposition of the first F whose Q - F is the other part."""
+    def accept(candidate, tested):
+        F, e = candidate
+        G = _other_part(Q, F)
+        return None if G is None else GoldbachDecomposition(Q, F, G, case, True, relaxed_var,
+                                                            tested, e)
+    return _first_accepted(candidates, accept, budget, exhausted)
 
 
 def _degree_box(n, deg):
@@ -268,16 +280,18 @@ def _goldbach_finite_field(Q: MultiPoly, budget):
                                      "Goldbach budget exhausted", "exhaustive-search", None)
     if found is not None:
         return found
-    # Full exhaustive pass: decides existence.
+    # Full exhaustive pass: decides existence.  It counts F's parts without
+    # the constant, the zero part included, after the binomials.
     box = ring.element_box()
     count = len(box) ** len(monomials)
+    exhausted = f"exhaustive box has {count} candidates, budget {budget}"
     if count > budget:
-        raise BudgetExceededError(
-            f"exhaustive box has {count} candidates, budget {budget}", tested=tested)
-    for part, _ in iter_candidates(ring, vars, monomials, SearchConstraints()):
-        tested += 1
+        raise BudgetExceededError(exhausted, tested=tested)
+
+    def accept(candidate, parts):
+        part = candidate[0]
         if part.is_zero():
-            continue
+            return None
         # F = part + const is a binomial when part is one term
         exps = next(iter(part.terms)) if len(part.terms) == 1 else None
         for const in box:
@@ -285,10 +299,36 @@ def _goldbach_finite_field(Q: MultiPoly, budget):
             G = _other_part(Q, F)
             if G is not None:
                 return GoldbachDecomposition(Q, F, G, "exhaustive-search", exps is not None,
-                                             None, tested, exps)
-    raise ExhaustiveNoneError(
-        f"no Goldbach decomposition of {Q} with deg(F) <= {Q.total_degree()} exists",
-        tested=tested)
+                                             None, tested + parts, exps)
+        return None
+
+    found, parts = _first_accepted(iter_candidates(ring, vars, monomials, SearchConstraints()),
+                                   accept, count, exhausted)
+    if found is None:
+        raise ExhaustiveNoneError(
+            f"no Goldbach decomposition of {Q} with deg(F) <= {Q.total_degree()} exists",
+            tested=tested + parts)
+    return found
+
+
+def check_goldbach_inputs(Q: MultiPoly, relaxed_var):
+    """Raise unless goldbach_decompose takes Q and relaxed_var: Q is
+    nonconstant, and the relaxed clause, if asked for, is over a finite
+    field and names a variable of Q besides which Q has another."""
+    if Q.is_zero() or Q.is_constant():
+        raise ZeroInputError("Q must be nonconstant")
+    if relaxed_var is None:
+        return
+    if not Q.ring.is_finite:
+        raise UnsupportedRingError(
+            "the relaxed per-variable degree clause is a finite-field accommodation")
+    if relaxed_var not in Q.vars:
+        raise ValueError(f"unknown variable {relaxed_var!r}")
+    if len(Q.vars) < 2:
+        # the relaxed search grows the degree in the other variables;
+        # with none it would only try binomials, which proves nothing
+        raise ValueError("the relaxed degree clause needs a second variable "
+                         "besides the designated one")
 
 
 def goldbach_decompose(Q: MultiPoly, relaxed_var=None, budget=100_000) -> GoldbachDecomposition:
@@ -298,20 +338,8 @@ def goldbach_decompose(Q: MultiPoly, relaxed_var=None, budget=100_000) -> Goldba
     proves no decomposition exists, BudgetExceededError when the search
     ran out of budget.
     """
-    if Q.is_zero() or Q.is_constant():
-        raise ZeroInputError("Q must be nonconstant")
-    ring = Q.ring
+    check_goldbach_inputs(Q, relaxed_var)
     if relaxed_var is not None:
-        if not ring.is_finite:
-            raise UnsupportedRingError(
-                "the relaxed per-variable degree clause is a finite-field accommodation")
-        if relaxed_var not in Q.vars:
-            raise ValueError(f"unknown variable {relaxed_var!r}")
-        if len(Q.vars) < 2:
-            # the relaxed search grows the degree in the other variables;
-            # with none it would only try binomials, which proves nothing
-            raise ValueError("the relaxed degree clause needs a second variable "
-                             "besides the designated one")
         return _binomial_search(Q, _relaxed_binomials(Q, relaxed_var), budget,
                                 "Goldbach budget exhausted", "relaxed-search", relaxed_var)[0]
 
@@ -319,7 +347,7 @@ def goldbach_decompose(Q: MultiPoly, relaxed_var=None, budget=100_000) -> Goldba
         found = _goldbach_linear_table(Q)
         if found is not None:
             return found
-    if ring.is_finite:
+    if Q.ring.is_finite:
         return _goldbach_finite_field(Q, budget)
     return _binomial_search(Q, _congruence_binomials(Q), budget,
                             f"no Goldbach decomposition within {budget} candidates",
@@ -479,35 +507,34 @@ def spectrum_construct(spec: SpectrumSpec, budget=20_000, seed=0,
     support = support_monomials(delta)
     Vp = _embed_poly(spec.V, kp, emb)
     wps = [_embed_poly(w, kp, emb) for w in spec.w]
-    tested = 0
-    for M, _ in iter_candidates(k, vars, support, cons):
-        tested += 1
+
+    def accept(candidate, tested):
+        M = candidate[0]
         if any(M.degree_in(name) != dj for name, dj in zip(vars.names, delta)):
-            continue
+            return None
         Mp = _embed_poly(M, kp, emb)
         H = []
-        good = True
         for i, (A, B) in enumerate(AB):
             Hi = A + B * Mp
             if Hi.is_zero() or not is_irreducible(Hi):
-                good = False
-                break
+                return None
             if i >= 1 and wps[i - 1].try_divexact(Hi) is not None:
-                good = False
-                break
+                return None
             H.append(Hi)
-        if not good:
-            continue
         U = U0 + M * W
         if any(U.degree_in(name) != dj for name, dj in zip(vars.names, spec.d)):
-            continue
+            return None
         Up = _embed_poly(U, kp, emb)
         lhs = Up - Vp.scale(spec.a0)
         if lhs != H[0]:
             raise ArithmeticError("internal mismatch: U - a0*V != H_0")
         if lhs.total_degree() != max(Up.total_degree(), Vp.total_degree()):
-            continue
-        return SpectrumResult(U=U, U0=U0, M=M, H=H, cofactors=[p0] + cof,
-                              tested=tested)
-    raise BudgetExceededError(
-        f"no spectrum witness within {budget} samples", tested=tested)
+            return None
+        return SpectrumResult(U=U, U0=U0, M=M, H=H, cofactors=[p0] + cof, tested=tested)
+
+    exhausted = f"no spectrum witness within {budget} samples"
+    found, tested = _first_accepted(iter_candidates(k, vars, support, cons), accept,
+                                    budget, exhausted)
+    if found is None:  # the budget draws ran out
+        raise BudgetExceededError(exhausted, tested=tested)
+    return found

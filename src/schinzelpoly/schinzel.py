@@ -1,8 +1,9 @@
 """Witness search: polynomials M making every P_i(x, M(x)) irreducible.
 
-A SchinzelProblem fixes the coefficient ring, the x variables, one or more
-y variables, the polynomials P_i and a degree box for M.  One candidate
-loop serves the single-y search, the multi-y search and the density probe:
+A SearchBox holds the coefficient ring, the x variables, one or more y
+variables, the polynomials P_i and a degree box for M; a SchinzelProblem
+is one that checks the standing hypotheses.  One candidate loop serves
+the witness search for any number of y, the density probe and swan-scan:
 it specializes y_1, ..., y_m in turn with candidates enumerated (or
 sampled) from the box, checks that every intermediate polynomial keeps the
 standing hypotheses, verifies irreducibility of every P_i at the last y,
@@ -16,9 +17,9 @@ Enumeration order over Z boxes follows a balanced spiral per coefficient
 (0, 1, -1, 2, -2, ...) graded by max-norm, so small witnesses surface
 first and reruns are reproducible byte for byte.
 
-root_sieve serves the one-x scan of swan-scan over a small finite field:
-from M's values at every point of the field and a memo of the zeros of P,
-it proves an image reducible by a root, before the image is built.
+At the last y with one x, over a finite field of order at most
+ROOT_SCAN_LIMIT, each P_i's root_sieve proves an image reducible by a
+root, from M's values and a memo of P_i's zeros, before it is built.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ def support_monomials(d, paper_mode=False):
 
 
 @dataclass
-class SchinzelProblem:
-    """The data of a witness search; construction validates the standing
-    hypotheses (each P_i irreducible with positive y-degree)."""
+class SearchBox:
+    """The data of a candidate search, unchecked: swan-scan counts the
+    images of any P over a plain box."""
 
     ring: Ring
     xvars: VarSet
@@ -102,9 +103,24 @@ class SchinzelProblem:
     constraints: SearchConstraints = field(default_factory=SearchConstraints)
     degree_bound_warning: bool = False
 
+    @property
+    def support(self):
+        cons = self.constraints
+        if cons.support is not None:
+            zero = (0,) * len(self.xvars)
+            return [zero] + [e for e in cons.support if e != zero]
+        return support_monomials(self.d, paper_mode=cons.paper_mode)
+
+
+@dataclass
+class SchinzelProblem(SearchBox):
+    """The data of a witness search; construction validates the standing
+    hypotheses (each P_i irreducible with positive y-degree)."""
+
     def __post_init__(self):
         self.d = tuple(self.d)
-        if len(self.d) != len(self.xvars):
+        n = len(self.xvars)
+        if len(self.d) != n:
             raise ValueError("degree tuple length must match the x variables")
         if any(di < 0 for di in self.d):
             raise ValueError("degrees must be nonnegative")
@@ -122,7 +138,6 @@ class SchinzelProblem:
                 raise ValueError(f"P = {P} is not irreducible over {self.ring}[x,y] "
                                  f"({cert.reason})")
         if self.constraints.support is not None:
-            n = len(self.xvars)
             zero = (0,) * n
             for e in self.constraints.support:
                 if len(e) != n or any(x < 0 for x in e):
@@ -131,26 +146,14 @@ class SchinzelProblem:
                     raise ValueError(f"support monomial {e} leaves the degree box {self.d}")
             if zero not in self.constraints.support:
                 raise ValueError("the support restriction must contain the constant monomial")
-        bound = max(self._xdeg(P) for P in self.P) + 2
+        # every P is over the x variables, then the y
+        bound = max(sum(e[:n]) for P in self.P for e in P.terms) + 2
         if sum(self.d) < bound:
             self.degree_bound_warning = True
             warnings.warn(
                 f"sum of degrees {sum(self.d)} is below the guaranteed bound "
                 f"max deg_x(P_i) + 2 = {bound}; witnesses may not exist",
                 UserWarning, stacklevel=2)
-
-    def _xdeg(self, P):
-        idx = [P.vars.index(n) for n in self.xvars.names]
-        return max(sum(e[i] for i in idx) for e in P.terms)
-
-    @property
-    def support(self):
-        cons = self.constraints
-        if cons.support is not None:
-            zero = (0,) * len(self.xvars)
-            ordered = [zero] + [e for e in cons.support if e != zero]
-            return ordered
-        return support_monomials(self.d, paper_mode=cons.paper_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -162,51 +165,35 @@ def coefficient_box(ring: Ring, constraints: SearchConstraints):
                             deg_bound=constraints.deg_u_bound)
 
 
-def _int_like(ring):
-    return isinstance(ring, (IntegerRing, RationalField))
-
-
-def _iter_tuples_exhaustive(ring, box, N, constraints):
-    if _int_like(ring):
-        B = constraints.coeff_bound
-        for r in range(B + 1):
-            vals = [ring.from_int(0)]
-            for k in range(1, r + 1):
-                vals.append(ring.from_int(k))
-                vals.append(ring.from_int(-k))
-            for tup in itertools.product(vals, repeat=N):
-                if max(abs(v) for v in tup) == r:
-                    yield tup
-    else:
-        for tup in itertools.product(box, repeat=N):
-            yield tup
-
-
-def _iter_tuples_random(box, N, constraints):
-    rng = random.Random(constraints.seed)
-    for _ in range(constraints.budget):
-        yield tuple(box[rng.randrange(len(box))] for _ in range(N))
+def _spiral_tuples(ring, N, B):
+    """The N-tuples over Z or Q with entries in [-B, B], graded by
+    max-norm, each entry running 0, 1, -1, 2, -2, ..."""
+    for r in range(B + 1):
+        vals = [ring.from_int(0)]
+        for k in range(1, r + 1):
+            vals += [ring.from_int(k), ring.from_int(-k)]
+        for tup in itertools.product(vals, repeat=N):
+            if max(abs(v) for v in tup) == r:
+                yield tup
 
 
 def iter_candidates(ring, xvars, support, constraints):
-    """Yield candidate polynomials M over (ring, xvars) from the box."""
+    """Yield each candidate polynomial M over (ring, xvars) from the box,
+    with its coefficient tuple: a seeded stream of budget draws, or the
+    whole box in order."""
     box = coefficient_box(ring, constraints)
     N = len(support)
-    if constraints.strategy == "exhaustive":
-        tuples = _iter_tuples_exhaustive(ring, box, N, constraints)
+    if constraints.strategy == "random":
+        rng = random.Random(constraints.seed)
+        tuples = (tuple(box[rng.randrange(len(box))] for _ in range(N))
+                  for _ in range(constraints.budget))
+    elif isinstance(ring, (IntegerRing, RationalField)):
+        tuples = _spiral_tuples(ring, N, constraints.coeff_bound)
     else:
-        tuples = _iter_tuples_random(box, N, constraints)
+        tuples = itertools.product(box, repeat=N)
     for tup in tuples:
-        terms = {}
-        for exps, value in zip(support, tup):
-            if not ring.is_zero(value):
-                terms[exps] = value
-        yield MultiPoly(ring, xvars, terms), tup
-
-
-def box_size(ring, support, constraints):
-    n = len(coefficient_box(ring, constraints))
-    return n ** len(support)
+        yield MultiPoly(ring, xvars, {e: v for e, v in zip(support, tup)
+                                      if not ring.is_zero(v)}), tup
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +207,8 @@ REASON_REDUCIBLE = "reducible_over_K"
 REASON_CONSTANT = "unit_or_constant"
 
 
-def _deg_u_of(M: MultiPoly):
-    ring = M.ring
-    best = -1
-    for v in M.terms.values():
-        best = max(best, ring.deg_u(v))
-    return best
-
-
-def _reason_of(reason):
-    if reason == "content":
-        return REASON_CONTENT
-    if reason == "unit/constant":
-        return REASON_CONSTANT
-    return REASON_REDUCIBLE
+# the rejection reasons of is_irreducible's reasons other than reducibility
+_REASONS = {"content": REASON_CONTENT, "unit/constant": REASON_CONSTANT}
 
 
 def _check_side_constraints(problem, M, tup):
@@ -247,7 +222,7 @@ def _check_side_constraints(problem, M, tup):
             raise UnsupportedRingError("deg_u target needs a k[u] coefficient ring")
         p = problem.ring.characteristic
         target = cons.deg_u_target if p == 0 else p * cons.deg_u_target
-        if _deg_u_of(M) != target:
+        if max((problem.ring.deg_u(v) for v in M.terms.values()), default=-1) != target:
             return REASON_DEGREE
     if cons.paper_mode and len(tup) >= 3:
         lam1, lam2 = tup[1], tup[2]
@@ -279,11 +254,11 @@ def image_irreducibility(spec, M):
     return cert.irreducible, cert.reason, cert.method
 
 
-def root_sieve(P, xname, yname):
-    """A test of candidates M in xname alone for P in (xname, yname) over
-    a finite field K: True when the image P(x, M(x)) has degree >= 2 and a
-    root in K, which proves it reducible without building it; False when
-    the sieve proves nothing, and image_irreducibility decides.
+def root_sieve(P, yname):
+    """A test of candidates M in x alone for P in two variables, yname and
+    one x, over a finite field K: True when the image P(x, M(x)) has degree
+    >= 2 and a root in K, which proves it reducible without building it;
+    False when the sieve proves nothing, and image_irreducibility decides.
 
     The image has the root a exactly when P(a, M(a)) = 0: M is evaluated
     at every point a of K, and whether P(a, v) = 0 is memoized for each
@@ -291,14 +266,15 @@ def root_sieve(P, xname, yname):
     building it when P has a single term x^i y^j of top weighted degree
     i + j deg M: then it is that weight, since the top coefficient is that
     term's times lc(M)^j.  M = 0 gives the image P(x, 0), whose degree is
-    the largest i of a term x^i.  Fields of order above ROOT_SCAN_LIMIT,
-    where a rootless candidate would cost one evaluation per element, are
-    not sieved; neither is P in other variables, where a zero at a point
-    proves nothing, nor P = 0, whose images are all zero."""
+    the largest i of a term x^i.  Infinite rings and fields of order above
+    ROOT_SCAN_LIMIT, where a rootless candidate would cost one evaluation
+    per element, are not sieved; neither is P in more variables, where a
+    zero at a point proves nothing, nor P = 0, whose images are all zero."""
     K = P.ring
-    if K.order > ROOT_SCAN_LIMIT or len(P.vars) != 2 or P.is_zero():
+    if not K.is_finite or K.order > ROOT_SCAN_LIMIT or len(P.vars) != 2 or P.is_zero():
         return lambda M: False
-    xi, yi = P.vars.index(xname), P.vars.index(yname)
+    yi = P.vars.index(yname)
+    xi = 1 - yi
     terms = [(e[xi], e[yi], c) for e, c in P.terms.items()]
     points = K.element_box()
     degrees = {}  # deg M -> the image's degree when a single term is on top, else None
@@ -338,18 +314,21 @@ def root_sieve(P, xname, yname):
     return certifies_reducible
 
 
-def verify_candidate(problem: SchinzelProblem, M: MultiPoly, tup, specs):
+def verify_candidate(problem: SearchBox, M: MultiPoly, tup, specs, sieves):
     """Return (is_witness, reason, certificates) for substituting M, drawn
-    as the coefficient tuple tup, in the polynomials whose Specializers for
-    one y are specs, which a search keeps across its candidates."""
+    as the coefficient tuple tup, in the polynomials whose _deciders for one
+    y are specs and sieves.  After the side constraints each polynomial
+    takes its turn: its sieve, then its image decision."""
     side = _check_side_constraints(problem, M, tup)
     if side is not None:
         return False, side, []
     certs = []
-    for spec in specs:
+    for spec, sieve in zip(specs, sieves):
+        if sieve(M):
+            return False, REASON_REDUCIBLE, []
         ok, reason, method = image_irreducibility(spec, M)
         if not ok:
-            return False, _reason_of(reason), []
+            return False, _REASONS.get(reason, REASON_REDUCIBLE), []
         certs.append(method)
     return True, "witness", certs
 
@@ -413,7 +392,14 @@ def _intermediate_reason(polys, rest):
     return None
 
 
-def _search(problem, cons, keep=True):
+def _deciders(polys, yname):
+    """The Specializers of polys for yname and their root sieves, which a
+    search keeps across its candidates; a sieve is a no-op unless yname is
+    the last y and one x is left."""
+    return [Specializer(P, yname) for P in polys], [root_sieve(P, yname) for P in polys]
+
+
+def _search(problem, cons, keep=None):
     """Specialize y_1, ..., y_m in turn with candidates from the box.
 
     Exhaustive: the budget counts candidates at every depth, and a
@@ -422,26 +408,27 @@ def _search(problem, cons, keep=True):
     left untested.  Random: each budget unit draws one whole tuple
     (M_1, ..., M_m) from one seeded stream, whether or not it survives
     depth 1, and counts as one test.  Returns (number of witnesses found,
-    report); the report lists the witnesses only when keep is true, so
-    that a density probe over many samples does not hold every hit in
-    memory.
+    report); the report lists the first keep witnesses (all when keep is
+    None), so that a density probe or a scan over many candidates does not
+    hold every hit in memory.  problem may be any SearchBox.
     """
     ynames = problem.yvars.names
     m = len(ynames)
     support = problem.support
     exhaustive = cons.strategy == "exhaustive"
-    per_level = box_size(problem.ring, support, cons) if exhaustive else None
+    per_level = len(coefficient_box(problem.ring, cons)) ** len(support) if exhaustive else None
     witnesses = []
     rejected = {}
     tested = found = 0
     stopped = False
 
-    def check(specs, depth, M, tup):
-        """M for y_depth, with specs the Specializers of the polynomials
+    def check(deciders, depth, M, tup):
+        """M for y_depth, with deciders the _deciders of the polynomials
         for y_depth: (reason, _) when rejected, else (None, the
         certificates at depth m or the polynomials for the next depth)."""
+        specs, sieves = deciders
         if depth == m:
-            ok, reason, certs = verify_candidate(problem, M, tup, specs)
+            ok, reason, certs = verify_candidate(problem, M, tup, specs, sieves)
             return (None if ok else reason), certs
         reason = _check_side_constraints(problem, M, tup)
         if reason is not None:
@@ -456,20 +443,20 @@ def _search(problem, cons, keep=True):
     def record(Ms, certs):
         nonlocal found
         found += 1
-        if keep:
+        if keep is None or len(witnesses) < keep:
             witnesses.append(Witness(Ms if m > 1 else Ms[0], certs))
 
     def walk(polys, chosen, depth):
         nonlocal tested, stopped
         weight = per_level ** (m - depth)
-        specs = [Specializer(P, ynames[depth - 1]) for P in polys]
+        deciders = _deciders(polys, ynames[depth - 1])
         for M, tup in iter_candidates(problem.ring, problem.xvars, support, cons):
             # stopping here leaves this candidate untested
             if stopped or out_of_budget():
                 stopped = True
                 return
             tested += 1
-            reason, out = check(specs, depth, M, tup)
+            reason, out = check(deciders, depth, M, tup)
             if reason is not None:
                 rejected[reason] = rejected.get(reason, 0) + weight
             elif depth == m:
@@ -483,14 +470,14 @@ def _search(problem, cons, keep=True):
         draws = iter_candidates(problem.ring, problem.xvars, support,
                                 replace(cons, budget=cons.budget * m))
         # every draw specializes y_1 in the P_i themselves
-        first = [Specializer(P, ynames[0]) for P in problem.P]
+        first = _deciders(problem.P, ynames[0])
         while not out_of_budget():
             drawn = [next(draws) for _ in range(m)]
             tested += 1
             out = problem.P
             for depth, (M, tup) in enumerate(drawn, 1):
-                specs = first if depth == 1 else [Specializer(P, ynames[depth - 1]) for P in out]
-                reason, out = check(specs, depth, M, tup)
+                deciders = first if depth == 1 else _deciders(out, ynames[depth - 1])
+                reason, out = check(deciders, depth, M, tup)
                 if reason is not None:
                     rejected[reason] = rejected.get(reason, 0) + 1
                     break
@@ -522,10 +509,6 @@ def schinzel_search(problem: SchinzelProblem) -> SearchReport:
     certificates from the one verification that accepted it.
     """
     return _search(problem, problem.constraints)[1]
-
-
-# the same function under the name it had when it alone took several y
-schinzel_search_multi = schinzel_search
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +574,7 @@ def density_probe(problem: SchinzelProblem, samples: int) -> DensityReport:
         raise ValueError("samples must be >= 1")
     cons = problem.constraints
     probe = replace(cons, strategy="random", budget=samples, max_witnesses=None)
-    hits, _ = _search(problem, probe, keep=False)
+    hits, _ = _search(problem, probe, keep=0)
     p = hits / samples
     z2 = _Z95 * _Z95
     denom = 1 + z2 / samples

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from schinzelpoly import cli
+from schinzelpoly import schinzel
 from schinzelpoly.cli import main, swan_scan
 from schinzelpoly.errors import BudgetExceededError, ParseError
 from schinzelpoly.factor import factor_multivariate
@@ -168,9 +168,9 @@ def test_swan_scan_f3_quadratic():
 ], ids=lambda v: str(v).replace(" ", ""))
 def test_swan_scan_root_sieve_changes_no_count(monkeypatch, ring, text, max_deg):
     # every image the sieve certifies is reducible, and the whole box scans
-    # the same with the sieve patched off
+    # the same with the sieve patched off where the search builds it
     P = parse_poly(text, ring, VarSet(("x1", "y1")), aliases={"x": "x1", "y": "y1"})
-    sieve, spec = root_sieve(P, "x1", "y1"), Specializer(P, "y1")
+    sieve, spec = root_sieve(P, "y1"), Specializer(P, "y1")
     support = [(i,) for i in range(max_deg + 1)]
     sieved = 0
     for M, _ in iter_candidates(ring, VarSet(("x1",)), support, SearchConstraints()):
@@ -179,8 +179,11 @@ def test_swan_scan_root_sieve_changes_no_count(monkeypatch, ring, text, max_deg)
             assert not image_irreducibility(spec, M)[0], format_poly(M)
     assert sieved > 0
     scan = swan_scan(P, "x1", "y1", max_deg)
-    monkeypatch.setattr(cli, "root_sieve", lambda *args: lambda M: False)
+    built = []
+    monkeypatch.setattr(schinzel, "root_sieve",
+                        lambda *args: built.append(args) or (lambda M: False))
     assert swan_scan(P, "x1", "y1", max_deg) == scan
+    assert built == [(P, "y1")]
 
 
 @pytest.mark.parametrize("text", ["0", "1"])

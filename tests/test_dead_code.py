@@ -3,9 +3,10 @@ every method of a top-level class that is not a dunder, is referenced
 somewhere in the package other than its own body; every defaulted
 parameter of a function or method that __init__ does not export is passed
 by some call in the package; every name a module imports is read in
-that module (__init__ re-exports and __future__ imports aside); and every
+that module (__init__ re-exports and __future__ imports aside); every
 local a function assigns, and every parameter it takes, is read (protocol
-methods that a related class also defines aside)."""
+methods that a related class also defines aside); and no module binds a
+second name to a function the package defines."""
 
 import ast
 import pathlib
@@ -387,3 +388,46 @@ def test_guard_sees_unread_locals_and_parameters(tmp_path):
                                        ("mod.py", "f", "i", 5)]
     assert unread_parameters(tmp_path) == [("mod.py", "f", "d"), ("mod.py", "Base.own", "a"),
                                            ("mod.py", "Base.s", "a")]
+
+
+def second_bindings(src=SRC):
+    """(module, name, function) of each module-level assignment name =
+    function, and each import of a function as another name, that binds a
+    second name to a top-level function of a module in src."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    functions = {node.name for tree in trees.values() for node in tree.body
+                 if isinstance(node, FUNCTIONS)}
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+                found += [(module, target.id, node.value.id) for target in node.targets
+                          if isinstance(target, ast.Name) and node.value.id in functions]
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                found += [(module, alias.asname, alias.name) for alias in node.names
+                          if alias.asname not in (None, alias.name) and alias.name in functions]
+    return found
+
+
+def test_no_function_has_a_second_name():
+    assert second_bindings() == []
+
+
+def test_guard_sees_second_names_of_package_functions(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .mod import api as public, api\n", encoding="utf-8")
+    (tmp_path / "mod.py").write_text(
+        "import os\n"
+        "from os.path import join as joined\n"
+        "def api():\n"
+        "    return 1\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return 1\n"
+        "    n = m\n"
+        "old_api = api\n"
+        "sep = os.sep\n"
+        "LIMIT = 3\n", encoding="utf-8")
+    assert second_bindings(tmp_path) == [("__init__.py", "public", "api"),
+                                         ("mod.py", "old_api", "api")]

@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 import schinzelpoly.schinzel as schinzel_mod
-from schinzelpoly.cli import main
+from schinzelpoly.cli import main, swan_scan
 from schinzelpoly.factor import brute_force_irreducible, factor_univariate_integers, is_irreducible
 from schinzelpoly.multipoly import MultiPoly, Specializer, VarSet
 from schinzelpoly.rings import GF, ZZ, PolyRing
@@ -17,8 +17,8 @@ from schinzelpoly.schinzel import (
     SearchConstraints,
     check_fixed_divisor,
     density_probe,
+    root_sieve,
     schinzel_search,
-    schinzel_search_multi,
     support_monomials,
     verify_candidate,
 )
@@ -26,6 +26,7 @@ from schinzelpoly.textform import parse_poly
 
 F2 = GF(2)
 F3 = GF(3)
+F4 = GF(2, 2)
 
 Vx = VarSet(("x1",))
 Vy = VarSet(("y1",))
@@ -154,7 +155,7 @@ def test_degree_one_shape_forces_irreducible_m():
 def test_multi_variable_search():
     prob = problem(ZZ, Vx, VarSet(("y1", "y2")), ["y1*y2 + 1"], (1,),
                    coeff_bound=1, budget=5000, max_witnesses=5)
-    rep = schinzel_search_multi(prob)
+    rep = schinzel_search(prob)
     assert rep.found
     full = VarSet(("x1", "y1", "y2"))
     P = parse_poly("y1*y2 + 1", ZZ, full)
@@ -167,7 +168,7 @@ def test_multi_variable_search():
 def test_multi_over_f3_sum():
     prob = problem(F3, Vx, VarSet(("y1", "y2")), ["y1 + y2"], (1,),
                    budget=2000, max_witnesses=3)
-    rep = schinzel_search_multi(prob)
+    rep = schinzel_search(prob)
     assert rep.found
     M1, M2 = rep.witnesses[0].M
     s = M1 + M2
@@ -178,7 +179,7 @@ def test_multi_two_y_gf2_box_accounting():
     # 16 tuples: 4 first-level candidates fail the standing hypotheses and
     # stand for 4 tuples each, 12 tuples reach the last y
     prob = problem(F2, Vx, VarSet(("y1", "y2")), ["y1*y2 + x1"], (1,))
-    rep = schinzel_search_multi(prob)
+    rep = schinzel_search(prob)
     assert rep.box_size == 16
     assert rep.tested == 12 and rep.complete
     assert [[str(M) for M in w.M] for w in rep.witnesses] == [
@@ -195,7 +196,7 @@ def test_multi_complete_when_max_witnesses_hits_last_candidate(max_witnesses, te
     # untested, so the search is complete, as a single-y search would be
     prob = problem(F2, Vx, VarSet(("y1", "y2")), ["y1*y2 + x1"], (1,),
                    max_witnesses=max_witnesses)
-    rep = schinzel_search_multi(prob)
+    rep = schinzel_search(prob)
     assert len(rep.witnesses) == max_witnesses
     assert (rep.tested, rep.complete) == (tested, complete)
 
@@ -226,24 +227,52 @@ def test_verify_candidate_once_per_candidate(monkeypatch, capsys):
 ], ids=["twin-golden", "multi-y", "multi-y-random"])
 def test_witness_certificates_match_a_fresh_verification(ring, ptexts, yvars, d, kw):
     prob = problem(ring, Vx, VarSet(yvars), ptexts, d, **kw)
-    rep = schinzel_search_multi(prob)
+    rep = schinzel_search(prob)
     assert rep.found
     for w in rep.witnesses:
         Ms = w.M if isinstance(w.M, tuple) else (w.M,)
         polys = prob.P
         for yname, M in zip(yvars, Ms[:-1]):
             polys = [P.substitute(yname, M) for P in polys]
-        fresh = verify_candidate(prob, Ms[-1], (), [Specializer(P, yvars[-1]) for P in polys])
+        fresh = verify_candidate(prob, Ms[-1], (), [Specializer(P, yvars[-1]) for P in polys],
+                                 [root_sieve(P, yvars[-1]) for P in polys])
         assert fresh == (True, "witness", w.certificates)
         assert len(w.certificates) == len(prob.P)
 
 
-def test_multi_agrees_with_single_on_m1():
-    p1 = problem(ZZ, Vx, Vy, ["y", "y+2"], (1,), coeff_bound=2, budget=10**4)
-    r1 = schinzel_search(p1)
-    p2 = problem(ZZ, Vx, Vy, ["y", "y+2"], (1,), coeff_bound=2, budget=10**4)
-    r2 = schinzel_search_multi(p2)
-    assert report_dump(r1) == report_dump(r2)
+@pytest.mark.parametrize("ring, ptexts, yvars, d, kw", [
+    (F2, ["y^2 + x*y + x^2 + x + 1"], ("y1",), (6,), {}),
+    (F2, ["y^2 + x*y + x^2 + x + 1", "y^3 + x*y + 1"], ("y1",), (5,), {}),
+    (F3, ["y^3 + x^2 + 1"], ("y1",), (5,), {}),
+    (F3, ["y^3 + x^2 + 1"], ("y1",), (5,), dict(exact_degrees=True)),  # degree before root
+    (F3, ["y^3 + x^2 + 1", "y^2 + x^3 + x*y + 1"], ("y1",), (4,), {}),
+    (F4, ["y^3 + x*y + t*x^2"], ("y1",), (2,), {}),
+    (F4, ["y^3 + x*y + t*x^2", "y^2 + x*y + t*x^3 + t"], ("y1",), (2,), {}),
+    (F2, ["y1*y2 + x1"], ("y1", "y2"), (2,), {}),  # the sieve works at the last y
+], ids=lambda v: str(v).replace(" ", ""))
+def test_root_sieve_inside_the_search_changes_no_report(monkeypatch, ring, ptexts, yvars, d, kw):
+    # the exhaustive one-x box reports the same with the sieve patched off,
+    # and the sieve decided some of its candidates
+    prob = problem(ring, Vx, VarSet(yvars), ptexts, d, **kw)
+    original, hits = schinzel_mod.root_sieve, []
+
+    def counting(P, yname):
+        sieve = original(P, yname)
+        return lambda M: hits.append(sieve(M)) or hits[-1]
+
+    monkeypatch.setattr(schinzel_mod, "root_sieve", counting)
+    rep = schinzel_search(prob)
+    assert rep.complete and any(hits)
+    monkeypatch.setattr(schinzel_mod, "root_sieve", lambda *args: lambda M: False)
+    assert schinzel_search(prob) == rep
+
+
+def test_swan_scan_and_a_one_x_search_count_the_same_box():
+    prob = problem(F3, Vx, Vy, ["y^3 + x^2 + 1"], (6,))
+    rep = schinzel_search(prob)
+    scan = swan_scan(prob.P[0], "x1", "y1", 6)
+    assert (rep.tested, len(rep.witnesses)) == (scan["candidates"], scan["irreducible"])
+    assert (rep.tested, len(rep.witnesses)) == (2187, 141)
 
 
 def test_problem_validation():
@@ -304,7 +333,7 @@ def test_multi_exact_degrees_rejects_at_the_first_y():
     # for the 4 tuples below it, and again at depth 2 below x1 + 1 (x1 makes
     # x1*y2 + x1 reducible at depth 1)
     prob = problem(F2, Vx, VarSet(("y1", "y2")), ["y1*y2 + x1"], (1,), exact_degrees=True)
-    rep = schinzel_search_multi(prob)
+    rep = schinzel_search(prob)
     assert rep.rejected["degree_shortfall"] == 2 * 4 + 2
     assert rep.rejected["intermediate_reducible"] == 4
     assert all(M.degree_in("x1") == 1 for w in rep.witnesses for M in w.M)
@@ -395,13 +424,15 @@ def test_multi_y_random_samples_are_whole_tuples_from_one_stream(capsys):
     for _ in range(50):
         (M1, tup1), (M2, tup2) = draw(), draw()
         mid = [P.substitute("y1", M1) for P in prob.P]
-        if (verify_candidate(prob, M1, tup1, [Specializer(P, "y1") for P in prob.P])[0]
+        if (verify_candidate(prob, M1, tup1, [Specializer(P, "y1") for P in prob.P],
+                             [root_sieve(P, "y1") for P in prob.P])[0]
                 and all(F.degree_in("y2") >= 1 for F in mid)):
-            hits += verify_candidate(prob, M2, tup2, [Specializer(P, "y2") for P in mid])[0]
+            hits += verify_candidate(prob, M2, tup2, [Specializer(P, "y2") for P in mid],
+                                     [root_sieve(P, "y2") for P in mid])[0]
     assert main(["density", "--ring", "GF(2)", "--P", "y1*y2 + x1", "--deg", "1",
                  "--samples", "50", "--seed", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["witnesses"] == hits
-    rep = schinzel_search_multi(prob)
+    rep = schinzel_search(prob)
     assert rep.tested == 50 and len(rep.witnesses) == hits
     assert sum(rep.rejected.values()) == 50 - hits
 

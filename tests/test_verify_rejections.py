@@ -125,6 +125,22 @@ def test_goldbach_clauses(tmp_path, capsys, args, F, G, detail):
     rejected(tmp_path, env, detail)
 
 
+@pytest.mark.parametrize("args, code, inputs, detail", [
+    (["--ring", "GF(2)", "--Q", "x^2 + x"], 2, {"Q": "1"}, "Q must be nonconstant"),
+    (["--ring", "GF(2)", "--Q", "x^2 + x"], 2, {"relaxed_degx": True},
+     "the relaxed degree clause needs a second variable besides the designated one"),
+    (["--ring", "GF(3)", "--Q", "x^2 + x"], 0, {"relaxed_degx": True},
+     "the relaxed degree clause needs a second variable besides the designated one"),
+], ids=["constant-Q", "relaxed-one-variable-none", "relaxed-one-variable-found"])
+def test_goldbach_inputs_that_the_command_refuses(tmp_path, capsys, args, code, inputs, detail):
+    # `goldbach` refuses these inputs with exit 1 and no envelope, whatever
+    # the status the tampered envelope records
+    env = envelope(tmp_path, ["goldbach"] + args, code=code)
+    assert env["result"]["status"] == ("found" if code == 0 else "exhausted-none")
+    env["inputs"].update(inputs)
+    rejected(tmp_path, env, f"inputs break a hypothesis: {detail}")
+
+
 def test_goldbach_char2_table_over_a_finite_field(tmp_path, capsys):
     env = envelope(tmp_path, ["goldbach", "--ring", "GF(2^2)", "--Q", "x + t"])
     assert env["result"]["case"] == "table-char2"
