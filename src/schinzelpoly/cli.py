@@ -292,7 +292,7 @@ def cmd_density(args):
 
 def cmd_goldbach(args):
     ring, vars, Q = _one_poly(args, args.Q)
-    relaxed_var = vars.names[0] if args.relaxed_degx else None
+    relaxed_var = vars.names[0] if args.relaxed_degx and vars.names else None
     inputs = {"Q": format_poly(Q), "vars": list(vars.names),
               "relaxed_degx": bool(args.relaxed_degx), "budget": args.budget}
 
@@ -495,7 +495,7 @@ def _verify_goldbach(env):
     ins = env["inputs"]
     _, vars, read = _reader(env, ins["vars"])
     Q = read(ins["Q"])
-    relaxed = vars.names[0] if ins["relaxed_degx"] else None
+    relaxed = vars.names[0] if ins["relaxed_degx"] and vars.names else None
     _, broken = _rebuilt(lambda: check_goldbach_inputs(Q, relaxed))
     if broken:
         return False, broken
@@ -637,8 +637,8 @@ def cmd_verify(args):
         refused = _refused_input(env)
         ok, detail = (False, refused) if refused else checker(env)
     except (KeyError, IndexError, TypeError, AttributeError) as e:
-        # a missing field, or a field of the wrong shape
-        note(f"error: malformed envelope {args.envelope}: {type(e).__name__}: {e}")
+        what = f"missing field {e}" if isinstance(e, KeyError) else f"a field of the wrong shape ({e})"
+        note(f"error: malformed envelope {args.envelope}: {what}")
         return EXIT_USAGE
     out = make_envelope("verify", None,
                         {"envelope": os.path.basename(args.envelope),

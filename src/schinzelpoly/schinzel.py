@@ -20,6 +20,7 @@ first and reruns are reproducible byte for byte.
 At the last y with one x, over a finite field of order at most
 ROOT_SCAN_LIMIT, each P_i's root_sieve proves an image reducible by a
 root, from M's values and a memo of P_i's zeros, before it is built.
+check_fixed_divisor decides exactly whether the P_i have a fixed divisor.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import UnsupportedRingError, ZeroInputError
 from .factor import bivariate_is_irreducible, dense_is_irreducible, is_irreducible
-from .multipoly import MultiPoly, Specializer, VarSet, lift_u, poly_gcd
+from .multipoly import MultiPoly, Specializer, VarSet, horner_substitute, lift_u, list_content
 from .rings import ROOT_SCAN_LIMIT, IntegerRing, PolyRing, RationalField, Ring, u_eval
 
 
@@ -65,6 +66,9 @@ class SearchConstraints:
         if self.support is not None:
             object.__setattr__(self, "support",
                                tuple(tuple(e) for e in self.support))
+        # whether a candidate has more to meet than its box
+        object.__setattr__(self, "has_side_constraints",
+                           self.exact_degrees or self.deg_u_target is not None or self.paper_mode)
 
 
 def support_monomials(d, paper_mode=False):
@@ -319,8 +323,8 @@ def verify_candidate(problem: SearchBox, M: MultiPoly, tup, specs, sieves):
     as the coefficient tuple tup, in the polynomials whose _deciders for one
     y are specs and sieves.  After the side constraints each polynomial
     takes its turn: its sieve, then its image decision."""
-    side = _check_side_constraints(problem, M, tup)
-    if side is not None:
+    side = problem.constraints.has_side_constraints and _check_side_constraints(problem, M, tup)
+    if side:
         return False, side, []
     certs = []
     for spec, sieve in zip(specs, sieves):
@@ -512,47 +516,58 @@ def schinzel_search(problem: SchinzelProblem) -> SearchReport:
 
 
 # ---------------------------------------------------------------------------
-# Fixed divisors and density probes.
+# Fixed divisors, decided exactly, and density probes, sampled by _search.
 # ---------------------------------------------------------------------------
 
 @dataclass
 class FixedDivisorReport:
-    divisor: MultiPoly | None
-    exhaustive: bool
-    tested: int
+    divisor: MultiPoly | None   # None when a unit
+    certificate: list           # (pi, k) with pi^k dividing every value
 
 
-def check_fixed_divisor(ring, xvars, yvars, P_list, d,
-                        constraints: SearchConstraints | None = None) -> FixedDivisorReport:
-    """gcd of Pi(x, M) products over the box; a nonunit gcd over an
-    exhaustive finite box exhibits a fixed divisor."""
-    cons = constraints or SearchConstraints()
-    Pi = None
-    for P in P_list:
-        Pi = P if Pi is None else Pi * P
-    if Pi is None:
-        raise ZeroInputError("empty polynomial set")
-    support = support_monomials(tuple(d))
-    yname = yvars.names[0]
-    spec = Specializer(Pi, yname)
-    acc = None
-    tested = 0
-    exhausted = True
-    for M, _ in iter_candidates(ring, xvars, support, cons):
-        if tested >= cons.budget:
-            exhausted = False
-            break
-        tested += 1
-        val = spec(M)
-        if val.is_zero():
-            continue
-        acc = val if acc is None else poly_gcd(acc, val)
-        if acc.is_constant() and ring.is_unit(acc.constant_value()):
-            return FixedDivisorReport(None, True, tested)
-    exhaustive = exhausted and cons.strategy == "exhaustive"
-    if acc is None:
-        return FixedDivisorReport(None, exhaustive, tested)
-    return FixedDivisorReport(acc.monic_normalize()[1], exhaustive, tested)
+def check_fixed_divisor(ring, xvars, yvars, P_list) -> FixedDivisorReport:
+    """The gcd in R[x] of the values F(x, M), M in R[x]^m, F = P_1...P_s.
+
+    It is the content c of F in R[x] times each pi^k dividing every value
+    of G = F / c.  Such a prime pi leaves G, nonzero mod pi, vanishing on
+    D^m for D = R[x]/(pi), so |D| <= deg_y G (Alon 1999): pi is monic
+    irreducible in GF(q)[x] with q^deg(pi) <= deg_y G, and k is the largest
+    with pi^k dividing G(x, M) at every residue M mod pi^k."""
+    if not P_list or any(P.is_zero() for P in P_list):
+        raise ZeroInputError("the product is empty or zero")
+    F, n = math.prod(P_list[1:], start=P_list[0]), len(xvars)
+    if not (xvars and yvars) or F.vars != VarSet(xvars.names + yvars.names):
+        raise ValueError("P_list must be over one or more x, then one or more y")
+    by_y = {}
+    for e, v in F.terms.items():
+        by_y.setdefault(e[n:], {})[e[:n]] = v
+    divisor = list_content([MultiPoly(ring, xvars, t) for t in by_y.values()]).monic_normalize()[1]
+    G = F.try_divexact(divisor.embed(F.vars))
+
+    def box(deg):  # the polynomials in one x of degree at most deg
+        return iter_candidates(ring, xvars, support_monomials((deg,)), SearchConstraints())
+
+    def values(V, ynames, deg):  # V(x, M) at every tuple M from box(deg), lazily
+        if not ynames:
+            return [V]
+        return (W for M, _ in box(deg) for W in values(horner_substitute(
+            V, ynames[0], M.embed(V.vars.without(ynames[0]))), ynames[1:], deg))
+
+    certificate, e = [], 1
+    while ring.is_finite and n == 1 and ring.order ** e <= max(map(G.degree_in, yvars.names)):
+        for pi, c in box(e):
+            if c[0] != ring.one or not is_irreducible(pi):
+                continue  # pi is not monic of degree e, or not irreducible
+            k = 0
+            while all(V.try_divexact(pi ** (k + 1)) is not None
+                      for V in values(G, yvars.names, (k + 1) * e - 1)):
+                k += 1
+            if k:
+                certificate.append((pi, k))
+                divisor = divisor * pi ** k
+        e += 1
+    unit = divisor.is_constant() and ring.is_unit(divisor.constant_value())
+    return FixedDivisorReport(None if unit else divisor, certificate)
 
 
 _Z95 = 1.959963984540054

@@ -447,6 +447,15 @@ def test_goldbach_relaxed_needs_second_variable(capsys):
     assert captured.out == ""          # no envelope, in particular no exhausted-none
 
 
+@pytest.mark.parametrize("ring", ["Z", "GF(2)", "GF(2^2)", "Q[u]", "GF(3)[u]"])
+def test_goldbach_relaxed_of_a_constant_is_an_input_error(capsys, ring):
+    # a constant Q read without --vars has no variable to designate
+    assert main(["goldbach", "--Q", "1", "--ring", ring, "--relaxed-degx"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: Q must be nonconstant\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_rejected(capsys, threads):
     assert main(["schinzel", "--ring", "Z", "--P", "y", "--deg", "1",

@@ -1,6 +1,9 @@
 """Witness search: examples, completeness accounting, determinism."""
 
+import functools
+import itertools
 import json
+import operator
 import pathlib
 import random
 import warnings
@@ -9,14 +12,16 @@ import pytest
 
 import schinzelpoly.schinzel as schinzel_mod
 from schinzelpoly.cli import main, swan_scan
+from schinzelpoly.errors import ZeroInputError
 from schinzelpoly.factor import brute_force_irreducible, factor_univariate_integers, is_irreducible
-from schinzelpoly.multipoly import MultiPoly, Specializer, VarSet
-from schinzelpoly.rings import GF, ZZ, PolyRing
+from schinzelpoly.multipoly import MultiPoly, Specializer, VarSet, poly_gcd
+from schinzelpoly.rings import GF, QQ, ZZ, PolyRing
 from schinzelpoly.schinzel import (
     SchinzelProblem,
     SearchConstraints,
     check_fixed_divisor,
     density_probe,
+    iter_candidates,
     root_sieve,
     schinzel_search,
     support_monomials,
@@ -346,42 +351,154 @@ def test_support_must_contain_constant():
         problem(ZZ, Vx, Vy, ["y"], (2,), coeff_bound=2, support=((1,), (2,)))
 
 
+def fixed_divisor(ring, xnames, ynames, texts):
+    xv, yv = VarSet(xnames), VarSet(ynames)
+    full = VarSet(xnames + ynames)
+    P = [parse_poly(t, ring, full, aliases={"y": ynames[0]}) for t in texts]
+    return check_fixed_divisor(ring, xv, yv, P)
+
+
 def test_fixed_divisor_f2():
-    P = [parse_poly(t, F2, Vxy, aliases={"y": "y1"}) for t in ("y", "y+1")]
-    rep = check_fixed_divisor(F2, Vx, Vy, P, (2,))
-    assert rep.exhaustive
-    assert rep.divisor is not None
-    x = parse_poly("x1", F2, Vx)
-    xp1 = parse_poly("x1 + 1", F2, Vx)
-    assert rep.divisor.try_divexact(x) is not None
-    assert rep.divisor.try_divexact(xp1) is not None
+    # every M of degree 0 gives the value 0, so a gcd scan over that box
+    # formed no gcd at all; M = x1 gives x1(x1 + 1)
+    rep = fixed_divisor(F2, ("x1",), ("y1",), ("y", "y+1"))
+    assert rep.divisor == parse_poly("x1^2 + x1", F2, Vx)
+    assert [(str(pi), k) for pi, k in rep.certificate] == [("x1", 1), ("x1 + 1", 1)]
 
 
 def test_fixed_divisor_none_over_z():
-    P = [parse_poly("y", ZZ, Vxy, aliases={"y": "y1"})]
-    rep = check_fixed_divisor(ZZ, Vx, Vy, P, (1,),
-                              SearchConstraints(coeff_bound=2, budget=200))
-    assert rep.divisor is None
-
-
-@pytest.mark.parametrize("texts, budget, divisor", [
-    # y(y + 1) vanishes at every point of GF(2): the gcd is x1(x1 + 1) after
-    # 3 of the 4 candidates
-    (("y", "y+1"), 3, "x1^2 + x1"),
-    # the first candidate, M = 0, gives the zero value and no gcd at all
-    (("y",), 1, None),
-], ids=["gcd-so-far", "no-value"])
-def test_fixed_divisor_stops_at_its_budget(texts, budget, divisor):
-    P = [parse_poly(t, F2, Vxy, aliases={"y": "y1"}) for t in texts]
-    rep = check_fixed_divisor(F2, Vx, Vy, P, (1,), SearchConstraints(budget=budget))
-    assert (rep.tested, rep.exhaustive) == (budget, False)
-    assert rep.divisor == (divisor and parse_poly(divisor, F2, Vx))
+    rep = fixed_divisor(ZZ, ("x1",), ("y1",), ("y",))
+    assert rep.divisor is None and rep.certificate == []
 
 
 def test_fixed_divisor_none_over_f3():
-    P = [parse_poly("y", F3, Vxy, aliases={"y": "y1"})]
-    rep = check_fixed_divisor(F3, Vx, Vy, P, (1,))
-    assert rep.divisor is None
+    rep = fixed_divisor(F3, ("x1",), ("y1",), ("y",))
+    assert rep.divisor is None and rep.certificate == []
+
+
+def test_fixed_divisor_substitutes_every_y():
+    # y2 + y1^2 + y1 takes the value M2 at M1 = 0: no nonunit divides every
+    # value, and the divisor never involves a y
+    rep = fixed_divisor(F2, ("x1",), ("y1", "y2"), ("y2 + y1^2 + y1",))
+    assert rep.divisor is None and rep.certificate == []
+    rep = fixed_divisor(F2, ("x1",), ("y1", "y2"), ("y2^2 + y2 + x1*y1", "y1 + 1"))
+    assert str(rep.divisor) == "x1^2 + x1"
+
+
+def test_fixed_divisor_finds_prime_powers_and_content():
+    # (y^2 + y)^2 * x1*(y + 1): the content x1 times x1^2 (x1 + 1)^2, and
+    # y^4 + y vanishes on GF(4) = GF(2)[x1]/(x1^2 + x1 + 1)
+    rep = fixed_divisor(F2, ("x1",), ("y1",), ("y^2 + y", "y^2 + y", "x1*y + x1"))
+    assert str(rep.divisor) == "x1^5 + x1^3"
+    assert [(str(pi), k) for pi, k in rep.certificate] == [("x1", 2), ("x1 + 1", 2)]
+    rep = fixed_divisor(F2, ("x1",), ("y1",), ("y^4 + y + x1^2 + x1 + 1",))
+    assert [(str(pi), k) for pi, k in rep.certificate] == [("x1^2 + x1 + 1", 1)]
+
+
+@pytest.mark.parametrize("ring, xnames, texts, content", [
+    (ZZ, ("x1",), ("2*y^2 + 2*y", "x1*y + x1"), "2*x1"),
+    (QQ, ("x1",), ("2*y^2 + 2*y", "x1*y + x1"), "x1"),
+    (PolyRing(F3), ("x1",), ("y^3 - y", "u*y + u"), "u"),
+    (F2, ("x1", "x2"), ("y", "y + 1", "x2*y + x2"), "x2"),
+], ids=["Z", "Q", "GF3[u]", "GF2-two-x"])
+def test_fixed_divisor_is_the_content_without_values(monkeypatch, ring, xnames, texts, content):
+    # no prime of these R[x] leaves a finite residue ring, so no value is
+    # evaluated although y^3 - y and y(y + 1) vanish on every residue field
+    # that is finite
+    def no_values(*args):
+        raise AssertionError("a value was evaluated")
+    monkeypatch.setattr(schinzel_mod, "horner_substitute", no_values)
+    rep = fixed_divisor(ring, xnames, ("y1",), texts)
+    assert rep.divisor == parse_poly(content, ring, VarSet(xnames))
+    assert rep.certificate == []
+
+
+@pytest.mark.parametrize("xnames, ynames, texts, error", [
+    (("x1",), ("y1",), (), ZeroInputError),
+    (("x1",), ("y1",), ("y1", "0"), ZeroInputError),
+    ((), ("x1", "y1"), ("y1 + x1",), ValueError),
+    (("x1", "y1"), (), ("y1 + x1",), ValueError),
+    (("y1",), ("x1",), ("y1 + x1",), ValueError),
+], ids=["no-P", "zero-P", "no-x", "no-y", "y-before-x"])
+def test_fixed_divisor_refuses_what_it_cannot_decide(xnames, ynames, texts, error):
+    full = VarSet(("x1", "y1"))
+    P = [parse_poly(t, F2, full) for t in texts]
+    with pytest.raises(error):
+        check_fixed_divisor(F2, VarSet(xnames), VarSet(ynames), P)
+
+
+def _random_factor(rng, ring, full, pis):
+    """An irreducible A(y) + x1*B(y), A and B random of degree <= 3 in y1
+    and <= 1 in y2; or, one time in three, y1^Q - y1 + pi*(A + x1*B) for
+    pi of degree e in pis and Q = q^e, which vanishes on every point of
+    (GF(q)[x1]/(pi))^m."""
+    box = ring.element_box()
+    y1 = MultiPoly.variable(ring, full, "y1")
+    while True:
+        terms = {(i,) + tuple(rng.randint(0, 3 if j == 0 else 1) for j in range(len(full) - 1)):
+                 box[rng.randrange(len(box))] for i in (0, 1) for _ in range(rng.randint(1, 3))}
+        P = MultiPoly(ring, full, {e: c for e, c in terms.items() if not ring.is_zero(c)})
+        if rng.random() < 1 / 3:
+            pi = rng.choice(pis)
+            P = y1 ** ring.order ** pi.total_degree() - y1 + pi.embed(full) * P
+        if max(P.degree_in(y) for y in full.names[1:]) >= 1 and is_irreducible(P):
+            return P
+
+
+def _box_gcd(F, xv, ynames, deg):
+    """gcd of the values F(x1, M) over every tuple M of polynomials of
+    degree <= deg, by Specializer and poly_gcd."""
+    box = [M for M, _ in iter_candidates(F.ring, xv, support_monomials((deg,)),
+                                         SearchConstraints())]
+
+    def values(G, names):
+        if not names:
+            yield G
+            return
+        # y1 first: the inner loop substitutes y2, of lower degree
+        spec = Specializer(G, names[0])
+        for M in box:
+            yield from values(spec(M), names[1:])
+
+    acc = None
+    for value in values(F, ynames):
+        if value.is_zero() or acc is not None and value.try_divexact(acc) is not None:
+            continue
+        acc = value if acc is None else poly_gcd(acc, value)
+        if acc.is_constant():
+            return None
+    return acc.monic_normalize()[1]
+
+
+def test_fixed_divisor_agrees_with_exhaustive_boxes():
+    # The box of degree below top holds every residue mod pi^j when
+    # j*deg(pi) <= top: mod pi^(k + 1) for each certified (pi, k), so the box
+    # gcd would show a k that is too small or too large, and mod every pi
+    # with q^deg(pi) <= deg_y F, so it would show a pi left out.  Each
+    # factor is irreducible, so the content is 1.
+    rng = random.Random(26)
+    xv = VarSet(("x1",))
+    nontrivial = 0
+    for ring, m in [(ring, m) for ring in (F2, F3, F4) for m in (1, 2)] * 25:
+        yv = VarSet(("y1", "y2")[:m])
+        full = VarSet(xv.names + yv.names)
+        pis = [pi for e in (1, 2) if ring.order ** e <= 4 and (e == 1 or m == 1)
+               for pi in (MultiPoly.monomial(ring, xv, (e,)) + M
+                          for M, _ in iter_candidates(ring, xv, support_monomials((e - 1,)),
+                                                      SearchConstraints()))
+               if is_irreducible(pi)]
+        Ps = [_random_factor(rng, ring, full, pis) for _ in range(rng.randint(1, 3))]
+        rep = check_fixed_divisor(ring, xv, yv, Ps)
+        F = functools.reduce(operator.mul, Ps)
+        dy = max(F.degree_in(y) for y in yv.names)
+        top = max([e for e in range(1, dy + 1) if ring.order ** e <= dy]
+                  + [(k + 1) * pi.total_degree() for pi, k in rep.certificate] + [1])
+        assert _box_gcd(F, xv, yv.names, top - 1) == rep.divisor, [str(P) for P in Ps]
+        if rep.divisor is not None:
+            nontrivial += 1
+            assert rep.divisor == functools.reduce(
+                operator.mul, [pi ** k for pi, k in rep.certificate])
+    assert nontrivial >= 20
 
 
 def test_density_definitional():

@@ -131,7 +131,11 @@ def test_goldbach_clauses(tmp_path, capsys, args, F, G, detail):
      "the relaxed degree clause needs a second variable besides the designated one"),
     (["--ring", "GF(3)", "--Q", "x^2 + x"], 0, {"relaxed_degx": True},
      "the relaxed degree clause needs a second variable besides the designated one"),
-], ids=["constant-Q", "relaxed-one-variable-none", "relaxed-one-variable-found"])
+    # with no variable there is no designated one to read
+    (["--ring", "GF(2)", "--Q", "x^2 + x"], 2, {"Q": "1", "vars": [], "relaxed_degx": True},
+     "Q must be nonconstant"),
+], ids=["constant-Q", "relaxed-one-variable-none", "relaxed-one-variable-found",
+        "relaxed-constant-Q"])
 def test_goldbach_inputs_that_the_command_refuses(tmp_path, capsys, args, code, inputs, detail):
     # `goldbach` refuses these inputs with exit 1 and no envelope, whatever
     # the status the tampered envelope records
