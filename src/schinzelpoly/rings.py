@@ -1380,6 +1380,8 @@ class PolyRing(Ring):
         return out
 
     def format_needs_parens(self, a):
+        if len(a) == 1:
+            return False  # format parenthesizes a constant where k needs it
         s = self.format(a)
         return any(ch in s for ch in "+-*^() ") or s == "u"
 

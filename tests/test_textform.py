@@ -1,11 +1,16 @@
 """The polynomial text grammar: every ParseError path with its message and
-position, inside a parenthesized coefficient and outside it."""
+position, inside a parenthesized coefficient and outside it, and the
+print-parse round trip of k[u] coefficients."""
+
+import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
 from schinzelpoly.errors import ParseError
-from schinzelpoly.multipoly import VarSet
-from schinzelpoly.rings import GF, QQ, ZZ, PolyRing
+from schinzelpoly.multipoly import MultiPoly, VarSet
+from schinzelpoly.rings import GF, QQ, ZZ, PolyRing, u_trim
 from schinzelpoly.textform import parse_poly
 
 V = VarSet(("x1", "y"))
@@ -59,3 +64,40 @@ def test_parse_error_message_and_position(text, ring, message, position):
 ])
 def test_parse_coefficient_expressions(text, ring, want):
     assert str(parse_poly(text, ring, V)) == want
+
+
+@pytest.mark.parametrize("text, ring, want", [
+    # a constant in u that k parenthesizes gets one pair, as over k itself
+    ("x1^2 + 1/2", PolyRing(QQ), "x1^2 + (1/2)"),
+    ("-1/2*x1 + 1/3", PolyRing(QQ), "-(1/2)*x1 + (1/3)"),
+    ("1/2*x1*y", PolyRing(QQ), "(1/2)*x1*y"),
+    ("x1^3 + t", PolyRing(GF(3, 2)), "x1^3 + (t)"),
+    ("2*t*x1 + t + 1", PolyRing(GF(3, 2)), "(2*t)*x1 + (t + 1)"),
+    ("t*u*x1 + (t + 1)*u + t", PolyRing(GF(2, 2)), "((t)*u)*x1 + ((t + 1)*u + (t))"),
+])
+def test_format_of_ku_constants(text, ring, want):
+    assert str(parse_poly(text, ring, V)) == want
+
+
+@pytest.mark.parametrize("ring", [PolyRing(QQ), PolyRing(GF(2, 2)), PolyRing(GF(3, 2))],
+                         ids=str)
+def test_ku_print_parse_roundtrip(ring):
+    rng = random.Random(0)
+    base = ring.base
+    if base is QQ:
+        values = [Fraction(n, d) for n in range(-2, 3) for d in (1, 2, 3)]
+    else:
+        values = base.element_box()
+    for _ in range(300):
+        terms = {}
+        for e in itertools.product(range(2), repeat=2):
+            a = u_trim([rng.choice(values) for _ in range(rng.randrange(3))], base)
+            if a:
+                terms[e] = tuple(a)
+        f = MultiPoly(ring, V, terms)
+        text = str(f)
+        assert parse_poly(text, ring, V) == f, text
+        for e, a in terms.items():
+            if len(a) == 1:  # constant in u: one pair of parentheses at most
+                term = str(MultiPoly(ring, V, {e: a}))
+                assert "((" not in term and term.count("(") <= 1, term
