@@ -538,18 +538,18 @@ def _verify_spectrum(env):
         return True, "nothing to re-verify"
     from .constructions import _embed_poly, _embedding
 
-    kp, emb = _embedding(spec)
+    kp = _embedding(spec)
     U = read(res["U"])
     H = [parse_poly(t, kp, vars) for t in res["H"]]
-    Up, Vp = _embed_poly(U, kp, emb), _embed_poly(V, kp, emb)
+    Up, Vp = _embed_poly(U, kp), _embed_poly(V, kp)
     # (a): U - a_i V = w_i H_i with H_i irreducible, H_i not dividing w_i
     for a, wi, Hi in zip(S, w, H[1:]):
-        lhs = _embed_poly(U - V.scale(a), kp, emb)
-        if lhs != _embed_poly(wi, kp, emb) * Hi:
+        lhs = _embed_poly(U - V.scale(a), kp)
+        if lhs != _embed_poly(wi, kp) * Hi:
             return False, "division identity (a) fails"
         if not is_irreducible(Hi):
             return False, "H_i not irreducible"
-        if _embed_poly(wi, kp, emb).try_divexact(Hi) is not None:
+        if _embed_poly(wi, kp).try_divexact(Hi) is not None:
             return False, "H_i divides w_i"
     # (b): U - a0 V irreducible of degree max(deg U, deg V)
     H0 = Up - Vp.scale(a0)

@@ -425,19 +425,18 @@ class SpectrumResult:
 
 
 def _embedding(spec: SpectrumSpec):
-    """Coefficient embedding k -> k(a0)."""
-    kp = spec.a0_field
-    k = spec.base
-    if kp == k:
-        return kp, lambda v: v
-    if isinstance(k, PrimeField) and isinstance(kp, ExtField) and kp.p == k.p:
-        return kp, lambda v: (v,) if v else ()
+    """The field k(a0), which holds k: k itself, or GF(p^m) over a prime
+    field k, whose residues are the same elements there."""
+    kp, k = spec.a0_field, spec.base
+    if kp == k or (isinstance(k, PrimeField) and isinstance(kp, ExtField) and kp.p == k.p):
+        return kp
     raise UnsupportedRingError(
         "a0 may live in k itself, or in GF(p^m) over a prime field k")
 
 
-def _embed_poly(f: MultiPoly, kp, emb):
-    return MultiPoly(kp, f.vars, {e: emb(v) for e, v in f.terms.items()})
+def _embed_poly(f: MultiPoly, kp):
+    """f read over the field kp that holds its coefficients."""
+    return MultiPoly(kp, f.vars, f.terms)
 
 
 def spectrum_construct(spec: SpectrumSpec, budget=20_000, seed=0,
@@ -446,7 +445,7 @@ def spectrum_construct(spec: SpectrumSpec, budget=20_000, seed=0,
     k = spec.base
     vars = spec.xvars
     t = len(spec.S)
-    kp, emb = _embedding(spec)
+    kp = _embedding(spec)
 
     W = MultiPoly.one(k, vars)
     for w in spec.w:
@@ -479,7 +478,7 @@ def spectrum_construct(spec: SpectrumSpec, budget=20_000, seed=0,
             cof.append(p)
             if p.is_zero():
                 ok = False
-        p0 = _embed_poly(U0, kp, emb) - _embed_poly(spec.V, kp, emb).scale(spec.a0)
+        p0 = _embed_poly(U0, kp) - _embed_poly(spec.V, kp).scale(spec.a0)
         if p0.is_zero():
             ok = False
         if ok:
@@ -489,14 +488,14 @@ def spectrum_construct(spec: SpectrumSpec, budget=20_000, seed=0,
         raise ArithmeticError("could not make all cofactors nonzero")
 
     # A_i + B_i * y data over k(a0); coprimality verified, as in the proof.
-    Wp = _embed_poly(W, kp, emb)
+    Wp = _embed_poly(W, kp)
     AB = [(p0, Wp)]
     for i, (a, w) in enumerate(zip(spec.S, spec.w)):
         Bi = MultiPoly.one(k, vars)
         for j, wj in enumerate(spec.w):
             if j != i:
                 Bi = Bi * wj
-        AB.append((_embed_poly(cof[i], kp, emb), _embed_poly(Bi, kp, emb)))
+        AB.append((_embed_poly(cof[i], kp), _embed_poly(Bi, kp)))
     for i, (A, B) in enumerate(AB):
         g = poly_gcd(A, B)
         if not (g.is_constant() and kp.is_unit(g.constant_value())):
@@ -505,14 +504,14 @@ def spectrum_construct(spec: SpectrumSpec, budget=20_000, seed=0,
     cons = SearchConstraints(strategy="random", seed=seed, budget=budget,
                              coeff_bound=coeff_bound)
     support = support_monomials(delta)
-    Vp = _embed_poly(spec.V, kp, emb)
-    wps = [_embed_poly(w, kp, emb) for w in spec.w]
+    Vp = _embed_poly(spec.V, kp)
+    wps = [_embed_poly(w, kp) for w in spec.w]
 
     def accept(candidate, tested):
         M = candidate[0]
         if any(M.degree_in(name) != dj for name, dj in zip(vars.names, delta)):
             return None
-        Mp = _embed_poly(M, kp, emb)
+        Mp = _embed_poly(M, kp)
         H = []
         for i, (A, B) in enumerate(AB):
             Hi = A + B * Mp
@@ -524,7 +523,7 @@ def spectrum_construct(spec: SpectrumSpec, budget=20_000, seed=0,
         U = U0 + M * W
         if any(U.degree_in(name) != dj for name, dj in zip(vars.names, spec.d)):
             return None
-        Up = _embed_poly(U, kp, emb)
+        Up = _embed_poly(U, kp)
         lhs = Up - Vp.scale(spec.a0)
         if lhs != H[0]:
             raise ArithmeticError("internal mismatch: U - a0*V != H_0")

@@ -57,6 +57,7 @@ from .multipoly import (MultiPoly, VarSet, dense_decode, dense_encode, dense_in_
 from .rings import (
     EXT_TABLE_LIMIT,
     ExtField,
+    FiniteField,
     IntegerRing,
     PolyRing,
     PrimeField,
@@ -106,7 +107,8 @@ ZX_SCREEN_PRIMES = 6
 # ---------------------------------------------------------------------------
 
 def _factor_sort_key(f: MultiPoly):
-    return (f.total_degree(), f.sorted_terms())
+    key = f.ring.order_key
+    return f.total_degree(), [(e, key(v)) for e, v in f.sorted_terms()]
 
 
 @dataclass
@@ -262,7 +264,7 @@ def _ff_sff(f, K):
 
 
 def _ff_random_poly(deg, K, rng):
-    return u_trim([K.from_index(rng.randrange(K.order)) for _ in range(deg)], K)
+    return u_trim([rng.randrange(K.order) for _ in range(deg)], K)
 
 
 def _ff_edf(g, d, K, rng):
@@ -642,7 +644,7 @@ def factor_multivariate(f: MultiPoly) -> Factorization:
     ring, vars = f.ring, f.vars
     if f.is_zero():
         raise ZeroInputError("cannot factor the zero polynomial")
-    if not isinstance(ring, (IntegerRing, RationalField, PrimeField, ExtField, PolyRing)):
+    if not isinstance(ring, (IntegerRing, RationalField, FiniteField, PolyRing)):
         raise UnsupportedRingError(f"factorization over {ring} is not supported")
 
     pairs = []
@@ -715,7 +717,7 @@ def _factor_dense(c, K):
 
     def key(fm):
         g = fm[0]
-        return len(g), [(i, g[i]) for i in range(len(g) - 1, -1, -1) if g[i]]
+        return len(g), [(i, K.order_key(g[i])) for i in range(len(g) - 1, -1, -1) if g[i]]
     return sorted(out, key=key)
 
 
@@ -940,7 +942,7 @@ def factor_poly_ring_value(ring: PolyRing, a):
 
 def factor_univariate_finite_field(f: MultiPoly) -> Factorization:
     """Complete univariate factorization over GF(q)."""
-    if not isinstance(f.ring, (PrimeField, ExtField)):
+    if not isinstance(f.ring, FiniteField):
         raise UnsupportedRingError(f"{f.ring} is not a finite field")
     return factor_multivariate(f)
 
@@ -1044,8 +1046,6 @@ def _is_irreducible_auto(f, need_witness):
     def value(line, E, point):
         out = E.zero
         for e, v in line.terms.items():
-            if E is not ring:
-                v = E.from_int(v)
             for j, x in zip(idx, point):
                 if e[j]:
                     v = E.mul(v, E.pow(x, e[j]))
@@ -1097,14 +1097,13 @@ def bivariate_is_irreducible(rows, K, vars, need_witness=False, in_ku=False):
     Then is_irreducible's rules in its order: degree 1 in a variable, the
     Newton polygon, _try_specialization_certificate, and Kronecker.
     Witnesses are over vars."""
-    zero = K.zero if K.is_finite else 0
     cols = [[] for _ in range(max(map(len, rows), default=0))]
     for j, row in enumerate(rows):  # from the nonzero entries, so sparse F costs its terms
         for i, v in enumerate(row):
             if v:
                 col = cols[i]
                 if len(col) < j:
-                    col += [zero] * (j - len(col))
+                    col += [0] * (j - len(col))
                 col.append(v)
     lines = (cols, rows)  # lines[k]: the coefficients of F in its k-th variable
     gcd = functools.partial(u_gcd, K=K) if K.is_finite else zx_gcd
@@ -1124,9 +1123,7 @@ def bivariate_is_irreducible(rows, K, vars, need_witness=False, in_ku=False):
         return IrreducibilityCertificate(False, "reducible", witness(g, 1 - k), "content")
 
     def value(line, E, point):
-        if not E.is_finite:
-            return zx_eval(line, point[0])
-        return u_eval(line if E is K else [E.from_int(v) for v in line], point[0], E)
+        return u_eval(line, point[0], E) if E.is_finite else zx_eval(line, point[0])
 
     if in_ku:
         if len(cols) < 2:
@@ -1297,7 +1294,7 @@ def _extension_points(p, m):
     while p ** k <= EXT_TABLE_LIMIT:
         E = ExtField(p, k)
         for point in itertools.product(E.element_box(), repeat=m):
-            if any(len(a) > 1 for a in point):
+            if any(a >= p for a in point):
                 yield E, point
         k += 1
 
@@ -1418,7 +1415,7 @@ def _constant_is_power(num, den, ring, ell):
                 return False
             x = -x
         return is_perfect_power(x.numerator, ell) and is_perfect_power(x.denominator, ell)
-    if isinstance(ring, (PrimeField, ExtField)):
+    if isinstance(ring, FiniteField):
         c = ring.mul(num, ring.inv(den))
         q = ring.order
         g = math.gcd(ell, q - 1)

@@ -33,9 +33,9 @@ from .rings import (
     RingElement,
     dense_trim,
     pack_slots,
+    u_add,
     u_gcd,
-    zm_add,
-    zm_mul,
+    u_mul,
     zx_add,
     zx_gcd,
     zx_mul,
@@ -601,8 +601,8 @@ _DENSE_SLACK = 16
 
 
 class Specializer:
-    """y -> g in a polynomial P over any ring: over GF(p^k) and k[u] by
-    horner_substitute, over Z, Q and GF(p) on dense images.
+    """y -> g in a polynomial P over any ring: over k[u] by
+    horner_substitute, over Z, Q and GF(q) on dense images.
 
     A polynomial in the variables left is handled as its Kronecker image
     (dense_encode), in which variable j has stride s_j: s_0 = 1 and
@@ -624,13 +624,13 @@ class Specializer:
     terms P(g) can have, is substituted by horner_substitute instead; dense
     refuses a value past DEGREE_CAP before any layout is built.
 
-    Over GF(p) with p in SLOT_MOD the rows are also packed ints, one byte
-    slot per coefficient, and a step acc * g + row runs on them whenever
-    its slots stay below 256: len(g.terms) * (p-1)^2 + p - 1 < 256.  Over
-    Q the Horner runs on integers: with P = sum_k c_k y^k / a for integral
-    c_k and g = h / b for integral h,
-    P(g) = sum_k c_k h^k b^(D-k) / (a b^D).
-    Over GF(p)[u] and Q[u] with one variable x left, lifted is lift_u(P)'s.
+    Over GF(q) a step acc * g + row runs u_mul and u_add.  Over GF(p)
+    with p in SLOT_MOD the rows are also packed ints, one byte slot per
+    coefficient, and a step runs on them whenever its slots stay below 256:
+    len(g.terms) * (p-1)^2 + p - 1 < 256.  Over Q the Horner runs on
+    integers: with P = sum_k c_k y^k / a for integral c_k and g = h / b for
+    integral h, P(g) = sum_k c_k h^k b^(D-k) / (a b^D).
+    Over k[u] with one variable x left, lifted is lift_u(P)'s.
     """
 
     __slots__ = ("P", "name", "ring", "left", "dense_ok", "lifted", "row_terms", "top", "den",
@@ -643,11 +643,10 @@ class Specializer:
         self.left = P.vars.without(name)
         self.layouts = {}  # by the degrees of a value but the last, built by dense
         self.lifted = None
-        self.dense_ok = isinstance(K, (IntegerRing, RationalField, PrimeField))
+        self.dense_ok = not isinstance(K, PolyRing)
         if not self.dense_ok:
-            if isinstance(K, PolyRing) and len(self.left) == 1:
-                lifted = Specializer(lift_u(P), name)
-                self.lifted = lifted if lifted.dense_ok else None
+            if len(self.left) == 1:
+                self.lifted = Specializer(lift_u(P), name)
             return
         terms = P.terms
         self.den = 1
@@ -663,10 +662,10 @@ class Specializer:
         self.span = max(top[i], 1)  # >= 1: the image of g itself fits when P has no y
 
     def dense(self, g, gdeg=None):
-        """(c, den) with P(g) = c / den, for g over P's ring (Z, Q or GF(p))
-        in the variables left: c is the image as a dense int
-        list (the coefficient list when one variable is left), reduced mod p
-        over GF(p), and den = 1 except over Q.  gdeg, when given, is the
+        """(c, den) with P(g) = c / den, for g over P's ring (Z, Q or GF(q))
+        in the variables left: c is the image as a dense list of ints (the
+        coefficient list when one variable is left), of field elements over
+        GF(q), and den = 1 except over Q.  gdeg, when given, is the
         degree vector of g in the variables left.
 
         The layout of g's shape, gdeg[:-1], is (radices, strides, size,
@@ -702,12 +701,13 @@ class Specializer:
             for row in packed:
                 acc = (int.from_bytes(acc, "little") * G + row).to_bytes(n, "little").translate(table)
             return list(acc.rstrip(b"\0")), 1
+        K = self.ring
         acc = []
         w = 1  # b^(D-k) at the row of y^k
         for c in rows:
             if w != 1:
                 c = [v * w for v in c]
-            acc = zm_add(zm_mul(acc, h, p), c, p) if p else zx_add(zx_mul(acc, h), c)
+            acc = u_add(u_mul(acc, h, K), c, K) if K.is_finite else zx_add(zx_mul(acc, h), c)
             w *= b
         return acc, self.den * b ** (len(rows) - 1)
 

@@ -8,7 +8,8 @@ objects:
     Z       -> int
     Q       -> fractions.Fraction
     GF(p)   -> int in [0, p)
-    GF(p^k) -> tuple of ints (coefficients of t, low to high, stripped)
+    GF(p^k) -> int in [0, p^k), whose base-p digits are the coefficients
+               of t, low to high; GF(p) sits inside it as 0, ..., p - 1
     k[u]    -> tuple of base-field values (coefficients of u, stripped)
 
 Canonical units: over Z the canonical representative of an associate class
@@ -54,8 +55,9 @@ from .errors import ParseError, RingMismatchError, ZeroInputError
 # squarings of u_powmod run on packed ints once the divisor has
 # _PACK_MIN_LEN coefficients: each division step eliminates one quotient
 # coefficient by one big-int multiply-add (XOR for p = 2), and the slots
-# are reduced only before one could pass 255.  They implement GF(p^k)
-# and k[u] element arithmetic here and carry the finite-field factorizer;
+# are reduced only before one could pass 255.  They implement the
+# arithmetic of k[u] and of GF(p^k) above EXT_TABLE_LIMIT here, on the
+# digits of its elements, and carry the finite-field factorizer;
 # u_ddf is its one distinct-degree loop, which u_is_irreducible also runs.
 # Over GF(p) with p <= ROOT_SCAN_LIMIT, zm_roots finds the roots by
 # evaluating at every element, which decides degrees 2 and 3 outright and
@@ -180,7 +182,7 @@ def zm_divmod(a, b, m):
 
 
 def u_trim(c, K):
-    if isinstance(K, PrimeField):
+    if K.is_finite:
         return dense_trim(c)
     while c and K.is_zero(c[-1]):
         c.pop()
@@ -869,6 +871,11 @@ class Ring:
         """Whether format(a) must be parenthesized when juxtaposed with '*'."""
         return False
 
+    def order_key(self, a):
+        """The key by which factors compare values: over GF(p^k) the list
+        of coefficients of t, low to high, else the value itself."""
+        return a
+
     def factor_value(self, a):
         """Return (unit, [(irreducible value, multiplicity), ...])."""
         raise NotImplementedError
@@ -1017,10 +1024,22 @@ class RationalField(Field):
         return [Fraction(n) for n in _spiral(coeff_bound)]
 
 
-class PrimeField(Field):
-    """GF(p), residues stored in [0, p)."""
+class FiniteField(Field):
+    """GF(q), q = p^k: an element is an index 0 <= i < q, its place in
+    element_box, and a residue of GF(p) is the same element of GF(p^k)."""
 
     is_finite = True
+    zero, one = 0, 1
+
+    def from_int(self, n):
+        return n % self.p
+
+    def element_box(self, coeff_bound=None, deg_bound=None):
+        return list(range(self.order))
+
+
+class PrimeField(FiniteField):
+    """GF(p), residues stored in [0, p)."""
 
     def __init__(self, p):
         if not is_prime(p):
@@ -1028,8 +1047,6 @@ class PrimeField(Field):
         self.p = p
         self.order = p
         self.characteristic = p
-        self.zero = 0
-        self.one = 1 % p
 
     def spec_string(self):
         return f"GF({self.p})"
@@ -1056,24 +1073,32 @@ class PrimeField(Field):
             raise ZeroDivisionError("0 is not invertible")
         return pow(a, -1, self.p)
 
-    def from_int(self, n):
-        return n % self.p
-
     def format(self, a):
         return str(a)
-
-    def element_box(self, coeff_bound=None, deg_bound=None):
-        return list(range(self.p))
-
-    def from_index(self, i):
-        """The i-th element of element_box."""
-        return i
 
 
 # Fields of at most this order do their arithmetic by table lookup.  On a
 # shared 2-core x86 machine their tables took at most about 3 ms to build
 # (GF(2^8)); at a limit of 2^10 the slowest took 10 ms, at 2^12 42 ms.
 EXT_TABLE_LIMIT = 1 << 8
+
+
+def _digits(i, p):
+    """The base-p digits of i, low to high: the coefficients of t of the
+    element i of GF(p^k)."""
+    out = []
+    while i:
+        i, c = divmod(i, p)
+        out.append(c)
+    return out
+
+
+def _from_digits(c, p):
+    """The element of GF(p^k) whose coefficients of t are c, low to high."""
+    i = 0
+    for d in reversed(c):
+        i = i * p + d
+    return i
 
 
 @functools.cache
@@ -1089,65 +1114,56 @@ def _ext_modulus(p, k):
 
 @functools.cache
 def _ext_tables(p, k):
-    """Tables of GF(p^k) = GF(p)[t]/(_ext_modulus(p, k)), keyed by element
-    tuples.
+    """Tables of GF(p^k) = GF(p)[t]/(_ext_modulus(p, k)) on element indices.
 
-    Returns (pw, log, index, elems, zech).  pw[j] is g^j for a primitive
-    element g, listed over 0 <= j < 2(q-1) so that a sum of two logs needs
-    no reduction, and log inverts it on nonzero elements.  index maps an
-    element to sum c_i p^i and elems inverts it; for p = 2 the XOR of two
-    indices is the index of the sum.  zech[m] is the log of 1 + g^m for
-    odd p (-1 where that is zero).  Built on the polynomial path once per
-    (p, k) and cached.
+    Returns (pw, log, zech).  pw[j] is g^j for a primitive element g, listed
+    over 0 <= j < 2(q-1) so that a sum of two logs needs no reduction, and
+    log[a] is the log of a nonzero a.  zech[m] is the log of 1 + g^m for
+    odd p (-1 where that is zero), and None for p = 2, where a sum is an
+    XOR.  Built on the polynomial path once per (p, k) and cached.
     """
     modulus = list(_ext_modulus(p, k))
     K = PrimeField(p)
     q = p ** k
     n = q - 1
-    # elems[i] has the base-p digits of i; built one top digit at a time
-    elems = [()]
-    for j in range(k):
-        pad = (0,) * j
-        elems += [(a + pad[len(a):]) + (c,) for c in range(1, p) for a in elems]
-    index = {a: i for i, a in enumerate(elems)}
     orders = [n // r for r, _ in factor_int(n)]
     # the first primitive element in index order
-    for g in elems[p:]:
-        g = list(g)
+    for g in range(p, q):
+        g = _digits(g, p)
         if all(u_powmod(g, e, modulus, K) != [1] for e in orders):
             break
-    pw = [(1,)] * n
+    pw = [1] * n
     cur = [1]
     for j in range(1, n):
         cur = u_rem(u_mul(cur, g, K), modulus, K)
-        pw[j] = tuple(cur)
-    log = {a: j for j, a in enumerate(pw)}
+        pw[j] = _from_digits(cur, p)
+    log = [0] * q
+    for j, a in enumerate(pw):
+        log[a] = j
     zech = None
     if p != 2:
         # 1 + g^m: add one to the constant digit of the index
         zech = [-1] * n
-        for m, a in enumerate(pw):
-            i = index[a]
-            s = elems[i - i % p + (i + 1) % p]
+        for m, i in enumerate(pw):
+            s = i - i % p + (i + 1) % p
             zech[m] = log[s] if s else -1
-    return pw + pw, log, index, elems, zech
+    return pw + pw, log, zech
 
 
-class ExtField(Field):
+class ExtField(FiniteField):
     """GF(p^k) as GF(p)[t] / (modulus), k >= 2.
 
-    Elements are tuples of residues (coefficients of t, low to high,
-    trailing zeros stripped).  The modulus is the lexicographically
+    An element is its index sum c_j p^j, where c_j is its coefficient of
+    t^j (FiniteField), so t is p.  The modulus is the lexicographically
     smallest monic irreducible of degree k, coefficient vectors compared
     low to high, which pins the field down without Conway tables.
 
-    Fields of order up to EXT_TABLE_LIMIT do their arithmetic by table
-    lookup (see _ext_tables): a product is one sum of logarithms, a sum is
-    an XOR of element indices for p = 2 and one Zech logarithm for odd p.
-    Larger fields reduce polynomial products by the modulus.
+    For p = 2 a sum is the XOR of the indices.  Fields of order up to
+    EXT_TABLE_LIMIT do the rest by table lookup (see _ext_tables): a
+    product is one sum of logarithms, a sum for odd p one Zech logarithm.
+    Larger fields run u_* on the digits, reducing products by the modulus.
     """
 
-    is_finite = True
     generator_symbol = "t"
 
     def __init__(self, p, k):
@@ -1159,31 +1175,25 @@ class ExtField(Field):
         self.order = p ** k
         self.characteristic = p
         self.modulus = list(_ext_modulus(p, k))
-        self.zero = ()
-        self.one = (1,)
-        self._pw = self._log = self._index = self._elems = self._zech = None
+        self._pw = self._log = self._zech = None
         if self.order <= EXT_TABLE_LIMIT:
-            self._pw, self._log, self._index, self._elems, self._zech = _ext_tables(p, k)
+            self._pw, self._log, self._zech = _ext_tables(p, k)
             self._n = self.order - 1
             self._half = self._n // 2  # g^half = -1 for odd p
 
     def spec_string(self):
         return f"GF({self.p}^{self.k})"
 
-    def _reduce(self, coeffs):
-        r = u_rem(coeffs, self.modulus, self.base)
-        return tuple(r)
-
     def _zech_add(self, x, y):
         """g^x + g^y for odd p."""
         z = self._zech[(y - x) % self._n]
-        return self._pw[x + z] if z >= 0 else ()
+        return self._pw[x + z] if z >= 0 else 0
 
     def add(self, a, b):
+        if self.p == 2:
+            return a ^ b
         if self._log is None:
-            return tuple(u_add(list(a), list(b), self.base))
-        if self._zech is None:
-            return self._elems[self._index[a] ^ self._index[b]]
+            return _from_digits(zm_add(_digits(a, self.p), _digits(b, self.p), self.p), self.p)
         if not a:
             return b
         if not b:
@@ -1191,10 +1201,10 @@ class ExtField(Field):
         return self._zech_add(self._log[a], self._log[b])
 
     def sub(self, a, b):
+        if self.p == 2:
+            return a ^ b
         if self._log is None:
             return self.add(a, self.neg(b))
-        if self._zech is None:
-            return self._elems[self._index[a] ^ self._index[b]]
         if not b:
             return a
         y = self._log[b] + self._half
@@ -1203,25 +1213,25 @@ class ExtField(Field):
         return self._zech_add(self._log[a], y)
 
     def neg(self, a):
-        if self._log is None:
-            return tuple(u_neg(list(a), self.base))
-        if self._zech is None or not a:
+        if self.p == 2 or not a:
             return a
+        if self._log is None:
+            return _from_digits(u_neg(_digits(a, self.p), self.base), self.p)
         return self._pw[self._log[a] + self._half]
 
     def mul(self, a, b):
-        log = self._log
-        if log is None:
-            return self._reduce(u_mul(list(a), list(b), self.base))
         if not a or not b:
-            return ()
-        return self._pw[log[a] + log[b]]
+            return 0
+        if self._log is None:
+            prod = u_mul(_digits(a, self.p), _digits(b, self.p), self.base)
+            return _from_digits(u_rem(prod, self.modulus, self.base), self.p)
+        return self._pw[self._log[a] + self._log[b]]
 
     def pow(self, a, e):
         if self._log is None or e <= 0:
             return super().pow(a, e)
         if not a:
-            return ()
+            return 0
         return self._pw[self._log[a] * e % self._n]
 
     def try_divexact(self, a, b):
@@ -1230,7 +1240,7 @@ class ExtField(Field):
         if self._log is None:
             return self.mul(a, self.inv(b))
         if not a:
-            return ()
+            return 0
         return self._pw[self._log[a] - self._log[b] + self._n]
 
     def inv(self, a):
@@ -1238,49 +1248,28 @@ class ExtField(Field):
             raise ZeroDivisionError("0 is not invertible")
         if self._log is not None:
             return self._pw[self._n - self._log[a]]
-        g, s, _ = u_xgcd(list(a), self.modulus, self.base)
-        if u_deg(g) != 0:
-            raise ArithmeticError("modulus is not irreducible")
-        return self._reduce(s)
-
-    def from_int(self, n):
-        v = n % self.p
-        return (v,) if v else ()
+        # the modulus is irreducible, so the gcd is 1 and s * a = 1, deg s < k
+        return _from_digits(u_xgcd(_digits(a, self.p), self.modulus, self.base)[1], self.p)
 
     def generator(self):
-        return self._reduce([0, 1])
+        return self.p
 
     def format(self, a):
-        if not a:
-            return "0"
         parts = []
-        for i in range(len(a) - 1, -1, -1):
-            c = a[i]
-            if c == 0:
-                continue
-            if i == 0:
+        for i, c in reversed(list(enumerate(_digits(a, self.p)))):
+            if c and i == 0:
                 parts.append(str(c))
-            else:
+            elif c:
                 tpow = "t" if i == 1 else f"t^{i}"
                 parts.append(tpow if c == 1 else f"{c}*{tpow}")
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     def format_needs_parens(self, a):
         s = self.format(a)
         return any(ch in s for ch in "+-*^ ") or s == "t"
 
-    def element_box(self, coeff_bound=None, deg_bound=None):
-        if self._elems is not None:
-            return list(self._elems)
-        return [self.from_index(i) for i in range(self.order)]
-
-    def from_index(self, i):
-        """The i-th element of element_box: the base-p digits of i."""
-        digits = []
-        while i:
-            digits.append(i % self.p)
-            i //= self.p
-        return tuple(digits)
+    def order_key(self, a):
+        return _digits(a, self.p)
 
 
 class PolyRing(Ring):
@@ -1384,6 +1373,9 @@ class PolyRing(Ring):
             return False  # format parenthesizes a constant where k needs it
         s = self.format(a)
         return any(ch in s for ch in "+-*^() ") or s == "u"
+
+    def order_key(self, a):
+        return tuple(map(self.base.order_key, a))
 
     def factor_value(self, a):
         from . import factor as _factor  # deferred; factor builds on this module

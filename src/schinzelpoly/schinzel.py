@@ -239,10 +239,12 @@ def _check_side_constraints(problem, M, tup):
 def image_irreducibility(spec, M):
     """(irreducible, reason, method) of P(y = M) for the Specializer spec
     of P and y, as is_irreducible reports them, with the zero image
-    "unit/constant".  Over Z, Q and GF(p) the image stays dense: with one
+    "unit/constant".  Over Z, Q and GF(q) the image stays dense: with one
     variable left dense_is_irreducible decides its coefficient list, with
     two bivariate_is_irreducible its rows, as for the lifted form in (x, u)
-    of an image over GF(p)[u] or Q[u] in one x (from spec.lifted)."""
+    of an image over k[u] in one x (from spec.lifted).  Only an image over
+    k[u] in two or more x, or one that spec refuses to take densely, is
+    built as a MultiPoly and decided by is_irreducible."""
     if spec.dense_ok and len(spec.left) == 1:
         return dense_is_irreducible(spec.dense(M)[0], spec.ring)
     rows_spec = spec.lifted or (spec if spec.dense_ok and len(spec.left) == 2 else None)

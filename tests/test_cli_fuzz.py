@@ -15,7 +15,8 @@ import pytest
 
 from schinzelpoly.cli import main
 
-RINGS = (["Z", "Q", "GF(2)", "GF(3)", "GF(2^2)", "GF(3)[u]", "Q[u]", "GF(2)[u]"],
+RINGS = (["Z", "Q", "GF(2)", "GF(3)", "GF(2^2)", "GF(3^2)", "GF(3)[u]", "Q[u]", "GF(2)[u]",
+          "GF(2^2)[u]"],
          ["GF(1)", "GF(6)", "Z[u]", "GF(2^", "R", ""])
 
 # text that one ring or another refuses is among the good values too

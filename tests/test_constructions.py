@@ -389,8 +389,8 @@ def test_spectrum_over_finite_field_with_extension_a0():
     # U - t*V irreducible over GF(4)
     from schinzelpoly.constructions import _embed_poly, _embedding
 
-    kp, emb = _embedding(spec)
-    H0 = _embed_poly(U, kp, emb) - _embed_poly(parse_poly("1", F2, V2), kp, emb).scale(t)
+    kp = _embedding(spec)
+    H0 = _embed_poly(U, kp) - _embed_poly(parse_poly("1", F2, V2), kp).scale(t)
     assert is_irreducible(H0)
 
 

@@ -14,13 +14,14 @@ from fractions import Fraction
 import pytest
 
 from schinzelpoly import factor as factor_mod
-from schinzelpoly import multipoly
+from schinzelpoly import multipoly, schinzel
+from schinzelpoly.cli import swan_scan
 from schinzelpoly.factor import bivariate_is_irreducible, dense_is_irreducible, is_irreducible
 from schinzelpoly.multipoly import (DEGREE_CAP, MultiPoly, Specializer, VarSet, dense_in_var,
                                    list_content, poly_gcd)
 from schinzelpoly.rings import GF, QQ, ROOT_SCAN_LIMIT, ZZ, PolyRing, PrimeField, parse_ring
-from schinzelpoly.schinzel import (SearchConstraints, image_irreducibility, iter_candidates,
-                                   support_monomials)
+from schinzelpoly.schinzel import (SchinzelProblem, SearchConstraints, image_irreducibility,
+                                   iter_candidates, schinzel_search, support_monomials)
 from schinzelpoly.textform import parse_poly
 from test_fastpaths import sparse_horner
 
@@ -104,7 +105,9 @@ def random_poly(rng, ring, vars, top, values):
     (GF(2), [1]),
     (GF(3), [1, 2]),
     (GF(67), [1, 2, 66, 40]),
-], ids=["Z", "Q", "GF(2)", "GF(3)", "GF(67)"])
+    (GF(2, 2), [1, 2, 3]),
+    (GF(3, 2), [1, 2, 3, 5, 8]),
+], ids=["Z", "Q", "GF(2)", "GF(3)", "GF(67)", "GF(2^2)", "GF(3^2)"])
 @pytest.mark.parametrize("vars", [XY, YX], ids=["xy", "yx"])
 def test_one_specializer_serves_every_candidate(ring, values, vars):
     # one Specializer per P across many M, as a search keeps it: every image
@@ -135,9 +138,8 @@ def test_one_specializer_serves_every_candidate(ring, values, vars):
 @pytest.mark.parametrize("vars", [XY, VarSet(("x1", "x2", "y")), VarSet(("y", "x1", "x2"))],
                          ids=["one-left", "two-left", "y-first"])
 def test_specializer_over_every_ring_for_any_variables_left(ring, vars):
-    # dense images over GF(p); over GF(p^k) and k[u] every image comes from
-    # the dict Horner, and image_irreducibility decides it as
-    # is_irreducible does
+    # dense images over GF(q); over k[u] every image comes from the dict
+    # Horner, and image_irreducibility decides it as is_irreducible does
     rng = random.Random(f"{ring}/{vars.names}")
     left = vars.without("y")
     values = ring.element_box(deg_bound=1)[1:] if isinstance(ring, PolyRing) \
@@ -146,7 +148,7 @@ def test_specializer_over_every_ring_for_any_variables_left(ring, vars):
         P = random_poly(rng, ring, vars, 3, values)
         spec = Specializer(P, "y")
         assert spec.left == left
-        assert spec.dense_ok == isinstance(ring, PrimeField)
+        assert spec.dense_ok == (not isinstance(ring, PolyRing))
         for _ in range(6):
             M = random_poly(rng, ring, left, rng.randrange(0, 3), values)
             image = spec(M)
@@ -159,6 +161,10 @@ def test_specializer_over_every_ring_for_any_variables_left(ring, vars):
             assert image_irreducibility(spec, M) == want, (P, M)
         if not spec.dense_ok:
             assert spec.layouts == {}  # no dense row was built
+    # a zero image, on the dense path and, over k[u] in two x, the sparse one
+    x = MultiPoly.variable(ring, left, left.names[0])
+    P = MultiPoly.variable(ring, vars, "y") - x.embed(vars)
+    assert image_irreducibility(Specializer(P, "y"), x) == (False, "unit/constant", "degree")
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +230,7 @@ def test_certificates_agree_with_kronecker(monkeypatch, inputs):
             assert auto.irreducible
             # base points come first, so a drawn point of GF(p^k) decided it
             routes["extension" if drawn else "base"] += 1
-            assert all(not isinstance(E, PrimeField) and any(len(a) > 1 for a in pt)
+            assert all(not isinstance(E, PrimeField) and any(a >= E.p for a in pt)
                        for E, pt in drawn)
         routes[auto.method] += 1
     if inputs is gf3_sample:
@@ -417,12 +423,17 @@ BOX_ROUTES = {
     "pair-gf2u": {"degree", "linear-variable", "univariate-ff", "newton-polytope", "content",
                   "specialization", "kronecker"},
     "square-z": {"linear-variable", "newton-polytope", "specialization", "kronecker"},
+    "one-x-gf9": {"degree", "linear-variable", "univariate-ff"},
+    "pair-gf4u": {"degree", "linear-variable", "newton-polytope", "content", "specialization",
+                  "kronecker"},
 }
 SEARCH_BOXES = {
     "dirichlet-gf2": ("GF(2)", ["x1 + x2*y", "y"], (2, 2), None, None, 512),
     "dirichlet-gf3": ("GF(3)", ["x1 + x2*y", "y"], (1, 2), None, None, 729),
     "pair-gf2u": ("GF(2)[u]", ["y", "y+x1"], (2,), 2, None, 512),
     "square-z": ("Z", ["y^2+x1"], (1, 1), None, 1, 81),
+    "one-x-gf9": ("GF(3^2)", ["y^3+x1^2+1", "y^2+x1*y+t"], (2,), None, None, 729),
+    "pair-gf4u": ("GF(2^2)[u]", ["y", "y+x1", "y^2+x1*y+t*u"], (1,), 1, None, 256),
 }
 
 
@@ -456,3 +467,35 @@ def test_search_images_match_is_irreducible_on_whole_boxes(name, reverse):
     # over Z the content in the main variable is the one tried, and with
     # equal degrees the variable order picks main
     assert BOX_ROUTES[name] <= set(routes) <= BOX_ROUTES[name] | {"content"}, routes
+
+
+def _no_image(*args):
+    pytest.fail("a candidate's image was built as a MultiPoly")
+
+
+@pytest.mark.parametrize("ring, max_deg, counts", [
+    ("GF(2^2)", 4, (1024, 63)),
+    ("GF(3^2)", 3, (6561, 784)),
+], ids=["GF(2^2)", "GF(3^2)"])
+def test_extension_field_swan_scans_build_no_multipoly_image(monkeypatch, ring, max_deg, counts):
+    # every candidate is decided on its dense image or by the root sieve
+    K = parse_ring(ring)
+    P = parse_poly("y^3 + x^2 + 1", K, XY)
+    monkeypatch.setattr(schinzel, "is_irreducible", _no_image)
+    monkeypatch.setattr(multipoly, "horner_substitute", _no_image)
+    scan = swan_scan(P, "x", "y", max_deg)
+    assert (scan["candidates"], scan["irreducible"]) == counts
+
+
+def test_lifted_extension_field_search_builds_no_multipoly_image(monkeypatch):
+    # GF(2^2)[u] in one x: each image is decided on the rows of its lifted form
+    K = parse_ring("GF(2^2)[u]")
+    names = VarSet(("x1", "y1"))
+    P = [parse_poly(t, K, names) for t in ("y1 + x1", "y1")]
+    with pytest.warns(UserWarning, match="below the guaranteed bound"):
+        problem = SchinzelProblem(K, X1, VarSet(("y1",)), P, (1,),
+                                  SearchConstraints(deg_u_bound=1, max_witnesses=3))
+    monkeypatch.setattr(schinzel, "is_irreducible", _no_image)
+    monkeypatch.setattr(multipoly, "horner_substitute", _no_image)
+    report = schinzel_search(problem)
+    assert (report.tested, len(report.witnesses)) == (35, 3)

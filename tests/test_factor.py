@@ -205,7 +205,7 @@ V3 = VarSet(("x1", "x2", "x3"))
     (F5, V1, lambda x, c: x ** 5 - x - c(2), {(5, 1): 1}),
     (GF(3, 2), V2, lambda x1, x2, c: (x1 + x2) ** 9, {(1, 9): 1}),
     (F2, V3, lambda x1, x2, x3, c: (x1 ** 2 + x2 * x3 + c(1)) ** 4, {(2, 4): 1}),
-    (GF(3, 2), V1, lambda x, c: (x ** 2 + x.scale(x.ring.from_index(3)) + c(1)) ** 3,
+    (GF(3, 2), V1, lambda x, c: (x ** 2 + x.scale(3) + c(1)) ** 3,
      {(1, 3): 2}),
 ], ids=["x^9-x/GF(3)", "x^27-x/GF(3)", "x^64-x/GF(2)", "artin-schreier/GF(7)",
         "artin-schreier/GF(5)", "(x1+x2)^9/GF(9)", "(x1^2+x2*x3+1)^4/GF(2)",

@@ -1007,31 +1007,33 @@ def test_table_arithmetic_matches_polynomial_path_on_every_pair(monkeypatch, p, 
 
 
 def test_table_arithmetic_above_the_limit_on_sampled_pairs(monkeypatch):
-    p, k = 3, 6
-    assert p ** k > rings.EXT_TABLE_LIMIT
-    assert ExtField(p, k)._log is None
-    monkeypatch.setattr(rings, "EXT_TABLE_LIMIT", p ** k)
-    T = ExtField(p, k)
-    assert T._log is not None
-    P = polynomial_field(monkeypatch, p, k)
-    rng = random.Random(36)
-    elements = P.element_box()
-    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(400)]
-    same_arithmetic(T, P, pairs + [((), ()), ((1,), ()), ((), (0, 1))])
+    # an odd p, and p = 2, where a sum is an XOR at every order
+    for p, k in ((3, 6), (2, 9)):
+        assert p ** k > rings.EXT_TABLE_LIMIT
+        assert ExtField(p, k)._log is None
+        with monkeypatch.context() as m:
+            m.setattr(rings, "EXT_TABLE_LIMIT", p ** k)
+            T = ExtField(p, k)
+            assert T._log is not None
+            P = polynomial_field(monkeypatch, p, k)
+        rng = random.Random(p * 10 + k)
+        elements = P.element_box()
+        pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(400)]
+        same_arithmetic(T, P, pairs + [(0, 0), (1, 0), (0, p)])
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2)])
 def test_element_box_order_and_format_unchanged(monkeypatch, p, k):
     T, P = ExtField(p, k), polynomial_field(monkeypatch, p, k)
     # index order: element i has the base-p digits of i as its coefficients
-    expected = []
-    for i in range(p ** k):
-        digits = [i // p ** j % p for j in range(k)]
-        while digits and not digits[-1]:
-            digits.pop()
-        expected.append(tuple(digits))
+    expected = list(range(p ** k))
     assert T.element_box() == P.element_box() == expected
     assert [T.format(a) for a in expected] == [P.format(a) for a in expected]
+    for i in expected:
+        digits = [i // p ** j % p for j in range(k)]
+        terms = [str(c) if j == 0 else ("" if c == 1 else f"{c}*") + ("t" if j == 1 else f"t^{j}")
+                 for j, c in enumerate(digits) if c]
+        assert T.format(i) == (" + ".join(terms[::-1]) or "0")
     if (p, k) == (2, 2):
         assert [T.format(a) for a in expected] == ["0", "1", "t", "t + 1"]
 
