@@ -22,8 +22,10 @@ any envelope this tool emits and reports pass/fail per invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 import time
 import warnings
@@ -713,37 +715,42 @@ def _add_box(sp, option, **spec):
 
 
 def build_parser():
+    # argparse asks the terminal for its width in every formatter it makes,
+    # about once per option; asking once gives the same help text
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="schinzelpoly",
+        prog="schinzelpoly", formatter_class=formatter,
         description="Irreducibility witnesses, Goldbach decompositions and "
                     "prescribed spectra over polynomial rings.")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
 
-    sp = sub.add_parser("factor", help="factor a polynomial")
+    sp = add_parser("factor", help="factor a polynomial")
     sp.add_argument("poly")
     _add_vars(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_factor)
 
-    sp = sub.add_parser("irred", help="test irreducibility")
+    sp = add_parser("irred", help="test irreducibility")
     sp.add_argument("poly")
     _add_vars(sp)
     _add_common(sp, seed=False)
     sp.set_defaults(func=cmd_irred)
 
-    sp = sub.add_parser("schinzel", help="search for witnesses M")
+    sp = add_parser("schinzel", help="search for witnesses M")
     _add_box(sp, "--strategy", choices=("exhaustive", "random"), default="exhaustive")
     sp.add_argument("--max-witnesses", type=_at_least_floor("max_witnesses"), default=None)
     _add_common(sp, budget=True)
     sp.set_defaults(func=cmd_schinzel)
 
-    sp = sub.add_parser("density", help="witness-fraction probe")
+    sp = add_parser("density", help="witness-fraction probe")
     _add_box(sp, "--samples", type=_at_least_floor("samples"), default=1000)
     sp.add_argument("--strategy", default="random", choices=("random",))
     _add_common(sp, budget=True)
     sp.set_defaults(func=cmd_density)
 
-    sp = sub.add_parser("goldbach", help="decompose Q into two irreducibles")
+    sp = add_parser("goldbach", help="decompose Q into two irreducibles")
     sp.add_argument("--Q", required=True)
     _add_vars(sp)
     sp.add_argument("--relaxed-degx", action="store_true",
@@ -752,7 +759,7 @@ def build_parser():
     _add_common(sp, budget=True, seed=False)
     sp.set_defaults(func=cmd_goldbach)
 
-    sp = sub.add_parser("spectrum", help="rational function with a prescribed spectrum")
+    sp = add_parser("spectrum", help="rational function with a prescribed spectrum")
     sp.add_argument("--field", default=os.environ.get(_RING_ENV, "Q"))
     sp.add_argument("--S", default="", help="a1,a2,... in the base field")
     sp.add_argument("--a0", required=True)
@@ -765,13 +772,13 @@ def build_parser():
     _add_common(sp, ring=False, budget=True)
     sp.set_defaults(func=cmd_spectrum)
 
-    sp = sub.add_parser("swan-scan", help="exhaustive P(x, M) scan over all M")
+    sp = add_parser("swan-scan", help="exhaustive P(x, M) scan over all M")
     sp.add_argument("--P", required=True, help="a polynomial in x and y")
     sp.add_argument("--max-deg", type=_at_least_floor("max_deg"), required=True)
     _add_common(sp)
     sp.set_defaults(func=cmd_swan_scan)
 
-    sp = sub.add_parser("verify", help="re-check a previously emitted envelope")
+    sp = add_parser("verify", help="re-check a previously emitted envelope")
     sp.add_argument("envelope")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_verify)

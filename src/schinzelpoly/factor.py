@@ -1,22 +1,30 @@
 """Irreducibility testing and factorization.
 
 Univariate factoring has one entry on dense coefficient lists,
-_factor_dense, for univariate inputs, Kronecker images and k[u] elements.
-Over GF(q): squarefree decomposition (with p-th-root descent),
+_factor_dense, for univariate inputs, GF(q) Kronecker images and k[u]
+elements.  Over GF(q): squarefree decomposition (with p-th-root descent),
 distinct-degree, then equal-degree splitting.  Over Z/Q: Yun
 squarefree decomposition, a screen modulo six good primes, factorization
 mod a good prime (for degree 2 and 3 the screen's roots there, with no
 second prime search or modular factoring), lifting to a
 Landau-Mignotte-style bound (p-adic Newton iteration on the roots when
 every modular factor is linear, quadratic Hensel steps on the factor tree
-otherwise), and subset recombination with trailing-coefficient pruning.
+otherwise), and subset recombination, depth first with the constant term
+carried per prefix, pruned by that trailing coefficient and by the values
+at 1 and -1.
 Multivariate: Kronecker substitution x_i -> x^(D^(i-1)) with D = 1 + max
-partial degree, the dense image (multipoly.dense_encode with strides
-D^(i-1)) factored by _factor_dense, and recombination of sub-multisets of
-its factors (equal factors enumerated once per count) on dense
+partial degree and the dense image (multipoly.dense_encode with strides
+D^(i-1)).  Over GF(q) the image is factored by _factor_dense.  Over Z and
+Q it is not factored over Z: its Yun parts are factored modulo one good
+prime and lifted only as far as a factor of the input needs, the bound
+of Mignotte through the Mahler measure in several variables
+(_lifted_image_items), far below the image's own 2^deg bound.  The
+items, image factors or lifted modular factors, are recombined in
+sub-multisets (equal items enumerated once per count) on dense
 coefficient lists, with shared prefix products.  A sub-multiset is pruned
-by the base-D digits of its leading and trailing exponents, then accepted
-exactly when the unfolds of its product G and of the cofactor F/G have
+by the base-D digits of its leading and trailing exponents, over Z and Q
+also by its lowest coefficient, then accepted exactly when its candidate
+G divides the image and the unfolds of G and of the cofactor F/G have
 partial degrees adding up to the input's; the factor is decoded
 (multipoly.dense_decode, radix D) and the multivariate division runs once
 per factor found.  Monomial content x_i^k is split off before the fold.
@@ -64,7 +72,7 @@ from .rings import (
     ROOT_SCAN_LIMIT,
     RationalField,
     RingElement,
-    ZZ,
+    dense_trim,
     factor_int,
     is_perfect_power,
     is_prime,
@@ -81,7 +89,6 @@ from .rings import (
     u_powmod,
     u_rem,
     u_sub,
-    u_trim,
     u_xgcd,
     zm_add,
     zm_divmod,
@@ -234,7 +241,7 @@ def _ff_pth_root(f, K):
     out = []
     for i in range(0, u_deg(f) + 1, p):
         out.append(K.pow(f[i], e))
-    return u_trim(out, K)
+    return dense_trim(out)
 
 
 def _ff_sff(f, K):
@@ -264,7 +271,7 @@ def _ff_sff(f, K):
 
 
 def _ff_random_poly(deg, K, rng):
-    return u_trim([rng.randrange(K.order) for _ in range(deg)], K)
+    return dense_trim([rng.randrange(K.order) for _ in range(deg)])
 
 
 def _ff_edf(g, d, K, rng):
@@ -332,11 +339,10 @@ def _odd_primes():
         n += 2
 
 
-def _hensel_step(m, f, g, h, s, t):
+def _hensel_step(M, f, g, h, s, t):
     """Lift f = g*h (mod m), s*g + t*h = 1 (mod m) with h monic to the same
-    mod M = m^2, on coefficients in [0, M) (von zur Gathen & Gerhard,
-    Modern Computer Algebra, Alg. 15.10)."""
-    M = m * m
+    mod M, a divisor of m^2, on coefficients in [0, M) (von zur Gathen &
+    Gerhard, Modern Computer Algebra, Alg. 15.10)."""
     e = zm_sub([c % M for c in f], zm_mul(g, h, M), M)
     q, r = zm_divmod(zm_mul(s, e, M), h, M)
     G = zm_add(g, zm_add(zm_mul(t, e, M), zm_mul(q, g, M), M), M)
@@ -354,9 +360,8 @@ def _hensel_lift(p, f, f_list, l):
 
     Postcondition: f = lc(f) * prod(result) (mod p^l).
     """
-    r = len(f_list)
+    r, P = len(f_list), p ** l
     if r == 1:
-        P = p ** l
         inv = pow(f[-1], -1, P)
         return [[c * inv % P for c in f]]
     k = r // 2
@@ -371,9 +376,9 @@ def _hensel_lift(p, f, f_list, l):
     if u_deg(gg) != 0:
         raise ArithmeticError("Hensel start: halves are not coprime mod p")
     m = p
-    for _ in range(math.ceil(math.log2(l)) if l > 1 else 0):
+    while m < P:
+        m = min(m * m, P)
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
     return _hensel_lift(p, g, f_list[:k], l) + _hensel_lift(p, h, f_list[k:], l)
 
 
@@ -408,6 +413,48 @@ def _subsets(n, size):
     if 2 * size == n:
         return ((0,) + rest for rest in itertools.combinations(range(1, n), size - 1))
     return itertools.combinations(range(n), size)
+
+
+def _subset_heads(values, size, start, m):
+    """The subsets of _subsets(len(values), size) in its order, depth
+    first, grouped by all but their last index: (head, lasts, product),
+    where head + [j] for j in lasts are the subsets of the group and
+    product is start * prod(values[i] for i in head) mod m.  The product of
+    each prefix of the head is kept, so a step multiplies only from the
+    first index that changed.  head is one list, updated in place between
+    steps."""
+    n = len(values)
+    k = size - 1
+    floor = 1 if 2 * size == n else 0  # at half size the first index stays 0
+    if not k:
+        yield [], range(1 if floor else n), start % m
+        return
+    head = list(range(k))
+    acc = [start % m]  # acc[t]: start times the values at head[:t]
+    for i in head[:-1]:
+        acc.append(acc[-1] * values[i] % m)
+    while True:
+        b = acc[-1]
+        for i in range(head[-2] + 1 if k > 1 else 0, 1 if floor and k == 1 else n - 1):
+            head[-1] = i
+            yield head, range(i + 1, n), b * values[i] % m
+        t = k - 2  # the last index of head[:-1] that can still move
+        while t >= floor and head[t] == n - size + t:
+            t -= 1
+        if t < floor:
+            return
+        i = head[t] + 1
+        del acc[t + 1:]
+        for u in range(t, k - 1):
+            head[u] = i
+            acc.append(acc[-1] * values[i] % m)
+            i += 1
+
+
+def _value_divides(v, w):
+    """Whether v divides w in Z, as a factor's value divides the value of
+    its multiple at the same point."""
+    return w % v == 0 if v else w == 0
 
 
 def _multisubsets(counts, size):
@@ -571,7 +618,7 @@ def _zx_hensel_factors(f, start):
             if lc % p == 0:
                 continue
             K = PrimeField(p)
-            fbar = u_trim([c % p for c in f], K)
+            fbar = dense_trim([c % p for c in f])
             if u_deg(u_gcd(fbar, u_deriv(fbar, K), K)) == 0:
                 break
         _, fmonic = u_monic(fbar, K)
@@ -593,38 +640,58 @@ def _zx_hensel_factors(f, start):
 
     result = []
     g = list(f)
-    explored = 0
+    explored, cap = 0, RECOMBINATION_SUBSET_CAP
+    half = P // 2
     s = 1
     while items and 2 * s <= len(items):
         # When a subset's candidate is a factor h of g, lc(g) * prod(items)
         # mod P was exactly lc(g)/lc(h) * h, so its constant term is nonzero
-        # and divides lc(g) * g(0) whenever g(0) != 0.
+        # and divides lc(g) * g(0) whenever g(0) != 0, which bounds it by
+        # |lc(g) * g(0)|; and its values at 1 and -1 divide g's.
         lc_g0 = g[-1] * g[0]
+        low = abs(lc_g0) if lc_g0 else P  # residues strictly between low and high fail
+        high = P - low
+        g1, g_1 = zx_eval(g, 1), zx_eval(g, -1)
         found = False
-        for combo in _subsets(len(items), s):
-            explored += 1
-            _count_subset(explored, "integer")
-            if lc_g0:
-                c0 = g[-1]
-                for i in combo:
-                    c0 = c0 * items[i][0] % P
-                if c0 > P // 2:
-                    c0 -= P
-                if c0 == 0 or lc_g0 % c0:
+        tails = [it[0] for it in items]
+        for head, lasts, a in _subset_heads(tails, s, g[-1], P):
+            for j in lasts:
+                explored += 1
+                if explored > cap:
+                    _count_subset(explored, "integer")
+                c0 = a * tails[j] % P
+                if low < c0 < high:
                     continue
-            prod = [g[-1] % P]
-            for i in combo:
-                prod = zm_mul(prod, items[i], P)
-            # the candidate is the symmetric lift of the product: monic items
-            # give it degree >= 1, and its lc is lc(g), as 0 < lc(g) <= B < P/2
-            cand = zx_primitive([c - P if c > P // 2 else c for c in prod])[1]
-            q = zx_try_div(g, cand)
-            if q is not None:
-                result.append(cand)
-                g = q
-                chosen = set(combo)
-                items = [it for j, it in enumerate(items) if j not in chosen]
-                found = True
+                if lc_g0:
+                    if c0 > half:
+                        c0 -= P
+                    if c0 == 0 or lc_g0 % c0:
+                        continue
+                combo = head + [j]
+                # the x coefficient, like every other, lies in [-B, B]
+                u, v = g[-1], 0
+                for i in combo:
+                    w = items[i]
+                    u, v = u * w[0] % P, (u * w[1] + v * w[0]) % P
+                if B < v < P - B:
+                    continue
+                prod = [g[-1] % P]
+                for i in combo:
+                    prod = zm_mul(prod, items[i], P)
+                # the candidate is the symmetric lift of the product: monic items
+                # give it degree >= 1, and its lc is lc(g), as 0 < lc(g) <= B < P/2
+                cand = zx_primitive([c - P if c > half else c for c in prod])[1]
+                if not (_value_divides(sum(cand), g1)
+                        and _value_divides(zx_eval(cand, -1), g_1)):
+                    continue
+                q = zx_try_div(g, cand)
+                if q is not None:
+                    result.append(cand)
+                    g = q
+                    items = [it for i, it in enumerate(items) if i not in combo]
+                    found = True
+                    break
+            if found:
                 break
         if not found:
             s += 1
@@ -773,25 +840,30 @@ def _factor_kronecker(pp: MultiPoly, effective):
     collapsed = pp.embed(vars) if vars.names == sub_vars.names else _restrict(pp, sub_vars)
     D = 1 + max(collapsed.degree_in(v) for v in sub_vars.names)
     radices = [D] * (len(sub_vars) - 1)
+    target = list(collapsed.degree_vector())
     # the image over Z, Q (scaled to a primitive integer list) or GF(q)
     whole = dense_encode(ring, collapsed.terms, [D ** i for i in range(len(sub_vars))],
                          f"degree in {sub_vars.names[0]}")[0]
-    if isinstance(ring, RationalField):
-        whole = zx_primitive(whole)[1]
     if ring.is_finite:
         def mul(a, b):
             return u_mul(a, b, ring)
 
-        def div(a, b):
+        def div(a, b):  # a product of image factors divides the image
             return u_divmod(a, b, ring)[0]
+
+        # The image keeps its unit: _factor_dense drops it, and every
+        # cofactor whole / prod carries it, so no test below depends on it.
+        types = _factor_dense(whole, ring)
+        polys = [f for f, _ in types]
+        counts = [m for _, m in types]
+        extend, P = mul, None
     else:
         mul, div = zx_mul, zx_try_div
-    # The image keeps its unit: _factor_dense drops it, and every cofactor
-    # whole / prod carries it, so no test below depends on it.
-    types = _factor_dense(whole, ring if ring.is_finite else ZZ)
-    polys = [f for f, _ in types]
-    counts = [m for _, m in types]
-    target = list(collapsed.degree_vector())
+        whole = zx_primitive(whole)[1]
+        if whole[-1] < 0:
+            whole = [-c for c in whole]
+        polys, counts, P = _lifted_image_items(whole, target)
+        extend = functools.partial(zm_mul, m=P)
     # digits[i][E]: the exponent of the i-th variable in the unfold of x^E
     digits = [[E // D ** i % D for E in range(len(whole))] for i in range(len(sub_vars))]
 
@@ -800,8 +872,15 @@ def _factor_kronecker(pp: MultiPoly, effective):
     # factor found is irreducible.  The fold is injective on pp's degree
     # box, so the base-D digits of a true factor's degree and lowest
     # exponent are its lex-leading and lex-trailing monomials; those of
-    # its cofactor add to pp's without a carry.  A subset passing that
-    # test is then decided exactly by _kronecker_split.
+    # its cofactor add to pp's without a carry.  Over GF(q) the items are
+    # the image's irreducible factors and a subset's product is its
+    # candidate.  Over Z and Q they are monic modulo P, and the candidate
+    # is the primitive part of the symmetric lift of lc(whole) times their
+    # product: for a true factor G with cofactor H that lift is lc(H) * G,
+    # as P exceeds twice its coefficients.  Its lowest coefficient then
+    # divides lc(whole) times whole's, which _lifted_trailing_fits tests
+    # before the product is formed.  A subset passing these tests is
+    # decided exactly by _kronecker_split.
     highs = [len(c) - 1 for c in polys]
     lows = [next(E for E, v in enumerate(c) if v) for c in polys]
     out = []
@@ -811,11 +890,14 @@ def _factor_kronecker(pp: MultiPoly, effective):
     while 2 * size <= sum(counts):
         high = sum(h * m for h, m in zip(highs, counts))
         low = sum(w * m for w, m in zip(lows, counts))
+        lc_trail = whole[-1] * next(v for v in whole if v)
         for combo in _multisubsets(counts, size):
             explored += 1
             _count_subset(explored, "Kronecker")
             if not (_digits_fit(sum(highs[i] for i in combo), high, D)
                     and _digits_fit(sum(lows[i] for i in combo), low, D)):
+                continue
+            if P and not _lifted_trailing_fits(combo, polys, lows, whole[-1], lc_trail, P):
                 continue
             # subsets come in lexicographic order: reuse the shared prefix
             shared = 0
@@ -823,9 +905,10 @@ def _factor_kronecker(pp: MultiPoly, effective):
                 shared += 1
             del prefix[shared:]
             for i in combo[shared:]:
-                prefix.append(mul(prefix[-1], polys[i]) if prefix else polys[i])
+                prefix.append(extend(prefix[-1], polys[i]) if prefix else polys[i])
             last = combo
-            cofactor = _kronecker_split(prefix[-1], whole, target, digits, div)
+            base = _symmetric_candidate(prefix[-1], whole[-1], P) if P else prefix[-1]
+            cofactor = _kronecker_split(base, whole, target, digits, div)
             if cofactor is not None:
                 break
         else:
@@ -834,17 +917,17 @@ def _factor_kronecker(pp: MultiPoly, effective):
         # A factor c = unfold(G).  c^m lies in the box when m times its
         # partial degrees stay within pp's, and then it is the unfold of
         # G^m: so the same test on G^m gives the multiplicity.
-        prod, mult = prefix[-1], 1
+        prod, mult = base, 1
         used = Counter(combo)
         degs = _unfolded_degrees(prod, digits)
         while (all(counts[i] >= (mult + 1) * k for i, k in used.items())
                and all((mult + 1) * d <= t for d, t in zip(degs, target))):
-            power = mul(prod, prefix[-1])
+            power = mul(prod, base)
             rest = _kronecker_split(power, whole, target, digits, div)
             if rest is None:
                 break
             prod, cofactor, mult = power, rest, mult + 1
-        cand = _normalize_candidate(dense_decode(ring, sub_vars, prefix[-1], radices))
+        cand = _normalize_candidate(dense_decode(ring, sub_vars, base, radices))
         quotient = collapsed.try_divexact(cand ** mult)
         if quotient is None:
             raise ArithmeticError("Kronecker degree test accepted a non-factor")
@@ -865,6 +948,74 @@ def _factor_kronecker(pp: MultiPoly, effective):
     return out, method
 
 
+def _lifted_image_items(whole, degs):
+    """The image's factorization over Z lifted modulo P = p^l, for a
+    primitive image whole with lc > 0 of a polynomial of partial degrees
+    degs: (items, counts, P), each item monic modulo P in [0, P) and taken
+    counts[i] times, with whole = lc(whole) * prod(items^counts) (mod P).
+
+    Each Yun part of multiplicity m gives its items with count m.  A part
+    of degree 1, or one the screen proves irreducible, is one item, its
+    monic form modulo P.  The other parts are factored modulo p, the first
+    odd prime not dividing lc(whole) modulo which every one of them is
+    squarefree, and lifted by _hensel_lift.  A factor g of the unfold of
+    whole has |coefficients| <= B = prod C(d_i, d_i // 2) * ceil(|whole|_2)
+    (Mignotte's bound through the Mahler measure in several variables; von
+    zur Gathen & Gerhard, Modern Computer Algebra, ch. 6), as the fold is a
+    bijection on its coefficients.  So l is the least with
+    p^l > 2 * lc(whole) * B, which is far below the univariate bound of the
+    image, whose factors need not unfold to factors."""
+    lc = whole[-1]
+    exact, split = [], []
+    for part, mult in _yun_squarefree(whole):
+        (exact if u_deg(part) == 1 or _zx_screen(part) is True else split).append((part, mult))
+    for p in _odd_primes():
+        if lc % p == 0:
+            continue
+        K = PrimeField(p)
+        reduced = [dense_trim([c % p for c in part]) for part, _ in split]
+        if all(u_deg(u_gcd(fbar, u_deriv(fbar, K), K)) == 0 for fbar in reduced):
+            break
+    norm = math.isqrt(sum(c * c for c in whole) - 1) + 1
+    bound = 2 * lc * math.prod(math.comb(d, d // 2) for d in degs) * norm
+    l = 1
+    while p ** l <= bound:
+        l += 1
+    P = p ** l
+    items, counts = [], []
+    for part, mult in exact:
+        inv = pow(part[-1], -1, P)
+        items.append([c * inv % P for c in part])
+        counts.append(mult)
+    for (part, mult), fbar in zip(split, reduced):
+        modular = sorted(_ff_factor_monic_squarefree(u_monic(fbar, K)[1], K, random.Random(0)))
+        lifted = _hensel_lift(p, part, modular, l)
+        items.extend(lifted)
+        counts.extend([mult] * len(lifted))
+    return items, counts, P
+
+
+def _lifted_trailing_fits(combo, items, lows, lc, lc_trail, P):
+    """Whether the lowest coefficient a true factor would give the lifted
+    candidate of combo divides lc_trail, the product of lc = lc(whole) and
+    whole's lowest coefficient.  For a true factor G with cofactor H, that
+    coefficient is lc(H) times G's lowest, and both sit at the sum of the
+    items' lowest exponents."""
+    c = lc
+    for i in combo:
+        c = c * items[i][lows[i]] % P
+    if c > P // 2:
+        c -= P
+    return c != 0 and lc_trail % c == 0
+
+
+def _symmetric_candidate(prod, lc, P):
+    """The primitive part of the symmetric lift of lc * prod modulo P."""
+    half = P // 2
+    lifted = [c - P if c > half else c for c in (lc * v % P for v in prod)]
+    return zx_primitive(lifted)[1]
+
+
 def _integer_image(c):
     """The primitive integer list that is a positive rational multiple of the
     dense list c over Z or Q."""
@@ -879,8 +1030,10 @@ def _unfolded_degrees(c, digits):
 
 
 def _kronecker_split(prod, whole, target, digits, div):
-    """The cofactor whole / prod of a product of image factors when the
-    unfolds of both have partial degrees that add up to target, else None.
+    """The cofactor whole / prod of a candidate image factor prod when prod
+    divides whole and the unfolds of both have partial degrees that add up
+    to target, else None.  div(whole, prod) is the exact quotient, or None
+    when there is none.
 
     The fold is a ring homomorphism, injective on the box of partial
     degrees < D.  If the degrees add up, the product of the two unfolds
@@ -894,7 +1047,7 @@ def _kronecker_split(prod, whole, target, digits, div):
         return None
     cofactor = div(whole, prod)
     if cofactor is None:
-        raise ArithmeticError("a product of image factors does not divide the image")
+        return None
     if all(a + b == t for a, b, t in zip(degs, _unfolded_degrees(cofactor, digits), target)):
         return cofactor
     return None
@@ -924,7 +1077,7 @@ def _unlift_u(g: MultiPoly, ring: PolyRing, vars: VarSet):
     for xe, coeffs in buckets.items():
         d = max(coeffs)
         uval = tuple(coeffs.get(i, base.zero) for i in range(d + 1))
-        terms[xe] = tuple(u_trim(list(uval), base))
+        terms[xe] = tuple(dense_trim(list(uval)))
     return MultiPoly(ring, vars, terms)
 
 

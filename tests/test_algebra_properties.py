@@ -18,7 +18,7 @@ from schinzelpoly.constructions import poly_crt, poly_mod  # noqa: E402
 from schinzelpoly.factor import capelli_check, factor_multivariate, is_irreducible  # noqa: E402
 from schinzelpoly.multipoly import (MultiPoly, VarSet, dense_decode, dense_encode,  # noqa: E402
                                    format_poly, poly_gcd)
-from schinzelpoly.rings import GF, QQ, ZZ, PolyRing, u_trim  # noqa: E402
+from schinzelpoly.rings import GF, QQ, ZZ, PolyRing, dense_trim  # noqa: E402
 from schinzelpoly.textform import parse_poly  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
@@ -30,7 +30,7 @@ rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 def poly_ring_values(K, base_values, max_deg):
     """Values of K[u]: lists of base values, low to high, stripped."""
     return st.lists(base_values, max_size=max_deg + 1).map(
-        lambda c: tuple(u_trim(c, K.base)))
+        lambda c: tuple(dense_trim(c)))
 
 
 F4 = GF(2, 2)

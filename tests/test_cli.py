@@ -1,5 +1,6 @@
 """CLI surface: grammar, envelopes, exit codes, verify self-consistency."""
 
+import argparse
 import itertools
 import json
 import pathlib
@@ -11,7 +12,7 @@ import time
 import pytest
 
 from schinzelpoly import schinzel
-from schinzelpoly.cli import main, swan_scan
+from schinzelpoly.cli import build_parser, main, swan_scan
 from schinzelpoly.errors import BudgetExceededError, ParseError
 from schinzelpoly.factor import factor_multivariate
 from schinzelpoly.multipoly import DEGREE_CAP, MultiPoly, Specializer, VarSet, format_poly
@@ -198,6 +199,28 @@ def test_swan_scan_over_an_infinite_ring_is_refused(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: swan-scan needs a finite field\n"
+
+
+# ---------------------------------------------------------------------------
+# Help text
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+def test_help_is_what_the_default_formatter_writes(monkeypatch, columns):
+    # build_parser reads the terminal width once; argparse's own formatter
+    # reads it per formatter, and both must wrap the help alike
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = [parser, *sub.choices.values()]
+    assert len(parsers) == 9
+    got = [p.format_help() for p in parsers]
+    for p in parsers:
+        p.formatter_class = argparse.HelpFormatter
+    assert [p.format_help() for p in parsers] == got
+    # each call reads the width again
+    monkeypatch.setenv("COLUMNS", "30")
+    assert build_parser().format_help() != got[0]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from schinzelpoly.factor import (
     kronecker_fold,
 )
 from schinzelpoly.multipoly import DEGREE_CAP, MultiPoly, VarSet, dense_decode, dense_encode, dense_in_var
-from schinzelpoly.rings import GF, QQ, ZZ, PolyRing, u_trim
+from schinzelpoly.rings import GF, QQ, ZZ, PolyRing, dense_trim
 from schinzelpoly.textform import parse_poly
 
 F2 = GF(2)
@@ -335,7 +335,7 @@ def ku_units(base):
 def random_ku_value(base, rng, deg, lc_choices):
     """A k[u] value of u-degree deg whose leading coefficient is drawn from lc_choices."""
     elems = [base.zero] + ku_units(base)
-    return tuple(u_trim([rng.choice(elems) for _ in range(deg)] + [rng.choice(lc_choices)], base))
+    return tuple(dense_trim([rng.choice(elems) for _ in range(deg)] + [rng.choice(lc_choices)]))
 
 
 def random_ku_poly(ring, rng, vars, dx):

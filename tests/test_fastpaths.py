@@ -132,6 +132,37 @@ def test_zm_kernels_match_schoolbook(m):
 
 
 # ---------------------------------------------------------------------------
+# zm_mul packed at any slot width (8, 9, 16 and 17 bytes) against the list
+# loop, on both sides of _PACK_MIN_WORK and of _PACK_WIDE_MIN_LEN
+# ---------------------------------------------------------------------------
+
+def slot_modulus(width, n):
+    """The largest modulus m whose products of operands with at least n
+    coefficients fit `width`-byte slots: n * (m - 1)^2 < 2^(8 * width)."""
+    return math.isqrt(((1 << (8 * width)) - 1) // n) + 1
+
+
+@pytest.mark.parametrize("width", [8, 9, 16, 17])
+def test_zm_mul_at_any_slot_width_matches_the_list_loop(width):
+    rng = random.Random(width)
+    work, wide = rings._PACK_MIN_WORK, rings._PACK_WIDE_MIN_LEN
+    shapes = [(4, 6), (5, 5), (1, work + 1), (2, work // 2 + 1), (3, 8),
+              (wide - 1, 30), (wide, wide), (wide, 30), (40, 40)]
+    assert any(la * lb <= work for la, lb in shapes)
+    assert any(la * lb > work and min(la, lb) < wide for la, lb in shapes)
+    assert any(min(la, lb) >= wide for la, lb in shapes)
+    for la, lb in shapes:
+        m = slot_modulus(width, min(la, lb))
+        top = min(la, lb) * (m - 1) ** 2
+        assert (top.bit_length() + 7) >> 3 == width  # the slot width zm_mul picks
+        for a, b in [(rand_dense(rng, m, la - 1), rand_dense(rng, m, lb - 1)),
+                     ([m - 1] * la, [m - 1] * lb),
+                     ([m - 1] * la, [0] * (lb - 1) + [1])]:
+            assert zm_mul(a, b, m) == ref_mul(a, b, m), (la, lb)
+            assert zm_mul(b, a, m) == ref_mul(a, b, m), (la, lb)
+
+
+# ---------------------------------------------------------------------------
 # Byte-slot GF(p) kernels against the list loops, on both sides of the size
 # crossovers (_PACK_MIN_WORK, _PACK_MIN_LEN) and of the byte-slot bounds
 # (a product slot reaching 256; a division running more steps than its
@@ -533,7 +564,7 @@ def test_root_scan_over_extensions_matches_the_distinct_degree_split(monkeypatch
     monkeypatch.setattr(rings, "u_ddf", lambda f, K: reached.append(len(f) - 1) or ddf(f, K))
     seen = Counter()
     for coeffs in itertools.product(K.element_box(), repeat=top + 1):
-        f = rings.u_trim(list(coeffs), K)
+        f = rings.dense_trim(list(coeffs))
         n = len(f) - 1
         if n < 2:
             continue

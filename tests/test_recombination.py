@@ -197,6 +197,88 @@ def test_monomial_times_factor_matches_sympy():
 
 
 # ---------------------------------------------------------------------------
+# Over Z and Q the image is lifted only as far as the factors need.
+# ---------------------------------------------------------------------------
+
+G2, H2 = "2*x1^2*x2 - x2 + 3", "x1*x2^2 - 5*x1 + 1"
+G3, H3 = "x1*x2 + x3^2 - 2", "3*x1^2*x3 - x2 + x1 + 1"
+# products of the parts text^m
+Z_ROUTE_CASES = {
+    "square-bivariate": (V2, [(G2, 2), (H2, 1)]),            # the image is no squarefree
+    "negative-lc": (V2, [("-1", 1), (G2, 1), (H2, 1)]),
+    "monomial-content": (V2, [("6*x1^2*x2", 1), (G2, 1), (H2, 1)]),
+    "item-x": (V2, [("x1 + x2", 1), ("x1 - x2 + 2", 1), (G2, 1)]),  # x divides the image
+    "cube": (V2, [("-1", 1), (G2, 3)]),
+    "square-trivariate": (V3, [(G3, 2), (H3, 1)]),
+    "negative-trivariate": (V3, [("-1", 1), (G3, 1), (H3, 1), ("x1 + x2*x3 - 1", 1)]),
+    "monomial-trivariate": (V3, [("x1*x3^2", 1), (G3, 2), (H3, 1)]),
+    "linear-square": (V3, [("x1 + x2 + x3", 2), ("x1*x2*x3 + 2", 1)]),
+}
+
+
+def route_case(name, ring):
+    """The product of a case over ring; over Q its parts get rational
+    coefficients."""
+    vars, parts = Z_ROUTE_CASES[name]
+    acc = MultiPoly.constant(ring, vars, ring.one)
+    for text, m in parts:
+        if ring == QQ:
+            text = text.replace("2*x1^2", "2/3*x1^2").replace("x3^2 - 2", "x3^2 - 1/2")
+        acc = acc * parse_poly(text, ring, vars) ** m
+    return acc
+
+
+def sympy_monic_factors(sympy, f):
+    """Nonconstant factors over Q by sympy, as {monic terms: mult}."""
+    gens = sympy.symbols(f.vars.names)
+    expr = sum(sympy.Rational(c.numerator, c.denominator)
+               * math.prod(g ** k for g, k in zip(gens, e)) for e, c in f.terms.items())
+    return monic_factors(sympy, sympy.factor_list(expr, *gens, domain="QQ")[1], gens)
+
+
+@pytest.mark.parametrize("name", sorted(Z_ROUTE_CASES))
+def test_lifted_kronecker_route_matches_sympy_over_z(name):
+    sympy = pytest.importorskip("sympy")
+    f = route_case(name, ZZ)
+    assert our_factors(sympy, f) == sympy_factors(sympy, f)
+    assert "kronecker-fold" in factor_multivariate(f).method
+
+
+@pytest.mark.parametrize("name", sorted(Z_ROUTE_CASES))
+def test_lifted_kronecker_route_matches_sympy_over_q(name):
+    sympy = pytest.importorskip("sympy")
+    f = route_case(name, QQ)
+    vars = f.vars
+    fac = factor_multivariate(f)
+    assert fac.recompose_over(vars) == f
+    gens = sympy.symbols(vars.names)
+    ours = [(sum(sympy.Rational(c.numerator, c.denominator)
+                 * math.prod(s ** k for s, k in zip(gens, e)) for e, c in g.terms.items()), m)
+            for g, m in fac.factors]
+    assert monic_factors(sympy, ours, gens) == sympy_monic_factors(sympy, f)
+
+
+def test_kronecker_over_z_lifts_to_the_bound_of_the_factors(monkeypatch):
+    # p^l just above 2 * |lc(image)| * B with B = prod C(d_i, d_i // 2) * ceil(|f|_2),
+    # while the image's univariate bound carries 2^deg(image)
+    f = parse_poly(G3, ZZ, V3) * parse_poly(H3, ZZ, V3) * parse_poly(
+        "x1^2*x3 - x2^2 + 3*x3 + x1", ZZ, V3)
+    seen = []
+    lift = factor_mod._hensel_lift
+    monkeypatch.setattr(factor_mod, "_hensel_lift",
+                        lambda p, g, modular, l: seen.append((p, l)) or lift(p, g, modular, l))
+    assert sum(our_factors(pytest.importorskip("sympy"), f).values()) == 3
+    degs = f.degree_vector()
+    image = kronecker_fold(f, 1 + max(degs))
+    lc = abs(image.leading_term()[1])
+    norm = math.isqrt(sum(c * c for c in f.terms.values()) - 1) + 1
+    bound = 2 * lc * math.prod(math.comb(d, d // 2) for d in degs) * norm
+    (p, l), = set(seen)
+    assert p ** (l - 1) <= bound < p ** l
+    assert p ** l < 2 ** image.total_degree()
+
+
+# ---------------------------------------------------------------------------
 # Over GF(2) and GF(3): pruned equals unpruned, and every factor irreducible.
 # ---------------------------------------------------------------------------
 
@@ -328,6 +410,18 @@ def test_multisubsets_list_each_sub_multiset_once_in_order(counts):
         assert list(factor_mod._multisubsets(counts, size)) == want
     assert sum(len(list(factor_mod._multisubsets(counts, s)))
                for s in range(1, r // 2 + 1)) == multiset_subsets(counts)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_subset_heads_list_the_subsets_in_order_with_their_products(n):
+    rng = random.Random(n)
+    m = (1 << 61) - 1
+    values = [rng.randrange(m) for _ in range(n)]
+    for size in range(1, n // 2 + 1):
+        got = [(tuple(head) + (j,), a * values[j] % m)
+               for head, lasts, a in factor_mod._subset_heads(values, size, 7, m) for j in lasts]
+        assert [c for c, _ in got] == list(factor_mod._subsets(n, size))
+        assert all(v == 7 * math.prod(values[i] for i in c) % m for c, v in got)
 
 
 def test_kronecker_counts_every_subset_against_the_cap(monkeypatch):

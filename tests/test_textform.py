@@ -10,7 +10,7 @@ import pytest
 
 from schinzelpoly.errors import ParseError
 from schinzelpoly.multipoly import MultiPoly, VarSet
-from schinzelpoly.rings import GF, QQ, ZZ, PolyRing, u_trim
+from schinzelpoly.rings import GF, QQ, ZZ, PolyRing, dense_trim
 from schinzelpoly.textform import parse_poly
 
 V = VarSet(("x1", "y"))
@@ -91,7 +91,7 @@ def test_ku_print_parse_roundtrip(ring):
     for _ in range(300):
         terms = {}
         for e in itertools.product(range(2), repeat=2):
-            a = u_trim([rng.choice(values) for _ in range(rng.randrange(3))], base)
+            a = dense_trim([rng.choice(values) for _ in range(rng.randrange(3))])
             if a:
                 terms[e] = tuple(a)
         f = MultiPoly(ring, V, terms)
