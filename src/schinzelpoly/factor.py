@@ -10,8 +10,8 @@ second prime search or modular factoring), lifting to a
 Landau-Mignotte-style bound (p-adic Newton iteration on the roots when
 every modular factor is linear, quadratic Hensel steps on the factor tree
 otherwise), and subset recombination, depth first with the constant term
-carried per prefix, pruned by that trailing coefficient and by the values
-at 1 and -1.
+carried per prefix, pruned by that trailing coefficient, the size of the
+x coefficient and the values at 1 and -1.
 Multivariate: Kronecker substitution x_i -> x^(D^(i-1)) with D = 1 + max
 partial degree and the dense image (multipoly.dense_encode with strides
 D^(i-1)).  Over GF(q) the image is factored by _factor_dense.  Over Z and
@@ -641,46 +641,49 @@ def _zx_hensel_factors(f, start):
     result = []
     g = list(f)
     explored, cap = 0, RECOMBINATION_SUBSET_CAP
-    half = P // 2
     s = 1
     while items and 2 * s <= len(items):
         # When a subset's candidate is a factor h of g, lc(g) * prod(items)
         # mod P was exactly lc(g)/lc(h) * h, so its constant term is nonzero
-        # and divides lc(g) * g(0) whenever g(0) != 0, which bounds it by
-        # |lc(g) * g(0)|; and its values at 1 and -1 divide g's.
+        # and divides lc(g) * g(0) whenever g(0) != 0.  That bounds it by
+        # |lc(g) * g(0)|, so it is tested modulo Q, the least power of p
+        # above twice the bound (or P).  Its other coefficients lie in
+        # [-B, B], and its values at 1 and -1 divide g's.
         lc_g0 = g[-1] * g[0]
-        low = abs(lc_g0) if lc_g0 else P  # residues strictly between low and high fail
-        high = P - low
+        Q = p
+        while Q <= 2 * abs(lc_g0) and Q < P:
+            Q *= p
+        low = abs(lc_g0) if lc_g0 else Q  # residues strictly between low and high fail
+        high = Q - low
         g1, g_1 = zx_eval(g, 1), zx_eval(g, -1)
         found = False
-        tails = [it[0] for it in items]
-        for head, lasts, a in _subset_heads(tails, s, g[-1], P):
+        tails = [it[0] % Q for it in items]
+        for head, lasts, a in _subset_heads(tails, s, g[-1], Q):
             for j in lasts:
                 explored += 1
                 if explored > cap:
                     _count_subset(explored, "integer")
-                c0 = a * tails[j] % P
+                c0 = a * tails[j] % Q
                 if low < c0 < high:
                     continue
                 if lc_g0:
-                    if c0 > half:
-                        c0 -= P
+                    if c0 > Q // 2:
+                        c0 -= Q
                     if c0 == 0 or lc_g0 % c0:
                         continue
                 combo = head + [j]
-                # the x coefficient, like every other, lies in [-B, B]
-                u, v = g[-1], 0
+                u, v = g[-1], 0  # the constant and x coefficients mod P
                 for i in combo:
                     w = items[i]
                     u, v = u * w[0] % P, (u * w[1] + v * w[0]) % P
                 if B < v < P - B:
                     continue
-                prod = [g[-1] % P]
-                for i in combo:
+                prod = items[combo[0]]
+                for i in combo[1:]:
                     prod = zm_mul(prod, items[i], P)
-                # the candidate is the symmetric lift of the product: monic items
-                # give it degree >= 1, and its lc is lc(g), as 0 < lc(g) <= B < P/2
-                cand = zx_primitive([c - P if c > half else c for c in prod])[1]
+                # monic items give the candidate degree >= 1, and its lc is
+                # lc(g), as 0 < lc(g) <= B < P/2
+                cand = _symmetric_candidate(prod, g[-1], P)
                 if not (_value_divides(sum(cand), g1)
                         and _value_divides(zx_eval(cand, -1), g_1)):
                     continue
@@ -819,10 +822,12 @@ def _normalize_candidate(cand: MultiPoly):
 
 
 def _factor_kronecker(pp: MultiPoly, effective):
-    """Fold to one variable, factor, and recombine sub-multisets of the
-    image's factors on their dense coefficient lists: (pairs, method), as
-    _factor_primitive returns them, with method "kronecker-fold D=<D>", or
-    "monomial" and the route of the rest after a monomial content."""
+    """Fold to one variable, split the image into items (its irreducible
+    factors over GF(q), its lifted modular factors over Z and Q), and
+    recombine sub-multisets of the items on their dense coefficient lists:
+    (pairs, method), as _factor_primitive returns them, with method
+    "kronecker-fold D=<D>", or "monomial" and the route of the rest after
+    a monomial content."""
     ring, vars = pp.ring, pp.vars
     # Monomial content x_i^k is split off first: folded, it would add k
     # copies of x to the image and so to every subset enumeration.
@@ -890,7 +895,7 @@ def _factor_kronecker(pp: MultiPoly, effective):
     while 2 * size <= sum(counts):
         high = sum(h * m for h, m in zip(highs, counts))
         low = sum(w * m for w, m in zip(lows, counts))
-        lc_trail = whole[-1] * next(v for v in whole if v)
+        lc_trail = whole[-1] * next(v for v in whole if v) if P else None
         for combo in _multisubsets(counts, size):
             explored += 1
             _count_subset(explored, "Kronecker")
