@@ -3,35 +3,29 @@
 Univariate factoring has one entry on dense coefficient lists,
 _factor_dense, for univariate inputs, GF(q) Kronecker images and k[u]
 elements.  Over GF(q): squarefree decomposition (with p-th-root descent),
-distinct-degree, then equal-degree splitting.  Over Z/Q: Yun
-squarefree decomposition, a screen modulo six good primes, factorization
-mod a good prime (for degree 2 and 3 the screen's roots there, with no
-second prime search or modular factoring), lifting to a
-Landau-Mignotte-style bound (p-adic Newton iteration on the roots when
-every modular factor is linear, quadratic Hensel steps on the factor tree
-otherwise), and subset recombination, depth first with the constant term
-carried per prefix, pruned by that trailing coefficient, the size of the
-x coefficient and the values at 1 and -1.
+distinct-degree, then equal-degree splitting.
 Multivariate: Kronecker substitution x_i -> x^(D^(i-1)) with D = 1 + max
 partial degree and the dense image (multipoly.dense_encode with strides
-D^(i-1)).  Over GF(q) the image is factored by _factor_dense.  Over Z and
-Q it is not factored over Z: its Yun parts are factored modulo one good
-prime and lifted only as far as a factor of the input needs, the bound
-of Mignotte through the Mahler measure in several variables
-(_lifted_image_items), far below the image's own 2^deg bound.  The
-items, image factors or lifted modular factors, are recombined in
-sub-multisets (equal items enumerated once per count) on dense
-coefficient lists, with shared prefix products.  A sub-multiset is pruned
-by the base-D digits of its leading and trailing exponents, over Z and Q
-also by its lowest coefficient, then accepted exactly when its candidate
-G divides the image and the unfolds of G and of the cofactor F/G have
-partial degrees adding up to the input's; the factor is decoded
-(multipoly.dense_decode, radix D) and the multivariate division runs once
-per factor found.  Monomial content x_i^k is split off before the fold.
-Both recombinations count every subset they enumerate against one cap
-(RECOMBINATION_SUBSET_CAP), reported when exceeded.  A Factorization
-names the route that ran in its method, which the factor envelope
-reports.
+D^(i-1)); monomial content x_i^k is split off before the fold.  Over
+GF(q) the image is factored by _factor_dense.
+
+Over Z and Q a univariate input is the one-variable case of the same
+route.  One lifting front end (_lifted_items) screens the Yun parts of
+the primitive integer image modulo six good primes, factors the parts
+the screen leaves modulo one good prime and lifts them only as far as a
+factor of the input needs, by Mignotte's bound through the Mahler
+measure.  One recombination loop (_recombine) takes the items, image
+factors over GF(q) or lifted modular factors over Z and Q, in
+sub-multisets (_sub_multisets) on dense coefficient lists, prunes them
+by tests carried per prefix (the base-D digits of the leading and
+trailing exponents in several variables; the lowest coefficient, then
+the next one and the values at 1 and -1 over Z and Q), and accepts a
+candidate exactly (zx_try_div in one variable, _kronecker_split in
+several).  A factor is decoded (multipoly.dense_decode, radix D) and the
+multivariate division runs once per factor found.  Every enumerated
+sub-multiset counts against one cap (RECOMBINATION_SUBSET_CAP), reported
+when exceeded.  A Factorization names the route that ran in its method,
+which the factor envelope reports.
 
 is_irreducible(method="auto") tries sound shortcuts before factoring, on
 a univariate input's dense list (dense_is_irreducible) and a bivariate
@@ -51,11 +45,11 @@ same lifted form, so every shortcut applies.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -328,11 +322,12 @@ def _ff_factor_dense(f, K):
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting (quadratic, recursive halves) and Zassenhaus recombination.
+# Hensel lifting (quadratic, recursive halves, or Newton on the roots) and
+# the screen of a univariate integer polynomial.
 # ---------------------------------------------------------------------------
 
-def _odd_primes():
-    n = 3
+def _odd_primes(n):
+    """The primes from the odd n on."""
     while True:
         if is_prime(n):
             yield n
@@ -382,124 +377,30 @@ def _hensel_lift(p, f, f_list, l):
     return _hensel_lift(p, g, f_list[:k], l) + _hensel_lift(p, h, f_list[k:], l)
 
 
+def _horner(f, a, m):
+    """(f(a), f'(a)) mod m, both in one Horner pass."""
+    v = d = 0
+    for c in reversed(f):
+        d = (d * a + v) % m
+        v = (v * a + c) % m
+    return v, d
+
+
 def _newton_lift_roots(p, f, roots, l):
     """Lift simple roots a of f mod p to the roots A = a (mod p) of f mod
     p^l by Newton iteration, A <- A - f(A)/f'(A) mod p^e with e doubling up
     to l (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).
-    f'(A) is a unit mod p because the root is simple.  Horner gives f(A)
-    and f'(A) in one pass."""
+    f'(A) is a unit mod p because the root is simple."""
     out = []
     for a in roots:
         e = 1
         while e < l:
             e = min(2 * e, l)
             m = p ** e
-            v = d = 0
-            for c in reversed(f):
-                d = (d * a + v) % m
-                v = (v * a + c) % m
+            v, d = _horner(f, a, m)
             a = (a - v * pow(d, -1, m)) % m
         out.append(a)
     return out
-
-
-def _subsets(n, size):
-    """Index subsets of range(n) of one size, in lexicographic order.
-
-    At size n/2 only those holding index 0 are listed: each other one is
-    the complement of one listed, and a subset is a true factor exactly
-    when its complement is, so the first hit is the same.
-    """
-    if 2 * size == n:
-        return ((0,) + rest for rest in itertools.combinations(range(1, n), size - 1))
-    return itertools.combinations(range(n), size)
-
-
-def _subset_heads(values, size, start, m):
-    """The subsets of _subsets(len(values), size) in its order, depth
-    first, grouped by all but their last index: (head, lasts, product),
-    where head + [j] for j in lasts are the subsets of the group and
-    product is start * prod(values[i] for i in head) mod m.  The product of
-    each prefix of the head is kept, so a step multiplies only from the
-    first index that changed.  head is one list, updated in place between
-    steps."""
-    n = len(values)
-    k = size - 1
-    floor = 1 if 2 * size == n else 0  # at half size the first index stays 0
-    if not k:
-        yield [], range(1 if floor else n), start % m
-        return
-    head = list(range(k))
-    acc = [start % m]  # acc[t]: start times the values at head[:t]
-    for i in head[:-1]:
-        acc.append(acc[-1] * values[i] % m)
-    while True:
-        b = acc[-1]
-        for i in range(head[-2] + 1 if k > 1 else 0, 1 if floor and k == 1 else n - 1):
-            head[-1] = i
-            yield head, range(i + 1, n), b * values[i] % m
-        t = k - 2  # the last index of head[:-1] that can still move
-        while t >= floor and head[t] == n - size + t:
-            t -= 1
-        if t < floor:
-            return
-        i = head[t] + 1
-        del acc[t + 1:]
-        for u in range(t, k - 1):
-            head[u] = i
-            acc.append(acc[-1] * values[i] % m)
-            i += 1
-
-
-def _value_divides(v, w):
-    """Whether v divides w in Z, as a factor's value divides the value of
-    its multiple at the same point."""
-    return w % v == 0 if v else w == 0
-
-
-def _multisubsets(counts, size):
-    """Sub-multisets of one size drawn from counts[t] copies of each type t,
-    as nondecreasing tuples of types in lexicographic order, each once.
-
-    With every count 1 these are the subsets of _subsets, in its order and
-    with its rule at half size: only those holding type 0 are listed.
-    """
-    if all(m == 1 for m in counts):
-        yield from _subsets(len(counts), size)
-        return
-    half = 2 * size == sum(counts)
-    room = list(itertools.accumulate(reversed(counts)))[::-1]  # copies from type t on
-
-    def extend(start, left, stop):
-        if not left:
-            yield ()
-            return
-        for t in range(start, stop):
-            if room[t] < left:
-                return
-            for j in range(min(counts[t], left), 0, -1):
-                for rest in extend(t + 1, left - j, len(counts)):
-                    yield (t,) * j + rest
-
-    yield from extend(0, size, 1 if half else len(counts))
-
-
-def _count_subset(explored, what):
-    if explored > RECOMBINATION_SUBSET_CAP:
-        raise BudgetExceededError(
-            f"{what} recombination exceeded {RECOMBINATION_SUBSET_CAP} subsets",
-            tested=explored)
-
-
-def _digits_fit(part, whole, D):
-    """Whether part and whole - part add in base D without a carry, that is,
-    no base-D digit of part exceeds the matching digit of whole."""
-    while part:
-        if part % D > whole % D:
-            return False
-        part //= D
-        whole //= D
-    return True
 
 
 def _zx_screen(f):
@@ -522,7 +423,7 @@ def _zx_screen(f):
     True or None."""
     lc, n = f[-1], u_deg(f)
     screened, start = 0, None
-    for p in _odd_primes():
+    for p in _odd_primes(3):
         if lc % p == 0:
             continue
         fbar = [c % p for c in f]
@@ -533,26 +434,13 @@ def _zx_screen(f):
             roots = list(zm_roots(fbar, p))
             if not roots:
                 return True
-            if _roots_are_simple(fbar, roots, p):
+            if all(_horner(fbar, a, p)[1] for a in roots):  # no repeated root
                 start = fbar, roots, p
         elif next(zm_roots(fbar, p), None) is None:
             return True
         screened += 1
         if screened == ZX_SCREEN_PRIMES:
             return _split_by_roots(*start) if start else None
-
-
-def _roots_are_simple(fbar, roots, p):
-    """Whether f'(a) != 0 mod p at every root a of fbar, so that fbar is
-    squarefree when it has degree 2 or 3."""
-    for a in roots:
-        v = d = 0
-        for c in reversed(fbar):
-            d = (d * a + v) % p
-            v = (v * a + c) % p
-        if d == 0:
-            return False
-    return True
 
 
 def _split_by_roots(fbar, roots, p):
@@ -567,15 +455,6 @@ def _split_by_roots(fbar, roots, p):
         inv = pow(q[-1], -1, p)
         modular.append([c * inv % p for c in q])
     return p, sorted(modular)
-
-
-def _zx_factor_squarefree(f):
-    """Irreducible factors of a primitive squarefree f with lc > 0, deg >= 1:
-    the screen, then _zx_hensel_factors from the screen's Hensel start."""
-    if u_deg(f) == 1:
-        return [list(f)]
-    start = _zx_screen(f)
-    return [list(f)] if start is True else _zx_hensel_factors(f, start)
 
 
 def _zx_is_irreducible(f):
@@ -598,109 +477,286 @@ def _zx_is_irreducible(f):
         return True
     if start is None and len(zx_gcd(f, zx_deriv(f))) > 1:
         return False
-    return len(_zx_hensel_factors(f, start)) == 1
+    # the first factor found is a proper one, or f itself when f is irreducible
+    return len(next(_factor_zx(f, [u_deg(f)], [(f, 1, start)]))[0]) == len(f)
 
 
-def _zx_hensel_factors(f, start):
-    """Irreducible factors of a primitive squarefree f with lc > 0, deg >= 2,
-    by lifting its factorization modulo the Hensel prime, the first good
-    prime modulo which f stays squarefree, and recombining the lifts.  The
-    screen's Hensel start (p, sorted monic factors mod p) gives both for
-    degree 2 and 3; without one (start None) the prime is searched and f
-    is factored modulo it here.  A factorization into linear factors x - a
-    lifts by Newton iteration on the roots a, any other by the factor tree
-    of _hensel_lift; Hensel lifts are unique, so both give the same monic
-    factors mod p^l."""
-    n = u_deg(f)
-    lc = f[-1]
-    if start is None:
-        for p in _odd_primes():
-            if lc % p == 0:
-                continue
-            K = PrimeField(p)
-            fbar = dense_trim([c % p for c in f])
-            if u_deg(u_gcd(fbar, u_deriv(fbar, K), K)) == 0:
+def _screened_yun(f):
+    """The Yun parts of a primitive dense f over Z with lc > 0 and their
+    screen results: [(part, mult, screen)], screen True at degree 1."""
+    return [(g, m, u_deg(g) == 1 or _zx_screen(g)) for g, m in _yun_squarefree(f)]
+
+
+def _factor_zx(whole, degs, parts):
+    """The irreducible factors (factor, mult) over Z of a primitive dense
+    whole with lc > 0, folded from a polynomial of partial degrees degs
+    (one for a univariate input), from its screened Yun parts."""
+    return _recombine(whole, degs, *_lifted_items(whole, degs, parts), None)
+
+
+# ---------------------------------------------------------------------------
+# One lifting front end and one recombination loop, for every input in one
+# or several variables over Z, Q and GF(q).
+# ---------------------------------------------------------------------------
+
+def _lifted_items(whole, degs, parts):
+    """The factorization over Z of a primitive dense whole with lc > 0,
+    folded from a polynomial of partial degrees degs, lifted modulo
+    P = p^l: (items, counts, (P, B)), with whole = lc * prod(items^counts)
+    mod P and each item monic in [0, P).  parts are whole's Yun parts
+    (part, mult, screen), mult the count of their items.  A part whose
+    screen is True (degree 1, or proved irreducible) is one exact item.
+    The others are factored modulo p, the first odd prime not dividing lc
+    that keeps all of them squarefree; a screen's Hensel start (p, modular)
+    gives its part's factors, and no smaller prime is good for that part.
+    They lift by Newton iteration on the roots when all their factors mod p
+    are linear, else by _hensel_lift.  A factor of the unfold of whole has
+    |coefficients| <= B = prod C(d_i, d_i // 2) * ceil(|whole|_2), by
+    Mignotte's bound through the Mahler measure in several variables (von
+    zur Gathen & Gerhard, Modern Computer Algebra, ch. 6), as the fold is a
+    bijection on coefficients; l is the least with p^l > 2 * lc * B."""
+    lc = whole[-1]
+    split = [(part, start) for part, _, start in parts if start is not True]
+    for p in _odd_primes(max([start[0] for _, start in split if start] + [3])):
+        if lc % p == 0:
+            continue
+        for part, start in split:
+            if not (start and start[0] == p or _squarefree_mod(part, p)):
                 break
-        _, fmonic = u_monic(fbar, K)
-        start = p, sorted(_ff_factor_monic_squarefree(fmonic, K, random.Random(0)))
-    p, modular = start
-    if len(modular) == 1:
-        return [list(f)]
-    maxnorm = max(abs(c) for c in f)
-    B = (math.isqrt(n + 1) + 1) * (1 << n) * maxnorm * abs(lc)
-    l = 1
-    while p ** l <= 2 * B:
-        l += 1
-    P = p ** l
-    if all(len(g) == 2 for g in modular):  # all x - a: lift the roots a
-        roots = _newton_lift_roots(p, f, [-g[0] % p for g in modular], l)
-        items = [[-a % P, 1] for a in roots]
-    else:
-        items = _hensel_lift(p, list(f), modular, l)
+        else:
+            break
+    B = math.isqrt(sum(c * c for c in whole) - 1) + 1
+    for d in degs:
+        B *= math.comb(d, d // 2)
+    l, P = 1, p
+    while P <= 2 * lc * B:
+        l, P = l + 1, P * p
+    items, counts = [], []
+    for part, mult, start in parts:
+        if start is True:
+            inv = pow(part[-1], -1, P)
+            lifted = [[c * inv % P for c in part]]
+        else:
+            if start and start[0] == p:
+                modular = start[1]
+            else:
+                K = PrimeField(p)
+                fmonic = u_monic([c % p for c in part], K)[1]
+                modular = sorted(_ff_factor_monic_squarefree(fmonic, K, random.Random(0)))
+            if max(map(len, modular)) == 2:  # all x - a: lift the roots a
+                roots = _newton_lift_roots(p, part, [-g[0] % p for g in modular], l)
+                lifted = [[-a % P, 1] for a in roots]
+            else:
+                lifted = _hensel_lift(p, part, modular, l)
+        items.extend(lifted)
+        counts.extend([mult] * len(lifted))
+    return items, counts, (P, B)
 
-    result = []
-    g = list(f)
-    explored, cap = 0, RECOMBINATION_SUBSET_CAP
-    s = 1
-    while items and 2 * s <= len(items):
-        # When a subset's candidate is a factor h of g, lc(g) * prod(items)
-        # mod P was exactly lc(g)/lc(h) * h, so its constant term is nonzero
-        # and divides lc(g) * g(0) whenever g(0) != 0.  That bounds it by
-        # |lc(g) * g(0)|, so it is tested modulo Q, the least power of p
-        # above twice the bound (or P).  Its other coefficients lie in
-        # [-B, B], and its values at 1 and -1 divide g's.
-        lc_g0 = g[-1] * g[0]
-        Q = p
-        while Q <= 2 * abs(lc_g0) and Q < P:
-            Q *= p
-        low = abs(lc_g0) if lc_g0 else Q  # residues strictly between low and high fail
-        high = Q - low
-        g1, g_1 = zx_eval(g, 1), zx_eval(g, -1)
-        found = False
-        tails = [it[0] % Q for it in items]
-        for head, lasts, a in _subset_heads(tails, s, g[-1], Q):
+
+def _squarefree_mod(f, p):
+    """Whether f, whose lc the prime p does not divide, is squarefree mod p."""
+    K = PrimeField(p)
+    fbar = [c % p for c in f]
+    return u_deg(u_gcd(fbar, u_deriv(fbar, K), K)) == 0
+
+
+def _sub_multisets(counts, size, step, start):
+    """The sub-multisets of one size of counts[t] >= 1 copies of each type
+    t, as nondecreasing lists of types in lexicographic order, each once;
+    at half the total only those holding type 0, as the complement of a
+    true factor is one.  Depth first: yields (head, lasts, acc), where
+    head + [j] for j in lasts are the sub-multisets of a group and acc
+    folds step over head from start.  Each prefix keeps its fold, so a step
+    folds only from the first type that moved; head is updated in place."""
+    r = len(counts)
+    k = size - 1
+    floor = 1 if 2 * size == sum(counts) else 0  # at half the total head[0] stays type 0
+    if not k:
+        yield [], range(1 if floor else r), start
+        return
+    room = list(itertools.accumulate(reversed(counts)))[::-1] + [0]  # copies of types t, t+1, ...
+    # lasts[v]: the last types after a head ending in one copy of v
+    lasts = [range(v if counts[v] > 1 else v + 1, r) for v in range(r)]
+    top = r - 1 if counts[-1] == 1 else r  # a head cannot end in the only copy of type r - 1
+    head = [0] * k
+    acc = [start]  # acc[i]: the fold over head[:i], kept for i < k
+    t = u = 0      # head[t:k-1] is filled greedily from type u
+    while True:
+        while t < k - 1:
+            for _ in range(min(counts[u], k - 1 - t)):
+                head[t] = u
+                acc.append(step(acc[-1], u))
+                t += 1
+            u += 1
+        # head[k-1] = v runs over the types left after head[:k-1]
+        b = acc[k - 1]
+        v = 0
+        if k > 1:
+            q = head[k - 2]
+            run = k - bisect.bisect_left(head, q, 0, k - 1)  # copies of q in head with v = q
+            v = q + 1
+            if run <= counts[q]:
+                j = q if run < counts[q] else q + 1
+                if j < r:
+                    head[k - 1] = q
+                    yield head, range(j, r), step(b, q)
+        for v in range(v, 1 if floor and k == 1 else top):
+            head[k - 1] = v
+            yield head, lasts[v], step(b, v)
+        # move the last position of head[:k-1] that can still move, if any
+        t = k - 2
+        while t >= floor and room[head[t] + 1] <= k - t:
+            t -= 1
+        if t < floor:
+            return
+        u = head[t] + 1
+        del acc[t + 1:]
+
+
+def _recombine(whole, degs, items, counts, lift, K):
+    """The irreducible factors of the dense image whole of a polynomial of
+    partial degrees degs from whole's items, taken counts[i] times each:
+    yields (factor image, mult) as each is found, then the cofactor left,
+    unless constant.  Over Z and Q lift is (P, B) from _lifted_items; over
+    GF(q) lift is None and the items are whole's irreducible factors.
+
+    A proper factor is a sub-multiset of at most half the items, so the
+    first found is irreducible; each enumerated one counts against
+    RECOMBINATION_SUBSET_CAP.  In several variables the fold (radix D) is
+    injective on the box of partial degrees < D, so the base-D digits of a
+    true factor's degree and lowest exponent and those of its cofactor add
+    to whole's without a carry.  Over Z and Q the candidate is the
+    primitive part of the symmetric lift of lc times the items' product,
+    for a true factor G with cofactor H exactly lc(H) * G, and the fold is
+    a ring homomorphism: so before the product is formed its lowest
+    coefficient divides lc * trail(whole) and its next one lies within
+    lc * B, both read mod P, and then its values at 1 and -1 divide
+    whole's.  A survivor is decided by zx_try_div in one variable, by
+    _kronecker_split in several; the powers of a factor give its mult."""
+    digits = None
+    if len(degs) > 1:
+        D = 1 + max(degs)
+        digits = [[E // D ** i % D for E in range(len(whole))] for i in range(len(degs))]
+    target = degs
+    if lift:
+        P, B = lift
+        mul, div, extend = zx_mul, zx_try_div, functools.partial(zm_mul, m=P)
+    else:
+        P = 1  # no integer tests: the walk's lowest-coefficient channel stays 0
+        mul = extend = functools.partial(u_mul, K=K)
+
+        def div(a, b):  # a product of image factors divides the image
+            return u_divmod(a, b, K)[0]
+
+    def split(prod, whole):
+        if digits is None:
+            return div(whole, prod)
+        return _kronecker_split(prod, whole, target, digits, div)
+
+    def step(acc, t):  # the lowest coefficient mod P, degree and lowest exponent
+        return acc[0] * tails[t] % P, acc[1] + highs[t], acc[2] + lows[t]
+
+    what, cap = "integer" if digits is None else "Kronecker", RECOMBINATION_SUBSET_CAP
+    items, counts = list(items), list(counts)
+    # each item's degree, lowest exponent and coefficient there
+    highs = [len(c) - 1 for c in items]
+    lows = [next(E for E, v in enumerate(c) if v) for c in items]
+    tails = [c[e] for c, e in zip(items, lows)]
+    explored, size = 0, 1
+    last, prefix = (), []  # the last product's sub-multiset and its prefix products
+    while 2 * size <= sum(counts):
+        if digits:
+            high = sum(h * m for h, m in zip(highs, counts))
+            low = sum(w * m for w, m in zip(lows, counts))
+        start = (0, 0, 0)
+        if lift:
+            lc = whole[-1]
+            lc_trail = lc * next(filter(None, whole))
+            bound = abs(lc_trail)  # lowest coefficients strictly between bound and P - bound fail
+            lc_B, w1, w_1, start = lc * B, sum(whole), zx_eval(whole, -1), (lc, 0, 0)
+        for head, lasts, (a, hi, lo) in _sub_multisets(counts, size, step, start):
             for j in lasts:
                 explored += 1
                 if explored > cap:
-                    _count_subset(explored, "integer")
-                c0 = a * tails[j] % Q
-                if low < c0 < high:
+                    raise BudgetExceededError(
+                        f"{what} recombination exceeded {cap} subsets", tested=explored)
+                if digits and not (_digits_fit(hi + highs[j], high, D)
+                                   and _digits_fit(lo + lows[j], low, D)):
                     continue
-                if lc_g0:
-                    if c0 > Q // 2:
-                        c0 -= Q
-                    if c0 == 0 or lc_g0 % c0:
+                if lift:
+                    c0 = a * tails[j] % P
+                    if bound < c0 < P - bound or c0 == 0 or lc_trail % (
+                            c0 - P if c0 > bound else c0):
+                        continue
+                    u, v = lc, 0  # the lowest coefficient and the next, mod P
+                    for i in (*head, j):
+                        c, e = items[i], lows[i] + 1
+                        u, v = u * tails[i] % P, (u * (c[e] if e < len(c) else 0) + v * tails[i]) % P
+                    if lc_B < v < P - lc_B:
                         continue
                 combo = head + [j]
-                u, v = g[-1], 0  # the constant and x coefficients mod P
-                for i in combo:
-                    w = items[i]
-                    u, v = u * w[0] % P, (u * w[1] + v * w[0]) % P
-                if B < v < P - B:
-                    continue
-                prod = items[combo[0]]
-                for i in combo[1:]:
-                    prod = zm_mul(prod, items[i], P)
-                # monic items give the candidate degree >= 1, and its lc is
-                # lc(g), as 0 < lc(g) <= B < P/2
-                cand = _symmetric_candidate(prod, g[-1], P)
-                if not (_value_divides(sum(cand), g1)
-                        and _value_divides(zx_eval(cand, -1), g_1)):
-                    continue
-                q = zx_try_div(g, cand)
-                if q is not None:
-                    result.append(cand)
-                    g = q
-                    items = [it for i, it in enumerate(items) if i not in combo]
-                    found = True
+                # sub-multisets come in lexicographic order: reuse the shared prefix
+                shared = 0
+                while shared < len(last) and shared < size and last[shared] == combo[shared]:
+                    shared += 1
+                del prefix[shared:]
+                for i in combo[shared:]:
+                    prefix.append(extend(prefix[-1], items[i]) if prefix else items[i])
+                last = combo
+                base = prefix[-1]
+                if lift:
+                    base = _symmetric_candidate(base, lc, P)
+                    if not (_value_divides(sum(base), w1)
+                            and _value_divides(zx_eval(base, -1), w_1)):
+                        continue
+                cofactor = split(base, whole)
+                if cofactor is not None:
                     break
-            if found:
+            else:
+                continue
+            break
+        else:
+            size += 1
+            continue
+        # The factor's m-th power lies in the box when m times its partial
+        # degrees stay within whole's, and divides when the counts allow.
+        top = min([counts[i] // combo.count(i) for i in combo])  # the counts allow G^top
+        fdegs = _unfolded_degrees(base, digits) if digits else [len(base) - 1]
+        prod, mult = base, 1
+        while mult < top and all((mult + 1) * d <= t for d, t in zip(fdegs, target)):
+            power = mul(prod, base)
+            rest = split(power, whole)
+            if rest is None:
                 break
-        if not found:
-            s += 1
-    if u_deg(g) >= 1:
-        result.append(g)
-    return result
+            prod, cofactor, mult = power, rest, mult + 1
+        yield base, mult
+        for i in sorted(set(combo), reverse=True):
+            counts[i] -= mult * combo.count(i)
+            if not counts[i]:
+                for xs in (items, counts, highs, lows, tails):
+                    del xs[i]
+        whole = cofactor
+        target = [t - mult * d for t, d in zip(target, fdegs)]
+        last, prefix = (), []
+    if len(whole) > 1:
+        yield whole, 1
+
+
+def _value_divides(v, w):
+    """Whether v divides w in Z, as a factor's value divides the value of
+    its multiple at the same point."""
+    return w % v == 0 if v else w == 0
+
+
+def _digits_fit(part, whole, D):
+    """Whether part and whole - part add in base D without a carry, that is,
+    no base-D digit of part exceeds the matching digit of whole."""
+    while part:
+        if part % D > whole % D:
+            return False
+        part //= D
+        whole //= D
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -780,8 +836,7 @@ def _factor_dense(c, K):
         f = _integer_image(c)
         if f[-1] < 0:
             f = [-v for v in f]
-        out = [(fac, mult) for part, mult in _yun_squarefree(f)
-               for fac in _zx_factor_squarefree(part)]
+        out = list(_factor_zx(f, [u_deg(f)], _screened_yun(f)))
         if isinstance(K, RationalField):
             out = [([Fraction(v, fac[-1]) for v in fac], mult) for fac, mult in out]
 
@@ -814,20 +869,12 @@ def _yun_squarefree(f):
     return out
 
 
-def _normalize_candidate(cand: MultiPoly):
-    ring = cand.ring
-    if not ring.is_field:
-        cand = cand.primitive_part()
-    return cand.monic_normalize()[1]
-
-
 def _factor_kronecker(pp: MultiPoly, effective):
     """Fold to one variable, split the image into items (its irreducible
     factors over GF(q), its lifted modular factors over Z and Q), and
-    recombine sub-multisets of the items on their dense coefficient lists:
-    (pairs, method), as _factor_primitive returns them, with method
-    "kronecker-fold D=<D>", or "monomial" and the route of the rest after
-    a monomial content."""
+    recombine sub-multisets of the items (_recombine): (pairs, method), as
+    _factor_primitive returns them, with method "kronecker-fold D=<D>", or
+    "monomial" and the route of the rest after a monomial content."""
     ring, vars = pp.ring, pp.vars
     # Monomial content x_i^k is split off first: folded, it would add k
     # copies of x to the image and so to every subset enumeration.
@@ -843,182 +890,43 @@ def _factor_kronecker(pp: MultiPoly, effective):
         return out + found, "monomial + " + method
     sub_vars = VarSet(tuple(effective))
     collapsed = pp.embed(vars) if vars.names == sub_vars.names else _restrict(pp, sub_vars)
-    D = 1 + max(collapsed.degree_in(v) for v in sub_vars.names)
-    radices = [D] * (len(sub_vars) - 1)
-    target = list(collapsed.degree_vector())
+    degs = list(collapsed.degree_vector())
+    D = 1 + max(degs)
     # the image over Z, Q (scaled to a primitive integer list) or GF(q)
     whole = dense_encode(ring, collapsed.terms, [D ** i for i in range(len(sub_vars))],
                          f"degree in {sub_vars.names[0]}")[0]
     if ring.is_finite:
-        def mul(a, b):
-            return u_mul(a, b, ring)
-
-        def div(a, b):  # a product of image factors divides the image
-            return u_divmod(a, b, ring)[0]
-
         # The image keeps its unit: _factor_dense drops it, and every
-        # cofactor whole / prod carries it, so no test below depends on it.
+        # cofactor whole / prod carries it, so no test depends on it.
         types = _factor_dense(whole, ring)
-        polys = [f for f, _ in types]
-        counts = [m for _, m in types]
-        extend, P = mul, None
+        items, counts = [f for f, _ in types], [m for _, m in types]
+        found = list(_recombine(whole, degs, items, counts, None, ring))
     else:
-        mul, div = zx_mul, zx_try_div
         whole = zx_primitive(whole)[1]
         if whole[-1] < 0:
             whole = [-c for c in whole]
-        polys, counts, P = _lifted_image_items(whole, target)
-        extend = functools.partial(zm_mul, m=P)
-    # digits[i][E]: the exponent of the i-th variable in the unfold of x^E
-    digits = [[E // D ** i % D for E in range(len(whole))] for i in range(len(sub_vars))]
-
-    # A proper factor of pp folds to a sub-multiset of at most half the
-    # items, so searching sizes up to half is complete, and the first
-    # factor found is irreducible.  The fold is injective on pp's degree
-    # box, so the base-D digits of a true factor's degree and lowest
-    # exponent are its lex-leading and lex-trailing monomials; those of
-    # its cofactor add to pp's without a carry.  Over GF(q) the items are
-    # the image's irreducible factors and a subset's product is its
-    # candidate.  Over Z and Q they are monic modulo P, and the candidate
-    # is the primitive part of the symmetric lift of lc(whole) times their
-    # product: for a true factor G with cofactor H that lift is lc(H) * G,
-    # as P exceeds twice its coefficients.  Its lowest coefficient then
-    # divides lc(whole) times whole's, which _lifted_trailing_fits tests
-    # before the product is formed.  A subset passing these tests is
-    # decided exactly by _kronecker_split.
-    highs = [len(c) - 1 for c in polys]
-    lows = [next(E for E, v in enumerate(c) if v) for c in polys]
-    out = []
-    explored = 0
-    size = 1
-    last, prefix = (), []  # the last product's subset and its prefix products
-    while 2 * size <= sum(counts):
-        high = sum(h * m for h, m in zip(highs, counts))
-        low = sum(w * m for w, m in zip(lows, counts))
-        lc_trail = whole[-1] * next(v for v in whole if v) if P else None
-        for combo in _multisubsets(counts, size):
-            explored += 1
-            _count_subset(explored, "Kronecker")
-            if not (_digits_fit(sum(highs[i] for i in combo), high, D)
-                    and _digits_fit(sum(lows[i] for i in combo), low, D)):
-                continue
-            if P and not _lifted_trailing_fits(combo, polys, lows, whole[-1], lc_trail, P):
-                continue
-            # subsets come in lexicographic order: reuse the shared prefix
-            shared = 0
-            while shared < len(last) and shared < size and last[shared] == combo[shared]:
-                shared += 1
-            del prefix[shared:]
-            for i in combo[shared:]:
-                prefix.append(extend(prefix[-1], polys[i]) if prefix else polys[i])
-            last = combo
-            base = _symmetric_candidate(prefix[-1], whole[-1], P) if P else prefix[-1]
-            cofactor = _kronecker_split(base, whole, target, digits, div)
-            if cofactor is not None:
-                break
-        else:
-            size += 1
-            continue
-        # A factor c = unfold(G).  c^m lies in the box when m times its
-        # partial degrees stay within pp's, and then it is the unfold of
-        # G^m: so the same test on G^m gives the multiplicity.
-        prod, mult = base, 1
-        used = Counter(combo)
-        degs = _unfolded_degrees(prod, digits)
-        while (all(counts[i] >= (mult + 1) * k for i, k in used.items())
-               and all((mult + 1) * d <= t for d, t in zip(degs, target))):
-            power = mul(prod, base)
-            rest = _kronecker_split(power, whole, target, digits, div)
-            if rest is None:
-                break
-            prod, cofactor, mult = power, rest, mult + 1
-        cand = _normalize_candidate(dense_decode(ring, sub_vars, base, radices))
-        quotient = collapsed.try_divexact(cand ** mult)
-        if quotient is None:
-            raise ArithmeticError("Kronecker degree test accepted a non-factor")
-        out.append((_expand(cand, vars), mult))
-        for i, k in used.items():
-            counts[i] -= mult * k
-        left = [i for i, m in enumerate(counts) if m]
-        polys, counts, highs, lows = ([xs[i] for i in left] for xs in (polys, counts, highs, lows))
-        collapsed, whole = quotient, cofactor
-        target = list(collapsed.degree_vector())
-        last, prefix = (), []
+        found = list(_factor_zx(whole, degs, _screened_yun(whole)))
     method = f"kronecker-fold D={D}"
-    if not out:
-        # No proper subset divides: pp is irreducible.
+    if len(found) == 1 and found[0][1] == 1:
+        # No proper sub-multiset divides: pp is irreducible.
         return [(pp, 1)], method
-    if not collapsed.is_constant():
-        out.append((_expand(_normalize_candidate(collapsed), vars), 1))
+    # Each factor image is primitive over Z; the multivariate division runs
+    # once per factor, for its quotient.
+    radices = [D] * (len(sub_vars) - 1)
+    out = []
+    for g, m in found:
+        cand = dense_decode(ring, sub_vars, g, radices).monic_normalize()[1]
+        collapsed = collapsed.try_divexact(cand ** m)
+        if collapsed is None:
+            raise ArithmeticError("Kronecker degree test accepted a non-factor")
+        out.append((_expand(cand, vars), m))
     return out, method
 
 
-def _lifted_image_items(whole, degs):
-    """The image's factorization over Z lifted modulo P = p^l, for a
-    primitive image whole with lc > 0 of a polynomial of partial degrees
-    degs: (items, counts, P), each item monic modulo P in [0, P) and taken
-    counts[i] times, with whole = lc(whole) * prod(items^counts) (mod P).
-
-    Each Yun part of multiplicity m gives its items with count m.  A part
-    of degree 1, or one the screen proves irreducible, is one item, its
-    monic form modulo P.  The other parts are factored modulo p, the first
-    odd prime not dividing lc(whole) modulo which every one of them is
-    squarefree, and lifted by _hensel_lift.  A factor g of the unfold of
-    whole has |coefficients| <= B = prod C(d_i, d_i // 2) * ceil(|whole|_2)
-    (Mignotte's bound through the Mahler measure in several variables; von
-    zur Gathen & Gerhard, Modern Computer Algebra, ch. 6), as the fold is a
-    bijection on its coefficients.  So l is the least with
-    p^l > 2 * lc(whole) * B, which is far below the univariate bound of the
-    image, whose factors need not unfold to factors."""
-    lc = whole[-1]
-    exact, split = [], []
-    for part, mult in _yun_squarefree(whole):
-        (exact if u_deg(part) == 1 or _zx_screen(part) is True else split).append((part, mult))
-    for p in _odd_primes():
-        if lc % p == 0:
-            continue
-        K = PrimeField(p)
-        reduced = [dense_trim([c % p for c in part]) for part, _ in split]
-        if all(u_deg(u_gcd(fbar, u_deriv(fbar, K), K)) == 0 for fbar in reduced):
-            break
-    norm = math.isqrt(sum(c * c for c in whole) - 1) + 1
-    bound = 2 * lc * math.prod(math.comb(d, d // 2) for d in degs) * norm
-    l = 1
-    while p ** l <= bound:
-        l += 1
-    P = p ** l
-    items, counts = [], []
-    for part, mult in exact:
-        inv = pow(part[-1], -1, P)
-        items.append([c * inv % P for c in part])
-        counts.append(mult)
-    for (part, mult), fbar in zip(split, reduced):
-        modular = sorted(_ff_factor_monic_squarefree(u_monic(fbar, K)[1], K, random.Random(0)))
-        lifted = _hensel_lift(p, part, modular, l)
-        items.extend(lifted)
-        counts.extend([mult] * len(lifted))
-    return items, counts, P
-
-
-def _lifted_trailing_fits(combo, items, lows, lc, lc_trail, P):
-    """Whether the lowest coefficient a true factor would give the lifted
-    candidate of combo divides lc_trail, the product of lc = lc(whole) and
-    whole's lowest coefficient.  For a true factor G with cofactor H, that
-    coefficient is lc(H) times G's lowest, and both sit at the sum of the
-    items' lowest exponents."""
-    c = lc
-    for i in combo:
-        c = c * items[i][lows[i]] % P
-    if c > P // 2:
-        c -= P
-    return c != 0 and lc_trail % c == 0
-
-
 def _symmetric_candidate(prod, lc, P):
-    """The primitive part of the symmetric lift of lc * prod modulo P."""
+    """The primitive part of the symmetric lift of lc * prod modulo the odd P."""
     half = P // 2
-    lifted = [c - P if c > half else c for c in (lc * v % P for v in prod)]
-    return zx_primitive(lifted)[1]
+    return zx_primitive([(lc * v + half) % P - half for v in prod])[1]
 
 
 def _integer_image(c):

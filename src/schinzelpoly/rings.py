@@ -73,10 +73,13 @@ from .errors import ParseError, RingMismatchError, ZeroInputError
 _SLOT_CODES = {2: "H", 4: "I", 8: "Q"}
 # below this many coefficient products the plain double loop beats packing
 _PACK_MIN_WORK = 24
-# slots wider than 8 bytes pack only when both factors have this many
-# coefficients: below it the list loop measured faster (1.2-1.6x at 40- to
-# 94-bit moduli and 3 to 6 coefficients), since each coefficient costs one
-# to_bytes and one from_bytes
+# `width`-byte slots (width > 8) pack only when both factors have at least
+# _PACK_WIDE_MIN_LEN + width // 16 coefficients.  Each coefficient costs
+# one to_bytes and one from_bytes of its slot, so the crossover with the
+# list loop grows with the width: for square factors it measured 8
+# coefficients at 11- and 17-byte slots, 10 at 26, 13-14 at 51, 16-20 at
+# 101 and 22 at 201 (best of 5 x 200 calls, shared 2-core machine, Python
+# 3.11); below 8 the list loop was 1.2-1.6x faster at 40- to 94-bit moduli
 _PACK_WIDE_MIN_LEN = 8
 # below this many divisor coefficients the list loops beat packed division
 _PACK_MIN_LEN = 6
@@ -152,7 +155,7 @@ def zm_mul(a, b, m):
                     * int.from_bytes(struct.pack(f"<{lb}{code}", *b), "little"))
             slots = struct.unpack(f"<{n}{code}", prod.to_bytes(n * width, "little"))
             return dense_trim([v % m for v in slots])
-        if min(la, lb) >= _PACK_WIDE_MIN_LEN:
+        if min(la, lb) >= _PACK_WIDE_MIN_LEN + width // 16:
             prod = _pack_wide(a, width) * _pack_wide(b, width)
             raw = prod.to_bytes(n * width, "little")
             return dense_trim([int.from_bytes(raw[k:k + width], "little") % m

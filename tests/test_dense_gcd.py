@@ -269,7 +269,7 @@ def test_screen_cannot_decide_and_hensel_still_factors_exactly(name):
     # reducible modulo every screened prime, so the screen proves nothing
     primes = [p for p in (3, 5, 7, 11, 13, 17) if f[-1] % p]
     assert not any(u_is_irreducible([c % p for c in f], PrimeField(p)) for p in primes)
-    assert factor_mod._zx_factor_squarefree(f) == [f]
+    assert factor_mod._factor_dense(f, ZZ) == [(f, 1)]
     other = [-3, 1]                                  # x - 3
     fac = factor_multivariate(poly(ZZ, V1, zx_mul(f, zx_mul(other, other))))
     assert [(dense_of(g), m) for g, m in fac.factors] == [(other, 2), (f, 1)]
@@ -302,7 +302,7 @@ def test_swinnerton_dyer_counts_every_subset_against_the_cap(monkeypatch, primes
     split = factor_mod._ff_factor_monic_squarefree
     monkeypatch.setattr(factor_mod, "_ff_factor_monic_squarefree",
                         lambda *args: modular.append(split(*args)) or modular[-1])
-    assert factor_mod._zx_factor_squarefree(f) == [f]
+    assert factor_mod._factor_dense(f, ZZ) == [(f, 1)]
     # factors of degree <= 2 modulo every prime, and nearly every subset is
     # pruned: pruned subsets count too, so one below the count refuses
     assert len(modular) == 1 and all(len(it) <= 3 for it in modular[0])
@@ -310,10 +310,10 @@ def test_swinnerton_dyer_counts_every_subset_against_the_cap(monkeypatch, primes
     if len(primes) == 5:
         assert total == 2 ** 15 - 1       # 16 quadratics: sizes 1..7, half of C(16, 8)
     monkeypatch.setattr(factor_mod, "RECOMBINATION_SUBSET_CAP", total)
-    assert factor_mod._zx_factor_squarefree(f) == [f]
+    assert factor_mod._factor_dense(f, ZZ) == [(f, 1)]
     monkeypatch.setattr(factor_mod, "RECOMBINATION_SUBSET_CAP", total - 1)
     with pytest.raises(BudgetExceededError, match="integer recombination exceeded") as hit:
-        factor_mod._zx_factor_squarefree(f)
+        factor_mod._factor_dense(f, ZZ)
     assert hit.value.tested == total
 
 
@@ -326,7 +326,7 @@ def test_screen_decides_quadratic_whose_first_good_prime_splits(monkeypatch):
 
     monkeypatch.setattr(factor_mod, "_hensel_lift", no_lift)
     monkeypatch.setattr(factor_mod, "_ff_factor_monic_squarefree", no_lift)
-    assert factor_mod._zx_factor_squarefree(f) == [f]
+    assert factor_mod._factor_dense(f, ZZ) == [(f, 1)]
 
 
 def test_hensel_prime_stays_the_first_good_prime(monkeypatch):
@@ -335,14 +335,14 @@ def test_hensel_prime_stays_the_first_good_prime(monkeypatch):
     lift = factor_mod._hensel_lift
     monkeypatch.setattr(factor_mod, "_hensel_lift",
                         lambda p, *rest: seen.append(p) or lift(p, *rest))
-    assert sorted(factor_mod._zx_factor_squarefree(f)) == [[-7, 0, 1], [1, 0, 1]]
+    assert sorted(g for g, _ in factor_mod._factor_dense(f, ZZ)) == [[-7, 0, 1], [1, 0, 1]]
     assert set(seen) == {3}
 
 
 def test_primes_dividing_the_leading_coefficient_do_not_screen():
     # (3x + 1)(x + 1) is x + 1 mod 3, irreducible there only because the degree fell
     f = zx_mul([1, 3], [1, 1])
-    assert sorted(factor_mod._zx_factor_squarefree(f)) == [[1, 1], [1, 3]]
+    assert sorted(g for g, _ in factor_mod._factor_dense(f, ZZ)) == [[1, 1], [1, 3]]
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +413,7 @@ def test_non_squarefree_input_is_decided_before_any_hensel_prime_search(monkeypa
 
     monkeypatch.setattr(factor_mod, "u_is_irreducible",
                         lambda g, K: screened.append(K.p) or test(g, K))
-    monkeypatch.setattr(factor_mod, "_zx_hensel_factors", no_search)
+    monkeypatch.setattr(factor_mod, "_lifted_items", no_search)
     assert factor_mod._zx_is_irreducible(f) is False
     assert factor_mod._zx_is_irreducible([-c for c in f]) is False
     assert screened == [3, 5, 7, 11, 13, 17] * 2
@@ -424,7 +424,7 @@ def test_screened_input_skips_the_squarefree_test(monkeypatch):
         raise AssertionError("the screen should have decided before the squarefree test")
 
     monkeypatch.setattr(factor_mod, "zx_gcd", no_gcd)
-    monkeypatch.setattr(factor_mod, "_zx_hensel_factors", no_gcd)
+    monkeypatch.setattr(factor_mod, "_lifted_items", no_gcd)
     assert factor_mod._zx_is_irreducible([-7, 0, 1]) is True     # irreducible mod 5
     assert factor_mod._zx_is_irreducible([3, 0, -1]) is True     # -x^2 + 3
 
@@ -490,7 +490,7 @@ def test_screen_hands_its_factorization_to_hensel(monkeypatch, name):
     assert start[0] == p
     assert factor_mod._zx_screen(f) == start
     lifts = watch_the_lift(monkeypatch)
-    assert sorted(factor_mod._zx_factor_squarefree(f)) == want
+    assert sorted(g for g, _ in factor_mod._factor_zx(f, [len(f) - 1], [(f, 1, start)])) == want
     assert lifts[0] == start
     # split ones lift by Newton in one call, a quadratic factor mod p by
     # the tree, which calls itself on the halves
@@ -518,7 +518,7 @@ def test_nonsquarefree_cubic_still_reaches_the_gcd(monkeypatch, f):
     gcds = []
     gcd = factor_mod.zx_gcd
     monkeypatch.setattr(factor_mod, "zx_gcd", lambda a, b: gcds.append(a) or gcd(a, b))
-    monkeypatch.setattr(factor_mod, "_zx_hensel_factors", lambda *args: pytest.fail("lifted"))
+    monkeypatch.setattr(factor_mod, "_lifted_items", lambda *args: pytest.fail("lifted"))
     assert factor_mod._zx_is_irreducible(f) is False
     assert gcds == [f]
 
@@ -545,7 +545,7 @@ def test_screen_start_equals_the_search_on_random_quadratics_and_cubics():
         if start is not None:
             assert start == first_squarefree_prime(f), f
         prod = [1]
-        for g in factor_mod._zx_factor_squarefree(f):
+        for g, _ in factor_mod._factor_zx(f, [len(f) - 1], [(f, 1, start)]):
             prod = zx_mul(prod, g)
         assert prod == f
     assert seen == {False, True}
@@ -553,11 +553,12 @@ def test_screen_start_equals_the_search_on_random_quadratics_and_cubics():
 
 def test_screen_builds_the_hensel_start_only_for_a_hand_over(monkeypatch):
     builds, handed = [], []
-    split, lift = factor_mod._split_by_roots, factor_mod._zx_hensel_factors
+    split, lift = factor_mod._split_by_roots, factor_mod._factor_zx
     monkeypatch.setattr(factor_mod, "_split_by_roots",
                         lambda *args: builds.append(args) or split(*args))
-    monkeypatch.setattr(factor_mod, "_zx_hensel_factors",
-                        lambda f, start: handed.append(start is not None) or lift(f, start))
+    monkeypatch.setattr(factor_mod, "_factor_zx",
+                        lambda f, degs, parts: handed.append(parts[0][2] is not None)
+                        or lift(f, degs, parts))
     # x^2 - 7 has the simple roots 1 and 2 mod 3, and 7 is no square mod 5
     assert factor_mod._zx_is_irreducible([-7, 0, 1]) is True
     assert builds == [] and handed == []

@@ -132,8 +132,9 @@ def test_zm_kernels_match_schoolbook(m):
 
 
 # ---------------------------------------------------------------------------
-# zm_mul packed at any slot width (8, 9, 16 and 17 bytes) against the list
-# loop, on both sides of _PACK_MIN_WORK and of _PACK_WIDE_MIN_LEN
+# zm_mul packed at any slot width (8 to 100 bytes) against the list loop,
+# on both sides of _PACK_MIN_WORK and of the wide-slot crossover
+# _PACK_WIDE_MIN_LEN + width // 16, which grows with the width
 # ---------------------------------------------------------------------------
 
 def slot_modulus(width, n):
@@ -142,10 +143,14 @@ def slot_modulus(width, n):
     return math.isqrt(((1 << (8 * width)) - 1) // n) + 1
 
 
-@pytest.mark.parametrize("width", [8, 9, 16, 17])
-def test_zm_mul_at_any_slot_width_matches_the_list_loop(width):
+@pytest.mark.parametrize("width", [8, 9, 16, 17, 40, 100])
+def test_zm_mul_at_any_slot_width_matches_the_list_loop(monkeypatch, width):
     rng = random.Random(width)
-    work, wide = rings._PACK_MIN_WORK, rings._PACK_WIDE_MIN_LEN
+    # 8 coefficients at 9 to 31 bytes, 10 at 40 and 14 at 100
+    work, wide = rings._PACK_MIN_WORK, rings._PACK_WIDE_MIN_LEN + width // 16
+    packs = []
+    pack = rings._pack_wide
+    monkeypatch.setattr(rings, "_pack_wide", lambda a, w: packs.append(w) or pack(a, w))
     shapes = [(4, 6), (5, 5), (1, work + 1), (2, work // 2 + 1), (3, 8),
               (wide - 1, 30), (wide, wide), (wide, 30), (40, 40)]
     assert any(la * lb <= work for la, lb in shapes)
@@ -158,8 +163,12 @@ def test_zm_mul_at_any_slot_width_matches_the_list_loop(width):
         for a, b in [(rand_dense(rng, m, la - 1), rand_dense(rng, m, lb - 1)),
                      ([m - 1] * la, [m - 1] * lb),
                      ([m - 1] * la, [0] * (lb - 1) + [1])]:
+            del packs[:]
             assert zm_mul(a, b, m) == ref_mul(a, b, m), (la, lb)
             assert zm_mul(b, a, m) == ref_mul(a, b, m), (la, lb)
+            # wide slots pack exactly from the crossover on
+            wide_packed = width > 8 and la * lb > work and min(la, lb) >= wide
+            assert packs == ([width] * 4 if wide_packed else []), (la, lb)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +332,13 @@ def test_completely_split_inputs_never_reach_the_factor_tree(monkeypatch):
 
     monkeypatch.setattr(factor_mod, "_hensel_lift", no_tree)
     for f, forms in split_products(seed=47, count=40):
-        assert sorted(factor_mod._zx_factor_squarefree(f)) == forms
+        assert sorted(g for g, _ in factor_mod._factor_dense(f, ZZ)) == forms
         F = MultiPoly.from_terms(ZZ, V1, {(i,): c for i, c in enumerate(f) if c})
         fac = factor_multivariate(F)
         assert sorted(dense_in_var(g, "x") for g, _ in fac.factors) == forms
     with pytest.raises(AssertionError, match="reached _hensel_lift"):
         # x^2 + 1 is irreducible mod 3, the Hensel prime of (x^2 - 7)(x^2 + 1)
-        factor_mod._zx_factor_squarefree(rings.zx_mul([-7, 0, 1], [1, 0, 1]))
+        factor_mod._factor_dense(rings.zx_mul([-7, 0, 1], [1, 0, 1]), ZZ)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Subset recombination: the trailing-coefficient test of the integer
-(Zassenhaus) loop, the leading/trailing-exponent digit test of the
-Kronecker loop, and the one subset-count cap both loops share.
+"""Sub-multiset recombination, one loop in every number of variables: its
+integer tests (lowest and next coefficient, values at 1 and -1), its
+leading/trailing-exponent digit test in several variables, its enumerator
+and its one subset-count cap.
 
 A pruning test may only skip subsets that cannot be factors, so the
 factorizations are checked against sympy `factor_list` over Z and Q (a
@@ -118,7 +119,7 @@ def zx(coeffs):
 
 def test_univariate_non_monic_products_match_sympy():
     # non-monic factors need lc(g) in the trailing-coefficient test; x * ...
-    # has g(0) == 0, where the test is skipped until x is split off
+    # has g(0) == 0, where the test reads the lowest nonzero coefficient
     sympy = pytest.importorskip("sympy")
     rng = random.Random(41)
     for _ in range(60):
@@ -278,6 +279,96 @@ def test_kronecker_over_z_lifts_to_the_bound_of_the_factors(monkeypatch):
     assert p ** l < 2 ** image.total_degree()
 
 
+def test_univariate_z_lifts_to_the_bound_of_the_factors(monkeypatch):
+    # one variable takes the precision rule of several: p^l just above
+    # 2 * lc * C(n, n // 2) * ceil(|f|_2); a bound carrying 2^n lifts further
+    f = zx([1, -3, 0, 0, 2]) * zx([1, 0, 0, 0, 1]) * zx([-5, 1, 0, 1])
+    seen = []
+    lift = factor_mod._hensel_lift
+    monkeypatch.setattr(factor_mod, "_hensel_lift",
+                        lambda p, g, modular, l: seen.append((p, l)) or lift(p, g, modular, l))
+    sympy = pytest.importorskip("sympy")
+    assert our_factors(sympy, f) == sympy_factors(sympy, f)
+    c = [f.terms.get((i,), 0) for i in range(f.total_degree() + 1)]
+    n, lc = len(c) - 1, c[-1]
+    norm = math.isqrt(sum(v * v for v in c) - 1) + 1
+    (p, l), = set(seen)
+    assert p ** (l - 1) <= 2 * lc * math.comb(n, n // 2) * norm < p ** l
+
+
+def yun_parts(*parts):
+    """The univariate Z product of parts (coefficient list, mult)."""
+    acc = zx([1])
+    for coeffs, m in parts:
+        acc = acc * zx(coeffs) ** m
+    return acc
+
+
+X4P1, X4M10 = [1, 0, 0, 0, 1], [1, 0, -10, 0, 1]  # reducible modulo every prime
+UNIVARIATE_CASES = {
+    "square": yun_parts((X4P1, 2), ([3, -1, 0, 2], 1)),                   # g^2 * h
+    "negative-lc": yun_parts(([-1], 1), (X4M10, 2), ([1, 2, 3], 1)),
+    "x-divides": yun_parts(([0, 1], 2), (X4P1, 2), ([7, 0, -2], 1)),      # x | f
+    "several-parts": yun_parts((X4P1, 3), (X4M10, 2), ([2, 0, 1], 2), ([-3, 1], 1)),
+}
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
+@pytest.mark.parametrize("name", sorted(UNIVARIATE_CASES))
+def test_univariate_products_use_multiset_counts_at_one_prime(monkeypatch, name, ring):
+    sympy = pytest.importorskip("sympy")
+    f = UNIVARIATE_CASES[name]
+    if ring == QQ:
+        f = MultiPoly.from_terms(QQ, V1, {e: Fraction(c, 3) for e, c in f.terms.items()})
+    lifts = []
+    lifted = factor_mod._lifted_items
+    monkeypatch.setattr(factor_mod, "_lifted_items",
+                        lambda *args: lifts.append(lifted(*args)) or lifts[-1])
+    fac = factor_multivariate(f)
+    assert fac.method == "univariate zassenhaus"
+    assert fac.recompose_over(V1) == f
+    # one lift for all Yun parts, and the repeated parts' items carry their counts
+    (items, counts, _), = lifts
+    assert max(counts) > 1 and len(items) > len(nonconstant_factors(fac))
+    gens = sympy.symbols(V1.names)
+    ours = [(sum(sympy.Rational(c.numerator, c.denominator) * gens[0] ** e[0]
+                 for e, c in g.terms.items()), m) for g, m in fac.factors]
+    assert monic_factors(sympy, ours, gens) == sympy_monic_factors(sympy, f)
+
+
+def test_integer_tests_cut_the_kronecker_candidates(monkeypatch):
+    # the lowest coefficient 60 * -24 * 36 has many divisors, so 8
+    # sub-multisets pass the digit, lowest- and next-coefficient tests and
+    # are multiplied out; the values at 1 and -1 turn away all but 2 of
+    # them, where all 8 reached _kronecker_split when the values were
+    # tested in one variable only
+    sympy = pytest.importorskip("sympy")
+    f = (parse_poly("x1^2*x2^2 + 2*x1^2 + 60", ZZ, V2)
+         * parse_poly("6*x1^3*x2^3 - x1^3*x2^2 - 2*x1^3 + 3*x1^2*x2 - x2^3 - x1*x2 + 2*x2^2"
+                      " + x2 - 24", ZZ, V2)
+         * parse_poly("4*x1*x2 + 36", ZZ, V2))
+    formed, seen = [], []
+    candidate, split = factor_mod._symmetric_candidate, factor_mod._kronecker_split
+    monkeypatch.setattr(factor_mod, "_symmetric_candidate",
+                        lambda prod, *rest: formed.append(prod) or candidate(prod, *rest))
+    monkeypatch.setattr(factor_mod, "_kronecker_split",
+                        lambda prod, *rest: seen.append(prod) or split(prod, *rest))
+    assert our_factors(sympy, f) == sympy_factors(sympy, f)
+    assert len(formed) == 8 and len(seen) == 2
+
+
+def test_next_coefficient_is_tested_before_the_product_is_formed(monkeypatch):
+    # SD16 is irreducible: the next coefficient turns away all but one of
+    # the sub-multisets whose lowest coefficient passes (8 without it)
+    formed = []
+    candidate = factor_mod._symmetric_candidate
+    monkeypatch.setattr(factor_mod, "_symmetric_candidate",
+                        lambda prod, *rest: formed.append(prod) or candidate(prod, *rest))
+    f = swinnerton_dyer([2, 3, 5, 7])
+    assert factor_mod._factor_dense(f, ZZ) == [(f, 1)]
+    assert len(formed) == 1
+
+
 # ---------------------------------------------------------------------------
 # Over GF(2) and GF(3): pruned equals unpruned, and every factor irreducible.
 # ---------------------------------------------------------------------------
@@ -397,31 +488,35 @@ def multiset_subsets(counts):
                for s in range(1, r // 2 + 1))
 
 
-@pytest.mark.parametrize("counts", [[1, 1, 1, 1], [3], [2, 1], [1, 2, 2], [4, 6, 1, 1], [2, 3, 1, 2]])
-def test_multisubsets_list_each_sub_multiset_once_in_order(counts):
+MULTISET_COUNTS = [[3], [2, 1], [1, 2, 2], [4, 6, 1, 1], [2, 3, 1, 2]]
+
+
+@pytest.mark.parametrize("counts", [[1] * n for n in range(1, 11)] + MULTISET_COUNTS,
+                         ids=[str(n) for n in range(1, 11)]
+                         + ["counts-" + "-".join(map(str, c)) for c in MULTISET_COUNTS])
+def test_subset_heads_list_the_subsets_in_order_with_their_products(counts):
     # reference: the combinations of the expanded item list, equal ones
-    # dropped, which keeps itertools' lexicographic order
-    items = [t for t, m in enumerate(counts) for _ in range(m)]
+    # dropped, which keeps itertools' lexicographic order; every count 1
+    # gives the plain subsets.  Each group's fold is the product of its
+    # head's values times the start, mod m.
+    rng = random.Random(len(counts))
+    m = (1 << 61) - 1
+    values = [rng.randrange(m) for _ in counts]
+    items = [t for t, c in enumerate(counts) for _ in range(c)]
     r = len(items)
+    total = 0
     for size in range(1, r // 2 + 1):
         want = list(dict.fromkeys(itertools.combinations(items, size)))
         if 2 * size == r:
             want = [c for c in want if c[0] == 0]
-        assert list(factor_mod._multisubsets(counts, size)) == want
-    assert sum(len(list(factor_mod._multisubsets(counts, s)))
-               for s in range(1, r // 2 + 1)) == multiset_subsets(counts)
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_subset_heads_list_the_subsets_in_order_with_their_products(n):
-    rng = random.Random(n)
-    m = (1 << 61) - 1
-    values = [rng.randrange(m) for _ in range(n)]
-    for size in range(1, n // 2 + 1):
         got = [(tuple(head) + (j,), a * values[j] % m)
-               for head, lasts, a in factor_mod._subset_heads(values, size, 7, m) for j in lasts]
-        assert [c for c, _ in got] == list(factor_mod._subsets(n, size))
+               for head, lasts, a in factor_mod._sub_multisets(
+                   counts, size, lambda acc, t: acc * values[t] % m, 7)
+               for j in lasts]
+        assert [c for c, _ in got] == want
         assert all(v == 7 * math.prod(values[i] for i in c) % m for c, v in got)
+        total += len(got)
+    assert total == multiset_subsets(counts)
 
 
 def test_kronecker_counts_every_subset_against_the_cap(monkeypatch):
