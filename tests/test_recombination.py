@@ -488,13 +488,7 @@ def multiset_subsets(counts):
                for s in range(1, r // 2 + 1))
 
 
-MULTISET_COUNTS = [[3], [2, 1], [1, 2, 2], [4, 6, 1, 1], [2, 3, 1, 2]]
-
-
-@pytest.mark.parametrize("counts", [[1] * n for n in range(1, 11)] + MULTISET_COUNTS,
-                         ids=[str(n) for n in range(1, 11)]
-                         + ["counts-" + "-".join(map(str, c)) for c in MULTISET_COUNTS])
-def test_subset_heads_list_the_subsets_in_order_with_their_products(counts):
+def check_sub_multisets(counts):
     # reference: the combinations of the expanded item list, equal ones
     # dropped, which keeps itertools' lexicographic order; every count 1
     # gives the plain subsets.  Each group's fold is the product of its
@@ -517,6 +511,16 @@ def test_subset_heads_list_the_subsets_in_order_with_their_products(counts):
         assert all(v == 7 * math.prod(values[i] for i in c) % m for c, v in got)
         total += len(got)
     assert total == multiset_subsets(counts)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_subset_heads_list_the_subsets_in_order_with_their_products(n):
+    check_sub_multisets([1] * n)
+
+
+@pytest.mark.parametrize("counts", [[1, 1, 1, 1], [3], [2, 1], [1, 2, 2], [4, 6, 1, 1], [2, 3, 1, 2]])
+def test_multisubsets_list_each_sub_multiset_once_in_order(counts):
+    check_sub_multisets(counts)
 
 
 def test_kronecker_counts_every_subset_against_the_cap(monkeypatch):
