@@ -10,13 +10,14 @@ D^(i-1)); monomial content x_i^k is split off before the fold.  Over
 GF(q) the image is factored by _factor_dense.
 
 Over Z and Q a univariate input is the one-variable case of the same
-route.  One lifting front end (_lifted_items) screens the Yun parts of
-the primitive integer image modulo six good primes, factors the parts
-the screen leaves modulo one good prime and lifts them only as far as a
-factor of the input needs, by Mignotte's bound through the Mahler
-measure.  One recombination loop (_recombine) takes the items, image
-factors over GF(q) or lifted modular factors over Z and Q, in
-sub-multisets (_sub_multisets) on dense coefficient lists, prunes them
+route.  The Yun parts of the primitive integer image are screened
+modulo six good primes.  One lifting front end (_lifted_items) factors
+the parts the screen leaves modulo one good prime and lifts them only as
+far as a factor needs, by Mignotte's bound through the Mahler measure;
+in one variable, where the Yun parts are exact, each part is lifted and
+recombined on its own.  One recombination loop (_recombine) takes the
+items, image factors over GF(q) or lifted modular factors over Z and Q,
+in sub-multisets (_sub_multisets) on dense coefficient lists, prunes them
 by tests carried per prefix (the base-D digits of the leading and
 trailing exponents in several variables; the lowest coefficient, then
 the next one and the values at 1 and -1 over Z and Q), and accepts a
@@ -434,7 +435,7 @@ def _zx_screen(f):
             roots = list(zm_roots(fbar, p))
             if not roots:
                 return True
-            if all(_horner(fbar, a, p)[1] for a in roots):  # no repeated root
+            if 0 not in [_horner(fbar, a, p)[1] for a in roots]:  # no repeated root
                 start = fbar, roots, p
         elif next(zm_roots(fbar, p), None) is None:
             return True
@@ -836,7 +837,10 @@ def _factor_dense(c, K):
         f = _integer_image(c)
         if f[-1] < 0:
             f = [-v for v in f]
-        out = list(_factor_zx(f, [u_deg(f)], _screened_yun(f)))
+        # The Yun parts are exact in one variable: each factor lies in one
+        # part and takes its multiplicity, so each part recombines alone.
+        out = [(g, mult) for part, mult, start in _screened_yun(f)
+               for g, _ in _factor_zx(part, [u_deg(part)], [(part, 1, start)])]
         if isinstance(K, RationalField):
             out = [([Fraction(v, fac[-1]) for v in fac], mult) for fac, mult in out]
 

@@ -317,6 +317,29 @@ def test_swinnerton_dyer_counts_every_subset_against_the_cap(monkeypatch, primes
     assert hit.value.tested == total
 
 
+@pytest.mark.parametrize("primes", [[2, 3, 5, 7], [2, 3, 5, 7, 11]], ids=["sd16", "sd32"])
+def test_repeated_yun_part_counts_only_its_own_subsets(monkeypatch, primes):
+    # f^2 is one Yun part of multiplicity 2, exact in one variable: its
+    # items recombine as f's do, each counted once, so f^2 takes f's
+    # subsets (127 for SD16, 2^15 - 1 for SD32, where counting each item
+    # twice would enumerate 3,476 and about 2.2e7 sub-multisets)
+    f = swinnerton_dyer(primes)
+    modular = []
+    split = factor_mod._ff_factor_monic_squarefree
+    monkeypatch.setattr(factor_mod, "_ff_factor_monic_squarefree",
+                        lambda *args: modular.append(split(*args)) or modular[-1])
+    square = zx_mul(f, f)
+    assert factor_mod._factor_dense(square, ZZ) == [(f, 2)]
+    total = recombination_subsets(len(modular[0]))
+    assert total == (127 if len(primes) == 4 else 2 ** 15 - 1)
+    monkeypatch.setattr(factor_mod, "RECOMBINATION_SUBSET_CAP", total)
+    assert factor_mod._factor_dense(square, ZZ) == [(f, 2)]
+    monkeypatch.setattr(factor_mod, "RECOMBINATION_SUBSET_CAP", total - 1)
+    with pytest.raises(BudgetExceededError, match="integer recombination exceeded") as hit:
+        factor_mod._factor_dense(square, ZZ)
+    assert hit.value.tested == total
+
+
 def test_screen_decides_quadratic_whose_first_good_prime_splits(monkeypatch):
     f = [-7, 0, 1]  # x^2 - 7 = (x - 1)(x + 1) mod 3, irreducible mod 5
     assert not u_is_irreducible([c % 3 for c in f], PrimeField(3))

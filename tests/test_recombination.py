@@ -315,21 +315,26 @@ UNIVARIATE_CASES = {
 
 @pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
 @pytest.mark.parametrize("name", sorted(UNIVARIATE_CASES))
-def test_univariate_products_use_multiset_counts_at_one_prime(monkeypatch, name, ring):
+def test_univariate_products_recombine_each_yun_part_alone(monkeypatch, name, ring):
     sympy = pytest.importorskip("sympy")
     f = UNIVARIATE_CASES[name]
     if ring == QQ:
         f = MultiPoly.from_terms(QQ, V1, {e: Fraction(c, 3) for e, c in f.terms.items()})
-    lifts = []
-    lifted = factor_mod._lifted_items
+    lifts, recombined = [], []
+    lifted, recombine = factor_mod._lifted_items, factor_mod._recombine
     monkeypatch.setattr(factor_mod, "_lifted_items",
                         lambda *args: lifts.append(lifted(*args)) or lifts[-1])
+    monkeypatch.setattr(factor_mod, "_recombine",
+                        lambda *args: recombined.append(args[3]) or recombine(*args))
     fac = factor_multivariate(f)
     assert fac.method == "univariate zassenhaus"
     assert fac.recompose_over(V1) == f
-    # one lift for all Yun parts, and the repeated parts' items carry their counts
-    (items, counts, _), = lifts
-    assert max(counts) > 1 and len(items) > len(nonconstant_factors(fac))
+    # the Yun parts are exact in one variable: each lifts and recombines
+    # on its own, every item counted once
+    assert len(lifts) == len(recombined) > 1
+    assert all(set(counts) == {1} for _, counts, _ in lifts)
+    assert [counts for _, counts, _ in lifts] == recombined
+    assert sum(len(items) for items, _, _ in lifts) > len(nonconstant_factors(fac))
     gens = sympy.symbols(V1.names)
     ours = [(sum(sympy.Rational(c.numerator, c.denominator) * gens[0] ** e[0]
                  for e, c in g.terms.items()), m) for g, m in fac.factors]
